@@ -12,7 +12,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import dynkin
-from .bigraph import Automorphism, classify_color_behavior
+from .bigraph import (
+    Automorphism,
+    automorphism,
+    classify_color_behavior,
+    unmatched_entry,
+)
 from .errors import (
     ClaimViolation,
     InputError,
@@ -28,9 +33,6 @@ class BeltState:
     g: object
     t: int
     values: tuple
-
-    def cluster(self):
-        return self.values
 
 
 def initial_state(g):
@@ -75,15 +77,26 @@ def run_belt(g, steps):
     return out
 
 
+def first_return(trajectory):
+    """Smallest even p > 0 with trajectory[p] == trajectory[0], or None.
+
+    Period detection for both tracks: a trajectory is a list of belt
+    clusters or of tropical states, from time 0.
+    """
+    return next(
+        (p for p in range(2, len(trajectory), 2) if trajectory[p] == trajectory[0]),
+        None,
+    )
+
+
+def read_period(states):
+    """Smallest even p with an exact cluster recurrence in a belt run."""
+    return first_return([state.values for state in states])
+
+
 def detect_period(g, max_steps):
     """Smallest even p <= max_steps with an exact cluster recurrence."""
-    first = initial_state(g)
-    state = first
-    for p in range(1, max_steps + 1):
-        state = step(state)
-        if p % 2 == 0 and state.values == first.values:
-            return p
-    return None
+    return read_period(run_belt(g, max_steps))
 
 
 @dataclass(frozen=True)
@@ -117,20 +130,17 @@ def sigma_from_cluster(values):
 
 def half_period(g):
     """Run to t = h_Gamma + h_Delta and classify the relabeling found there."""
+    return read_half_period(g, run_belt(g, g.half_period))
+
+
+def read_half_period(g, states):
+    """Classify the relabeling held at t = N by a belt run from t = 0."""
     n_steps = g.half_period
-    state = initial_state(g)
-    for _ in range(n_steps):
-        state = step(state)
-    perm = sigma_from_cluster(state.values)
-    for i in range(g.n):
-        for j in range(g.n):
-            if (
-                g.gamma[perm[i]][perm[j]] != g.gamma[i][j]
-                or g.delta[perm[i]][perm[j]] != g.delta[i][j]
-            ):
-                raise ClaimViolation(
-                    "half-period permutation does not preserve (Gamma, Delta)"
-                )
+    perm = sigma_from_cluster(states[n_steps].values)
+    if any(unmatched_entry(perm, m, m) is not None for m in (g.gamma, g.delta)):
+        raise ClaimViolation(
+            "half-period permutation does not preserve (Gamma, Delta)"
+        )
     square = tuple(perm[perm[i]] for i in range(g.n))
     if square != tuple(range(g.n)):
         raise ClaimViolation("half-period permutation has order above two")
@@ -141,12 +151,9 @@ def half_period(g):
         raise ClaimViolation(
             "color behavior %s does not match parity of N=%d" % (behavior, n_steps)
         )
-    sigma = Automorphism(
-        perm=perm, kind="bicolored" if behavior == "preserving" else "colorReversing"
-    )
     return HalfPeriodReport(
         N=n_steps,
-        sigma=sigma,
+        sigma=automorphism(g, perm),
         color_behavior=behavior,
         order=1 if identity else 2,
         identity=identity,
@@ -154,23 +161,29 @@ def half_period(g):
 
 
 def _require_tensor_with_point(g, what):
-    if any(any(row) for row in g.delta):
+    if not g.plain:
         raise InputError("%s needs an empty Delta (a plain Dynkin entry)" % what)
+
+
+def _produced(g, states):
+    """The initial cluster, then each value in the order the run made it."""
+    yield from states[0].values
+    for c, state in enumerate(states[1:]):
+        for k in range(g.n):
+            if g.eta(k) % 2 == c % 2:
+                yield state.values[k]
 
 
 def cluster_variable_census(g):
     """Multiset of the values produced over one full period 2N."""
     _require_tensor_with_point(g, "census")
-    two_n = 2 * g.half_period
-    state = initial_state(g)
-    seen = Counter(state.values)
-    for c in range(two_n - 2):
-        new_state = step(state)
-        for k in range(g.n):
-            if g.eta(k) % 2 == c % 2:
-                seen[new_state.values[k]] += 1
-        state = new_state
-    return seen
+    return read_census(g, run_belt(g, 2 * g.half_period - 2))
+
+
+def read_census(g, states):
+    """The census of a plain Dynkin entry from a belt run of 2N - 2 or
+    more steps."""
+    return Counter(_produced(g, states[: 2 * g.half_period - 1]))
 
 
 def denominator_bijection_check(g):
@@ -181,13 +194,8 @@ def denominator_bijection_check(g):
     """
     _require_tensor_with_point(g, "denominator bijection")
     n = g.n
-    state = initial_state(g)
-    collected = Counter(v.denominator_vector() for v in state.values)
-    for c in range(g.half_period - 2):
-        state = step(state)
-        for k in range(n):
-            if g.eta(k) % 2 == c % 2:
-                collected[state.values[k].denominator_vector()] += 1
+    states = run_belt(g, g.half_period - 2)
+    collected = Counter(v.denominator_vector() for v in _produced(g, states))
     cartan = tuple(
         tuple(2 if i == j else -g.gamma[i][j] for j in range(n)) for i in range(n)
     )

@@ -22,6 +22,7 @@ from .errors import (
     NotAdmissible,
     NotAdmissibleBigraph,
     NotBipartite,
+    NotIntegerMatrix,
     NotSkewSymmetrizable,
     OrbitAdjacency,
     SearchBoundExceeded,
@@ -33,7 +34,35 @@ BLACK = "b"
 
 
 def _freeze(rows):
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(row) for row in rows)
+
+
+def _spread(b, first, rule):
+    """Label the vertices of the graph of b, one component at a time.
+
+    Each component's lowest vertex gets first(root), and a neighbour j of
+    a labeled vertex i gets rule(i, j, label of i).  Returns the labels
+    and the first edge (i, j) whose labels break the rule, or None.
+    """
+    n = len(b)
+    labels = [None] * n
+    for root in range(n):
+        if labels[root] is not None:
+            continue
+        labels[root] = first(root)
+        queue = [root]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if b[i][j] == 0 and b[j][i] == 0:
+                    continue
+                want = rule(i, j, labels[i])
+                if labels[j] is None:
+                    labels[j] = want
+                    queue.append(j)
+                elif labels[j] != want:
+                    return labels, (i, j)
+    return labels, None
 
 
 def symmetrizer(b):
@@ -52,25 +81,13 @@ def symmetrizer(b):
                     "entries (%d,%d) and (%d,%d) have the same sign"
                     % (i + 1, j + 1, j + 1, i + 1)
                 )
-    c = [None] * n
-    for root in range(n):
-        if c[root] is not None:
-            continue
-        c[root] = Fraction(1)
-        queue = [root]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if b[i][j] == 0:
-                    continue
-                ratio = c[i] * abs(b[i][j]) / abs(b[j][i])
-                if c[j] is None:
-                    c[j] = ratio
-                    queue.append(j)
-                elif c[j] != ratio:
-                    raise NotSkewSymmetrizable(
-                        "inconsistent ratio cycle through %d-%d" % (i + 1, j + 1)
-                    )
+    c, clash = _spread(
+        b, lambda root: Fraction(1), lambda i, j, ci: ci * abs(b[i][j]) / abs(b[j][i])
+    )
+    if clash is not None:
+        raise NotSkewSymmetrizable(
+            "inconsistent ratio cycle through %d-%d" % (clash[0] + 1, clash[1] + 1)
+        )
     scale = math.lcm(*(x.denominator for x in c))
     whole = [x * scale for x in c]
     shrink = math.gcd(*(int(x) for x in whole))
@@ -83,34 +100,49 @@ class ExchangeMatrix:
     b: tuple
     c: tuple
 
-    def row(self, i):
-        return self.b[i]
-
 
 def exchange_matrix(rows):
+    """Validated exchange matrix; every entry must be a plain int."""
     b = _freeze(rows)
+    for i, row in enumerate(b):
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise NotIntegerMatrix(
+                    "entry (%d,%d) is %r, not an integer" % (i + 1, j + 1, x)
+                )
     return ExchangeMatrix(n=len(b), b=b, c=symmetrizer(b))
+
+
+def mutate_rows(rows, k):
+    """Matrix mutation at row k of an m x n' rectangle of int rows.
+
+    The top m x m square is the exchange matrix and any further columns
+    are frozen.  Row k and column k change sign; every other entry b_ij
+    gains |b_ik| b_kj when b_ik and b_kj have the same sign.
+    """
+    pivot = rows[k]
+    up = [max(x, 0) for x in pivot]
+    down = [min(x, 0) for x in pivot]
+    out = []
+    for i, row in enumerate(rows):
+        a = row[k]
+        if i == k:
+            out.append(tuple(-x for x in row))
+        elif a == 0:
+            out.append(tuple(row))
+        else:
+            gain = up if a > 0 else down
+            new = [x + abs(a) * y for x, y in zip(row, gain)]
+            new[k] = -a
+            out.append(tuple(new))
+    return tuple(out)
 
 
 def mutate(m, k):
     """Matrix mutation at vertex k (zero-based); symmetrizer is untouched."""
     if not 0 <= k < m.n:
         raise IndexError("vertex %d out of range" % k)
-    b = m.b
-    out = []
-    for i in range(m.n):
-        row = []
-        for j in range(m.n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            elif b[i][k] > 0 and b[k][j] > 0:
-                row.append(b[i][j] + b[i][k] * b[k][j])
-            elif b[i][k] < 0 and b[k][j] < 0:
-                row.append(b[i][j] - b[i][k] * b[k][j])
-            else:
-                row.append(b[i][j])
-        out.append(row)
-    return ExchangeMatrix(n=m.n, b=_freeze(out), c=m.c)
+    return ExchangeMatrix(n=m.n, b=mutate_rows(m.b, k), c=m.c)
 
 
 def composite_mutation(m, vertices):
@@ -122,24 +154,11 @@ def composite_mutation(m, vertices):
 
 def detect_epsilon(b):
     """Two-color each connected component, lowest vertex white."""
-    n = len(b)
-    eps = [None] * n
-    for root in range(n):
-        if eps[root] is not None:
-            continue
-        eps[root] = WHITE
-        queue = [root]
-        while queue:
-            i = queue.pop()
-            want = BLACK if eps[i] == WHITE else WHITE
-            for j in range(n):
-                if b[i][j] == 0 and b[j][i] == 0:
-                    continue
-                if eps[j] is None:
-                    eps[j] = want
-                    queue.append(j)
-                elif eps[j] != want:
-                    raise NotBipartite("odd cycle through vertex %d" % (j + 1))
+    eps, clash = _spread(
+        b, lambda root: WHITE, lambda i, j, e: BLACK if e == WHITE else WHITE
+    )
+    if clash is not None:
+        raise NotBipartite("odd cycle through vertex %d" % (clash[1] + 1))
     return tuple(eps)
 
 
@@ -193,12 +212,18 @@ class Bigraph:
     def eta(self, k):
         return 0 if self.epsilon[k] == WHITE else 1
 
+    @property
+    def plain(self):
+        """True for a plain Dynkin entry (the tensor with a point): no Delta."""
+        return not any(any(row) for row in self.delta)
+
     def _shared_coxeter(self, components, label):
         values = {comp.coxeter for comp in components}
         if None in values or len(values) != 1:
+            known = sorted(v for v in values if v is not None)
             raise NotAdmissibleBigraph(
                 "%s components have Coxeter numbers %s"
-                % (label, sorted("?" if v is None else v for v in values))
+                % (label, known + ["?"] * (None in values))
             )
         return values.pop()
 
@@ -216,24 +241,11 @@ class Bigraph:
 
 
 def _connected_components(weights):
-    n = len(weights)
-    seen = [False] * n
-    comps = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        comp = [root]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if not seen[j] and (weights[i][j] or weights[j][i]):
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    roots, _ = _spread(weights, lambda root: root, lambda i, j, r: r)
+    return [
+        tuple(v for v, r in enumerate(roots) if r == root)
+        for root in dict.fromkeys(roots)
+    ]
 
 
 def _component_data(weights):
@@ -288,30 +300,21 @@ def decompose(m, epsilon=None):
     )
 
 
+def _signed(weights, epsilon, white_sign):
+    return tuple(
+        tuple(white_sign * x if e == WHITE else -white_sign * x for x in row)
+        for row, e in zip(weights, epsilon)
+    )
+
+
 def signed_gamma(g):
     """Gamma with the belt signs restored: white rows positive."""
-    return _freeze(
-        [
-            [
-                g.gamma[i][j] if g.epsilon[i] == WHITE else -g.gamma[i][j]
-                for j in range(g.n)
-            ]
-            for i in range(g.n)
-        ]
-    )
+    return _signed(g.gamma, g.epsilon, 1)
 
 
 def signed_delta(g):
     """Delta with the belt signs restored: white rows negative."""
-    return _freeze(
-        [
-            [
-                -g.delta[i][j] if g.epsilon[i] == WHITE else g.delta[i][j]
-                for j in range(g.n)
-            ]
-            for i in range(g.n)
-        ]
-    )
+    return _signed(g.delta, g.epsilon, -1)
 
 
 def is_recurrent(g):
@@ -328,30 +331,15 @@ def is_recurrent(g):
     return True
 
 
-def _two_coloring(cartan):
-    n = len(cartan)
-    color = [None] * n
-    for root in range(n):
-        if color[root] is not None:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i != j and cartan[i][j] != 0 and color[j] is None:
-                    color[j] = 1 - color[i]
-                    queue.append(j)
-    return color
-
-
-def tensor_product(family_l, rank_l, family_r, rank_r):
-    """Bigraph on the vertex product: Gamma copies the left diagram down
-    each column, Delta copies the right diagram along each row."""
+def _tensor_rows(family_l, rank_l, family_r, rank_r):
     cl = dynkin.cartan_matrix(family_l, rank_l)
     cr = dynkin.cartan_matrix(family_r, rank_r)
-    col_l = _two_coloring(cl)
-    col_r = _two_coloring(cr)
+    col_l, col_r = (
+        detect_epsilon(
+            [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(c)]
+        )
+        for c in (cl, cr)
+    )
     n = rank_l * rank_r
 
     def flat(i, j):
@@ -360,7 +348,7 @@ def tensor_product(family_l, rank_l, family_r, rank_r):
     eps = [None] * n
     for i in range(rank_l):
         for j in range(rank_r):
-            eps[flat(i, j)] = WHITE if (col_l[i] + col_r[j]) % 2 == 0 else BLACK
+            eps[flat(i, j)] = WHITE if col_l[i] == col_r[j] else BLACK
     b = [[0] * n for _ in range(n)]
     for j in range(rank_r):
         for i1 in range(rank_l):
@@ -376,6 +364,13 @@ def tensor_product(family_l, rank_l, family_r, rank_r):
                     u, v = flat(i, j1), flat(i, j2)
                     weight = -cr[j1][j2]
                     b[u][v] = -weight if eps[u] == WHITE else weight
+    return b, eps
+
+
+def tensor_product(family_l, rank_l, family_r, rank_r):
+    """Bigraph on the vertex product: Gamma copies the left diagram down
+    each column, Delta copies the right diagram along each row."""
+    b, eps = _tensor_rows(family_l, rank_l, family_r, rank_r)
     g = decompose(exchange_matrix(b), eps)
     if not is_recurrent(g):
         raise AssertionError("tensor product came out non-recurrent")
@@ -394,6 +389,22 @@ def dual_bigraph(g):
     return decompose(langlands_dual(g.base), g.epsilon)
 
 
+def _cycles(perm):
+    """The cycles of perm, fixed points included, each walked from its
+    smallest vertex."""
+    seen = set()
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        cycle = [start]
+        nxt = perm[start]
+        while nxt != start:
+            cycle.append(nxt)
+            nxt = perm[nxt]
+        seen.update(cycle)
+        yield cycle
+
+
 @dataclass(frozen=True)
 class Automorphism:
     perm: tuple
@@ -402,15 +413,12 @@ class Automorphism:
     def __call__(self, i):
         return self.perm[i]
 
+    def __iter__(self):
+        return iter(self.perm)
+
     @property
     def order(self):
-        order = 1
-        current = self.perm
-        identity = tuple(range(len(self.perm)))
-        while current != identity:
-            current = tuple(self.perm[i] for i in current)
-            order += 1
-        return order
+        return math.lcm(*(len(cycle) for cycle in _cycles(self.perm)))
 
     @property
     def is_identity(self):
@@ -418,22 +426,12 @@ class Automorphism:
 
     def cycles(self):
         """Cycle notation over one-based labels; identity renders as 'id'."""
-        n = len(self.perm)
-        seen = [False] * n
-        out = []
-        for start in range(n):
-            if seen[start] or self.perm[start] == start:
-                seen[start] = True
-                continue
-            cycle = [start]
-            seen[start] = True
-            nxt = self.perm[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt] = True
-                nxt = self.perm[nxt]
-            out.append("(" + " ".join(str(v + 1) for v in cycle) + ")")
-        return "".join(out) if out else "id"
+        out = "".join(
+            "(" + " ".join(str(v + 1) for v in cycle) + ")"
+            for cycle in _cycles(self.perm)
+            if len(cycle) > 1
+        )
+        return out or "id"
 
 
 def classify_color_behavior(g, perm):
@@ -443,6 +441,28 @@ def classify_color_behavior(g, perm):
     if all(flips):
         return "reversing"
     return "mixed"
+
+
+def automorphism(g, perm):
+    """perm as an Automorphism of g, its kind named by its color behavior."""
+    kind = {"preserving": "bicolored", "reversing": "colorReversing"}.get(
+        classify_color_behavior(g, perm), "general"
+    )
+    return Automorphism(perm=tuple(perm), kind=kind)
+
+
+def unmatched_entry(perm, src, dst):
+    """First (i, j) with src[i][j] != dst[perm[i]][perm[j]], or None."""
+    n = len(perm)
+    return next(
+        (
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if src[i][j] != dst[perm[i]][perm[j]]
+        ),
+        None,
+    )
 
 
 def find_automorphisms(g, kind="all", bound=16):
@@ -456,76 +476,17 @@ def find_automorphisms(g, kind="all", bound=16):
         raise SearchBoundExceeded(
             "automorphism search on %d vertices exceeds bound %d" % (g.n, bound)
         )
-    n = g.n
-    gamma, delta = g.gamma, g.delta
-
-    def signature(i):
-        return (
-            sorted((gamma[i][j], gamma[j][i]) for j in range(n)),
-            sorted((delta[i][j], delta[j][i]) for j in range(n)),
-        )
-
-    sigs = [signature(i) for i in range(n)]
-    found = []
-    perm = [None] * n
-    used = [False] * n
-
-    def place(i):
-        if i == n:
-            found.append(tuple(perm))
-            return
-        for t in range(n):
-            if used[t] or sigs[i] != sigs[t]:
-                continue
-            ok = True
-            for j in range(i):
-                pj = perm[j]
-                if (
-                    gamma[i][j] != gamma[t][pj]
-                    or gamma[j][i] != gamma[pj][t]
-                    or delta[i][j] != delta[t][pj]
-                    or delta[j][i] != delta[pj][t]
-                ):
-                    ok = False
-                    break
-            if ok:
-                perm[i] = t
-                used[t] = True
-                place(i + 1)
-                used[t] = False
-                perm[i] = None
-
-    place(0)
-    out = []
-    for p in found:
-        behavior = classify_color_behavior(g, p)
-        if kind == "colorPreserving" and behavior != "preserving":
-            continue
-        if kind == "colorReversing" and behavior != "reversing":
-            continue
-        label = {"preserving": "bicolored", "reversing": "colorReversing"}.get(
-            behavior, "general"
-        )
-        out.append(Automorphism(perm=p, kind=label))
+    pairs = tuple(tuple(zip(gr, dr)) for gr, dr in zip(g.gamma, g.delta))
+    out = [automorphism(g, p) for p in dynkin.relabelings(pairs, pairs)]
+    if kind == "colorPreserving":
+        return [a for a in out if a.kind == "bicolored"]
+    if kind == "colorReversing":
+        return [a for a in out if a.kind == "colorReversing"]
     return out
 
 
 def orbits_of(perm):
-    n = len(perm)
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            orbit.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        orbits.append(tuple(sorted(orbit)))
-    return sorted(orbits)
+    return sorted(tuple(sorted(cycle)) for cycle in _cycles(perm))
 
 
 def check_bicolored(g, perm):
@@ -535,12 +496,11 @@ def check_bicolored(g, perm):
     for i in range(n):
         if g.epsilon[perm[i]] != g.epsilon[i]:
             raise NotAdmissible("i", "vertex %d changes color" % (i + 1))
-    for i in range(n):
-        for j in range(n):
-            if b[perm[i]][perm[j]] != b[i][j]:
-                raise NotAdmissible(
-                    "iii", "entry (%d,%d) not preserved" % (i + 1, j + 1)
-                )
+    bad = unmatched_entry(perm, b, b)
+    if bad is not None:
+        raise NotAdmissible(
+            "iii", "entry (%d,%d) not preserved" % (bad[0] + 1, bad[1] + 1)
+        )
     orbits = orbits_of(perm)
     for orbit in orbits:
         for i in orbit:
@@ -562,7 +522,7 @@ def check_bicolored(g, perm):
 
 def fold(g, auto):
     """Quotient by a bicolored automorphism; orbits become vertices."""
-    perm = auto.perm if isinstance(auto, Automorphism) else tuple(auto)
+    perm = tuple(auto)
     orbits = check_bicolored(g, perm)
     b = g.base.b
     folded = []
@@ -607,24 +567,10 @@ def _figure_one():
     return decompose(exchange_matrix(b), eps)
 
 
-def _figure_two():
-    n = 8
-    eps = _FIG2_EPSILON
-    f4 = dynkin.cartan_matrix("F", 4)
-    b = [[0] * n for _ in range(n)]
-    for col in (0, 4):
-        for i in range(4):
-            for j in range(4):
-                if i != j and f4[i][j]:
-                    u, v = col + i, col + j
-                    weight = -f4[i][j]
-                    b[u][v] = weight if eps[u] == WHITE else -weight
-    for i in range(4):
-        u, v = i, i + 4
-        first = -1 if eps[u] == WHITE else 1
-        b[u][v] = first
-        b[v][u] = -first
-    return decompose(exchange_matrix(b), eps)
+def _figure_two_rows():
+    """F4 x A2 with the two colors swapped, which negates every entry."""
+    b, _ = _tensor_rows("F", 4, "A", 2)
+    return [[-x for x in row] for row in b]
 
 
 _NAME_RE = re.compile(r"^([A-G])(\d+)$")
@@ -640,7 +586,7 @@ def catalog(name):
     if name == "fig1-A5starD4":
         return _figure_one()
     if name == "fig2-F4xA2":
-        return _figure_two()
+        return decompose(exchange_matrix(_figure_two_rows()), _FIG2_EPSILON)
     hit = _TENSOR_RE.match(name)
     if hit:
         fl, rl, fr, rr = hit.groups()
@@ -680,7 +626,7 @@ def catalog_version():
             "epsilon": _FIG1_EPSILON,
         },
         "fig2": {
-            "b": _figure_two().base.b,
+            "b": _figure_two_rows(),
             "epsilon": _FIG2_EPSILON,
         },
         "coxeter": {

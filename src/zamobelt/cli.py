@@ -74,13 +74,12 @@ def cmd_belt(args):
 
 def cmd_halfperiod(args):
     g = _resolve_target(args.target)
-    report = belt.half_period(g)
-    period = belt.detect_period(g, 2 * report.N)
+    states = belt.run_belt(g, 2 * g.half_period)
+    report = belt.read_half_period(g, states)
+    period = belt.read_period(states)
     if period is None:
         raise ClaimViolation("no recurrence within 2N = %d steps" % (2 * report.N))
-    census_size = None
-    if not any(any(row) for row in g.delta):
-        census_size = len(belt.cluster_variable_census(g))
+    census_size = len(belt.read_census(g, states)) if g.plain else None
     doc = {
         "name": args.target,
         "N": report.N,
@@ -130,10 +129,11 @@ def cmd_tropical(args):
     shift_ok = True
     for _ in range(args.trials):
         lam = tropical.random_labeling(rng, g.n)
-        period = tropical.tropical_period(g, lam, 2 * n_half)
+        states = tropical.run_states(g, lam, 3 * n_half)
+        period = tropical.first_return(states[: 2 * n_half + 1])
         if period is None or (2 * n_half) % period != 0:
             periods_ok = False
-        if not tropical.tropical_half_period(g, lam, sigma):
+        if not tropical.read_half_period_shift(g, states, sigma):
             shift_ok = False
     doc = {
         "name": args.target,
@@ -222,13 +222,14 @@ _COMMANDS = {
     "catalog-list": cmd_catalog_list,
 }
 
-_CONFIG_DEFAULTS = {
-    "steps": 0,
-    "seed": 0,
-    "trials": 100,
-    "lam": "-1",
-    "skip_symbolic": False,
-    "out": None,
+# suite config key -> (argument dest, conversion); a key left out of a
+# config takes the default of the command's own flag
+_CONFIG_KEYS = {
+    "steps": ("steps", int),
+    "seed": ("seed", int),
+    "trials": ("trials", int),
+    "lambda": ("lam", str),
+    "skipSymbolic": ("skip_symbolic", bool),
 }
 
 
@@ -236,8 +237,10 @@ def run_experiment(config):
     """Run one config dict; returns (report text, exit code).
 
     Never raises: failures are folded into the exit code so one bad
-    suite entry cannot take down its siblings.
+    suite entry cannot take down its siblings.  A termGuard holds for
+    this config only.
     """
+    keep_guard = laurent.get_term_guard()
     try:
         command = config.get("command")
         if command not in _COMMANDS:
@@ -245,14 +248,11 @@ def run_experiment(config):
         guard = config.get("termGuard")
         if guard is not None:
             laurent.set_term_guard(int(guard))
-        args = argparse.Namespace(target=config.get("target"), **_CONFIG_DEFAULTS)
-        for key in ("steps", "seed", "trials"):
-            if key in config:
-                setattr(args, key, int(config[key]))
-        if "lambda" in config:
-            args.lam = str(config["lambda"])
-        if "skipSymbolic" in config:
-            args.skip_symbolic = bool(config["skipSymbolic"])
+        flags = _build_parser()[1][command]
+        args = argparse.Namespace(target=config.get("target"), out=None)
+        for key, (dest, convert) in _CONFIG_KEYS.items():
+            value = convert(config[key]) if key in config else flags.get_default(dest)
+            setattr(args, dest, value)
         return _COMMANDS[command](args)
     except InputError as exc:
         return "error: %s\n" % exc, EXIT_INPUT
@@ -260,6 +260,8 @@ def run_experiment(config):
         return "falsified: %s\n" % exc, EXIT_FALSIFIED
     except Exception:
         return traceback.format_exc(), EXIT_INPUT
+    finally:
+        laurent.set_term_guard(keep_guard)
 
 
 def cmd_suite(args):
@@ -293,6 +295,7 @@ def cmd_suite(args):
 
 
 def _build_parser():
+    """The top-level parser and the subparser of each command by name."""
     parser = argparse.ArgumentParser(
         prog="zamobelt",
         description="exact engine for bipartite-belt dynamics",
@@ -341,11 +344,11 @@ def _build_parser():
     sp.add_argument("file")
     sp.add_argument("--jobs", type=int, default=1)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _build_parser()[0].parse_args(argv)
     guard = args.term_guard
     if guard is None:
         env = os.environ.get("ZAMOBELT_TERM_GUARD")

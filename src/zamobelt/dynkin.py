@@ -146,42 +146,42 @@ def _is_cartan_like(m):
     return True
 
 
-def _match_up_to_permutation(template, m):
-    """Is there a permutation p with m[i][j] == template[p(i)][p(j)]?"""
-    n = len(m)
+def relabelings(src, dst):
+    """Each permutation p with src[i][j] == dst[p(i)][p(j)] for all i, j.
+
+    Backtracking places vertices in order and tries targets in order, so
+    the permutations come out in lex order.  A vertex only goes to a
+    target whose multiset of (out, in) entry pairs equals its own.
+    """
+    n = len(src)
 
     def signature(mat, i):
-        return sorted((mat[i][j], mat[j][i]) for j in range(n) if j != i)
+        return sorted((mat[i][j], mat[j][i]) for j in range(n))
 
-    sig_t = [signature(template, i) for i in range(n)]
-    sig_m = [signature(m, i) for i in range(n)]
-    if sorted(map(tuple, sig_t)) != sorted(map(tuple, sig_m)):
-        return False
+    sig_src = [signature(src, i) for i in range(n)]
+    sig_dst = [signature(dst, i) for i in range(n)]
+    if sorted(sig_src) != sorted(sig_dst):
+        return
     perm = [None] * n
     used = [False] * n
 
     def place(i):
         if i == n:
-            return True
+            yield tuple(perm)
+            return
         for t in range(n):
-            if used[t] or sig_m[i] != sig_t[t]:
+            if used[t] or sig_src[i] != sig_dst[t] or src[i][i] != dst[t][t]:
                 continue
-            ok = True
-            for j in range(i):
-                pj = perm[j]
-                if m[i][j] != template[t][pj] or m[j][i] != template[pj][t]:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                src[i][j] == dst[t][perm[j]] and src[j][i] == dst[perm[j]][t]
+                for j in range(i)
+            ):
                 perm[i] = t
                 used[t] = True
-                if place(i + 1):
-                    return True
+                yield from place(i + 1)
                 used[t] = False
-                perm[i] = None
-        return False
 
-    return place(0)
+    yield from place(0)
 
 
 def recognize(cartan):
@@ -200,6 +200,6 @@ def recognize(cartan):
         if n >= lo and (hi is None or n <= hi):
             candidates.append((family, n))
     for family, rank in candidates:
-        if _match_up_to_permutation(cartan_matrix(family, rank), m):
+        if next(relabelings(m, cartan_matrix(family, rank)), None) is not None:
             return family, rank
     return None

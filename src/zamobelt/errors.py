@@ -35,8 +35,8 @@ class TermGuardExceeded(InputError):
     """A polynomial grew past the configured term ceiling."""
 
 
-class StepGuardExceeded(InputError):
-    """An iteration ran past the configured step ceiling."""
+class NotIntegerMatrix(InputError):
+    """A matrix entry is not an integer: floats, bools and strings."""
 
 
 class SearchBoundExceeded(InputError):

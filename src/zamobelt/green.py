@@ -11,7 +11,7 @@ agreement is asserted, not assumed.
 
 from dataclasses import dataclass
 
-from .bigraph import Automorphism, classify_color_behavior
+from .bigraph import Automorphism, automorphism, mutate_rows, unmatched_entry
 from .errors import (
     CoefficientMismatch,
     FrozenVertex,
@@ -45,19 +45,11 @@ class FramedState:
         return tuple(row[: self.n] for row in self.ext)
 
 
-def framed(m):
+def framed(m, sign=1):
+    """B over sign * I: the framed matrix, or with sign -1 the coframed one."""
     n = m.n
     ext = tuple(
-        tuple(m.b[i]) + tuple(1 if j == i else 0 for j in range(n))
-        for i in range(n)
-    )
-    return FramedState(n=n, ext=ext, history=())
-
-
-def coframed(m):
-    n = m.n
-    ext = tuple(
-        tuple(m.b[i]) + tuple(-1 if j == i else 0 for j in range(n))
+        tuple(m.b[i]) + tuple(sign if j == i else 0 for j in range(n))
         for i in range(n)
     )
     return FramedState(n=n, ext=ext, history=())
@@ -74,24 +66,11 @@ def _assert_sign_coherent(state):
 
 def mutate_framed(state, k):
     """Standard mutation at mutable k over all 2n columns."""
-    n = state.n
-    if not 0 <= k < n:
+    if not 0 <= k < state.n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
-    b = state.ext
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(2 * n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            elif b[i][k] > 0 and b[k][j] > 0:
-                row.append(b[i][j] + b[i][k] * b[k][j])
-            elif b[i][k] < 0 and b[k][j] < 0:
-                row.append(b[i][j] - b[i][k] * b[k][j])
-            else:
-                row.append(b[i][j])
-        out.append(tuple(row))
-    new = FramedState(n=n, ext=tuple(out), history=state.history + (k,))
+    new = FramedState(
+        n=state.n, ext=mutate_rows(state.ext, k), history=state.history + (k,)
+    )
     _assert_sign_coherent(new)
     return new
 
@@ -143,24 +122,6 @@ def _restrict(ext, n, part):
     return tuple(tuple(ext[i][j] for j in cols) for i in part)
 
 
-def _mutate_restricted(ext_r, nrows, k_local):
-    ncols = len(ext_r[0])
-    out = []
-    for i in range(nrows):
-        row = []
-        for j in range(ncols):
-            if i == k_local or j == k_local:
-                row.append(-ext_r[i][j])
-            elif ext_r[i][k_local] > 0 and ext_r[k_local][j] > 0:
-                row.append(ext_r[i][j] + ext_r[i][k_local] * ext_r[k_local][j])
-            elif ext_r[i][k_local] < 0 and ext_r[k_local][j] < 0:
-                row.append(ext_r[i][j] - ext_r[i][k_local] * ext_r[k_local][j])
-            else:
-                row.append(ext_r[i][j])
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _check_restriction_commutes(before, after, parts, k):
     """Mutation at k must act on the part containing k exactly as local
     mutation of the restricted matrix and must leave other parts alone."""
@@ -168,9 +129,7 @@ def _check_restriction_commutes(before, after, parts, k):
     for part in parts:
         restricted_after = _restrict(after.ext, n, part)
         if k in part:
-            local = _mutate_restricted(
-                _restrict(before.ext, n, part), len(part), part.index(k)
-            )
+            local = mutate_rows(_restrict(before.ext, n, part), part.index(k))
             if local != restricted_after:
                 raise NotComponentPreserving(
                     "mutation at %d does not commute with restriction" % (k + 1)
@@ -306,43 +265,22 @@ def frozen_isomorphism_check(g, symbolic_sigma=None):
     and frozen labels fixed; the permutation is returned and, when a
     symbolic half-period permutation is supplied, must equal it.
     """
-    state = coframed(g.base)
+    state = framed(g.base, sign=-1)
     y = initial_y(g.n, sign=-1)
     for factor in _alternating_factors(g.whites, g.blacks, g.half_period):
         for k in factor:
             y = mutate_y(y, state.ext, k)
             state = mutate_framed(state, k)
             _assert_y_matches_c(state, y)
-    frozen_rows = state.c_matrix()
-    perm_cols = [None] * g.n
-    for r, row in enumerate(frozen_rows):
-        negatives = [j for j, x in enumerate(row) if x == -1]
-        if len(negatives) != 1 or any(x not in (0, -1) for x in row):
-            raise NoIsomorphism("frozen block is %s" % (frozen_rows,))
-        perm_cols[negatives[0]] = r
-    if any(v is None for v in perm_cols):
-        raise NoIsomorphism("frozen block is %s" % (frozen_rows,))
-    perm = tuple(perm_cols)
-    mutable = state.mutable_block()
-    b = g.base.b
-    for i in range(g.n):
-        for j in range(g.n):
-            if mutable[perm[i]][perm[j]] != b[i][j]:
-                raise NoIsomorphism(
-                    "mutable block is not a relabeling of the original"
-                )
-    if symbolic_sigma is not None:
-        expected = (
-            symbolic_sigma.perm
-            if hasattr(symbolic_sigma, "perm")
-            else tuple(symbolic_sigma)
+    row_perm = _extract_minus_permutation(state.c_matrix())
+    if row_perm is None:
+        raise NoIsomorphism("frozen block is %s" % (state.c_matrix(),))
+    # row r holds the -1 of frozen column row_perm[r]; sigma is the inverse
+    perm = tuple(sorted(range(g.n), key=row_perm.__getitem__))
+    if unmatched_entry(perm, g.base.b, state.mutable_block()) is not None:
+        raise NoIsomorphism("mutable block is not a relabeling of the original")
+    if symbolic_sigma is not None and perm != tuple(symbolic_sigma):
+        raise MismatchWithSymbolicSigma(
+            "frozen %s vs symbolic %s" % (perm, tuple(symbolic_sigma))
         )
-        if perm != expected:
-            raise MismatchWithSymbolicSigma(
-                "frozen %s vs symbolic %s" % (perm, expected)
-            )
-    behavior = classify_color_behavior(g, perm)
-    kind = {"preserving": "bicolored", "reversing": "colorReversing"}.get(
-        behavior, "general"
-    )
-    return Automorphism(perm=perm, kind=kind)
+    return automorphism(g, perm)

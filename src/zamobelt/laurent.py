@@ -92,9 +92,6 @@ class Laurent:
     def is_zero(self):
         return not self.terms
 
-    def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
-
     def as_variable(self):
         """Index i if this polynomial is exactly x_{i+1}, else None.
 
@@ -106,9 +103,6 @@ class Laurent:
         if coeff != 1 or sum(exps) != 1 or any(e not in (0, 1) for e in exps):
             return None
         return exps.index(1)
-
-    def has_positive_coeffs(self):
-        return all(c > 0 for c in self.terms.values())
 
     # -- ring structure ------------------------------------------------
 

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .belt import first_return
 from .bigraph import dual_bigraph
 from .errors import InputError
 
@@ -21,11 +22,6 @@ TIE = "tie"
 
 def constant_labeling(n, value):
     return tuple(Fraction(value) for _ in range(n))
-
-
-def basis_labeling(n, j):
-    """Indicator labeling tracking degrees in the j-th variable."""
-    return tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
 
 
 def random_labeling(rng, n):
@@ -103,25 +99,23 @@ def run_states(g, lam, steps, events=None):
 
 def tropical_period(g, lam, max_steps):
     """Smallest even p <= max_steps with state(p) == state(0)."""
-    first = initial_values(g, lam)
-    state = first
-    for p in range(1, max_steps + 1):
-        state = step_values(g, p - 1, state)
-        if p % 2 == 0 and state == first:
-            return p
-    return None
+    return first_return(run_states(g, lam, max_steps))
 
 
 def tropical_half_period(g, lam, sigma):
-    """Does shifting time by N match relabeling the vertices by sigma?
+    """Does shifting time by N match relabeling the vertices by sigma?"""
+    return read_half_period_shift(g, run_states(g, lam, 3 * g.half_period), sigma)
+
+
+def read_half_period_shift(g, states, sigma):
+    """The half-period shift check on states at times 0..3N.
 
     Compared at the state level: state(c + N)[i] == state(c)[sigma(i)]
     for every c in one full period.  A sigma whose color behavior does
     not fit the parity of N fails here on any non-degenerate labeling.
     """
-    perm = sigma.perm if hasattr(sigma, "perm") else tuple(sigma)
+    perm = tuple(sigma)
     n_half = g.half_period
-    states = run_states(g, lam, 3 * n_half)
     for c in range(2 * n_half):
         shifted = states[c + n_half]
         base = states[c]
@@ -162,7 +156,7 @@ class ColoredCensus:
 
 def colored_census(g, lam):
     """Event counts over one full period 2N of a tensor-with-point entry."""
-    if any(any(row) for row in g.delta):
+    if not g.plain:
         raise InputError("colored census needs an empty Delta")
     if any(x >= 0 for x in lam):
         raise InputError("colored census needs an all-negative labeling")

@@ -11,6 +11,7 @@ from zamobelt.errors import (
     NotAdmissible,
     NotAdmissibleBigraph,
     NotBipartite,
+    NotIntegerMatrix,
     NotSkewSymmetrizable,
     OrbitAdjacency,
     UnknownName,
@@ -80,6 +81,43 @@ def test_mutation_preserves_symmetrizer():
     m = bg.catalog("fig2-F4xA2").base
     for k in range(m.n):
         assert bg.mutate(m, k).c == m.c
+
+
+@st.composite
+def framed_rectangles(draw):
+    """An m x n' int matrix whose top m x m square is skew-symmetrizable:
+    b_ij = a_ij c_j with a skew-symmetric and c positive."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    extra = draw(st.integers(min_value=0, max_value=5))
+    c = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    a = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            a[i][j] = draw(st.integers(-3, 3))
+            a[j][i] = -a[i][j]
+    frozen = st.lists(st.integers(-3, 3), min_size=extra, max_size=extra)
+    rows = tuple(
+        tuple(a[i][j] * c[j] for j in range(m)) + tuple(draw(frozen))
+        for i in range(m)
+    )
+    k = draw(st.integers(0, m - 1))
+    part = draw(st.sets(st.integers(0, m - 1))) | {k}
+    return rows, k, sorted(part)
+
+
+@settings(max_examples=200)
+@given(framed_rectangles())
+def test_mutate_rows_is_an_involution_that_commutes_with_restriction(case):
+    rows, k, part = case
+    m, width = len(rows), len(rows[0])
+    once = bg.mutate_rows(rows, k)
+    assert bg.mutate_rows(once, k) == rows
+    cols = part + list(range(m, width))
+
+    def restrict(mat):
+        return tuple(tuple(mat[i][j] for j in cols) for i in part)
+
+    assert bg.mutate_rows(restrict(rows), part.index(k)) == restrict(once)
 
 
 def test_composite_mutation_of_disconnected_set_commutes():
@@ -154,6 +192,24 @@ def test_mixed_coxeter_numbers_are_rejected():
     g = bg.decompose(bg.exchange_matrix(rows), (WHITE, BLACK, WHITE, BLACK, WHITE))
     with pytest.raises(NotAdmissibleBigraph):
         g.h_gamma
+
+
+def test_mixed_dynkin_and_non_dynkin_components_are_rejected():
+    # Gamma holds an A2 and a doubled edge, which is not of finite type
+    doc = {
+        "n": 4,
+        "b": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]],
+        "epsilon": ["w", "b", "w", "b"],
+    }
+    g = bg.from_json(doc)
+    with pytest.raises(NotAdmissibleBigraph, match=r"\[3, '\?'\]"):
+        g.h_gamma
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, True, "1"])
+def test_non_integer_entries_are_rejected(entry):
+    with pytest.raises(NotIntegerMatrix):
+        bg.from_json({"n": 2, "b": [[0, entry], [-1, 0]]})
 
 
 # -- recurrence ---------------------------------------------------------------

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
-from zamobelt.cli import main
+import zamobelt.belt as belt
+import zamobelt.bigraph as bg
+from zamobelt.cli import main, run_experiment
 
 
 def run(capsys, *argv) -> tuple:
@@ -190,3 +192,60 @@ def test_suite_parallel_matches_serial(tmp_path, capsys):
     parallel = run(capsys, "suite", str(path), "--jobs", "4")
     assert serial == parallel
     assert serial[0] == 0
+
+
+def test_term_guard_holds_for_its_suite_entry_only(tmp_path, capsys):
+    configs = [
+        {"command": "halfperiod", "target": "A3", "termGuard": 3},
+        {"command": "halfperiod", "target": "A3"},
+    ]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(configs))
+    serial = run(capsys, "suite", str(path))
+    parallel = run(capsys, "suite", str(path), "--jobs", "2")
+    assert serial == parallel
+    doc = json.loads(serial[1])
+    assert [r["exitCode"] for r in doc["results"]] == [2, 0]
+
+
+def test_suite_entry_defaults_match_the_command_flags(capsys):
+    _, out, _ = run(capsys, "dual-check", "C2")
+    text, code = run_experiment({"command": "dual-check", "target": "C2"})
+    assert code == 0 and text == out
+    assert json.loads(text)["trials"] == 10
+
+
+def test_halfperiod_steps_the_belt_once(capsys, monkeypatch):
+    calls = []
+    real_step = belt.step
+
+    def counting_step(state):
+        calls.append(state.t)
+        return real_step(state)
+
+    monkeypatch.setattr(belt, "step", counting_step)
+    code, _, _ = run(capsys, "halfperiod", "A3")
+    assert code == 0
+    assert calls == list(range(2 * bg.catalog("A3").half_period))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # one Dynkin and one non-Dynkin Gamma component
+        {
+            "n": 4,
+            "b": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]],
+            "epsilon": ["w", "b", "w", "b"],
+        },
+        {"n": 2, "b": [[0, 1.9], [-1, 0]]},
+        {"n": 2, "b": [[0, True], [-1, 0]]},
+        {"n": 2, "b": [[0, "1"], [-1, 0]]},
+    ],
+)
+def test_rejected_matrices_exit_two(tmp_path, capsys, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "halfperiod", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
