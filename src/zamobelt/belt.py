@@ -25,7 +25,7 @@ from .errors import (
     NoPermutationMatch,
     NotDivisible,
 )
-from .laurent import Laurent
+from .laurent import Laurent, exchange
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,11 @@ def initial_state(g):
     return BeltState(g=g, t=0, values=tuple(Laurent.variable(k, n) for k in range(n)))
 
 
+def _monomial(values, m, k):
+    """prod_i values[i] ** m[i][k] as (base, exponent) pairs."""
+    return [(value, m[i][k]) for i, value in enumerate(values) if m[i][k]]
+
+
 def step(state):
     """Advance one time unit, mutating the vertices whose parity matches."""
     g = state.g
@@ -48,18 +53,12 @@ def step(state):
     for k in range(g.n):
         if g.eta(k) % 2 != c % 2:
             continue
-        gamma_prod = Laurent.one(g.n)
-        delta_prod = Laurent.one(g.n)
-        for i in range(g.n):
-            e = g.gamma[i][k]
-            if e:
-                gamma_prod = gamma_prod * state.values[i] ** e
-            e = g.delta[i][k]
-            if e:
-                delta_prod = delta_prod * state.values[i] ** e
-        numerator = gamma_prod + delta_prod
+        monomials = [
+            _monomial(state.values, g.gamma, k),
+            _monomial(state.values, g.delta, k),
+        ]
         try:
-            values[k] = numerator.divexact(state.values[k])
+            values[k] = exchange(monomials, state.values[k])
         except NotDivisible as exc:
             raise LaurentPhenomenonViolation(
                 "vertex %d at time %d: %s" % (k + 1, c + 2, exc)

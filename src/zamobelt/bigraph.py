@@ -644,10 +644,16 @@ def from_json(doc):
         raise NotBipartite("input document needs keys 'n' and 'b'")
     n = doc["n"]
     b = doc["b"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise NotBipartite("'n' must be an integer, got %r" % (n,))
+    if not isinstance(b, list) or not all(isinstance(row, list) for row in b):
+        raise NotBipartite("'b' must be a list of rows, each a list")
     if len(b) != n or any(len(row) != n for row in b):
         raise NotBipartite("matrix shape does not match n=%s" % n)
     eps = doc.get("epsilon")
     if eps is not None:
+        if not isinstance(eps, list):
+            raise NotBipartite("'epsilon' must be a list of 'w' and 'b'")
         if any(x not in (WHITE, BLACK) for x in eps):
             raise NotBipartite("epsilon entries must be 'w' or 'b'")
         eps = tuple(eps)

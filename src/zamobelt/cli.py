@@ -222,15 +222,24 @@ _COMMANDS = {
     "catalog-list": cmd_catalog_list,
 }
 
-# suite config key -> (argument dest, conversion); a key left out of a
-# config takes the default of the command's own flag
+def _is_json_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# suite config key -> (argument dest, accepted JSON type, its name); a key
+# left out of a config takes the default of the command's own flag
 _CONFIG_KEYS = {
-    "steps": ("steps", int),
-    "seed": ("seed", int),
-    "trials": ("trials", int),
-    "lambda": ("lam", str),
-    "skipSymbolic": ("skip_symbolic", bool),
+    "steps": ("steps", _is_json_int, "an integer"),
+    "seed": ("seed", _is_json_int, "an integer"),
+    "trials": ("trials", _is_json_int, "an integer"),
+    "lambda": ("lam", lambda value: isinstance(value, str), "a string"),
+    "skipSymbolic": ("skip_symbolic", lambda value: isinstance(value, bool),
+                     "a boolean"),
 }
+
+
+def _config_error(key, kind, value):
+    return InputError("config key %r must be %s, got %r" % (key, kind, value))
 
 
 def run_experiment(config):
@@ -238,20 +247,31 @@ def run_experiment(config):
 
     Never raises: failures are folded into the exit code so one bad
     suite entry cannot take down its siblings.  A termGuard holds for
-    this config only.
+    this config only.  Values are taken as given, never coerced: a
+    value of the wrong JSON type is an input error naming its key.
     """
     keep_guard = laurent.get_term_guard()
     try:
         command = config.get("command")
         if command not in _COMMANDS:
             raise InputError("unknown command %r" % command)
+        target = config.get("target")
+        if command != "catalog-list" and not isinstance(target, str):
+            raise _config_error("target", "a string", target)
         guard = config.get("termGuard")
         if guard is not None:
-            laurent.set_term_guard(int(guard))
+            if not _is_json_int(guard) or guard < 1:
+                raise _config_error("termGuard", "a positive integer", guard)
+            laurent.set_term_guard(guard)
         flags = _build_parser()[1][command]
-        args = argparse.Namespace(target=config.get("target"), out=None)
-        for key, (dest, convert) in _CONFIG_KEYS.items():
-            value = convert(config[key]) if key in config else flags.get_default(dest)
+        args = argparse.Namespace(target=target, out=None)
+        for key, (dest, accepts, kind) in _CONFIG_KEYS.items():
+            if key not in config:
+                value = flags.get_default(dest)
+            elif accepts(config[key]):
+                value = config[key]
+            else:
+                raise _config_error(key, kind, config[key])
             setattr(args, dest, value)
         return _COMMANDS[command](args)
     except InputError as exc:

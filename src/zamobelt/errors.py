@@ -35,6 +35,11 @@ class TermGuardExceeded(InputError):
     """A polynomial grew past the configured term ceiling."""
 
 
+class ExponentOverflow(InputError):
+    """An exponent would leave the fixed-width field a Laurent term key
+    gives each variable."""
+
+
 class NotIntegerMatrix(InputError):
     """A matrix entry is not an integer: floats, bools and strings."""
 
@@ -136,8 +141,16 @@ class ZeroPolynomial(ValueError):
 
 
 class NotDivisible(ArithmeticError):
-    """Exact division failed; carries the nonzero remainder."""
+    """Exact division failed; carries the nonzero remainder.
+
+    The message names only the remainder's leading terms and its term
+    count, since a remainder can hold as many terms as the term guard.
+    """
+
+    SHOWN_TERMS = 4
 
     def __init__(self, remainder):
         self.remainder = remainder
-        super().__init__("division left remainder %s" % (remainder,))
+        super().__init__(
+            "division left remainder %s" % remainder.render(limit=self.SHOWN_TERMS)
+        )

@@ -1,21 +1,49 @@
 """Sparse multivariate Laurent polynomials with integer coefficients.
 
-Terms live in a map from exponent vectors (tuples over Z) to nonzero
-arbitrary-precision integer coefficients.  Coefficients stay integers
-throughout: the exchange dynamics only ever needs ring operations plus
-exact division, and a rational coefficient showing up anywhere would
-mean an invariant was already broken upstream.
+Each term is keyed by one int.  Variable x_i owns a FIELD_BITS-wide
+field of the key holding its exponent plus BIAS, with x1 in the most
+significant field.  So int order on keys is lex order on exponent
+vectors, and the product of two monomials is one int addition (less the
+bias of the second).  Every polynomial carries its per-variable degree
+bounds.  They add exactly under `*` and under exact division over Z, so
+the check that no exponent leaves its field costs O(nvars) per
+operation; only a sum whose terms cancelled rescans its keys.  Exact
+division runs lead-term elimination off a max-heap of remainder keys
+(Monagan and Pearce, "Sparse polynomial division using a heap", 2011),
+one x1 slice of the remainder at a time.  `exchange` divides a sum of
+monomials in polynomials and makes each slice of that sum only when the
+division reaches it, so a dividend far larger than its quotient is never
+held whole.
+
+The public boundary stays on exponent tuples: the constructor takes a
+{tuple: coefficient} map, `terms` gives one back, and `render` and the
+degree readers speak in exponent vectors.
+
+Coefficients stay integers throughout: the exchange dynamics only ever
+needs ring operations plus exact division, and a rational coefficient
+showing up anywhere would mean an invariant was already broken upstream.
 """
+
+import functools
+import heapq
+import struct
+from operator import add, sub
 
 from .errors import (
     ArityMismatch,
     DivisionByZero,
+    ExponentOverflow,
     NotDivisible,
     TermGuardExceeded,
     ZeroPolynomial,
 )
 
 DEFAULT_TERM_GUARD = 10**6
+
+# Width of one variable's exponent field; exponents lie in [-BIAS, BIAS).
+FIELD_BITS = 16
+BIAS = 1 << (FIELD_BITS - 1)
+_STRUCT_CODE = {8: "b", 16: "h", 32: "i", 64: "q"}[FIELD_BITS]
 
 _term_guard = DEFAULT_TERM_GUARD
 
@@ -39,10 +67,165 @@ def _check_guard(nterms):
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _codec(nvars):
+    """(offset, pack, unpack) for keys of nvars fields.
+
+    offset holds BIAS in every field.  A biased field is its exponent's
+    two's complement with the top bit flipped, so XOR with offset turns
+    a key into packed signed fields and back.
+    """
+    offset = BIAS * (((1 << FIELD_BITS * nvars) - 1) // ((1 << FIELD_BITS) - 1))
+    layout = struct.Struct(">%d%s" % (nvars, _STRUCT_CODE))
+    width = layout.size
+
+    def pack(exps):
+        return int.from_bytes(layout.pack(*exps), "big") ^ offset
+
+    def unpack(key):
+        return layout.unpack((key ^ offset).to_bytes(width, "big"))
+
+    return offset, pack, unpack
+
+
+def _fit(lo, hi):
+    """Raise ExponentOverflow unless the box [lo, hi] fits every field."""
+    for i, (l, h) in enumerate(zip(lo, hi)):
+        if l < -BIAS or h >= BIAS:
+            raise ExponentOverflow(
+                "exponent of x%d reaches %d, outside the %d-bit field [%d, %d]"
+                % (i + 1, l if l < -BIAS else h, FIELD_BITS, -BIAS, BIAS - 1)
+            )
+
+
+def _fits(lo, hi):
+    """Whether the box [lo, hi] fits every exponent field."""
+    return all(-BIAS <= l and h < BIAS for l, h in zip(lo, hi))
+
+
+def _bounds(vectors):
+    """Per-variable (lo, hi) bounds of a nonempty run of exponent vectors."""
+    columns = list(zip(*vectors))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def _scan(packed, nvars):
+    """Per-variable (lo, hi) exponent bounds of packed keys; None if empty."""
+    if not packed:
+        return None, None
+    return _bounds(map(_codec(nvars)[2], packed))
+
+
+def _new(nvars, packed, lo, hi):
+    """Wrap a packed term map whose exact degree bounds are lo, hi."""
+    _check_guard(len(packed))
+    p = object.__new__(Laurent)
+    p.nvars = nvars
+    p._packed = packed
+    p._lo = lo
+    p._hi = hi
+    p._hash = None
+    return p
+
+
+def _shift(nvars):
+    """Bit offset of the x1 field; key >> _shift(nvars) is x1's biased
+    exponent, the key's slice."""
+    return FIELD_BITS * (nvars - 1)
+
+
+def _divide(n, slices, take, divisor, qlo, qhi):
+    """Lead-term elimination of a dividend by a packed divisor.
+
+    The dividend is given by slices, the x1 slices it has terms in, and
+    take(s), a fresh packed term map of its slice s.  Slices are
+    eliminated in descending order, each off a max-heap of its keys with
+    lazy deletion.  A quotient term's products with divisor terms of
+    lower x1 exponent land in lower slices; they wait in a list until
+    their slice is reached, so only one slice of the remainder is held
+    at a time.
+
+    Returns (quotient terms, exact).  exact is False when a remainder
+    lead's coefficient is not a multiple of the divisor's lead
+    coefficient, or the quotient term it gives lies outside the box
+    qlo..qhi; the quotient terms are then those found before it.
+    """
+    offset, _, unpack = _codec(n)
+    shift = _shift(n)
+    lead_b = max(divisor)
+    lc_b = divisor[lead_b]
+    # quotient term x^q lies in the box iff the remainder lead it
+    # comes from, x^q times the divisor's lead, lies in this one
+    lead_e = unpack(lead_b)
+    rlo = tuple(map(add, qlo, lead_e))
+    rhi = tuple(map(add, qhi, lead_e))
+    # the divisor's other terms, as key steps down from its lead, by how
+    # many slices down they move a product
+    top_b = lead_b >> shift
+    drops = {}
+    for kb, cb in divisor.items():
+        if kb != lead_b:
+            drops.setdefault(top_b - (kb >> shift), []).append((kb - lead_b, cb))
+    same = drops.pop(0, [])
+    lower = sorted(drops.items())
+
+    waiting = {}  # slice: [(remainder lead, quotient coeff, divisor steps)]
+    todo = [-s for s in slices]
+    heapq.heapify(todo)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    quot = {}
+    while todo:
+        s = -heappop(todo)
+        rem = take(s) if s in slices else {}
+        for lead_r, qc, steps in waiting.pop(s, ()):
+            for step, cb in steps:
+                key = lead_r + step
+                total = rem.get(key, 0) - qc * cb
+                if total:
+                    rem[key] = total
+                else:
+                    del rem[key]
+        heap = [-key for key in rem]
+        heapq.heapify(heap)
+        while rem:
+            lead_r = -heappop(heap)
+            c = rem.get(lead_r)
+            if c is None:  # cancelled since it was pushed
+                continue
+            if c % lc_b or any(
+                not l <= e <= h for e, l, h in zip(unpack(lead_r), rlo, rhi)
+            ):
+                return quot, False
+            qc = c // lc_b
+            quot[lead_r - lead_b + offset] = qc
+            _check_guard(len(quot))
+            del rem[lead_r]
+            for step, cb in same:
+                key = lead_r + step
+                old = rem.get(key)
+                if old is None:
+                    rem[key] = -qc * cb
+                    heappush(heap, -key)
+                else:
+                    total = old - qc * cb
+                    if total:
+                        rem[key] = total
+                    else:
+                        del rem[key]
+            for d, steps in lower:
+                t = s - d
+                if t not in waiting:
+                    waiting[t] = []
+                    if t not in slices:
+                        heappush(todo, -t)
+                waiting[t].append((lead_r, qc, steps))
+    return quot, True
+
+
 class Laurent:
     """Immutable sparse Laurent polynomial in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "_packed", "_lo", "_hi", "_hash")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -57,7 +240,14 @@ class Laurent:
                 if coeff:
                     clean[tuple(exps)] = coeff
         _check_guard(len(clean))
-        self.terms = clean
+        lo = hi = None
+        if clean:
+            lo, hi = _bounds(clean)
+            _fit(lo, hi)
+        pack = _codec(nvars)[1]
+        self._packed = {pack(exps): coeff for exps, coeff in clean.items()}
+        self._lo = lo
+        self._hi = hi
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -87,17 +277,25 @@ class Laurent:
     def monomial(cls, exps, coeff=1):
         return cls(len(exps), {tuple(exps): coeff})
 
+    # -- the tuple boundary ---------------------------------------------
+
+    @property
+    def terms(self):
+        """{exponent tuple: coefficient}, unpacked afresh on each access."""
+        unpack = _codec(self.nvars)[2]
+        return {unpack(key): coeff for key, coeff in self._packed.items()}
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._packed
 
     def as_variable(self):
         """Index i if this polynomial is exactly x_{i+1}, else None.
 
         A scalar multiple of a variable does not count.
         """
-        if len(self.terms) != 1:
+        if len(self._packed) != 1:
             return None
         (exps, coeff), = self.terms.items()
         if coeff != 1 or sum(exps) != 1 or any(e not in (0, 1) for e in exps):
@@ -121,19 +319,33 @@ class Laurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = out.get(exps, 0) + coeff
+        out = dict(self._packed)
+        cancelled = False
+        for key, coeff in other._packed.items():
+            total = out.get(key, 0) + coeff
             if total:
-                out[exps] = total
+                out[key] = total
             else:
-                out.pop(exps, None)
-        return Laurent(self.nvars, out)
+                del out[key]
+                cancelled = True
+        if cancelled:
+            lo, hi = _scan(out, self.nvars)
+        elif not self._packed:
+            lo, hi = other._lo, other._hi
+        elif not other._packed:
+            lo, hi = self._lo, self._hi
+        else:
+            # no term cancelled, so the keys are the union of both sides'
+            lo = tuple(map(min, self._lo, other._lo))
+            hi = tuple(map(max, self._hi, other._hi))
+        return _new(self.nvars, out, lo, hi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _new(
+            self.nvars, {k: -c for k, c in self._packed.items()}, self._lo, self._hi
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -148,57 +360,67 @@ class Laurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
+        if not self._packed or not other._packed:
             return Laurent.zero(self.nvars)
+        # extreme degrees add under a product over an integral domain
+        lo = tuple(map(add, self._lo, other._lo))
+        hi = tuple(map(add, self._hi, other._hi))
+        _fit(lo, hi)
         # iterate over the smaller operand for fewer dict rebuilds
-        a, b = self.terms, other.terms
+        a, b = self._packed, other._packed
         if len(a) > len(b):
             a, b = b, a
+        offset = _codec(self.nvars)[0]
+        b_items = list(b.items())
         out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                total = out.get(key, 0) + ca * cb
+        get = out.get
+        for ka, ca in a.items():
+            ka -= offset
+            for kb, cb in b_items:
+                key = ka + kb
+                total = get(key, 0) + ca * cb
                 if total:
                     out[key] = total
                 else:
                     del out[key]
-        return Laurent(self.nvars, out)
+        return _new(self.nvars, out, lo, hi)
 
     __rmul__ = __mul__
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             raise ValueError("only integer powers are defined")
         if k < 0:
             # negative powers exist only for units: one term, coefficient +-1
-            if len(self.terms) != 1:
+            if len(self._packed) != 1:
                 raise ValueError("negative power of a non-monomial")
             (exps, coeff), = self.terms.items()
             if coeff not in (1, -1):
                 raise ValueError("negative power of a non-unit coefficient")
             inverse = Laurent(self.nvars, {tuple(-e for e in exps): coeff})
             return inverse ** (-k)
-        result = Laurent.one(self.nvars)
+        if k == 0:
+            return Laurent.one(self.nvars)
+        # square and multiply, starting from the base rather than from 1
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
+                result = base if result is None else result * base
+            k >>= 1
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = Laurent.const(other, self.nvars)
         if not isinstance(other, Laurent):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._packed == other._packed
 
     def __hash__(self):
         if self._hash is None:
@@ -210,7 +432,8 @@ class Laurent:
     def divexact(self, other):
         """Quotient q with q * other == self, exactly.
 
-        Works by repeated leading-term elimination in lex order.  If the
+        Works by repeated leading-term elimination in lex order, one x1
+        slice of the remainder at a time (see `_divide`).  If the
         division is exact, every quotient exponent lies in the box given
         by the per-variable degree bounds of self and other, and every
         leading-coefficient division is an exact integer division; any
@@ -221,39 +444,46 @@ class Laurent:
             raise TypeError("divexact needs a Laurent or int divisor")
         if other.is_zero():
             raise DivisionByZero("division by the zero polynomial")
+        n = self.nvars
         if self.is_zero():
-            return Laurent.zero(self.nvars)
+            return Laurent.zero(n)
 
-        lo_a, hi_a = _bounds(self.terms)
-        lo_b, hi_b = _bounds(other.terms)
-        qlo = tuple(x - y for x, y in zip(lo_a, lo_b))
-        qhi = tuple(x - y for x, y in zip(hi_a, hi_b))
+        qlo = tuple(map(sub, self._lo, other._lo))
+        qhi = tuple(map(sub, self._hi, other._hi))
         if any(l > h for l, h in zip(qlo, qhi)):
             raise NotDivisible(self)
+        _fit(qlo, qhi)
 
-        lead_b = max(other.terms)
-        lc_b = other.terms[lead_b]
-        rem = dict(self.terms)
-        quot = {}
-        while rem:
-            lead_r = max(rem)
-            qe = tuple(x - y for x, y in zip(lead_r, lead_b))
-            c = rem[lead_r]
-            if c % lc_b or any(
-                not l <= e <= h for e, l, h in zip(qe, qlo, qhi)
-            ):
-                raise NotDivisible(Laurent(self.nvars, rem))
-            qc = c // lc_b
-            quot[qe] = qc
-            _check_guard(len(quot))
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(qe, eb))
+        dividend = self._packed
+        shift = _shift(n)
+        slices = {}
+        for key in dividend:
+            slices.setdefault(key >> shift, []).append(key)
+
+        def take(s):
+            return {key: dividend[key] for key in slices[s]}
+
+        quot, exact = _divide(n, slices, take, other._packed, qlo, qhi)
+        if not exact:
+            raise NotDivisible(self._remainder(other, quot))
+        # an exact quotient's degree bounds are the differences
+        return _new(n, quot, qlo, qhi)
+
+    def _remainder(self, other, quot):
+        """self less other times the packed quotient terms quot."""
+        n = self.nvars
+        offset = _codec(n)[0]
+        rem = dict(self._packed)
+        for kq, qc in quot.items():
+            kq -= offset
+            for kb, cb in other._packed.items():
+                key = kq + kb
                 total = rem.get(key, 0) - qc * cb
                 if total:
                     rem[key] = total
                 else:
-                    rem.pop(key, None)
-        return Laurent(self.nvars, quot)
+                    del rem[key]
+        return _new(n, rem, *_scan(rem, n))
 
     # -- degrees ---------------------------------------------------------
 
@@ -261,27 +491,35 @@ class Laurent:
         """Per-variable (min, max) exponent pairs over all terms."""
         if self.is_zero():
             raise ZeroPolynomial("degree profile of the zero polynomial")
-        lo, hi = _bounds(self.terms)
-        return tuple(zip(lo, hi))
+        return tuple(zip(self._lo, self._hi))
 
     def denominator_vector(self):
         """Negated per-variable minimum exponents."""
         if self.is_zero():
             raise ZeroPolynomial("denominator vector of the zero polynomial")
-        lo, _ = _bounds(self.terms)
-        return tuple(-x for x in lo)
+        return tuple(-x for x in self._lo)
 
     # -- rendering ---------------------------------------------------------
 
-    def render(self):
-        """Canonical text form, terms in descending lex order."""
-        if not self.terms:
+    def render(self, limit=None):
+        """Canonical text form, terms in descending lex order.
+
+        With a limit, only that many leading terms are written, followed
+        by the total term count when some were left out.
+        """
+        packed = self._packed
+        if not packed:
             return "0"
+        if limit is not None and len(packed) > limit:
+            keys = heapq.nlargest(limit, packed)
+        else:
+            keys = sorted(packed, reverse=True)
+        unpack = _codec(self.nvars)[2]
         chunks = []
-        for exps in sorted(self.terms, reverse=True):
-            coeff = self.terms[exps]
+        for key in keys:
+            coeff = packed[key]
             factors = []
-            for i, e in enumerate(exps):
+            for i, e in enumerate(unpack(key)):
                 if e == 1:
                     factors.append("x%d" % (i + 1))
                 elif e:
@@ -299,6 +537,8 @@ class Laurent:
         out = ("-" if first_neg else "") + first_body
         for neg, body in chunks[1:]:
             out += (" - " if neg else " + ") + body
+        if len(keys) < len(packed):
+            out += " + ... (%d terms)" % len(packed)
         return out
 
     __str__ = render
@@ -307,18 +547,144 @@ class Laurent:
         return "Laurent(%d, %s)" % (self.nvars, self.render())
 
 
-def _bounds(terms):
-    iters = iter(terms)
-    first = next(iters)
-    lo = list(first)
-    hi = list(first)
-    for exps in iters:
-        for i, e in enumerate(exps):
-            if e < lo[i]:
-                lo[i] = e
-            elif e > hi[i]:
-                hi[i] = e
-    return tuple(lo), tuple(hi)
+def exchange(monomials, divisor):
+    """Exact quotient of a sum of monomials in Laurent polynomials.
+
+    Each monomial is a list of (base, exponent) pairs with positive
+    exponents; an empty list is the constant 1.  divisor and every base
+    are Laurent polynomials in as many variables.  The result equals
+    forming the sum, each monomial from its first factor, and dividing
+    it with divexact.  But the last multiplication of each monomial is
+    done one x1 slice at a time, as the division (see `_divide`)
+    reaches that slice, so the dividend, often far larger than the
+    quotient, is never held whole.  A division that is not exact, and a
+    product that might pass the term guard or leave an exponent field,
+    take the formed route instead, which raises what it always raised.
+    """
+    try:
+        quot = _streamed_quotient(monomials, divisor)
+    except (ExponentOverflow, TermGuardExceeded):
+        quot = None  # the formed route raises it again, in its own order
+    if quot is not None:
+        return quot
+    dividend = None
+    for pairs in monomials:
+        prod = None
+        for base, e in pairs:
+            power = base**e
+            prod = power if prod is None else prod * power
+        if prod is None:
+            prod = Laurent.one(divisor.nvars)
+        dividend = prod if dividend is None else dividend + prod
+    return dividend.divexact(divisor)
+
+
+def _streamed_quotient(monomials, divisor):
+    """exchange's quotient found slice by slice, or None where the sum
+    must be formed."""
+    n = divisor.nvars
+    if not divisor._packed:
+        return None
+    terms = [[base**e for base, e in pairs] for pairs in monomials]
+    box = _product_box(terms, n)
+    if box is None:
+        return None
+    qlo = tuple(map(sub, box[0], divisor._lo))
+    qhi = tuple(map(sub, box[1], divisor._hi))
+    if any(l > h for l, h in zip(qlo, qhi)) or not _fits(qlo, qhi):
+        return None
+    plan = _slice_plan(terms, n)
+    quot, exact = _divide(
+        n, plan, lambda s: _slice_product(plan[s]), divisor._packed, qlo, qhi
+    )
+    return _new(n, quot, *_scan(quot, n)) if exact else None
+
+
+def _product_box(terms, n):
+    """Per-variable (lo, hi) bounds that hold every term of the sum of
+    products, or None unless every factor is a nonzero polynomial in n
+    variables and every partial product fits the exponent fields and,
+    counting term pairs, the term guard."""
+    if not terms:
+        return None
+    zero = (0,) * n
+    total = 0
+    box_lo = box_hi = None
+    for factors in terms:
+        lo = hi = zero
+        size = 1
+        for f in factors:
+            if not isinstance(f, Laurent) or f.nvars != n or not f._packed:
+                return None
+            lo = tuple(map(add, lo, f._lo))
+            hi = tuple(map(add, hi, f._hi))
+            size *= len(f._packed)
+            if size > _term_guard or not _fits(lo, hi):
+                return None
+        total += size
+        box_lo = lo if box_lo is None else tuple(map(min, box_lo, lo))
+        box_hi = hi if box_hi is None else tuple(map(max, box_hi, hi))
+    if total > _term_guard:
+        return None
+    return box_lo, box_hi
+
+
+def _slice_plan(terms, n):
+    """{slice: [(head terms, last terms)]} for a sum of products.
+
+    Each product is its head, the product of all factors but the last,
+    times its last factor.  Head terms carry keys less the bias word, so
+    a key sum is a product key; a product of one factor has the head
+    None, and of no factors is the constant 1 alone.
+    """
+    offset = _codec(n)[0]
+    shift = _shift(n)
+    plan = {}
+    for factors in terms:
+        head = None
+        for f in factors[:-1]:
+            head = f if head is None else head * f
+        last_slices = {}
+        for key, coeff in (factors[-1]._packed if factors else {offset: 1}).items():
+            last_slices.setdefault(key >> shift, []).append((key, coeff))
+        if head is None:
+            for sb, b in last_slices.items():
+                plan.setdefault(sb, []).append((None, b))
+            continue
+        head_slices = {}
+        for key, coeff in head._packed.items():
+            head_slices.setdefault(key >> shift, []).append((key - offset, coeff))
+        for sa, a in head_slices.items():
+            for sb, b in last_slices.items():
+                plan.setdefault(sa + sb - BIAS, []).append((a, b))
+    return plan
+
+
+def _slice_product(pairs):
+    """Packed term map of the sum of the products of (head, last) term
+    lists, a head None standing for the constant 1."""
+    out = {}
+    get = out.get
+    for a, b in pairs:
+        if a is None:
+            for key, coeff in b:
+                total = get(key, 0) + coeff
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+            continue
+        if len(a) > len(b):  # the shorter list in the outer loop
+            a, b = b, a
+        for ka, ca in a:
+            for kb, cb in b:
+                key = ka + kb
+                total = get(key, 0) + ca * cb
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+    return out
 
 
 def variables(nvars):

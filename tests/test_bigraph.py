@@ -378,6 +378,22 @@ def test_from_json_validates_shape():
         bg.from_json({"n": 2, "b": [[0, 1], [-1, 0]], "epsilon": ["x", "y"]})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "b": 5},
+        {"n": 2, "b": [5, 6]},
+        {"n": 2, "b": "ab"},
+        {"n": "2", "b": [[0, 1], [-1, 0]]},
+        {"n": 2.0, "b": [[0, 1], [-1, 0]]},
+        {"n": 2, "b": [[0, 1], [-1, 0]], "epsilon": "wb"},
+    ],
+)
+def test_from_json_checks_types_before_shape(doc):
+    with pytest.raises(NotBipartite):
+        bg.from_json(doc)
+
+
 def test_epsilon_must_alternate_along_edges():
     with pytest.raises(NotBipartite):
         bg.decompose(bg.exchange_matrix([[0, 1], [-1, 0]]), (WHITE, WHITE))

@@ -8,6 +8,7 @@ import pytest
 import zamobelt.belt as belt
 import zamobelt.bigraph as bg
 from zamobelt.cli import main, run_experiment
+from zamobelt.laurent import Laurent
 
 
 def run(capsys, *argv) -> tuple:
@@ -249,3 +250,97 @@ def test_rejected_matrices_exit_two(tmp_path, capsys, doc):
     code, out, err = run(capsys, "halfperiod", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "b": 5},
+        {"n": 2, "b": [5, 6]},
+        {"n": "2", "b": [[0, 1], [-1, 0]]},
+        {"n": True, "b": [[0]]},
+        {"n": 2, "b": [[0, 1], [-1, 0]], "epsilon": 5},
+    ],
+)
+def test_malformed_json_shapes_exit_two(tmp_path, capsys, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "halfperiod", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"command": "tropical", "target": "A2", "trials": 2.9}, "trials"),
+        ({"command": "halfperiod", "target": "A3", "termGuard": 0}, "termGuard"),
+        ({"command": "tropical", "target": "A2", "trials": "x"}, "trials"),
+    ],
+)
+def test_suite_values_are_not_coerced(config, key):
+    text, code = run_experiment(config)
+    assert code == 2
+    assert text.startswith("error: config key %r must be" % key)
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"seed": True},
+        {"seed": 1.0},
+        {"trials": None},
+        {"termGuard": 2.5},
+        {"target": 5},
+        {"target": None},
+    ],
+)
+def test_suite_values_of_the_wrong_type_exit_two(extra):
+    text, code = run_experiment({"command": "tropical", "target": "A2", **extra})
+    assert code == 2 and text.startswith("error: config key ")
+
+
+def test_suite_accepts_bool_and_string_values():
+    text, code = run_experiment(
+        {"command": "green", "target": "A2", "skipSymbolic": True}
+    )
+    assert code == 0 and json.loads(text)["frozenIsomorphism"]["matchesSymbolic"] is None
+    _, code = run_experiment({"command": "green", "target": "A2", "skipSymbolic": 1})
+    assert code == 2
+    _, code = run_experiment({"command": "census", "target": "A2", "lambda": "-1"})
+    assert code == 0
+    _, code = run_experiment({"command": "census", "target": "A2", "lambda": -1})
+    assert code == 2
+
+
+def test_halfperiod_multiplies_no_constant_one(capsys, monkeypatch):
+    products = []
+    real_mul = Laurent.__mul__
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Laurent, "__mul__", counting_mul)
+    # B3's double edge squares a value; a simply laced entry such as A3
+    # has only the last product of each monomial, which is streamed
+    code, _, _ = run(capsys, "halfperiod", "B3")
+    assert code == 0 and products
+    assert not [(a, b) for a, b in products if a == 1 or b == 1]
+
+
+def test_exponent_overflow_exits_two(capsys, monkeypatch):
+    # start B2's belt from x_k^20000: the doubled edge squares a value,
+    # which would need exponents past the 16-bit field
+    def high_state(g):
+        values = tuple(
+            Laurent.monomial(tuple(20000 if j == k else 0 for j in range(g.n)))
+            for k in range(g.n)
+        )
+        return belt.BeltState(g=g, t=0, values=values)
+
+    monkeypatch.setattr(belt, "initial_state", high_state)
+    code, out, err = run(capsys, "belt", "B2", "--steps", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: exponent of x") and "Traceback" not in err

@@ -4,8 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zamobelt.errors import NotDivisible, TermGuardExceeded, ZeroPolynomial
-from zamobelt.laurent import Laurent, get_term_guard, set_term_guard, variables
+from zamobelt.errors import (
+    ExponentOverflow,
+    InputError,
+    NotDivisible,
+    TermGuardExceeded,
+    ZeroPolynomial,
+)
+from zamobelt.laurent import (
+    BIAS,
+    Laurent,
+    exchange,
+    get_term_guard,
+    set_term_guard,
+    variables,
+)
 
 NVARS = 3
 
@@ -215,3 +228,279 @@ def test_term_guard_trips_and_restores():
     finally:
         set_term_guard(keep)
     assert get_term_guard() == keep
+
+
+# -- differential test against a tuple-keyed reference -----------------------
+#
+# The reference below is the plain {exponent tuple: coefficient} arithmetic
+# the packed kernel replaced, kept here only as an oracle.
+
+
+class RefNotDivisible(Exception):
+    def __init__(self, remainder):
+        self.remainder = remainder
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exps, coeff in b.items():
+        total = out.get(exps, 0) + coeff
+        if total:
+            out[exps] = total
+        else:
+            out.pop(exps, None)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            total = out.get(key, 0) + ca * cb
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    return out
+
+
+def ref_bounds(terms):
+    columns = list(zip(*terms))
+    return [min(c) for c in columns], [max(c) for c in columns]
+
+
+def ref_divexact(a, b):
+    if not a:
+        return {}
+    lo_a, hi_a = ref_bounds(a)
+    lo_b, hi_b = ref_bounds(b)
+    qlo = [x - y for x, y in zip(lo_a, lo_b)]
+    qhi = [x - y for x, y in zip(hi_a, hi_b)]
+    if any(l > h for l, h in zip(qlo, qhi)):
+        raise RefNotDivisible(a)
+    lead_b = max(b)
+    rem = dict(a)
+    quot = {}
+    while rem:
+        lead_r = max(rem)
+        qe = tuple(x - y for x, y in zip(lead_r, lead_b))
+        c = rem[lead_r]
+        if c % b[lead_b] or any(not l <= e <= h for e, l, h in zip(qe, qlo, qhi)):
+            raise RefNotDivisible(rem)
+        qc = c // b[lead_b]
+        quot[qe] = qc
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(qe, eb))
+            total = rem.get(key, 0) - qc * cb
+            if total:
+                rem[key] = total
+            else:
+                rem.pop(key, None)
+    return quot
+
+
+def ref_render(terms):
+    if not terms:
+        return "0"
+    chunks = []
+    for exps in sorted(terms, reverse=True):
+        coeff = terms[exps]
+        mono = "*".join(
+            "x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e)
+            for i, e in enumerate(exps)
+            if e
+        )
+        mag = abs(coeff)
+        body = str(mag) if not mono else mono if mag == 1 else "%d*%s" % (mag, mono)
+        chunks.append(("-" if coeff < 0 else "+", body))
+    out = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
+    return out + "".join(" %s %s" % chunk for chunk in chunks[1:])
+
+
+def agrees(packed: Laurent, ref: dict) -> bool:
+    """Same terms, text and degree bounds, the last carried, not rescanned."""
+    if packed.terms != ref or packed.render() != ref_render(ref):
+        return False
+    return not ref or packed.degree_profile() == tuple(zip(*ref_bounds(ref)))
+
+
+@given(a=polys(), b=polys())
+@settings(max_examples=150)
+def test_packed_sum_and_product_match_reference(a: Laurent, b: Laurent):
+    assert agrees(a + b, ref_add(a.terms, b.terms))
+    assert agrees(a * b, ref_mul(a.terms, b.terms))
+    negated = {e: -c for e, c in ref_mul(a.terms, b.terms).items()}
+    assert agrees(a - a * b, ref_add(a.terms, negated))
+    # a's terms cancel, so the sum's degree bounds must shrink back to b's
+    assert agrees((a + b) - a, b.terms)
+
+
+@given(a=polys(), b=polys(min_terms=1), c=polys(min_terms=1))
+@settings(max_examples=150)
+def test_packed_divexact_matches_reference(a: Laurent, b: Laurent, c: Laurent):
+    # a*b + c is divisible by b only sometimes; both kernels must agree
+    # on which, and on the quotient or the remainder
+    dividend = a * b + c
+    try:
+        expected = ref_divexact(dividend.terms, b.terms)
+    except RefNotDivisible as ref_err:
+        with pytest.raises(NotDivisible) as err:
+            dividend.divexact(b)
+        assert agrees(err.value.remainder, ref_err.remainder)
+    else:
+        assert agrees(dividend.divexact(b), expected)
+    assert agrees((a * b).divexact(b), a.terms)
+
+
+# -- exchange: a sum of monomials over a divisor, sliced --------------------
+
+
+def formed_quotient(monomials, divisor):
+    """What exchange must give: the sum formed, then divided."""
+    dividend = Laurent.zero(divisor.nvars)
+    for pairs in monomials:
+        prod = Laurent.one(divisor.nvars)
+        for base, e in pairs:
+            prod = prod * base**e
+        dividend = dividend + prod
+    return dividend.divexact(divisor)
+
+
+@given(a=polys(), b=polys(min_terms=1), c=polys(), d=polys(min_terms=1))
+@settings(max_examples=150)
+def test_exchange_matches_forming_the_sum(a, b, c, d):
+    # exact for the first list, exact only sometimes for the second; an
+    # empty monomial is the constant 1
+    for monomials in (
+        [[(b, 1), (a, 1)], [(b, 2), (c, 1), (d, 1)]],
+        [[(a, 1), (d, 2)], [(c, 1)], []],
+    ):
+        try:
+            expected = formed_quotient(monomials, b)
+        except NotDivisible as want:
+            with pytest.raises(NotDivisible) as got:
+                exchange(monomials, b)
+            assert str(got.value) == str(want)
+            assert got.value.remainder == want.remainder
+        else:
+            assert agrees(exchange(monomials, b), expected.terms)
+
+
+def test_exact_exchange_never_forms_the_dividend(monkeypatch):
+    x1, x2, x3 = variables(3)
+    a = (x1 + x2**-1 + x3 + 2) ** 3
+    b = (x1 * x3 + x2 - 1) ** 2
+    c = x1**-2 + x2 * x3 + 1
+    monomials = [[(a, 1), (b, 2)], [(b, 1), (c, 2)]]
+    expected = formed_quotient(monomials, b)
+
+    def refuse(*args):
+        raise AssertionError("the dividend was formed")
+
+    monkeypatch.setattr(Laurent, "divexact", refuse)
+    monkeypatch.setattr(Laurent, "__add__", refuse)
+    assert agrees(exchange(monomials, b), expected.terms)
+
+
+def test_exchange_raises_what_the_formed_sum_raises():
+    x1, x2 = variables(2)
+    with pytest.raises(NotDivisible) as err:
+        exchange([[(x1, 1)], []], x2 + 1)
+    assert err.value.remainder == x1 + 1
+    top = Laurent.monomial((BIAS - 1, 0))
+    with pytest.raises(ExponentOverflow) as err:
+        exchange([[(top, 1), (x1, 1)], []], x2)
+    with pytest.raises(ExponentOverflow) as want:
+        top * x1
+    assert str(err.value) == str(want.value)
+    keep = get_term_guard()
+    try:
+        set_term_guard(5)
+        p = x1 + x2 + 1
+        with pytest.raises(TermGuardExceeded) as err:
+            exchange([[(p, 2)], [(x1, 1)]], p)
+        with pytest.raises(TermGuardExceeded) as want:
+            p**2
+        assert str(err.value) == str(want.value)
+    finally:
+        set_term_guard(keep)
+
+
+# -- the exponent fields ---------------------------------------------------
+
+
+def test_field_end_exponents_round_trip():
+    ends = (-BIAS, BIAS - 1, 0)
+    p = Laurent(3, {ends: 5, (BIAS - 1, -BIAS, 1): -2})
+    assert p.terms == {ends: 5, (BIAS - 1, -BIAS, 1): -2}
+    assert p.degree_profile() == ((-BIAS, BIAS - 1), (-BIAS, BIAS - 1), (0, 1))
+    assert p.render() == "-2*x1^%d*x2^%d*x3 + 5*x1^%d*x2^%d" % (
+        BIAS - 1, -BIAS, -BIAS, BIAS - 1
+    )
+    top = Laurent.monomial((BIAS - 1, 0))
+    assert (top * Laurent.monomial((-BIAS, 0))).terms == {(-1, 0): 1}
+    assert (top * 3).divexact(top) == 3
+
+
+def test_exponent_leaving_its_field_raises():
+    x1, x2 = variables(2)
+    top = Laurent.monomial((BIAS - 1, 0))
+    bottom = Laurent.monomial((0, -BIAS))
+    with pytest.raises(ExponentOverflow):
+        top * x1
+    with pytest.raises(ExponentOverflow):
+        (top + x2) ** 2
+    with pytest.raises(ExponentOverflow):
+        bottom.divexact(x2)
+    with pytest.raises(ExponentOverflow):
+        bottom**-1
+    with pytest.raises(ExponentOverflow):
+        Laurent.monomial((BIAS, 0))
+    with pytest.raises(ExponentOverflow):
+        Laurent.monomial((0, -BIAS - 1))
+    assert issubclass(ExponentOverflow, InputError)
+
+
+# -- units, powers, the remainder text ---------------------------------------
+
+
+def test_pow_starts_from_the_base(monkeypatch):
+    x1, x2 = variables(2)
+    p = x1 + x2
+    seen = []
+    real_mul = Laurent.__mul__
+
+    def counting_mul(a, b):
+        seen.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Laurent, "__mul__", counting_mul)
+    assert p**1 is p
+    assert not seen
+    assert p**0 == Laurent.one(2)
+    assert p**5 == p * p * p * p * p
+    assert all(a != 1 and b != 1 for a, b in seen)
+
+
+def test_not_divisible_message_is_bounded():
+    x1, _ = variables(2)
+    big = Laurent(2, {(i, -i): 1 for i in range(1000)})
+    with pytest.raises(NotDivisible) as err:
+        big.divexact(2 * x1 + 1)  # odd lead coefficient: fails at once
+    remainder = err.value.remainder
+    message = str(err.value)
+    assert remainder == big
+    assert len(message.encode()) < 1024
+    assert message.endswith(" + ... (1000 terms)")
+    assert message.startswith(
+        "division left remainder " + remainder.render(limit=NotDivisible.SHOWN_TERMS)
+    )
+
+
+def test_not_divisible_message_of_a_small_remainder_is_whole():
+    x1, x2 = variables(2)
+    with pytest.raises(NotDivisible) as err:
+        (x1 + 1).divexact(x2 + 1)
+    assert str(err.value) == "division left remainder %s" % err.value.remainder
+    assert "terms)" not in str(err.value)
