@@ -1,7 +1,8 @@
 """Exact engine for bipartite-belt dynamics on recurrent bigraphs.
 
 Symbolic track: the belt recursion over integer Laurent polynomials.
-Tropical track: the same recursion over (min/max, +) on exact rationals.
+Tropical track: the same recursion over (max, +), exact: stepped on
+ints scaled by the LCM of the labeling's denominators.
 Green track: framed mutation sequences certifying maximal green runs.
 """
 

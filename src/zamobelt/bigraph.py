@@ -118,11 +118,12 @@ def mutate_rows(rows, k):
 
     The top m x m square is the exchange matrix and any further columns
     are frozen.  Row k and column k change sign; every other entry b_ij
-    gains |b_ik| b_kj when b_ik and b_kj have the same sign.
+    gains |b_ik| b_kj when b_ik and b_kj have the same sign, so only the
+    pivot row's nonzero entries of the matching sign are visited.
     """
     pivot = rows[k]
-    up = [max(x, 0) for x in pivot]
-    down = [min(x, 0) for x in pivot]
+    up = [(j, x) for j, x in enumerate(pivot) if x > 0]
+    down = [(j, x) for j, x in enumerate(pivot) if x < 0]
     out = []
     for i, row in enumerate(rows):
         a = row[k]
@@ -131,8 +132,10 @@ def mutate_rows(rows, k):
         elif a == 0:
             out.append(tuple(row))
         else:
-            gain = up if a > 0 else down
-            new = [x + abs(a) * y for x, y in zip(row, gain)]
+            new = list(row)
+            size = abs(a)
+            for j, x in up if a > 0 else down:
+                new[j] += size * x
             new[k] = -a
             out.append(tuple(new))
     return tuple(out)

@@ -6,6 +6,7 @@ the run before any claim could be judged.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -120,7 +121,14 @@ def cmd_green(args):
     return _json_text(doc), EXIT_OK
 
 
+def _check_trials(args):
+    """A negative trial count would run no trial and verify nothing."""
+    if args.trials < 0:
+        raise InputError("trials must be at least 0, got %d" % args.trials)
+
+
 def cmd_tropical(args):
+    _check_trials(args)
     g = _resolve_target(args.target)
     n_half = g.half_period
     rng = tropical.make_rng(args.seed)
@@ -129,7 +137,7 @@ def cmd_tropical(args):
     shift_ok = True
     for _ in range(args.trials):
         lam = tropical.random_labeling(rng, g.n)
-        states = tropical.run_states(g, lam, 3 * n_half)
+        states = tropical.scaled_states(g, lam, tropical.scale_of(lam), 3 * n_half)
         period = tropical.first_return(states[: 2 * n_half + 1])
         if period is None or (2 * n_half) % period != 0:
             periods_ok = False
@@ -176,6 +184,7 @@ def cmd_census(args):
 
 
 def cmd_dual_check(args):
+    _check_trials(args)
     g = _resolve_target(args.target)
     rng = tropical.make_rng(args.seed)
     labelings = [tropical.constant_labeling(g.n, -1)]
@@ -314,8 +323,13 @@ def cmd_suite(args):
     return _json_text(doc), worst
 
 
+@functools.cache
 def _build_parser():
-    """The top-level parser and the subparser of each command by name."""
+    """The top-level parser and the subparser of each command by name.
+
+    Built once per process: every suite entry reads its defaults here.
+    Callers only parse with it and read defaults, never change it.
+    """
     parser = argparse.ArgumentParser(
         prog="zamobelt",
         description="exact engine for bipartite-belt dynamics",

@@ -79,6 +79,11 @@ class NotAdmissibleBigraph(InputError):
     component is not of finite Dynkin type."""
 
 
+class NoGammaNeighbour(InputError):
+    """A vertex has no Gamma neighbour, so every colored-census event at
+    it ties whatever the labeling."""
+
+
 class ClaimViolation(Exception):
     """A verified mathematical claim failed on this input."""
 

@@ -10,6 +10,7 @@ agreement is asserted, not assumed.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .bigraph import Automorphism, automorphism, mutate_rows, unmatched_entry
 from .errors import (
@@ -58,7 +59,7 @@ def framed(m, sign=1):
 def _assert_sign_coherent(state):
     for i in range(state.n):
         c = state.c_vector(i)
-        if any(x > 0 for x in c) and any(x < 0 for x in c):
+        if min(c) < 0 < max(c):
             raise SignCoherenceViolation(
                 "c-vector %d is %s after %s" % (i + 1, c, state.history)
             )
@@ -118,8 +119,8 @@ def is_component_preserving(state, partition, k):
 
 def _restrict(ext, n, part):
     """Square-free restriction: rows of part, columns of part then frozen."""
-    cols = list(part) + list(range(n, 2 * n))
-    return tuple(tuple(ext[i][j] for j in cols) for i in part)
+    pick = itemgetter(*part, *range(n, 2 * n))
+    return tuple(pick(ext[i]) for i in part)
 
 
 def _check_restriction_commutes(before, after, parts, k):
@@ -164,6 +165,9 @@ def mutate_y(y, ext, k):
             out.append(tuple(-x for x in y[k]))
             continue
         b_ik = ext[i][k]
+        if b_ik == 0:
+            out.append(y[i])  # the update is the identity here
+            continue
         plus = max(b_ik, 0)
         out.append(
             tuple(

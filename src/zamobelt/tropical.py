@@ -1,19 +1,27 @@
-"""Tropical max-plus T-system over exact rationals.
+"""Tropical max-plus T-system: scaled ints inside, Fractions at the boundary.
 
 Same split-convention state layout as the symbolic belt, with Laurent
-values replaced by Fractions and the exchange binomial replaced by
+values replaced by rationals and the exchange binomial replaced by
 max(Gamma-sum, Delta-sum).  Every mutation is logged with the two sums
 so it can be colored red (Gamma side won), blue (Delta side won) or tie;
-exactness of the rationals is what makes the tie test meaningful.
+exactness is what makes the tie test meaningful.
+
+Max-plus is positively homogeneous: T(s lambda) = s T(lambda) for s > 0.
+So a run scales its labeling once by the LCM of the denominators and
+steps on plain ints, over in-edge lists built once per run.  Ties,
+equality and period detection do not change under a positive scale;
+only `run_states` and the sums a `MutationEvent` carries are divided
+back into Fractions.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .belt import first_return
 from .bigraph import dual_bigraph
-from .errors import InputError
+from .errors import InputError, NoGammaNeighbour
 
 RED = "red"
 BLUE = "blue"
@@ -51,24 +59,33 @@ def _classify(gamma_sum, delta_sum):
     return TIE
 
 
-def step_values(g, c, values, events=None):
-    """One time step from the state at time c; returns the new value tuple.
+def _in_edges(g):
+    """Per parity of c, the active vertices as (k, Gamma in-edges, Delta
+    in-edges), each in-edge an (i, weight) pair with weight nonzero."""
+    by_parity = ([], [])
+    for k in range(g.n):
+        by_parity[g.eta(k)].append(
+            (
+                k,
+                tuple((i, g.gamma[i][k]) for i in range(g.n) if g.gamma[i][k]),
+                tuple((j, g.delta[j][k]) for j in range(g.n) if g.delta[j][k]),
+            )
+        )
+    return by_parity
 
+
+def step_values(edges, c, values, scale, events=None):
+    """One time step on scaled int values from the state at time c.
+
+    `edges` is `_in_edges(g)` and `scale` the factor the values carry.
     Newly produced values sit at time c+2 for the active vertices, and
-    that produced time is what a logged event carries.
+    that produced time is what a logged event carries, with its sums
+    divided back by the scale.
     """
     out = list(values)
-    for k in range(g.n):
-        if g.eta(k) % 2 != c % 2:
-            continue
-        gamma_sum = sum(
-            (g.gamma[i][k] * values[i] for i in range(g.n) if g.gamma[i][k]),
-            Fraction(0),
-        )
-        delta_sum = sum(
-            (g.delta[j][k] * values[j] for j in range(g.n) if g.delta[j][k]),
-            Fraction(0),
-        )
+    for k, gamma_in, delta_in in edges[c % 2]:
+        gamma_sum = sum([w * values[i] for i, w in gamma_in])
+        delta_sum = sum([w * values[j] for j, w in delta_in])
         out[k] = max(gamma_sum, delta_sum) - values[k]
         if events is not None:
             events.append(
@@ -76,8 +93,8 @@ def step_values(g, c, values, events=None):
                     t=c + 2,
                     k=k,
                     color=_classify(gamma_sum, delta_sum),
-                    gamma_sum=gamma_sum,
-                    delta_sum=delta_sum,
+                    gamma_sum=Fraction(gamma_sum, scale),
+                    delta_sum=Fraction(delta_sum, scale),
                 )
             )
     return tuple(out)
@@ -89,22 +106,45 @@ def initial_values(g, lam):
     return tuple(Fraction(x) for x in lam)
 
 
-def run_states(g, lam, steps, events=None):
-    """States at times 0..steps inclusive."""
-    states = [initial_values(g, lam)]
+def scale_of(lam):
+    """The least s > 0 that makes every s * lambda_i an integer."""
+    return math.lcm(*(Fraction(x).denominator for x in lam))
+
+
+def scaled_states(g, lam, scale, steps, events=None):
+    """States at times 0..steps inclusive, every value multiplied by scale.
+
+    `scale` must be a multiple of `scale_of(lam)`.
+    """
+    edges = _in_edges(g)
+    state = tuple(
+        x.numerator * (scale // x.denominator) for x in initial_values(g, lam)
+    )
+    states = [state]
     for c in range(steps):
-        states.append(step_values(g, c, states[-1], events))
+        state = step_values(edges, c, state, scale, events)
+        states.append(state)
     return states
+
+
+def run_states(g, lam, steps, events=None):
+    """States at times 0..steps inclusive, as Fractions."""
+    scale = scale_of(lam)
+    return [
+        tuple(Fraction(x, scale) for x in state)
+        for state in scaled_states(g, lam, scale, steps, events)
+    ]
 
 
 def tropical_period(g, lam, max_steps):
     """Smallest even p <= max_steps with state(p) == state(0)."""
-    return first_return(run_states(g, lam, max_steps))
+    return first_return(scaled_states(g, lam, scale_of(lam), max_steps))
 
 
 def tropical_half_period(g, lam, sigma):
     """Does shifting time by N match relabeling the vertices by sigma?"""
-    return read_half_period_shift(g, run_states(g, lam, 3 * g.half_period), sigma)
+    states = scaled_states(g, lam, scale_of(lam), 3 * g.half_period)
+    return read_half_period_shift(g, states, sigma)
 
 
 def read_half_period_shift(g, states, sigma):
@@ -129,14 +169,16 @@ def dual_transfer_check(g, lam):
 
     The dual system runs the raw labeling; the primal one runs the
     labeling scaled entrywise by the primal symmetrizer, and the two
-    must agree after dividing the primal values back by it.
+    must agree after dividing the primal values back by it.  Both runs
+    share one scale, so the comparison is on their scaled ints.
     """
     c = g.base.c
     dual = dual_bigraph(g)
     lam_tilde = tuple(ci * Fraction(x) for ci, x in zip(c, lam))
+    scale = scale_of(tuple(lam) + lam_tilde)
     steps = 2 * g.half_period
-    dual_states = run_states(dual, lam, steps)
-    primal_states = run_states(g, lam_tilde, steps)
+    dual_states = scaled_states(dual, lam, scale, steps)
+    primal_states = scaled_states(g, lam_tilde, scale, steps)
     for dual_state, primal_state in zip(dual_states, primal_states):
         for i in range(g.n):
             if dual_state[i] * c[i] != primal_state[i]:
@@ -155,14 +197,24 @@ class ColoredCensus:
 
 
 def colored_census(g, lam):
-    """Event counts over one full period 2N of a tensor-with-point entry."""
+    """Event counts over one full period 2N of a tensor-with-point entry.
+
+    A vertex with no Gamma neighbour compares two empty sums at every
+    labeling, so its events all tie and the census cannot be judged.
+    """
     if not g.plain:
         raise InputError("colored census needs an empty Delta")
     if any(x >= 0 for x in lam):
         raise InputError("colored census needs an all-negative labeling")
+    lonely = [k + 1 for k, column in enumerate(zip(*g.gamma)) if not any(column)]
+    if lonely:
+        raise NoGammaNeighbour(
+            "colored census needs a Gamma neighbour at every vertex; "
+            "vertices %s have none" % lonely
+        )
     events = []
     period = 2 * g.half_period
-    run_states(g, lam, period, events)
+    scaled_states(g, lam, scale_of(lam), period, events)
     counts = {RED: 0, BLUE: 0, TIE: 0}
     blue_times = []
     for event in events:

@@ -120,6 +120,40 @@ def test_mutate_rows_is_an_involution_that_commutes_with_restriction(case):
     assert bg.mutate_rows(restrict(rows), part.index(k)) == restrict(once)
 
 
+def dense_mutate_rows(rows, k):
+    """Matrix mutation by the dense formula: every entry of every row."""
+    pivot = rows[k]
+    out = []
+    for i, row in enumerate(rows):
+        a = row[k]
+        if i == k:
+            out.append(tuple(-x for x in row))
+            continue
+        new = [
+            x + abs(a) * y if a * y > 0 else x for x, y in zip(row, pivot)
+        ]
+        new[k] = -a
+        out.append(tuple(new))
+    return tuple(out)
+
+
+@st.composite
+def int_rectangles(draw):
+    """Any m x n' int matrix with n' >= m, and a row to mutate at."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    width = m + draw(st.integers(min_value=0, max_value=6))
+    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
+    rows = tuple(tuple(r) for r in draw(st.lists(row, min_size=m, max_size=m)))
+    return rows, draw(st.integers(0, m - 1))
+
+
+@settings(max_examples=300)
+@given(int_rectangles())
+def test_sparse_mutate_rows_matches_dense_formula(case):
+    rows, k = case
+    assert bg.mutate_rows(rows, k) == dense_mutate_rows(rows, k)
+
+
 def test_composite_mutation_of_disconnected_set_commutes():
     m = bg.catalog("A3").base
     # vertices 0 and 2 are not adjacent, so the order cannot matter

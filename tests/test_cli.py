@@ -79,13 +79,36 @@ def test_census_csv(capsys):
     assert lines[1] == "A2,-1,10,6,4,0"
 
 
-def test_census_mismatch_exits_one(capsys):
-    # the single point bigraph ties on every event, so counts cannot match
-    code, out, _ = run(capsys, "census", "A1")
-    assert code == 1
-    lines = out.strip().split("\n")
-    assert len(lines) == 3  # header, primary, perturbed rerun
-    assert lines[1].endswith(",0,0,4")
+def test_census_without_gamma_neighbour_exits_two(capsys):
+    # the single point bigraph ties on every event at every labeling, so
+    # the census claim cannot be judged on it: an input error, not exit 1
+    message = "error: colored census needs a Gamma neighbour at every vertex"
+    code, out, err = run(capsys, "census", "A1")
+    assert code == 2 and out == ""
+    assert err.startswith(message)
+    text, code = run_experiment({"command": "census", "target": "A1"})
+    assert code == 2 and text.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("tropical", "A2", "--trials", "-1"), ("dual-check", "A2", "--trials", "-3")],
+)
+def test_negative_trials_exit_two(capsys, argv):
+    # no trial runs, so nothing was verified: the count itself is rejected
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: trials must be at least 0, got %s\n" % argv[-1]
+    text, code = run_experiment(
+        {"command": argv[0], "target": "A2", "trials": int(argv[-1])}
+    )
+    assert code == 2
+    assert text == "error: trials must be at least 0, got %s\n" % argv[-1]
+
+
+def test_zero_trials_still_run(capsys):
+    code, out, _ = run(capsys, "tropical", "A2", "--trials", "0")
+    assert code == 0 and json.loads(out)["trials"] == 0
 
 
 def test_tropical_report(capsys):

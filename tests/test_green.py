@@ -63,6 +63,20 @@ def test_mutate_framed_rejects_frozen_index():
         green.vertex_status(state, 5)
 
 
+def test_incoherent_row_the_mutation_leaves_alone_still_raises():
+    # on the A3 path, mutation at vertex 1 leaves row 3 untouched (b_31 = 0);
+    # a check of changed rows only would miss the incoherent c-vector there
+    ext = (
+        (0, 1, 0, 1, 0, 0),
+        (-1, 0, 1, 0, 1, 0),
+        (0, -1, 0, 1, -1, 0),
+    )
+    state = green.FramedState(n=3, ext=ext, history=())
+    assert bg.mutate_rows(ext, 0)[2] == ext[2]
+    with pytest.raises(SignCoherenceViolation, match="c-vector 3"):
+        green.mutate_framed(state, 0)
+
+
 # -- y-vector track (tropical semifield coefficients) -------------------------
 
 

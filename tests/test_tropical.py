@@ -1,4 +1,4 @@
-"""Max-plus belt over exact rationals: periods, shifts, duals, colored counts."""
+"""Max-plus belt on scaled ints: periods, shifts, duals, colored counts."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import zamobelt.bigraph as bg
 import zamobelt.green as green
 import zamobelt.tropical as tr
-from zamobelt.errors import InputError
+from zamobelt.errors import InputError, NoGammaNeighbour
 
 
 def rationals() -> st.SearchStrategy:
@@ -182,13 +182,13 @@ def test_tie_policy_skips_rerun_when_clean():
     assert first.ties == 0 and rerun is None
 
 
-def test_tie_policy_reruns_and_reports_structural_ties():
-    # a single vertex with no edges compares two empty products: every
-    # event ties, and no perturbation of the labeling can break that
+def test_tie_policy_rejects_vertex_without_gamma_neighbour():
+    # a single vertex with no edges compares two empty sums: every event
+    # ties at every labeling, so the census cannot be judged on it
     g = bg.catalog("A1")
-    first, rerun = tr.census_with_tie_policy(g, tr.constant_labeling(1, -1))
-    assert first.ties == 4 and first.red == first.blue == 0
-    assert rerun is not None and rerun.ties == 4
+    for lam in (tr.constant_labeling(1, -1), tr.perturbed_negative_labeling(1)):
+        with pytest.raises(NoGammaNeighbour, match=r"vertices \[1\]"):
+            tr.census_with_tie_policy(g, lam)
 
 
 def test_perturbed_labeling_breaks_all_ties_on_sweep():
@@ -197,3 +197,104 @@ def test_perturbed_labeling_breaks_all_ties_on_sweep():
         census = tr.colored_census(g, tr.perturbed_negative_labeling(g.n))
         assert census.ties == 0, name
         assert (census.red, census.blue) == (g.h_gamma * g.n, 2 * g.n), name
+
+
+# -- the scaled-int run against a Fraction reference --------------------------
+#
+# The reference below is the stepping the engine did before it moved to
+# scaled ints: Fraction sums over a rescan of every row at every active
+# vertex.  The engine must agree with it exactly.
+
+
+def reference_step(g, c, values, events):
+    out = list(values)
+    for k in range(g.n):
+        if g.eta(k) % 2 != c % 2:
+            continue
+        gamma_sum = sum(
+            (g.gamma[i][k] * values[i] for i in range(g.n) if g.gamma[i][k]),
+            Fraction(0),
+        )
+        delta_sum = sum(
+            (g.delta[j][k] * values[j] for j in range(g.n) if g.delta[j][k]),
+            Fraction(0),
+        )
+        out[k] = max(gamma_sum, delta_sum) - values[k]
+        if gamma_sum > delta_sum:
+            color = tr.RED
+        elif delta_sum > gamma_sum:
+            color = tr.BLUE
+        else:
+            color = tr.TIE
+        events.append((c + 2, k, color, gamma_sum, delta_sum))
+    return tuple(out)
+
+
+def reference_run(g, lam, steps, events):
+    states = [tuple(Fraction(x) for x in lam)]
+    for c in range(steps):
+        states.append(reference_step(g, c, states[-1], events))
+    return states
+
+
+def reference_dual_check(g, lam):
+    c = g.base.c
+    lam_tilde = tuple(ci * Fraction(x) for ci, x in zip(c, lam))
+    steps = 2 * g.half_period
+    dual_states = reference_run(bg.dual_bigraph(g), lam, steps, [])
+    primal_states = reference_run(g, lam_tilde, steps, [])
+    return all(
+        d[i] * c[i] == p[i]
+        for d, p in zip(dual_states, primal_states)
+        for i in range(g.n)
+    )
+
+
+@st.composite
+def entries_and_labelings(draw):
+    """A catalog entry and a labeling whose entries have mixed denominators."""
+    g = bg.catalog(draw(st.sampled_from(bg.catalog_names())))
+    entry = st.builds(
+        Fraction, st.integers(-60, 60), st.sampled_from((1, 2, 3, 4, 6, 7, 9, 25))
+    )
+    lam = tuple(draw(st.lists(entry, min_size=g.n, max_size=g.n)))
+    return g, lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries_and_labelings())
+def test_scaled_run_matches_fraction_reference(case):
+    g, lam = case
+    steps = 2 * g.half_period
+    expected_events = []
+    expected = reference_run(g, lam, steps, expected_events)
+    events = []
+    states = tr.run_states(g, lam, steps, events)
+    assert states == expected
+    assert all(isinstance(x, Fraction) for state in states for x in state)
+    assert [(e.t, e.k, e.color, e.gamma_sum, e.delta_sum) for e in events] == (
+        expected_events
+    )
+    assert all(
+        isinstance(e.gamma_sum, Fraction) and isinstance(e.delta_sum, Fraction)
+        for e in events
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries_and_labelings())
+def test_scaled_dual_check_matches_fraction_reference(case):
+    g, lam = case
+    assert tr.dual_transfer_check(g, lam) == reference_dual_check(g, lam)
+
+
+def test_scaled_states_carry_the_lcm_of_the_denominators():
+    g = bg.catalog("A2")
+    lam = (Fraction(-1, 4), Fraction(5, 6))
+    assert tr.scale_of(lam) == 12
+    states = tr.scaled_states(g, lam, 12, 10)
+    assert states[0] == (-3, 10)
+    assert all(type(x) is int for state in states for x in state)
+    assert [tuple(Fraction(x, 12) for x in s) for s in states] == tr.run_states(
+        g, lam, 10
+    )
