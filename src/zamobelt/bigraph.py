@@ -224,10 +224,16 @@ class Bigraph:
         values = {comp.coxeter for comp in components}
         if None in values or len(values) != 1:
             known = sorted(v for v in values if v is not None)
-            raise NotAdmissibleBigraph(
-                "%s components have Coxeter numbers %s"
-                % (label, known + ["?"] * (None in values))
+            message = "%s components have Coxeter numbers %s" % (
+                label, known + ["?"] * (None in values)
             )
+            unknown = [comp.vertices for comp in components if comp.coxeter is None]
+            if unknown:
+                message += "; not of finite Dynkin type: %s" % ", ".join(
+                    "{%s}" % ", ".join(str(v + 1) for v in vertices)
+                    for vertices in unknown
+                )
+            raise NotAdmissibleBigraph(message)
         return values.pop()
 
     @property
@@ -374,10 +380,7 @@ def tensor_product(family_l, rank_l, family_r, rank_r):
     """Bigraph on the vertex product: Gamma copies the left diagram down
     each column, Delta copies the right diagram along each row."""
     b, eps = _tensor_rows(family_l, rank_l, family_r, rank_r)
-    g = decompose(exchange_matrix(b), eps)
-    if not is_recurrent(g):
-        raise AssertionError("tensor product came out non-recurrent")
-    return g
+    return decompose(exchange_matrix(b), eps)
 
 
 def langlands_dual(m):

@@ -2,7 +2,7 @@
 
 Exit protocol: 0 when every checked claim held, 1 when a claim was
 falsified by the input, 2 when the input or a resource guard stopped
-the run before any claim could be judged.
+the run before any claim could be judged, 3 on an internal error.
 """
 
 import argparse
@@ -15,22 +15,47 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import belt, bigraph, green, laurent, tropical
-from .errors import ClaimViolation, InputError
+from .errors import ClaimViolation, InputError, NotRecurrent
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
+
+
+def _failure(exc):
+    """(text, exit code) for the exception that stopped a command."""
+    if isinstance(exc, InputError):
+        return "error: %s\n" % exc, EXIT_INPUT
+    if isinstance(exc, ClaimViolation):
+        return "falsified: %s\n" % exc, EXIT_FALSIFIED
+    return "".join(traceback.format_exception(exc)), EXIT_INTERNAL
+
+
+def _read_json(path):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except FileNotFoundError as exc:
+        raise InputError("no such file: %s" % path) from exc
+    except OSError as exc:
+        raise InputError("cannot read %s: %s" % (path, exc.strerror)) from exc
+    except ValueError as exc:
+        raise InputError("bad JSON in %s: %s" % (path, exc)) from exc
 
 
 def _resolve_target(target):
+    """The target's bigraph, which must meet the theorem's hypothesis."""
     if target.endswith(".json") or os.path.sep in target or os.path.isfile(target):
-        try:
-            return bigraph.load_bigraph(target)
-        except FileNotFoundError as exc:
-            raise InputError("no such file: %s" % target) from exc
-        except json.JSONDecodeError as exc:
-            raise InputError("bad JSON in %s: %s" % (target, exc)) from exc
-    return bigraph.catalog(target)
+        g = bigraph.from_json(_read_json(target))
+    else:
+        g = bigraph.catalog(target)
+    if not bigraph.is_recurrent(g):
+        raise NotRecurrent(
+            "%s is not recurrent: mutating every white vertex, or every "
+            "black one, does not negate its exchange matrix" % target
+        )
+    return g
 
 
 def _parse_labeling(text, n):
@@ -48,8 +73,11 @@ def _parse_labeling(text, n):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (out_path, exc.strerror)) from exc
     else:
         sys.stdout.write(text)
 
@@ -189,7 +217,8 @@ def cmd_dual_check(args):
     rng = tropical.make_rng(args.seed)
     labelings = [tropical.constant_labeling(g.n, -1)]
     labelings += [tropical.random_labeling(rng, g.n) for _ in range(args.trials)]
-    ok = all(tropical.dual_transfer_check(g, lam) for lam in labelings)
+    dual = bigraph.dual_bigraph(g)
+    ok = all(tropical.dual_transfer_check(g, lam, dual=dual) for lam in labelings)
     doc = {
         "name": args.target,
         "seed": args.seed,
@@ -283,19 +312,14 @@ def run_experiment(config):
                 raise _config_error(key, kind, config[key])
             setattr(args, dest, value)
         return _COMMANDS[command](args)
-    except InputError as exc:
-        return "error: %s\n" % exc, EXIT_INPUT
-    except ClaimViolation as exc:
-        return "falsified: %s\n" % exc, EXIT_FALSIFIED
-    except Exception:
-        return traceback.format_exc(), EXIT_INPUT
+    except Exception as exc:
+        return _failure(exc)
     finally:
         laurent.set_term_guard(keep_guard)
 
 
 def cmd_suite(args):
-    with open(args.file) as handle:
-        configs = json.load(handle)
+    configs = _read_json(args.file)
     if not isinstance(configs, list):
         raise InputError("suite file must hold a list of configs")
     if args.jobs > 1 and configs:
@@ -305,7 +329,7 @@ def cmd_suite(args):
         results = [run_experiment(cfg) for cfg in configs]
     entries = []
     worst = EXIT_OK
-    tally = {EXIT_OK: 0, EXIT_FALSIFIED: 0, EXIT_INPUT: 0}
+    tally = dict.fromkeys((EXIT_OK, EXIT_FALSIFIED, EXIT_INPUT, EXIT_INTERNAL), 0)
     for config, (text, code) in zip(configs, results):
         worst = max(worst, code)
         tally[code] += 1
@@ -315,7 +339,7 @@ def cmd_suite(args):
             "total": len(configs),
             "verified": tally[EXIT_OK],
             "falsified": tally[EXIT_FALSIFIED],
-            "errors": tally[EXIT_INPUT],
+            "errors": tally[EXIT_INPUT] + tally[EXIT_INTERNAL],
         },
         "results": entries,
         "catalogVersion": bigraph.catalog_version(),
@@ -341,7 +365,6 @@ def _build_parser():
         sp.add_argument("--out", default=None, help="write the report here")
         sp.add_argument(
             "--term-guard",
-            type=int,
             default=None,
             help="cap on polynomial term counts (env ZAMOBELT_TERM_GUARD)",
         )
@@ -381,31 +404,34 @@ def _build_parser():
     return parser, sub.choices
 
 
+def _term_guard(flag):
+    """The guard from --term-guard, else ZAMOBELT_TERM_GUARD, else the
+    default.  A value must be a positive integer in decimal digits."""
+    source, text = "--term-guard", flag
+    if text is None:
+        source, text = "ZAMOBELT_TERM_GUARD", os.environ.get("ZAMOBELT_TERM_GUARD")
+        if not text:
+            return laurent.DEFAULT_TERM_GUARD
+    if not (text.isascii() and text.isdigit()) or not text.strip("0"):
+        raise InputError("%s must be a positive integer, got %r" % (source, text))
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise InputError("%s: %s" % (source, exc)) from exc
+
+
 def main(argv=None):
     args = _build_parser()[0].parse_args(argv)
-    guard = args.term_guard
-    if guard is None:
-        env = os.environ.get("ZAMOBELT_TERM_GUARD")
-        guard = int(env) if env else laurent.DEFAULT_TERM_GUARD
     try:
-        laurent.set_term_guard(guard)
+        laurent.set_term_guard(_term_guard(args.term_guard))
         if args.command == "suite":
             text, code = cmd_suite(args)
         else:
             text, code = _COMMANDS[args.command](args)
-    except InputError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INPUT
-    except ClaimViolation as exc:
-        sys.stderr.write("falsified: %s\n" % exc)
-        return EXIT_FALSIFIED
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INPUT
-    except Exception:
-        traceback.print_exc()
-        return EXIT_INPUT
-    _emit(text, args.out)
+        _emit(text, args.out)
+    except Exception as exc:
+        text, code = _failure(exc)
+        sys.stderr.write(text)
     return code
 
 

@@ -3,7 +3,8 @@
 Two base classes matter for the CLI exit protocol: InputError means the
 request itself was bad (unknown name, malformed matrix, guard tripped)
 and maps to exit code 2; ClaimViolation means the engine ran fine but a
-mathematical claim failed on the input, and maps to exit code 1.
+mathematical claim failed on the input, and maps to exit code 1.  Any
+other exception is an internal error and maps to exit code 3.
 """
 
 
@@ -77,6 +78,11 @@ class InvalidPartition(InputError):
 class NotAdmissibleBigraph(InputError):
     """Gamma or Delta components disagree on the Coxeter number, or one
     component is not of finite Dynkin type."""
+
+
+class NotRecurrent(InputError):
+    """Mutating every white vertex, or every black one, does not negate
+    the exchange matrix: the bigraph is outside the theorem's hypothesis."""
 
 
 class NoGammaNeighbour(InputError):

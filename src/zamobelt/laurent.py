@@ -10,10 +10,13 @@ the check that no exponent leaves its field costs O(nvars) per
 operation; only a sum whose terms cancelled rescans its keys.  Exact
 division runs lead-term elimination off a max-heap of remainder keys
 (Monagan and Pearce, "Sparse polynomial division using a heap", 2011),
-one x1 slice of the remainder at a time.  `exchange` divides a sum of
-monomials in polynomials and makes each slice of that sum only when the
-division reaches it, so a dividend far larger than its quotient is never
-held whole.
+one x1 slice of the remainder at a time.  `exchange` is the one route
+into it: it divides a sum of monomials in polynomials and makes each
+slice of that sum only when the division reaches it, so a dividend far
+larger than its quotient is held whole only when the division fails.
+`divexact` is its case of one monomial.  The term guard bounds what is
+held: each power and head product, each dividend slice, the quotient
+and any remainder.
 
 The public boundary stays on exponent tuples: the constructor takes a
 {tuple: coefficient} map, `terms` gives one back, and `render` and the
@@ -27,7 +30,7 @@ showing up anywhere would mean an invariant was already broken upstream.
 import functools
 import heapq
 import struct
-from operator import add, sub
+from operator import add, gt, sub
 
 from .errors import (
     ArityMismatch,
@@ -98,11 +101,6 @@ def _fit(lo, hi):
             )
 
 
-def _fits(lo, hi):
-    """Whether the box [lo, hi] fits every exponent field."""
-    return all(-BIAS <= l and h < BIAS for l, h in zip(lo, hi))
-
-
 def _bounds(vectors):
     """Per-variable (lo, hi) bounds of a nonempty run of exponent vectors."""
     columns = list(zip(*vectors))
@@ -134,16 +132,17 @@ def _shift(nvars):
     return FIELD_BITS * (nvars - 1)
 
 
-def _divide(n, slices, take, divisor, qlo, qhi):
+def _divide(n, plan, divisor, qlo, qhi):
     """Lead-term elimination of a dividend by a packed divisor.
 
-    The dividend is given by slices, the x1 slices it has terms in, and
-    take(s), a fresh packed term map of its slice s.  Slices are
-    eliminated in descending order, each off a max-heap of its keys with
-    lazy deletion.  A quotient term's products with divisor terms of
-    lower x1 exponent land in lower slices; they wait in a list until
+    The dividend is given by its slice plan (see `_slice_plan`), and
+    each of its x1 slices is multiplied out when it is reached.  Slices
+    are eliminated in descending order, each off a max-heap of its keys
+    with lazy deletion.  A quotient term's products with divisor terms
+    of lower x1 exponent land in lower slices; they wait in a list until
     their slice is reached, so only one slice of the remainder is held
-    at a time.
+    at a time.  Each slice is held to the term guard once its waiting
+    products have landed.
 
     Returns (quotient terms, exact).  exact is False when a remainder
     lead's coefficient is not a multiple of the divisor's lead
@@ -170,13 +169,13 @@ def _divide(n, slices, take, divisor, qlo, qhi):
     lower = sorted(drops.items())
 
     waiting = {}  # slice: [(remainder lead, quotient coeff, divisor steps)]
-    todo = [-s for s in slices]
+    todo = [-s for s in plan]
     heapq.heapify(todo)
     heappush, heappop = heapq.heappush, heapq.heappop
     quot = {}
     while todo:
         s = -heappop(todo)
-        rem = take(s) if s in slices else {}
+        rem = _slice_product(plan[s]) if s in plan else {}
         for lead_r, qc, steps in waiting.pop(s, ()):
             for step, cb in steps:
                 key = lead_r + step
@@ -185,6 +184,7 @@ def _divide(n, slices, take, divisor, qlo, qhi):
                     rem[key] = total
                 else:
                     del rem[key]
+        _check_guard(len(rem))
         heap = [-key for key in rem]
         heapq.heapify(heap)
         while rem:
@@ -216,7 +216,7 @@ def _divide(n, slices, take, divisor, qlo, qhi):
                 t = s - d
                 if t not in waiting:
                     waiting[t] = []
-                    if t not in slices:
+                    if t not in plan:
                         heappush(todo, -t)
                 waiting[t].append((lead_r, qc, steps))
     return quot, True
@@ -433,41 +433,17 @@ class Laurent:
         """Quotient q with q * other == self, exactly.
 
         Works by repeated leading-term elimination in lex order, one x1
-        slice of the remainder at a time (see `_divide`).  If the
-        division is exact, every quotient exponent lies in the box given
-        by the per-variable degree bounds of self and other, and every
-        leading-coefficient division is an exact integer division; any
-        violation raises NotDivisible carrying the remainder so far.
+        slice of the remainder at a time: it is `exchange` with self as
+        the one monomial.  If the division is exact, every quotient
+        exponent lies in the box given by the per-variable degree bounds
+        of self and other, and every leading-coefficient division is an
+        exact integer division; any violation raises NotDivisible
+        carrying the remainder so far.
         """
         other = self._coerce(other)
-        if other is None or not isinstance(other, Laurent):
+        if other is None:
             raise TypeError("divexact needs a Laurent or int divisor")
-        if other.is_zero():
-            raise DivisionByZero("division by the zero polynomial")
-        n = self.nvars
-        if self.is_zero():
-            return Laurent.zero(n)
-
-        qlo = tuple(map(sub, self._lo, other._lo))
-        qhi = tuple(map(sub, self._hi, other._hi))
-        if any(l > h for l, h in zip(qlo, qhi)):
-            raise NotDivisible(self)
-        _fit(qlo, qhi)
-
-        dividend = self._packed
-        shift = _shift(n)
-        slices = {}
-        for key in dividend:
-            slices.setdefault(key >> shift, []).append(key)
-
-        def take(s):
-            return {key: dividend[key] for key in slices[s]}
-
-        quot, exact = _divide(n, slices, take, other._packed, qlo, qhi)
-        if not exact:
-            raise NotDivisible(self._remainder(other, quot))
-        # an exact quotient's degree bounds are the differences
-        return _new(n, quot, qlo, qhi)
+        return exchange([[(self, 1)]], other)
 
     def _remainder(self, other, quot):
         """self less other times the packed quotient terms quot."""
@@ -552,128 +528,105 @@ def exchange(monomials, divisor):
 
     Each monomial is a list of (base, exponent) pairs with positive
     exponents; an empty list is the constant 1.  divisor and every base
-    are Laurent polynomials in as many variables.  The result equals
-    forming the sum, each monomial from its first factor, and dividing
-    it with divexact.  But the last multiplication of each monomial is
-    done one x1 slice at a time, as the division (see `_divide`)
-    reaches that slice, so the dividend, often far larger than the
-    quotient, is never held whole.  A division that is not exact, and a
-    product that might pass the term guard or leave an exponent field,
-    take the formed route instead, which raises what it always raised.
+    are Laurent polynomials in as many variables.  The result, and any
+    error, is that of forming the sum, each monomial from its first
+    factor, and dividing it exactly.  But the last multiplication of
+    each monomial is done one x1 slice at a time, as the division (see
+    `_divide`) reaches that slice, so the dividend, often far larger
+    than the quotient, is held whole only when the division fails.
     """
-    try:
-        quot = _streamed_quotient(monomials, divisor)
-    except (ExponentOverflow, TermGuardExceeded):
-        quot = None  # the formed route raises it again, in its own order
-    if quot is not None:
-        return quot
-    dividend = None
-    for pairs in monomials:
-        prod = None
-        for base, e in pairs:
-            power = base**e
-            prod = power if prod is None else prod * power
-        if prod is None:
-            prod = Laurent.one(divisor.nvars)
-        dividend = prod if dividend is None else dividend + prod
-    return dividend.divexact(divisor)
-
-
-def _streamed_quotient(monomials, divisor):
-    """exchange's quotient found slice by slice, or None where the sum
-    must be formed."""
     n = divisor.nvars
+    plan, lo, hi, whole = _slice_plan(monomials, n)
     if not divisor._packed:
-        return None
-    terms = [[base**e for base, e in pairs] for pairs in monomials]
-    box = _product_box(terms, n)
-    if box is None:
-        return None
-    qlo = tuple(map(sub, box[0], divisor._lo))
-    qhi = tuple(map(sub, box[1], divisor._hi))
-    if any(l > h for l, h in zip(qlo, qhi)) or not _fits(qlo, qhi):
-        return None
-    plan = _slice_plan(terms, n)
-    quot, exact = _divide(
-        n, plan, lambda s: _slice_product(plan[s]), divisor._packed, qlo, qhi
-    )
-    return _new(n, quot, *_scan(quot, n)) if exact else None
+        raise DivisionByZero("division by the zero polynomial")
+    if not plan:
+        return Laurent.zero(n)
+    qlo = tuple(map(sub, lo, divisor._lo))
+    qhi = tuple(map(sub, hi, divisor._hi))
+    if whole is not None:
+        # lo..hi are the dividend's own bounds: an exact quotient fills
+        # this box, so it must be nonempty and fit the fields
+        if any(map(gt, qlo, qhi)):
+            raise NotDivisible(whole)
+        _fit(qlo, qhi)
+    # a quotient term outside the fields has no key; for a sum, which
+    # only the formed dividend's own bounds can judge, it ends the pass
+    qlo = tuple(max(l, -BIAS) for l in qlo)
+    qhi = tuple(min(h, BIAS - 1) for h in qhi)
+    quot, exact = _divide(n, plan, divisor._packed, qlo, qhi)
+    if exact:
+        return _new(n, quot, *_scan(quot, n))
+    if whole is not None:
+        raise NotDivisible(whole._remainder(divisor, quot))
+    # only now form the dividend, where the remainder starts, and divide
+    # it again with its own bounds, as divexact would
+    dividend = {}
+    for s in plan:
+        dividend.update(_slice_product(plan[s]))
+    return exchange([[(_new(n, dividend, *_scan(dividend, n)), 1)]], divisor)
 
 
-def _product_box(terms, n):
-    """Per-variable (lo, hi) bounds that hold every term of the sum of
-    products, or None unless every factor is a nonzero polynomial in n
-    variables and every partial product fits the exponent fields and,
-    counting term pairs, the term guard."""
-    if not terms:
-        return None
-    zero = (0,) * n
-    total = 0
-    box_lo = box_hi = None
-    for factors in terms:
-        lo = hi = zero
-        size = 1
-        for f in factors:
-            if not isinstance(f, Laurent) or f.nvars != n or not f._packed:
-                return None
-            lo = tuple(map(add, lo, f._lo))
-            hi = tuple(map(add, hi, f._hi))
-            size *= len(f._packed)
-            if size > _term_guard or not _fits(lo, hi):
-                return None
-        total += size
-        box_lo = lo if box_lo is None else tuple(map(min, box_lo, lo))
-        box_hi = hi if box_hi is None else tuple(map(max, box_hi, hi))
-    if total > _term_guard:
-        return None
-    return box_lo, box_hi
+def _slice_plan(monomials, n):
+    """The nonzero products of a sum, cut into x1 slices, unmultiplied.
 
-
-def _slice_plan(terms, n):
-    """{slice: [(head terms, last terms)]} for a sum of products.
-
-    Each product is its head, the product of all factors but the last,
-    times its last factor.  Head terms carry keys less the bias word, so
-    a key sum is a product key; a product of one factor has the head
-    None, and of no factors is the constant 1 alone.
+    Returns (plan, lo, hi, whole).  plan is {slice: [(head terms, last
+    terms)]}: each product is its head, the product of all its factors
+    but the last, times its last factor.  Head terms carry keys less the
+    bias word, so a key sum is a product key; a product of one factor,
+    or of none (the constant 1), has the single term 1 for its head.
+    Each power and head is formed, and each product's box checked
+    against the fields, in the order forming the products would.  lo..hi
+    bounds every term of the sum; whole is the dividend when the sum is
+    a single power, which is held already and whose bounds are its own.
     """
     offset = _codec(n)[0]
     shift = _shift(n)
     plan = {}
-    for factors in terms:
-        head = None
-        for f in factors[:-1]:
-            head = f if head is None else head * f
-        last_slices = {}
-        for key, coeff in (factors[-1]._packed if factors else {offset: 1}).items():
-            last_slices.setdefault(key >> shift, []).append((key, coeff))
+    lo = hi = whole = None
+    for pairs in monomials:
+        head = last = None
+        for i, (base, e) in enumerate(pairs):
+            power = base**e
+            if power.nvars != n:
+                raise ArityMismatch(
+                    "operands have %d and %d variables" % (power.nvars, n)
+                )
+            if i < len(pairs) - 1:
+                head = power if head is None else head * power
+            else:
+                last = power
+        if last is None:
+            last = _new(n, {offset: 1}, (0,) * n, (0,) * n)
+        if not last._packed or (head is not None and not head._packed):
+            continue  # a zero product
         if head is None:
-            for sb, b in last_slices.items():
-                plan.setdefault(sb, []).append((None, b))
-            continue
+            plo, phi = last._lo, last._hi
+            if len(monomials) == len(pairs) == 1:
+                whole = last
+        else:
+            plo = tuple(map(add, head._lo, last._lo))
+            phi = tuple(map(add, head._hi, last._hi))
+            _fit(plo, phi)
+        lo = plo if lo is None else tuple(map(min, lo, plo))
+        hi = phi if hi is None else tuple(map(max, hi, phi))
+        last_slices = {}
+        for key, coeff in last._packed.items():
+            last_slices.setdefault(key >> shift, []).append((key, coeff))
         head_slices = {}
-        for key, coeff in head._packed.items():
+        for key, coeff in (head._packed if head is not None else {offset: 1}).items():
             head_slices.setdefault(key >> shift, []).append((key - offset, coeff))
         for sa, a in head_slices.items():
             for sb, b in last_slices.items():
                 plan.setdefault(sa + sb - BIAS, []).append((a, b))
-    return plan
+    return plan, lo, hi, whole
 
 
 def _slice_product(pairs):
     """Packed term map of the sum of the products of (head, last) term
-    lists, a head None standing for the constant 1."""
+    lists."""
     out = {}
     get = out.get
     for a, b in pairs:
-        if a is None:
-            for key, coeff in b:
-                total = get(key, 0) + coeff
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-            continue
         if len(a) > len(b):  # the shorter list in the outer loop
             a, b = b, a
         for ka, ca in a:

@@ -164,16 +164,19 @@ def read_half_period_shift(g, states, sigma):
     return True
 
 
-def dual_transfer_check(g, lam):
+def dual_transfer_check(g, lam, dual=None):
     """Dual trajectory against the symmetrizer-rescaled primal one.
 
     The dual system runs the raw labeling; the primal one runs the
     labeling scaled entrywise by the primal symmetrizer, and the two
     must agree after dividing the primal values back by it.  Both runs
-    share one scale, so the comparison is on their scaled ints.
+    share one scale, so the comparison is on their scaled ints.  dual
+    is g's `dual_bigraph`, built here unless a caller checking many
+    labelings built it once.
     """
     c = g.base.c
-    dual = dual_bigraph(g)
+    if dual is None:
+        dual = dual_bigraph(g)
     lam_tilde = tuple(ci * Fraction(x) for ci, x in zip(c, lam))
     scale = scale_of(tuple(lam) + lam_tilde)
     steps = 2 * g.half_period

@@ -7,6 +7,7 @@ import pytest
 
 import zamobelt.belt as belt
 import zamobelt.bigraph as bg
+import zamobelt.tropical as tropical
 from zamobelt.cli import main, run_experiment
 from zamobelt.laurent import Laurent
 
@@ -367,3 +368,107 @@ def test_exponent_overflow_exits_two(capsys, monkeypatch):
     code, out, err = run(capsys, "belt", "B2", "--steps", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: exponent of x") and "Traceback" not in err
+
+
+def _edges_doc(n, gamma, delta):
+    """JSON input with odd vertices white; edges are 1-based pairs."""
+    b = [[0] * n for _ in range(n)]
+    for edges, sign in ((gamma, 1), (delta, -1)):
+        for u, v in edges:
+            if u % 2 == 0:
+                u, v = v, u
+            b[u - 1][v - 1] = sign
+            b[v - 1][u - 1] = -sign
+    return {"n": n, "b": b, "epsilon": ["w" if v % 2 else "b" for v in range(1, n + 1)]}
+
+
+@pytest.mark.parametrize("command", ["halfperiod", "green", "tropical"])
+def test_non_recurrent_input_exits_two(tmp_path, capsys, command):
+    # Gamma is the path A6 and Delta three A2 edges: each side shares one
+    # Coxeter number, but the belt does not return, so the theorem's
+    # hypothesis fails; no claim may be judged falsified on it
+    doc = _edges_doc(
+        6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], [(1, 4), (3, 6), (5, 2)]
+    )
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert not bg.is_recurrent(bg.from_json(doc))
+    code, out, err = run(capsys, command, str(path))
+    message = "error: %s is not recurrent: " % path
+    assert code == 2 and out == "" and err.startswith(message)
+    text, code = run_experiment({"command": command, "target": str(path)})
+    assert code == 2 and text == err
+
+
+def test_non_dynkin_component_is_named(tmp_path, capsys):
+    # the 4-cycle is the affine diagram of type A3^(1), with no Coxeter number
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_edges_doc(4, [(1, 2), (2, 3), (3, 4), (4, 1)], [])))
+    code, out, err = run(capsys, "halfperiod", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: Gamma components have Coxeter numbers ['?']; "
+        "not of finite Dynkin type: {1, 2, 3, 4}\n"
+    )
+
+
+def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    def broken(g, steps):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(belt, "run_belt", broken)
+    code, out, err = run(capsys, "halfperiod", "A2")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback") and "RuntimeError: broken on purpose" in err
+    configs = [
+        {"command": "halfperiod", "target": "A2"},
+        {"command": "census", "target": "A2"},
+        {"command": "halfperiod", "target": "NOPE"},
+    ]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(configs))
+    code, out, _ = run(capsys, "suite", str(path))
+    assert code == 3  # the worst member: the internal error
+    doc = json.loads(out)
+    assert doc["summary"] == {"total": 3, "verified": 1, "falsified": 0, "errors": 2}
+    assert [r["exitCode"] for r in doc["results"]] == [3, 0, 2]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "2.5"])
+def test_bad_term_guard_values_exit_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("ZAMOBELT_TERM_GUARD", value)
+    code, out, err = run(capsys, "halfperiod", "A2")
+    assert code == 2 and out == ""
+    assert err == "error: ZAMOBELT_TERM_GUARD must be a positive integer, got %r\n" % value
+    monkeypatch.delenv("ZAMOBELT_TERM_GUARD")
+    code, out, err = run(capsys, "halfperiod", "A2", "--term-guard", value)
+    assert code == 2 and out == ""
+    assert err == "error: --term-guard must be a positive integer, got %r\n" % value
+
+
+def test_term_guard_past_the_digit_limit_exits_two(capsys):
+    code, out, err = run(capsys, "halfperiod", "A2", "--term-guard", "9" * 5000)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --term-guard: ") and len(err) < 300
+
+
+def test_dual_check_builds_the_dual_once(capsys, monkeypatch):
+    built = []
+    real_dual = bg.dual_bigraph
+
+    def counting_dual(g):
+        built.append(g)
+        return real_dual(g)
+
+    monkeypatch.setattr(bg, "dual_bigraph", counting_dual)
+    monkeypatch.setattr(tropical, "dual_bigraph", counting_dual)
+    code, out, _ = run(capsys, "dual-check", "G2", "--trials", "4")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(built) == 1
+
+
+def test_unwritable_out_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "halfperiod", "A2", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == "error: cannot write %s: No such file or directory\n" % target

@@ -427,6 +427,63 @@ def test_exchange_raises_what_the_formed_sum_raises():
         set_term_guard(keep)
 
 
+def test_exchange_holds_the_guard_to_what_it_holds():
+    # a*b has 9 terms, past a guard of 5, but it is never held: each of
+    # its x1 slices has 3, and no power, head or quotient passes 5
+    x1, x2, _ = variables(3)
+    a = x1**2 + x1 + 1
+    b = x2**2 + x2 + 1
+    monomials = [[(a, 1), (b, 1)], [(b, 2)]]
+    expected = formed_quotient(monomials, b)
+    keep = get_term_guard()
+    try:
+        set_term_guard(5)
+        with pytest.raises(TermGuardExceeded):
+            a * b
+        assert agrees(exchange(monomials, b), expected.terms)
+    finally:
+        set_term_guard(keep)
+    assert expected == a + b
+
+
+def test_a_slice_past_the_guard_trips_it():
+    # the x1^0 slice of a*b has 9 terms, the whole product 12
+    x1, x2, x3 = variables(3)
+    a = x1 + x3**2 + x3 + 1
+    b = x2**2 + x2 + 1
+    held = a * b
+    keep = get_term_guard()
+    try:
+        set_term_guard(8)
+        for run in (lambda: exchange([[(a, 1), (b, 1)]], b), lambda: held.divexact(b)):
+            with pytest.raises(TermGuardExceeded) as err:
+                run()
+            assert str(err.value) == "polynomial has 9 terms, guard is 8"
+        set_term_guard(9)
+        assert exchange([[(a, 1), (b, 1)]], b) == a
+        assert held.divexact(b) == a
+    finally:
+        set_term_guard(keep)
+
+
+def test_exchange_quotient_outside_the_fields_raises_as_formed():
+    # each quotient has x1^BIAS, one past x1's field; a sum's box is
+    # only a bound, so the formed dividend's own bounds must decide
+    x1, x2 = variables(2)
+    divisor = Laurent.monomial((-BIAS, 0))
+    for monomials in ([[]], [[(x2, 1)], [(x2, 1), (x1, 1)], [(x2, 1)]]):
+        with pytest.raises(ExponentOverflow) as err:
+            exchange(monomials, divisor)
+        with pytest.raises(ExponentOverflow) as want:
+            formed_quotient(monomials, divisor)
+        assert str(err.value) == str(want.value)
+    # an empty quotient box is not divisible before it is out of the fields
+    bottom = Laurent.monomial((-BIAS, 0))
+    with pytest.raises(NotDivisible) as err:
+        bottom.divexact(x1**7232 + x1**7233)
+    assert err.value.remainder == bottom
+
+
 # -- the exponent fields ---------------------------------------------------
 
 
