@@ -7,9 +7,16 @@ rule in the tropical semifield, where a coefficient is an integer
 exponent vector and semifield addition takes componentwise minima.
 The two tracks must agree row for row after every single mutation; that
 agreement is asserted, not assumed.
+
+Each check covers every row of a start state (`framed`, `initial_y`),
+every row of a hand-built `FramedState`, and after each mutation every
+row that the mutation changed.  A mutation returns each row it leaves
+alone as the very same tuple, in both tracks, so a row that is still
+the same object still holds a value that was checked: the checks stay
+exact by induction from the start state.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .bigraph import Automorphism, automorphism, mutate_rows, unmatched_entry
@@ -32,12 +39,18 @@ RED = "red"
 
 @dataclass(frozen=True)
 class FramedState:
+    """The n x 2n framed matrix and the mutations that led to it.
+
+    `checked` says every row's c-vector is known to be sign-coherent.
+    Only `framed` and `mutate_framed` set it; a state built by hand (or
+    by `dataclasses.replace`) has it unset, and its first mutation
+    checks every row.  It takes no part in equality.
+    """
+
     n: int
     ext: tuple
     history: tuple
-
-    def c_vector(self, i):
-        return self.ext[i][self.n:]
+    checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     def c_matrix(self):
         return tuple(row[self.n:] for row in self.ext)
@@ -53,33 +66,49 @@ def framed(m, sign=1):
         tuple(m.b[i]) + tuple(sign if j == i else 0 for j in range(n))
         for i in range(n)
     )
-    return FramedState(n=n, ext=ext, history=())
+    return _checked(FramedState(n=n, ext=ext, history=()), range(n))
 
 
-def _assert_sign_coherent(state):
-    for i in range(state.n):
-        c = state.c_vector(i)
+def _when(history):
+    """Where a track stands, in bounded text: the step and its vertex."""
+    if not history:
+        return "at the start"
+    return "after step %d at vertex %d" % (len(history), history[-1] + 1)
+
+
+def _checked(state, rows):
+    """Assert sign-coherence of the c-vectors in rows, then mark state
+    checked; the caller vouches for every other row."""
+    n = state.n
+    for i in rows:
+        c = state.ext[i][n:]
         if min(c) < 0 < max(c):
             raise SignCoherenceViolation(
-                "c-vector %d is %s after %s" % (i + 1, c, state.history)
+                "c-vector %d is %s %s" % (i + 1, c, _when(state.history))
             )
+    object.__setattr__(state, "checked", True)
+    return state
 
 
 def mutate_framed(state, k):
-    """Standard mutation at mutable k over all 2n columns."""
+    """Standard mutation at mutable k over all 2n columns.
+
+    Sign-coherence is asserted on the rows the mutation changed, or on
+    every row when state itself was not checked."""
     if not 0 <= k < state.n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
-    new = FramedState(
-        n=state.n, ext=mutate_rows(state.ext, k), history=state.history + (k,)
+    ext = mutate_rows(state.ext, k)
+    moved = [i for i, (a, b) in enumerate(zip(state.ext, ext)) if a is not b]
+    return _checked(
+        FramedState(n=state.n, ext=ext, history=state.history + (k,)),
+        moved if state.checked else range(state.n),
     )
-    _assert_sign_coherent(new)
-    return new
 
 
 def vertex_status(state, k):
     if not 0 <= k < state.n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
-    return GREEN if all(x >= 0 for x in state.c_vector(k)) else RED
+    return GREEN if all(x >= 0 for x in state.ext[k][state.n:]) else RED
 
 
 def _normalize_partition(state, partition):
@@ -97,7 +126,12 @@ def is_component_preserving(state, partition, k):
     only point positively inside its own part.  Frozen columns satisfy
     this automatically through sign-coherence."""
     parts = _normalize_partition(state, partition)
-    own = next(part for part in parts if k in part)
+    # no part holds a frozen k; vertex_status rejects it
+    return _points_inside(state, next((p for p in parts if k in p), ()), k)
+
+
+def _points_inside(state, own, k):
+    """is_component_preserving, given the normalized part holding k."""
     green = vertex_status(state, k) == GREEN
     row = state.ext[k]
     for j in range(2 * state.n):
@@ -117,32 +151,34 @@ def is_component_preserving(state, partition, k):
     return True
 
 
-def _restrict(ext, n, part):
-    """Square-free restriction: rows of part, columns of part then frozen."""
+def _restrict(ext, n, part, rows):
+    """Square-free restriction to part: the given rows, columns of part
+    then frozen."""
     pick = itemgetter(*part, *range(n, 2 * n))
-    return tuple(pick(ext[i]) for i in part)
+    return tuple(pick(ext[i]) for i in rows)
 
 
-def _check_restriction_commutes(before, after, parts, k):
+def _check_restriction_commutes(before, after, part_of, k, moved):
     """Mutation at k must act on the part containing k exactly as local
-    mutation of the restricted matrix and must leave other parts alone."""
+    mutation of the restricted matrix and must leave other parts alone.
+
+    The part holding k is compared whole.  Other parts are compared on
+    the moved rows alone: every other row is the very row it was."""
     n = before.n
-    for part in parts:
-        restricted_after = _restrict(after.ext, n, part)
-        if k in part:
-            local = mutate_rows(_restrict(before.ext, n, part), part.index(k))
-            if local != restricted_after:
-                raise NotComponentPreserving(
-                    "mutation at %d does not commute with restriction" % (k + 1)
-                )
-        elif _restrict(before.ext, n, part) != restricted_after:
+    own = part_of[k]
+    local = mutate_rows(_restrict(before.ext, n, own, own), own.index(k))
+    if local != _restrict(after.ext, n, own, own):
+        raise NotComponentPreserving(
+            "mutation at %d does not commute with restriction" % (k + 1)
+        )
+    for i in moved:
+        part = part_of[i]
+        if part is not own and (
+            _restrict(before.ext, n, part, (i,)) != _restrict(after.ext, n, part, (i,))
+        ):
             raise NotComponentPreserving(
                 "mutation at %d leaked into part %s" % (k + 1, part)
             )
-
-
-def _min0(vec):
-    return tuple(min(0, x) for x in vec)
 
 
 def initial_y(n, sign=1):
@@ -158,7 +194,7 @@ def mutate_y(y, ext, k):
     turns (y^a + 1) into the componentwise min(a, 0) exponent.
     """
     n = len(y)
-    floor_k = _min0(y[k])
+    floor_k = [min(0, x) for x in y[k]]
     out = []
     for i in range(n):
         if i == k:
@@ -178,12 +214,28 @@ def mutate_y(y, ext, k):
     return tuple(out)
 
 
-def _assert_y_matches_c(state, y):
-    for i in range(state.n):
-        if tuple(state.c_vector(i)) != y[i]:
+def _moved(before, after, y_before, y_after):
+    """Rows where either track's new row is not its old row object.
+
+    mutate_rows and mutate_y return each row they leave alone as the
+    same tuple, so every other row still holds its checked value.  A row
+    rebuilt equal to its old value is listed too, and merely checked
+    again.
+    """
+    return [
+        i
+        for i, (a, b, c, d) in enumerate(zip(before.ext, after.ext, y_before, y_after))
+        if a is not b or c is not d
+    ]
+
+
+def _assert_y_matches_c(state, y, rows):
+    n = state.n
+    for i in rows:
+        if state.ext[i][n:] != y[i]:
             raise CoefficientMismatch(
-                "row %d: c-vector %s vs coefficient %s after %s"
-                % (i + 1, state.c_vector(i), y[i], state.history)
+                "row %d: c-vector %s vs coefficient %s %s"
+                % (i + 1, state.ext[i][n:], y[i], _when(state.history))
             )
 
 
@@ -195,17 +247,40 @@ class GreenCertificate:
     permutation: object
 
 
-def _extract_minus_permutation(c_rows):
-    """sigma with -C == P_sigma (row i has its -1 in column sigma(i))."""
-    n = len(c_rows)
+SHOWN_ROWS = 3
+
+
+def _minus_permutation(c_rows, error, name):
+    """sigma with -C == P_sigma (row i has its -1 in column sigma(i)).
+
+    Otherwise raises error naming C's shape and its first offending
+    rows: those that are not minus a unit vector, or whose -1 sits in
+    the column of an earlier row's.  C can be 49 x 49 and more, so the
+    text shows at most SHOWN_ROWS of them.
+    """
     perm = []
-    for row in c_rows:
+    offending = []
+    used = set()
+    for i, row in enumerate(c_rows):
         negatives = [j for j, x in enumerate(row) if x == -1]
-        if len(negatives) != 1 or any(x not in (0, -1) for x in row):
-            return None
-        perm.append(negatives[0])
-    if sorted(perm) != list(range(n)):
-        return None
+        if (
+            len(negatives) == 1
+            and negatives[0] not in used
+            and all(x in (0, -1) for x in row)
+        ):
+            used.add(negatives[0])
+            perm.append(negatives[0])
+        else:
+            offending.append(i)
+    if offending:
+        shown = ", ".join(
+            "row %d = %s" % (i + 1, c_rows[i]) for i in offending[:SHOWN_ROWS]
+        )
+        raise error(
+            "%s (%d x %d) is not minus a permutation matrix: %d offending rows, %s%s"
+            % (name, len(c_rows), len(c_rows), len(offending), shown,
+               ", ..." if len(offending) > SHOWN_ROWS else "")
+        )
     return tuple(perm)
 
 
@@ -216,28 +291,29 @@ def _alternating_factors(first, second, count):
 def _certify(g, first, second, factors, partition):
     state = framed(g.base)
     y = initial_y(g.n)
+    _assert_y_matches_c(state, y, range(g.n))
     parts = _normalize_partition(state, partition)
+    part_of = {v: part for part in parts for v in part}
     sequence = []
     for factor in _alternating_factors(first, second, factors):
         for k in factor:
             if vertex_status(state, k) != GREEN:
                 raise NotGreenAtStep(len(sequence) + 1, k)
-            if not is_component_preserving(state, parts, k):
+            if not _points_inside(state, part_of[k], k):
                 raise NotComponentPreserving(
                     "vertex %d at position %d" % (k + 1, len(sequence) + 1)
                 )
             after = mutate_framed(state, k)
-            _check_restriction_commutes(state, after, parts, k)
-            y = mutate_y(y, state.ext, k)
-            _assert_y_matches_c(after, y)
-            state = after
+            y_after = mutate_y(y, state.ext, k)
+            moved = _moved(state, after, y, y_after)
+            _check_restriction_commutes(state, after, part_of, k, moved)
+            _assert_y_matches_c(after, y_after, moved)
+            state, y = after, y_after
             sequence.append(k)
     still_green = [k for k in range(g.n) if vertex_status(state, k) == GREEN]
     if still_green:
         raise NotMaximal("vertices %s still green" % [k + 1 for k in still_green])
-    perm = _extract_minus_permutation(state.c_matrix())
-    if perm is None:
-        raise NotPermutation("final C is %s" % (state.c_matrix(),))
+    perm = _minus_permutation(state.c_matrix(), NotPermutation, "final C")
     return GreenCertificate(
         sequence=tuple(sequence),
         factors=factors,
@@ -271,14 +347,14 @@ def frozen_isomorphism_check(g, symbolic_sigma=None):
     """
     state = framed(g.base, sign=-1)
     y = initial_y(g.n, sign=-1)
+    _assert_y_matches_c(state, y, range(g.n))
     for factor in _alternating_factors(g.whites, g.blacks, g.half_period):
         for k in factor:
-            y = mutate_y(y, state.ext, k)
-            state = mutate_framed(state, k)
-            _assert_y_matches_c(state, y)
-    row_perm = _extract_minus_permutation(state.c_matrix())
-    if row_perm is None:
-        raise NoIsomorphism("frozen block is %s" % (state.c_matrix(),))
+            y_after = mutate_y(y, state.ext, k)
+            after = mutate_framed(state, k)
+            _assert_y_matches_c(after, y_after, _moved(state, after, y, y_after))
+            state, y = after, y_after
+    row_perm = _minus_permutation(state.c_matrix(), NoIsomorphism, "frozen block")
     # row r holds the -1 of frozen column row_perm[r]; sigma is the inverse
     perm = tuple(sorted(range(g.n), key=row_perm.__getitem__))
     if unmatched_entry(perm, g.base.b, state.mutable_block()) is not None:

@@ -1,13 +1,21 @@
 """Framed mutation: c-vectors, green sequences, frozen isomorphisms."""
 
+import dataclasses
+import json
+import pathlib
+
 import pytest
 
 import zamobelt.bigraph as bg
+import zamobelt.cli as cli
 import zamobelt.green as green
 from zamobelt.errors import (
     CoefficientMismatch,
     FrozenVertex,
+    NoIsomorphism,
+    NotComponentPreserving,
     NotGreenAtStep,
+    NotPermutation,
     SignCoherenceViolation,
 )
 
@@ -110,6 +118,11 @@ def test_is_component_preserving_goldens():
     assert green.is_component_preserving(state, ({0, 1},), 1)
 
 
+def test_is_component_preserving_rejects_frozen_index():
+    with pytest.raises(FrozenVertex):
+        green.is_component_preserving(framed_of("A2"), ({0}, {1}), 2)
+
+
 # -- maximal green certification -------------------------------------------------
 
 
@@ -179,3 +192,219 @@ def test_frozen_isomorphism_matches_symbolic_sigma():
         symbolic = belt.half_period(g).sigma
         frozen = green.frozen_isomorphism_check(g, symbolic)
         assert frozen.perm == symbolic.perm, name
+
+
+# -- checks narrowed to the rows a mutation changed ------------------------------
+
+CHECKS = ("verify_bipartite_belt_mgs", "frozen_isomorphism_check")
+
+
+def test_framed_state_equality_ignores_checked():
+    state = framed_of("A3")
+    by_hand = green.FramedState(n=state.n, ext=state.ext, history=())
+    assert state.checked and not by_hand.checked
+    assert state == by_hand and hash(state) == hash(by_hand)
+    assert not dataclasses.replace(state).checked
+    assert green.mutate_framed(by_hand, 0).checked
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_mutate_y_changing_a_row_it_should_leave_raises(monkeypatch, check):
+    real = green.mutate_y
+
+    def faulty(y, ext, k):
+        out = list(real(y, ext, k))
+        i = next(i for i in range(len(y)) if i != k and ext[i][k] == 0)
+        out[i] = tuple(x + 1 for x in out[i])
+        return tuple(out)
+
+    monkeypatch.setattr(green, "mutate_y", faulty)
+    with pytest.raises(CoefficientMismatch, match="after step 1 at vertex"):
+        getattr(green, check)(bg.catalog("A2xA3"))
+
+
+@pytest.mark.parametrize(
+    "check, error, match",
+    [
+        ("verify_bipartite_belt_mgs", NotComponentPreserving, "leaked into part"),
+        # the coframed belt is checked against no partition; the leaked
+        # c-vector still shows against the coefficient track
+        ("frozen_isomorphism_check", CoefficientMismatch, "after step 1 at"),
+    ],
+)
+def test_mutate_rows_leaking_into_another_part_raises(monkeypatch, check, error, match):
+    g = bg.catalog("A2xA3")
+    part_of = {v: comp.vertices for comp in g.gamma_components for v in comp.vertices}
+    _leak_into(
+        monkeypatch,
+        g.n,
+        lambda rows, k: next(
+            i for i in range(g.n) if rows[i][k] == 0 and i not in part_of[k]
+        ),
+    )
+    with pytest.raises(error, match=match):
+        getattr(green, check)(g)
+
+
+def test_mutate_rows_off_the_local_mutation_in_its_own_part_raises(monkeypatch):
+    g = bg.catalog("A2xA3")
+    part_of = {v: comp.vertices for comp in g.gamma_components for v in comp.vertices}
+    _leak_into(monkeypatch, g.n, lambda rows, k: next(i for i in part_of[k] if i != k))
+    with pytest.raises(NotComponentPreserving, match="does not commute"):
+        green.verify_bipartite_belt_mgs(g)
+
+
+def _leak_into(monkeypatch, n, pick_row):
+    """Make mutation of the full n rows also shift one nonzero c-vector
+    entry, away from zero, in the row pick_row(rows, k) names."""
+    real = green.mutate_rows
+
+    def leaky(rows, k):
+        out = list(real(rows, k))
+        if len(rows) == n:  # the full matrix, not a restriction to one part
+            i = pick_row(rows, k)
+            row = list(out[i])
+            j = next(j for j in range(n, 2 * n) if row[j] != 0)
+            row[j] += 1 if row[j] > 0 else -1  # still sign-coherent
+            out[i] = tuple(row)
+        return tuple(out)
+
+    monkeypatch.setattr(green, "mutate_rows", leaky)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_initial_y_disagreeing_with_c_block_raises_before_any_mutation(
+    monkeypatch, check
+):
+    real_y, real_mutate = green.initial_y, green.mutate_framed
+    calls = []
+
+    def wrong_y(n, sign=1):
+        y = list(real_y(n, sign))
+        y[-1] = tuple(2 * x for x in y[-1])
+        return tuple(y)
+
+    def counting(state, k):
+        calls.append(k)
+        return real_mutate(state, k)
+
+    monkeypatch.setattr(green, "initial_y", wrong_y)
+    monkeypatch.setattr(green, "mutate_framed", counting)
+    with pytest.raises(CoefficientMismatch, match="row 6: .* at the start$"):
+        getattr(green, check)(bg.catalog("A2xA3"))
+    assert calls == []
+
+
+# -- bounded error text ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "check, error, name",
+    [
+        ("verify_bipartite_belt_mgs", NotPermutation, "final C"),
+        ("frozen_isomorphism_check", NoIsomorphism, "frozen block"),
+    ],
+)
+@pytest.mark.parametrize(
+    "c_row, offending",
+    [
+        # every entry -1: every row offends
+        (lambda n: (-1,) * n, "49 offending rows, row 1 = (-1, -1,"),
+        # minus e_1 in every row: the rows after the first repeat its column
+        (lambda n: (-1,) + (0,) * (n - 1), "48 offending rows, row 2 = (-1, 0,"),
+    ],
+    ids=["all-minus-one", "repeated-column"],
+)
+def test_non_permutation_text_names_shape_and_first_rows(
+    monkeypatch, check, error, name, c_row, offending
+):
+    # start both tracks at an all-red C and mutate nothing
+    g = bg.catalog("E7xE7")
+    n = g.n
+    ext = ((0,) * n + c_row(n),) * n
+    monkeypatch.setattr(
+        green, "framed", lambda m, sign=1: green.FramedState(n=n, ext=ext, history=())
+    )
+    monkeypatch.setattr(green, "initial_y", lambda n, sign=1: tuple(r[n:] for r in ext))
+    monkeypatch.setattr(green, "_alternating_factors", lambda first, second, count: [])
+    with pytest.raises(error) as info:
+        getattr(green, check)(g)
+    text = str(info.value)
+    assert text.startswith(
+        "%s (49 x 49) is not minus a permutation matrix: %s" % (name, offending)
+    )
+    assert text.count("row ") == green.SHOWN_ROWS and text.endswith(", ...")
+    assert len(text) < 1000  # the whole block would print about 9 800
+
+
+def _fault_at_step(real, n, step, fault):
+    """real (mutate_rows or mutate_y, whose last argument is the vertex),
+    with fault applied to its result on its step-th call over the full n
+    rows; restrictions to one part pass through."""
+    calls = []
+
+    def faulty(*args):
+        out = real(*args)
+        if len(args[0]) == n:
+            calls.append(args[-1])
+            if len(calls) == step:
+                out = fault(out, args[-1])
+        return out
+
+    return faulty, calls
+
+
+def test_sign_coherence_text_names_step_and_vertex(monkeypatch):
+    g = bg.catalog("E7xE7")
+    n = g.n
+
+    def incoherent(out, k):
+        pivot = out[k][:n] + (1,) + (-1,) * (n - 1)
+        return out[:k] + (pivot,) + out[k + 1:]
+
+    faulty, calls = _fault_at_step(green.mutate_rows, n, 300, incoherent)
+    monkeypatch.setattr(green, "mutate_rows", faulty)
+    with pytest.raises(SignCoherenceViolation) as info:
+        green.verify_bipartite_belt_mgs(g)
+    text = str(info.value)
+    assert text.startswith("c-vector %d is (1, -1," % (calls[-1] + 1))
+    assert text.endswith("after step 300 at vertex %d" % (calls[-1] + 1))
+    assert len(text) < 400  # the history alone would print 300 entries
+
+
+def test_coefficient_mismatch_text_names_step_and_vertex(monkeypatch):
+    g = bg.catalog("E7xE7")
+
+    def shifted(out, k):
+        return out[:k] + (tuple(x + 1 for x in out[k]),) + out[k + 1:]
+
+    faulty, calls = _fault_at_step(green.mutate_y, g.n, 300, shifted)
+    monkeypatch.setattr(green, "mutate_y", faulty)
+    with pytest.raises(CoefficientMismatch) as info:
+        green.frozen_isomorphism_check(g)
+    text = str(info.value)
+    assert text.startswith("row %d: c-vector (" % (calls[-1] + 1))
+    assert text.endswith("after step 300 at vertex %d" % (calls[-1] + 1))
+    assert len(text) < 600
+
+
+# -- byte-identical reports -------------------------------------------------------
+
+# `run_experiment` results of `green` on every catalog entry and E6xE6
+# without the symbolic cross-check, and on fig2-F4xA2 with it, as the
+# checks over every row of every state gave them.  A faster green track
+# must give the same text and exit code; only a deliberate change to a
+# report (such as a new catalogVersion) may rewrite this file.
+GOLDEN_REPORTS = json.loads(
+    (pathlib.Path(__file__).with_name("green_reports.json")).read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "golden",
+    GOLDEN_REPORTS,
+    ids=lambda r: r["config"]["target"]
+    + ("" if r["config"].get("skipSymbolic") else "-symbolic"),
+)
+def test_green_report_is_byte_identical(golden):
+    assert cli.run_experiment(golden["config"]) == (golden["text"], golden["exitCode"])
