@@ -15,6 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter, neg
 
 from . import dynkin
 from .errors import (
@@ -114,30 +116,31 @@ def exchange_matrix(rows):
 
 
 def mutate_rows(rows, k):
-    """Matrix mutation at row k of an m x n' rectangle of int rows.
+    """Matrix mutation at row k of an m x n' rectangle: a tuple of int tuples.
 
     The top m x m square is the exchange matrix and any further columns
     are frozen.  Row k and column k change sign; every other entry b_ij
-    gains |b_ik| b_kj when b_ik and b_kj have the same sign, so only the
-    pivot row's nonzero entries of the matching sign are visited.
+    gains |b_ik| b_kj when b_ik and b_kj have the same sign.  Only the
+    nonzero entries of column k and of the pivot row are visited, so
+    every row i != k with b_ik = 0 comes back as the very same tuple.
     """
     pivot = rows[k]
-    up = [(j, x) for j, x in enumerate(pivot) if x > 0]
-    down = [(j, x) for j, x in enumerate(pivot) if x < 0]
-    out = []
-    for i, row in enumerate(rows):
-        a = row[k]
+    col = list(map(itemgetter(k), rows))
+    nonzero = list(compress(enumerate(pivot), pivot))
+    up = [(j, x) for j, x in nonzero if x > 0]
+    down = [(j, x) for j, x in nonzero if x < 0]
+    out = list(rows)
+    for i in compress(range(len(rows)), col):
         if i == k:
-            out.append(tuple(-x for x in row))
-        elif a == 0:
-            out.append(tuple(row))
-        else:
-            new = list(row)
-            size = abs(a)
-            for j, x in up if a > 0 else down:
-                new[j] += size * x
-            new[k] = -a
-            out.append(tuple(new))
+            continue
+        a = col[i]
+        new = list(rows[i])
+        size = abs(a)
+        for j, x in up if a > 0 else down:
+            new[j] += size * x
+        new[k] = -a
+        out[i] = tuple(new)
+    out[k] = tuple(map(neg, pivot))
     return tuple(out)
 
 

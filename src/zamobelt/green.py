@@ -17,7 +17,8 @@ exact by induction from the start state.
 """
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress, count, repeat
+from operator import gt, is_not, itemgetter, lt, neg, or_
 
 from .bigraph import Automorphism, automorphism, mutate_rows, unmatched_entry
 from .errors import (
@@ -98,7 +99,7 @@ def mutate_framed(state, k):
     if not 0 <= k < state.n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
     ext = mutate_rows(state.ext, k)
-    moved = [i for i, (a, b) in enumerate(zip(state.ext, ext)) if a is not b]
+    moved = compress(count(), map(is_not, state.ext, ext))
     return _checked(
         FramedState(n=state.n, ext=ext, history=state.history + (k,)),
         moved if state.checked else range(state.n),
@@ -108,7 +109,7 @@ def mutate_framed(state, k):
 def vertex_status(state, k):
     if not 0 <= k < state.n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
-    return GREEN if all(x >= 0 for x in state.ext[k][state.n:]) else RED
+    return GREEN if min(state.ext[k][state.n:]) >= 0 else RED
 
 
 def _normalize_partition(state, partition):
@@ -131,23 +132,18 @@ def is_component_preserving(state, partition, k):
 
 
 def _points_inside(state, own, k):
-    """is_component_preserving, given the normalized part holding k."""
-    green = vertex_status(state, k) == GREEN
-    row = state.ext[k]
-    for j in range(2 * state.n):
-        if green and row[j] < 0:
-            bad = j
-        elif not green and row[j] > 0:
-            bad = j
-        else:
-            continue
-        if bad < state.n and bad not in own:
-            return False
+    """is_component_preserving, given the normalized part holding k.
+
+    Only the pivot-row entries of the offending sign are visited."""
+    offends = lt if vertex_status(state, k) == GREEN else gt
+    for bad in compress(count(), map(offends, state.ext[k], repeat(0))):
         if bad >= state.n:
             # a frozen violation would contradict the green/red status
             raise SignCoherenceViolation(
                 "frozen column %d contradicts status of %d" % (bad + 1, k + 1)
             )
+        if bad not in own:
+            return False
     return True
 
 
@@ -191,26 +187,28 @@ def mutate_y(y, ext, k):
     """Coefficient mutation in the tropical semifield, on exponent rows.
 
     Uses the pre-mutation exchange entries b_ik; semifield addition
-    turns (y^a + 1) into the componentwise min(a, 0) exponent.
+    turns (y^a + 1) into the componentwise min(a, 0) exponent, so row i
+    becomes a + [b_ik]_+ a_k - b_ik min(a_k, 0).  Only the rows with
+    b_ik != 0 and, in them, the support of y_k are visited; every other
+    row comes back as the very same tuple.
+
+    This is the semifield formula itself, kept apart from mutate_rows on
+    purpose: the c-vector/coefficient check compares the two tracks, and
+    it only checks something while they are computed independently.
     """
-    n = len(y)
-    floor_k = [min(0, x) for x in y[k]]
-    out = []
-    for i in range(n):
+    yk = y[k]
+    support = [(j, ak, min(ak, 0)) for j, ak in compress(enumerate(yk), yk)]
+    out = list(y)
+    for i in compress(range(len(y)), map(itemgetter(k), ext)):
         if i == k:
-            out.append(tuple(-x for x in y[k]))
             continue
         b_ik = ext[i][k]
-        if b_ik == 0:
-            out.append(y[i])  # the update is the identity here
-            continue
         plus = max(b_ik, 0)
-        out.append(
-            tuple(
-                a + plus * ak - b_ik * fk
-                for a, ak, fk in zip(y[i], y[k], floor_k)
-            )
-        )
+        new = list(y[i])
+        for j, ak, floor in support:
+            new[j] += plus * ak - b_ik * floor
+        out[i] = tuple(new)
+    out[k] = tuple(map(neg, yk))
     return tuple(out)
 
 
@@ -222,11 +220,10 @@ def _moved(before, after, y_before, y_after):
     rebuilt equal to its old value is listed too, and merely checked
     again.
     """
-    return [
-        i
-        for i, (a, b, c, d) in enumerate(zip(before.ext, after.ext, y_before, y_after))
-        if a is not b or c is not d
-    ]
+    changed = map(
+        or_, map(is_not, before.ext, after.ext), map(is_not, y_before, y_after)
+    )
+    return list(compress(count(), changed))
 
 
 def _assert_y_matches_c(state, y, rows):

@@ -5,6 +5,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zamobelt.bigraph as bg
 import zamobelt.cli as cli
@@ -108,6 +110,56 @@ def test_y_vs_c_on_figure_entry():
         assert tuple(y) == state.c_matrix()
 
 
+def dense_mutate_y(y, ext, k):
+    """Coefficient mutation by the dense formula: every entry of every row."""
+    floor_k = [min(0, x) for x in y[k]]
+    out = []
+    for i, row in enumerate(y):
+        if i == k:
+            out.append(tuple(-x for x in row))
+            continue
+        b_ik = ext[i][k]
+        out.append(
+            tuple(
+                a + max(b_ik, 0) * ak - b_ik * fk
+                for a, ak, fk in zip(row, y[k], floor_k)
+            )
+        )
+    return tuple(out)
+
+
+@st.composite
+def rectangles_with_y(draw):
+    """An m x n' int rectangle, m int y-rows, and a row to mutate at;
+    y_k is all zero in about half the cases."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    width = m + draw(st.integers(min_value=0, max_value=6))
+    y_width = draw(st.integers(min_value=1, max_value=8))
+
+    def rows(w):
+        row = st.lists(st.integers(-4, 4), min_size=w, max_size=w)
+        return tuple(tuple(r) for r in draw(st.lists(row, min_size=m, max_size=m)))
+
+    ext, y = rows(width), rows(y_width)
+    k = draw(st.integers(0, m - 1))
+    if draw(st.booleans()):
+        y = y[:k] + ((0,) * y_width,) + y[k + 1:]
+    return ext, y, k
+
+
+@settings(max_examples=300)
+@given(rectangles_with_y())
+def test_sparse_mutate_y_matches_dense_formula_and_keeps_untouched_rows(case):
+    ext, y, k = case
+    y_after = green.mutate_y(y, ext, k)
+    assert y_after == dense_mutate_y(y, ext, k)
+    ext_after = bg.mutate_rows(ext, k)
+    for i, row in enumerate(ext):
+        if i != k and row[k] == 0:
+            assert ext_after[i] is row
+            assert y_after[i] is y[i]
+
+
 # -- component preserving restriction ------------------------------------------
 
 
@@ -116,6 +168,22 @@ def test_is_component_preserving_goldens():
     assert green.is_component_preserving(state, ({0}, {1}), 0)
     assert not green.is_component_preserving(state, ({0}, {1}), 1)
     assert green.is_component_preserving(state, ({0, 1},), 1)
+
+
+def test_is_component_preserving_on_a_red_vertex():
+    # after mu_2 on A2, row 2 is (1, 0 | 0, -1): red, and it points
+    # positively at vertex 1
+    state = green.mutate_framed(framed_of("A2"), 1)
+    assert green.vertex_status(state, 1) == "red"
+    assert not green.is_component_preserving(state, ({0}, {1}), 1)
+    assert green.is_component_preserving(state, ({0, 1},), 1)
+
+
+def test_is_component_preserving_rejects_a_frozen_entry_of_the_wrong_sign():
+    # red vertex 1 whose c-vector (1, -1) also points positively
+    state = green.FramedState(n=2, ext=((0, 1, 1, -1), (-1, 0, 0, 1)), history=())
+    with pytest.raises(SignCoherenceViolation, match="frozen column 3"):
+        green.is_component_preserving(state, ({0, 1},), 0)
 
 
 def test_is_component_preserving_rejects_frozen_index():
