@@ -6,10 +6,19 @@ for every vertex, the value at c when the parities agree and the value
 at c+1 otherwise, so one state always holds a full cluster spanning the
 two times {c, c+1}.  Stepping from c to c+1 produces T_k(c+2) for the
 vertices k with eta_k = c (mod 2); whites are the first movers.
+
+A run divides each distinct exchange once.  The states of one run share
+a memo of exact quotients, keyed by the exchange's inputs, so a step
+whose inputs were seen before reuses the quotient instead of dividing
+again.  At N = h_Gamma + h_Delta the belt holds the initial cluster
+relabeled by sigma, so states[N + t].values[k] == states[t].values[sigma(k)]
+and the second half of a 2N run is served by sigma-re-indexed hits.
+Nothing relies on that: a miss divides, and a failed division is never
+stored.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import dynkin
 from .bigraph import (
@@ -30,9 +39,14 @@ from .laurent import Laurent, exchange
 
 @dataclass(frozen=True)
 class BeltState:
+    """The cluster at time t.  `done` is the run's memo of exact
+    quotients, handed on by `step`; a state built by hand starts with
+    an empty one.  It takes no part in equality."""
+
     g: object
     t: int
     values: tuple
+    done: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def initial_state(g):
@@ -43,6 +57,12 @@ def initial_state(g):
 def _monomial(values, m, k):
     """prod_i values[i] ** m[i][k] as (base, exponent) pairs."""
     return [(value, m[i][k]) for i, value in enumerate(values) if m[i][k]]
+
+
+def _exchange_key(monomials, divisor):
+    """The memo key of an exchange: each monomial as a multiset of its
+    (base, exponent) pairs, in (Gamma, Delta) order, then the divisor."""
+    return (*(frozenset(Counter(pairs).items()) for pairs in monomials), divisor)
 
 
 def step(state):
@@ -57,17 +77,25 @@ def step(state):
             _monomial(state.values, g.gamma, k),
             _monomial(state.values, g.delta, k),
         ]
-        try:
-            values[k] = exchange(monomials, state.values[k])
-        except NotDivisible as exc:
-            raise LaurentPhenomenonViolation(
-                "vertex %d at time %d: %s" % (k + 1, c + 2, exc)
-            ) from exc
-    return BeltState(g=g, t=c + 1, values=tuple(values))
+        key = _exchange_key(monomials, state.values[k])
+        if key not in state.done:
+            try:
+                state.done[key] = exchange(monomials, state.values[k])
+            except NotDivisible as exc:
+                raise LaurentPhenomenonViolation(
+                    "vertex %d at time %d: %s" % (k + 1, c + 2, exc)
+                ) from exc
+        values[k] = state.done[key]
+    return BeltState(g=g, t=c + 1, values=tuple(values), done=state.done)
 
 
 def run_belt(g, steps):
-    """Trajectory of steps+1 states starting from the initial cluster."""
+    """Trajectory of steps+1 states starting from the initial cluster.
+
+    The states share one memo, so the run divides each distinct exchange
+    once; from t = N on, a 2N run replays its first half re-indexed by
+    sigma and is served by memo hits.
+    """
     if steps < 0:
         raise InputError("steps must be nonnegative")
     out = [initial_state(g)]

@@ -5,7 +5,7 @@ import sympy
 
 import zamobelt.belt as belt
 import zamobelt.bigraph as bg
-from zamobelt.errors import InputError, NoPermutationMatch
+from zamobelt.errors import InputError, LaurentPhenomenonViolation, NoPermutationMatch
 from zamobelt.laurent import Laurent, variables
 
 
@@ -78,6 +78,97 @@ def test_laurent_positivity_along_the_run():
         for state in belt.run_belt(g, 2 * g.half_period):
             for value in state.values:
                 assert all(c > 0 for c in value.terms.values()), name
+
+
+# -- the run's memo of exact quotients --------------------------------------------
+
+
+def memo_free_trajectory(g, steps):
+    """Step from a hand-built copy of each state, so every step starts
+    with an empty memo and no quotient carries over from an earlier one."""
+    out = [belt.initial_state(g)]
+    for _ in range(steps):
+        state = out[-1]
+        out.append(belt.step(belt.BeltState(g=state.g, t=state.t, values=state.values)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in bg.catalog_names() if name != "fig2-F4xA2"]
+)
+def test_memo_changes_no_value(name):
+    g = bg.catalog(name)
+    states = belt.run_belt(g, 2 * g.half_period)
+    reference = memo_free_trajectory(g, 2 * g.half_period)
+    for state, expected in zip(states, reference):
+        assert state == expected, (name, state.t)
+
+
+@pytest.mark.parametrize("name", bg.catalog_names())
+def test_second_half_replays_the_first_relabeled_by_sigma(name):
+    # the reason a 2N run is served by memo hits from t = N on
+    g = bg.catalog(name)
+    n_steps = g.half_period
+    states = belt.run_belt(g, 2 * n_steps)
+    sigma = belt.read_half_period(g, states).sigma
+    for t in range(n_steps + 1):
+        later, earlier = states[n_steps + t].values, states[t].values
+        for k in range(g.n):
+            assert later[k] == earlier[sigma(k)], (name, t, k)
+
+
+def test_belt_state_equality_and_hash_ignore_the_memo():
+    g = bg.catalog("A3")
+    states = belt.run_belt(g, 4)
+    bare = belt.BeltState(g=g, t=4, values=states[4].values)
+    assert bare.done == {} and states[4].done
+    assert bare == states[4] and hash(bare) == hash(states[4])
+    assert "done" not in repr(bare)
+
+
+def test_memo_is_shared_within_a_run_and_fresh_for_each_run():
+    g = bg.catalog("A3")
+    first, second = belt.run_belt(g, 3), belt.run_belt(g, 3)
+    assert all(state.done is first[0].done for state in first)
+    assert first[0].done is not second[0].done
+    assert belt.initial_state(g).done == {}
+    assert belt.BeltState(g=g, t=0, values=first[0].values).done is not first[0].done
+
+
+def test_exchange_key_counts_repeated_factors():
+    x1, x2 = variables(2)
+    square, single = [(x1, 1), (x1, 1)], [(x1, 1)]
+    # a plain frozenset of the pairs would make x1 * x1 and x1 collide
+    assert frozenset(square) == frozenset(single)
+    assert belt._exchange_key([square, []], x2) != belt._exchange_key([single, []], x2)
+    assert belt._exchange_key([[], square], x2) != belt._exchange_key([[], single], x2)
+
+
+def test_exchange_key_reads_each_monomial_as_a_multiset_in_order():
+    x1, x2, x3 = variables(3)
+    ab, ba = [(x1, 1), (x2, 2)], [(x2, 2), (x1, 1)]
+    assert belt._exchange_key([ab, [(x3, 1)]], x3) == belt._exchange_key(
+        [ba, [(x3, 1)]], x3
+    )
+    # two equal monomials stay two: the sum is 2 * monomial, not monomial
+    twice = belt._exchange_key([ab, ab], x3)
+    assert twice != belt._exchange_key([ab, []], x3)
+    assert twice != belt._exchange_key([ab], x3)
+    assert belt._exchange_key([ab, []], x2) != belt._exchange_key([ab, []], x3)
+
+
+def test_failed_exchange_is_not_stored():
+    # vertex 1 of A2 moves first: (x2 + 1) / (x1 + 1) is not a Laurent polynomial
+    g = bg.catalog("A2")
+    x1, x2 = variables(2)
+    state = belt.BeltState(g=g, t=0, values=(x1 + 1, x2))
+    texts = []
+    for _ in range(2):
+        with pytest.raises(LaurentPhenomenonViolation) as info:
+            belt.step(state)
+        texts.append(str(info.value))
+        assert state.done == {}
+    assert texts[0] == texts[1] and texts[0].startswith("vertex 1 at time 2: ")
 
 
 # -- periodicity ---------------------------------------------------------------

@@ -254,6 +254,57 @@ def test_halfperiod_steps_the_belt_once(capsys, monkeypatch):
     assert calls == list(range(2 * bg.catalog("A3").half_period))
 
 
+def count_exchanges(monkeypatch):
+    """Record the time of the step that makes each `exchange` call."""
+    calls, now = [], []
+    real_step, real_exchange = belt.step, belt.exchange
+
+    def timed_step(state):
+        now[:] = [state.t]
+        return real_step(state)
+
+    def counting_exchange(monomials, divisor):
+        calls.append(now[0])
+        return real_exchange(monomials, divisor)
+
+    monkeypatch.setattr(belt, "step", timed_step)
+    monkeypatch.setattr(belt, "exchange", counting_exchange)
+    return calls
+
+
+def vertex_moves(g, steps):
+    return sum(g.eta(k) % 2 == c % 2 for c in range(steps) for k in range(g.n))
+
+
+def test_halfperiod_divides_only_in_the_first_half(capsys, monkeypatch):
+    # from t = N on, each exchange is the sigma-relabeled image of one
+    # made in the first half, so the run's memo serves it
+    calls = count_exchanges(monkeypatch)
+    g = bg.catalog("A3")
+    code, _, _ = run(capsys, "halfperiod", "A3")
+    assert code == 0
+    assert len(calls) == vertex_moves(g, g.half_period) == 9
+    assert max(calls) < g.half_period
+
+
+def test_long_belt_divides_each_distinct_exchange_once(capsys, monkeypatch):
+    calls = count_exchanges(monkeypatch)
+    g = bg.catalog("A3")
+    code, _, _ = run(capsys, "belt", "A3", "--steps", "400")
+    assert code == 0
+    assert len(calls) == vertex_moves(g, g.half_period)
+    assert max(calls) < g.half_period
+
+
+def test_figure_two_halfperiod_divides_sixty_times(capsys, monkeypatch):
+    calls = count_exchanges(monkeypatch)
+    g = bg.catalog("fig2-F4xA2")
+    code, _, _ = run(capsys, "halfperiod", "fig2-F4xA2")
+    assert code == 0
+    assert len(calls) == vertex_moves(g, g.half_period) == 60
+    assert max(calls) < g.half_period
+
+
 @pytest.mark.parametrize(
     "doc",
     [
