@@ -5,7 +5,9 @@ only at times t with t = eta_k (mod 2).  A BeltState at time c stores,
 for every vertex, the value at c when the parities agree and the value
 at c+1 otherwise, so one state always holds a full cluster spanning the
 two times {c, c+1}.  Stepping from c to c+1 produces T_k(c+2) for the
-vertices k with eta_k = c (mod 2); whites are the first movers.
+vertices k with eta_k = c (mod 2); whites are the first movers.  The
+bigraph's timetable, `Bigraph.movers`, lists those vertices with their
+Gamma and Delta in-edges, and the tropical track steps over it too.
 
 A run divides each distinct exchange once.  The states of one run share
 a memo of exact quotients, keyed by the exchange's inputs, so a step
@@ -54,11 +56,6 @@ def initial_state(g):
     return BeltState(g=g, t=0, values=tuple(Laurent.variable(k, n) for k in range(n)))
 
 
-def _monomial(values, m, k):
-    """prod_i values[i] ** m[i][k] as (base, exponent) pairs."""
-    return [(value, m[i][k]) for i, value in enumerate(values) if m[i][k]]
-
-
 def _exchange_key(monomials, divisor):
     """The memo key of an exchange: each monomial as a multiset of its
     (base, exponent) pairs, in (Gamma, Delta) order, then the divisor."""
@@ -66,27 +63,26 @@ def _exchange_key(monomials, divisor):
 
 
 def step(state):
-    """Advance one time unit, mutating the vertices whose parity matches."""
-    g = state.g
+    """Advance one time unit, mutating the vertices that move at its
+    parity in the bigraph's timetable."""
     c = state.t
-    values = list(state.values)
-    for k in range(g.n):
-        if g.eta(k) % 2 != c % 2:
-            continue
+    old = state.values
+    values = list(old)
+    for k, gamma_in, delta_in in state.g.movers[c % 2]:
         monomials = [
-            _monomial(state.values, g.gamma, k),
-            _monomial(state.values, g.delta, k),
+            [(old[i], w) for i, w in gamma_in],
+            [(old[i], w) for i, w in delta_in],
         ]
-        key = _exchange_key(monomials, state.values[k])
+        key = _exchange_key(monomials, old[k])
         if key not in state.done:
             try:
-                state.done[key] = exchange(monomials, state.values[k])
+                state.done[key] = exchange(monomials, old[k])
             except NotDivisible as exc:
                 raise LaurentPhenomenonViolation(
                     "vertex %d at time %d: %s" % (k + 1, c + 2, exc)
                 ) from exc
         values[k] = state.done[key]
-    return BeltState(g=g, t=c + 1, values=tuple(values), done=state.done)
+    return BeltState(g=state.g, t=c + 1, values=tuple(values), done=state.done)
 
 
 def run_belt(g, steps):
@@ -164,26 +160,25 @@ def read_half_period(g, states):
     """Classify the relabeling held at t = N by a belt run from t = 0."""
     n_steps = g.half_period
     perm = sigma_from_cluster(states[n_steps].values)
+    sigma = automorphism(g, perm)
     if any(unmatched_entry(perm, m, m) is not None for m in (g.gamma, g.delta)):
         raise ClaimViolation(
             "half-period permutation does not preserve (Gamma, Delta)"
         )
-    square = tuple(perm[perm[i]] for i in range(g.n))
-    if square != tuple(range(g.n)):
+    if sigma.order > 2:
         raise ClaimViolation("half-period permutation has order above two")
     behavior = classify_color_behavior(g, perm)
     expected = "preserving" if n_steps % 2 == 0 else "reversing"
-    identity = perm == tuple(range(g.n))
     if behavior != expected:
         raise ClaimViolation(
             "color behavior %s does not match parity of N=%d" % (behavior, n_steps)
         )
     return HalfPeriodReport(
         N=n_steps,
-        sigma=automorphism(g, perm),
+        sigma=sigma,
         color_behavior=behavior,
-        order=1 if identity else 2,
-        identity=identity,
+        order=sigma.order,
+        identity=sigma.is_identity,
     )
 
 
@@ -196,9 +191,8 @@ def _produced(g, states):
     """The initial cluster, then each value in the order the run made it."""
     yield from states[0].values
     for c, state in enumerate(states[1:]):
-        for k in range(g.n):
-            if g.eta(k) % 2 == c % 2:
-                yield state.values[k]
+        for k, _, _ in g.movers[c % 2]:
+            yield state.values[k]
 
 
 def cluster_variable_census(g):

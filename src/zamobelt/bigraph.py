@@ -9,6 +9,7 @@ dynamics modules read (Gamma, Delta, epsilon) through this module and
 never re-derive signs themselves.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from operator import itemgetter, neg
 
 from . import dynkin
 from .errors import (
+    InputError,
     InvalidRank,
     NotAdmissible,
     NotAdmissibleBigraph,
@@ -217,6 +219,24 @@ class Bigraph:
 
     def eta(self, k):
         return 0 if self.epsilon[k] == WHITE else 1
+
+    @functools.cached_property
+    def movers(self):
+        """The belt timetable: per parity of c, the vertices that move at
+        c, in vertex order, as (k, Gamma in-edges, Delta in-edges), each
+        in-edge an (i, weight) pair with weight nonzero.  Whites move at
+        even c, blacks at odd c."""
+        n = self.n
+
+        def in_edges(m, k):
+            return tuple((i, m[i][k]) for i in range(n) if m[i][k])
+
+        by_parity = ([], [])
+        for k in range(n):
+            by_parity[self.eta(k)].append(
+                (k, in_edges(self.gamma, k), in_edges(self.delta, k))
+            )
+        return tuple(map(tuple, by_parity))
 
     @property
     def plain(self):
@@ -582,32 +602,24 @@ def _figure_two_rows():
     return [[-x for x in row] for row in b]
 
 
-_NAME_RE = re.compile(r"^([A-G])(\d+)$")
-_TENSOR_RE = re.compile(r"^([A-G])(\d+)x([A-G])(\d+)$")
+_TENSOR_RE = re.compile(r"([A-G])(\d+)x([A-G])(\d+)")
 
 
 def catalog(name):
     """Bigraph for a catalog name.
 
-    Single Dynkin names are the tensor with a point, so Delta is empty
-    and every vertex is its own A1 Delta component.
+    A single Dynkin name X is read as the tensor XxA1 with a point, so
+    Delta is empty and every vertex is its own A1 Delta component.
     """
     if name == "fig1-A5starD4":
         return _figure_one()
     if name == "fig2-F4xA2":
         return decompose(exchange_matrix(_figure_two_rows()), _FIG2_EPSILON)
-    hit = _TENSOR_RE.match(name)
+    hit = _TENSOR_RE.fullmatch(name) or _TENSOR_RE.fullmatch(name + "xA1")
     if hit:
         fl, rl, fr, rr = hit.groups()
         try:
             return tensor_product(fl, int(rl), fr, int(rr))
-        except InvalidRank as exc:
-            raise UnknownName("%s: %s" % (name, exc)) from exc
-    hit = _NAME_RE.match(name)
-    if hit:
-        family, rank = hit.groups()
-        try:
-            return tensor_product(family, int(rank), "A", 1)
         except InvalidRank as exc:
             raise UnknownName("%s: %s" % (name, exc)) from exc
     raise UnknownName(
@@ -669,6 +681,20 @@ def from_json(doc):
     return decompose(exchange_matrix(b), eps)
 
 
+def read_json(path):
+    """The JSON document in the file at path.  A missing, unreadable or
+    malformed file is an InputError naming the path."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except FileNotFoundError as exc:
+        raise InputError("no such file: %s" % path) from exc
+    except OSError as exc:
+        raise InputError("cannot read %s: %s" % (path, exc.strerror)) from exc
+    except ValueError as exc:
+        raise InputError("bad JSON in %s: %s" % (path, exc)) from exc
+
+
 def load_bigraph(path):
-    with open(path) as handle:
-        return from_json(json.load(handle))
+    """Bigraph from a JSON file in the form `from_json` reads."""
+    return from_json(read_json(path))

@@ -32,22 +32,10 @@ def _failure(exc):
     return "".join(traceback.format_exception(exc)), EXIT_INTERNAL
 
 
-def _read_json(path):
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except FileNotFoundError as exc:
-        raise InputError("no such file: %s" % path) from exc
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc.strerror)) from exc
-    except ValueError as exc:
-        raise InputError("bad JSON in %s: %s" % (path, exc)) from exc
-
-
 def _resolve_target(target):
     """The target's bigraph, which must meet the theorem's hypothesis."""
     if target.endswith(".json") or os.path.sep in target or os.path.isfile(target):
-        g = bigraph.from_json(_read_json(target))
+        g = bigraph.load_bigraph(target)
     else:
         g = bigraph.catalog(target)
     if not bigraph.is_recurrent(g):
@@ -319,7 +307,7 @@ def run_experiment(config):
 
 
 def cmd_suite(args):
-    configs = _read_json(args.file)
+    configs = bigraph.read_json(args.file)
     if not isinstance(configs, list):
         raise InputError("suite file must hold a list of configs")
     if args.jobs > 1 and configs:

@@ -291,14 +291,14 @@ def _certify(g, first, second, factors, partition):
     _assert_y_matches_c(state, y, range(g.n))
     parts = _normalize_partition(state, partition)
     part_of = {v: part for part in parts for v in part}
-    sequence = []
     for factor in _alternating_factors(first, second, factors):
         for k in factor:
+            position = len(state.history) + 1
             if vertex_status(state, k) != GREEN:
-                raise NotGreenAtStep(len(sequence) + 1, k)
+                raise NotGreenAtStep(position, k)
             if not _points_inside(state, part_of[k], k):
                 raise NotComponentPreserving(
-                    "vertex %d at position %d" % (k + 1, len(sequence) + 1)
+                    "vertex %d at position %d" % (k + 1, position)
                 )
             after = mutate_framed(state, k)
             y_after = mutate_y(y, state.ext, k)
@@ -306,13 +306,12 @@ def _certify(g, first, second, factors, partition):
             _check_restriction_commutes(state, after, part_of, k, moved)
             _assert_y_matches_c(after, y_after, moved)
             state, y = after, y_after
-            sequence.append(k)
     still_green = [k for k in range(g.n) if vertex_status(state, k) == GREEN]
     if still_green:
         raise NotMaximal("vertices %s still green" % [k + 1 for k in still_green])
     perm = _minus_permutation(state.c_matrix(), NotPermutation, "final C")
     return GreenCertificate(
-        sequence=tuple(sequence),
+        sequence=state.history,
         factors=factors,
         final_c=state.c_matrix(),
         permutation=Automorphism(perm=perm, kind="general"),

@@ -16,7 +16,9 @@ slice of that sum only when the division reaches it, so a dividend far
 larger than its quotient is held whole only when the division fails.
 `divexact` is its case of one monomial.  The term guard bounds what is
 held: each power and head product, each dividend slice, the quotient
-and any remainder.
+and any remainder.  Every sum of term products (a product, a dividend
+slice with the products waiting to land in it, a remainder) goes
+through one accumulate loop, `_slice_product`.
 
 The public boundary stays on exponent tuples: the constructor takes a
 {tuple: coefficient} map, `terms` gives one back, and `render` and the
@@ -138,11 +140,12 @@ def _divide(n, plan, divisor, qlo, qhi):
     The dividend is given by its slice plan (see `_slice_plan`), and
     each of its x1 slices is multiplied out when it is reached.  Slices
     are eliminated in descending order, each off a max-heap of its keys
-    with lazy deletion.  A quotient term's products with divisor terms
-    of lower x1 exponent land in lower slices; they wait in a list until
-    their slice is reached, so only one slice of the remainder is held
-    at a time.  Each slice is held to the term guard once its waiting
-    products have landed.
+    with lazy deletion.  The products of a slice's quotient terms with
+    the divisor terms of lower x1 exponent land in lower slices; they
+    wait, one (quotient terms, divisor terms) pair per lower slice they
+    reach, until that slice is reached, so only one slice of the
+    remainder is held at a time.  Each slice is held to the term guard
+    once its waiting products have landed.
 
     Returns (quotient terms, exact).  exact is False when a remainder
     lead's coefficient is not a multiple of the divisor's lead
@@ -168,25 +171,20 @@ def _divide(n, plan, divisor, qlo, qhi):
     same = drops.pop(0, [])
     lower = sorted(drops.items())
 
-    waiting = {}  # slice: [(remainder lead, quotient coeff, divisor steps)]
+    # slice: [(quotient terms as (remainder lead, -coeff), divisor steps)]
+    waiting = {}
     todo = [-s for s in plan]
     heapq.heapify(todo)
     heappush, heappop = heapq.heappush, heapq.heappop
     quot = {}
     while todo:
         s = -heappop(todo)
-        rem = _slice_product(plan[s]) if s in plan else {}
-        for lead_r, qc, steps in waiting.pop(s, ()):
-            for step, cb in steps:
-                key = lead_r + step
-                total = rem.get(key, 0) - qc * cb
-                if total:
-                    rem[key] = total
-                else:
-                    del rem[key]
+        # the slice's own products, then the waiting ones landing in it
+        rem = _slice_product(plan.get(s, []) + waiting.pop(s, []))
         _check_guard(len(rem))
         heap = [-key for key in rem]
         heapq.heapify(heap)
+        found = []
         while rem:
             lead_r = -heappop(heap)
             c = rem.get(lead_r)
@@ -200,6 +198,7 @@ def _divide(n, plan, divisor, qlo, qhi):
             quot[lead_r - lead_b + offset] = qc
             _check_guard(len(quot))
             del rem[lead_r]
+            found.append((lead_r, -qc))
             for step, cb in same:
                 key = lead_r + step
                 old = rem.get(key)
@@ -212,13 +211,14 @@ def _divide(n, plan, divisor, qlo, qhi):
                         rem[key] = total
                     else:
                         del rem[key]
+        if found:
             for d, steps in lower:
                 t = s - d
                 if t not in waiting:
                     waiting[t] = []
                     if t not in plan:
                         heappush(todo, -t)
-                waiting[t].append((lead_r, qc, steps))
+                waiting[t].append((found, steps))
     return quot, True
 
 
@@ -366,23 +366,12 @@ class Laurent:
         lo = tuple(map(add, self._lo, other._lo))
         hi = tuple(map(add, self._hi, other._hi))
         _fit(lo, hi)
-        # iterate over the smaller operand for fewer dict rebuilds
-        a, b = self._packed, other._packed
-        if len(a) > len(b):
-            a, b = b, a
+        # the bias comes off the smaller operand's keys
+        a, b = sorted((self._packed, other._packed), key=len)
         offset = _codec(self.nvars)[0]
-        b_items = list(b.items())
-        out = {}
-        get = out.get
-        for ka, ca in a.items():
-            ka -= offset
-            for kb, cb in b_items:
-                key = ka + kb
-                total = get(key, 0) + ca * cb
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
+        out = _slice_product(
+            [([(ka - offset, ca) for ka, ca in a.items()], list(b.items()))]
+        )
         return _new(self.nvars, out, lo, hi)
 
     __rmul__ = __mul__
@@ -424,7 +413,7 @@ class Laurent:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, frozenset(self._packed.items())))
         return self._hash
 
     # -- exact division -------------------------------------------------
@@ -449,16 +438,11 @@ class Laurent:
         """self less other times the packed quotient terms quot."""
         n = self.nvars
         offset = _codec(n)[0]
-        rem = dict(self._packed)
-        for kq, qc in quot.items():
-            kq -= offset
-            for kb, cb in other._packed.items():
-                key = kq + kb
-                total = rem.get(key, 0) - qc * cb
-                if total:
-                    rem[key] = total
-                else:
-                    del rem[key]
+        rem = _slice_product(
+            [([(kq - offset, -qc) for kq, qc in quot.items()],
+              list(other._packed.items()))],
+            dict(self._packed),
+        )
         return _new(n, rem, *_scan(rem, n))
 
     # -- degrees ---------------------------------------------------------
@@ -560,9 +544,7 @@ def exchange(monomials, divisor):
         raise NotDivisible(whole._remainder(divisor, quot))
     # only now form the dividend, where the remainder starts, and divide
     # it again with its own bounds, as divexact would
-    dividend = {}
-    for s in plan:
-        dividend.update(_slice_product(plan[s]))
+    dividend = _slice_product([pair for pairs in plan.values() for pair in pairs])
     return exchange([[(_new(n, dividend, *_scan(dividend, n)), 1)]], divisor)
 
 
@@ -621,10 +603,14 @@ def _slice_plan(monomials, n):
     return plan, lo, hi, whole
 
 
-def _slice_product(pairs):
-    """Packed term map of the sum of the products of (head, last) term
-    lists."""
-    out = {}
+def _slice_product(pairs, out=None):
+    """Packed term map of the sum of the products of pairs of term
+    lists, added into out when it is given.  Each pair's key sums must
+    be product keys: one of its lists carries keys less the bias word
+    (a head), or steps down from a key (a divisor's terms less its
+    lead)."""
+    if out is None:
+        out = {}
     get = out.get
     for a, b in pairs:
         if len(a) > len(b):  # the shorter list in the outer loop

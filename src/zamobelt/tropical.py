@@ -8,7 +8,8 @@ exactness is what makes the tie test meaningful.
 
 Max-plus is positively homogeneous: T(s lambda) = s T(lambda) for s > 0.
 So a run scales its labeling once by the LCM of the denominators and
-steps on plain ints, over in-edge lists built once per run.  Ties,
+steps on plain ints, over the bigraph's belt timetable
+(`Bigraph.movers`), the one the symbolic belt steps over.  Ties,
 equality and period detection do not change under a positive scale;
 only `run_states` and the sums a `MutationEvent` carries are divided
 back into Fractions.
@@ -59,31 +60,17 @@ def _classify(gamma_sum, delta_sum):
     return TIE
 
 
-def _in_edges(g):
-    """Per parity of c, the active vertices as (k, Gamma in-edges, Delta
-    in-edges), each in-edge an (i, weight) pair with weight nonzero."""
-    by_parity = ([], [])
-    for k in range(g.n):
-        by_parity[g.eta(k)].append(
-            (
-                k,
-                tuple((i, g.gamma[i][k]) for i in range(g.n) if g.gamma[i][k]),
-                tuple((j, g.delta[j][k]) for j in range(g.n) if g.delta[j][k]),
-            )
-        )
-    return by_parity
-
-
-def step_values(edges, c, values, scale, events=None):
+def step_values(movers, c, values, scale, events=None):
     """One time step on scaled int values from the state at time c.
 
-    `edges` is `_in_edges(g)` and `scale` the factor the values carry.
-    Newly produced values sit at time c+2 for the active vertices, and
-    that produced time is what a logged event carries, with its sums
-    divided back by the scale.
+    `movers` is the bigraph's timetable `g.movers`: per parity of c, the
+    vertices that move, with their Gamma and Delta in-edges.  `scale` is
+    the factor the values carry.  Newly produced values sit at time c+2
+    for the moving vertices, and that produced time is what a logged
+    event carries, with its sums divided back by the scale.
     """
     out = list(values)
-    for k, gamma_in, delta_in in edges[c % 2]:
+    for k, gamma_in, delta_in in movers[c % 2]:
         gamma_sum = sum([w * values[i] for i, w in gamma_in])
         delta_sum = sum([w * values[j] for j, w in delta_in])
         out[k] = max(gamma_sum, delta_sum) - values[k]
@@ -116,13 +103,12 @@ def scaled_states(g, lam, scale, steps, events=None):
 
     `scale` must be a multiple of `scale_of(lam)`.
     """
-    edges = _in_edges(g)
     state = tuple(
         x.numerator * (scale // x.denominator) for x in initial_values(g, lam)
     )
     states = [state]
     for c in range(steps):
-        state = step_values(edges, c, state, scale, events)
+        state = step_values(g.movers, c, state, scale, events)
         states.append(state)
     return states
 

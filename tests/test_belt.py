@@ -5,7 +5,12 @@ import sympy
 
 import zamobelt.belt as belt
 import zamobelt.bigraph as bg
-from zamobelt.errors import InputError, LaurentPhenomenonViolation, NoPermutationMatch
+from zamobelt.errors import (
+    ClaimViolation,
+    InputError,
+    LaurentPhenomenonViolation,
+    NoPermutationMatch,
+)
 from zamobelt.laurent import Laurent, variables
 
 
@@ -225,6 +230,42 @@ def test_half_period_parity_rule():
         rep = belt.half_period(g)
         expected = "preserving" if rep.N % 2 == 0 else "reversing"
         assert rep.color_behavior == expected, name
+
+
+def relabeled_run(g, perm):
+    """A run whose cluster at t = N is the initial one relabeled by perm;
+    `read_half_period` reads only that state."""
+    values = tuple(Laurent.variable(perm[i], g.n) for i in range(g.n))
+    at_n = belt.BeltState(g=g, t=g.half_period, values=values)
+    return [None] * g.half_period + [at_n]
+
+
+def test_read_half_period_checks_in_order():
+    g = bg.catalog("D4")
+    center = next(k for k in range(g.n) if sum(map(bool, g.gamma[k])) == 3)
+    a, b, c = (k for k in range(g.n) if k != center)
+
+    def read(mapping):
+        perm = tuple(mapping.get(i, i) for i in range(g.n))
+        return belt.read_half_period(g, relabeled_run(g, perm))
+
+    # a 3-cycle through the center breaks Gamma before its order is read
+    with pytest.raises(ClaimViolation, match="does not preserve"):
+        read({center: a, a: b, b: center})
+    with pytest.raises(
+        ClaimViolation, match="^half-period permutation has order above two$"
+    ):
+        read({a: b, b: c, c: a})
+    swap = read({a: b, b: a})
+    assert (swap.order, swap.identity, swap.color_behavior) == (2, False, "preserving")
+    assert swap.sigma(a) == b and swap.sigma(b) == a and swap.sigma(c) == c
+    same = read({})
+    assert (same.order, same.identity, same.sigma.cycles()) == (1, True, "id")
+    a2 = bg.catalog("A2")
+    with pytest.raises(
+        ClaimViolation, match="^color behavior preserving does not match parity of N=5$"
+    ):
+        belt.read_half_period(a2, relabeled_run(a2, (0, 1)))
 
 
 def test_sigma_from_cluster_error_paths():

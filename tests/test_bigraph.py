@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import zamobelt.bigraph as bg
 from zamobelt.errors import (
+    InputError,
     NotAdmissible,
     NotAdmissibleBigraph,
     NotBipartite,
@@ -384,6 +385,32 @@ def test_catalog_rejects_unknown_names():
             bg.catalog(bad)
 
 
+def test_catalog_reads_a_dynkin_name_as_its_tensor_with_a_point():
+    for name in ("A1", "A3", "B3", "C2", "D4", "G2", "E6"):
+        assert bg.catalog(name) == bg.catalog(name + "xA1"), name
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("A0", "A0: rank 0 invalid for family A"),
+        ("E9", "E9: rank 9 invalid for family E"),
+        ("A2xE9", "A2xE9: rank 9 invalid for family E"),
+    ],
+)
+def test_catalog_names_the_bad_rank_under_the_name_given(name, text):
+    with pytest.raises(UnknownName) as err:
+        bg.catalog(name)
+    assert str(err.value) == text
+
+
+def test_catalog_takes_the_whole_name():
+    # a trailing newline is not silently dropped from a name
+    for bad in ("A2\n", "A2xA3\n", " A2", "A2xA3xA1"):
+        with pytest.raises(UnknownName):
+            bg.catalog(bad)
+
+
 def test_catalog_accepts_tensor_spellings():
     g = bg.catalog("B2xB2")
     assert g.n == 4
@@ -401,6 +428,28 @@ def test_from_json_round_trip():
     back = bg.from_json(json.loads(json.dumps(doc)))
     assert back.base.b == g.base.b
     assert back.epsilon == g.epsilon
+
+
+def test_load_bigraph_reads_a_file(tmp_path):
+    g = bg.catalog("B2xB2")
+    path = tmp_path / "b2b2.json"
+    path.write_text(json.dumps({"n": g.n, "b": [list(r) for r in g.base.b]}))
+    assert bg.load_bigraph(str(path)) == g
+
+
+def test_load_bigraph_names_a_missing_or_malformed_file(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(InputError) as err:
+        bg.load_bigraph(str(missing))
+    assert str(err.value) == "no such file: %s" % missing
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    with pytest.raises(InputError) as err:
+        bg.load_bigraph(str(bad))
+    assert str(err.value).startswith("bad JSON in %s: " % bad)
+    with pytest.raises(InputError) as err:
+        bg.load_bigraph(str(tmp_path))
+    assert str(err.value).startswith("cannot read %s: " % tmp_path)
 
 
 def test_from_json_validates_shape():
@@ -431,3 +480,31 @@ def test_from_json_checks_types_before_shape(doc):
 def test_epsilon_must_alternate_along_edges():
     with pytest.raises(NotBipartite):
         bg.decompose(bg.exchange_matrix([[0, 1], [-1, 0]]), (WHITE, WHITE))
+
+
+# -- the belt timetable -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", bg.catalog_names() + ["E6xA2", "A3xD4"])
+def test_movers_is_the_belt_timetable(name):
+    g = bg.catalog(name)
+    whites, blacks = g.movers
+    assert [k for k, _, _ in whites] == g.whites
+    assert [k for k, _, _ in blacks] == g.blacks
+    # the in-edges of the movers rebuild Gamma and Delta column by column
+    rebuilt = ([[0] * g.n for _ in range(g.n)], [[0] * g.n for _ in range(g.n)])
+    for k, gamma_in, delta_in in whites + blacks:
+        for m, edges in zip(rebuilt, (gamma_in, delta_in)):
+            assert [i for i, _ in edges] == sorted({i for i, _ in edges})
+            for i, weight in edges:
+                assert weight != 0
+                m[i][k] = weight
+    assert tuple(map(tuple, rebuilt[0])) == g.gamma
+    assert tuple(map(tuple, rebuilt[1])) == g.delta
+
+
+def test_movers_is_built_once_and_leaves_equality_alone():
+    g = bg.catalog("A2xA3")
+    assert g.movers is g.movers
+    fresh = bg.catalog("A2xA3")
+    assert g == fresh and hash(g) == hash(fresh)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -9,6 +10,7 @@ import zamobelt.belt as belt
 import zamobelt.bigraph as bg
 import zamobelt.tropical as tropical
 from zamobelt.cli import main, run_experiment
+from zamobelt.errors import InputError
 from zamobelt.laurent import Laurent
 
 
@@ -148,6 +150,19 @@ def test_bad_json_file_exits_two(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "halfperiod", str(bad))
     assert code == 2
+
+
+def test_a_bad_file_reads_alike_as_a_target_and_a_library_input(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    for path in (missing, bad):
+        code, _, err = run(capsys, "halfperiod", str(path))
+        with pytest.raises(InputError) as info:
+            bg.load_bigraph(str(path))
+        assert code == 2 and err == "error: %s\n" % info.value
+    code, _, err = run(capsys, "suite", str(bad))
+    assert code == 2 and err.startswith("error: bad JSON in %s: " % bad)
 
 
 def test_json_file_target(tmp_path, capsys):
@@ -523,3 +538,26 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, "halfperiod", "A2", "--out", str(target))
     assert code == 2 and out == ""
     assert err == "error: cannot write %s: No such file or directory\n" % target
+
+
+# -- byte-identical reports -------------------------------------------------------
+
+# `run_experiment` results of `halfperiod` and `census` on every catalog
+# entry, of `tropical` and `dual-check` (seed 7, 20 trials) on every
+# catalog entry, and of `belt fig2-F4xA2 --steps 7`, captured before the
+# two tracks shared one timetable and the Laurent kernel one
+# term-product loop.  Seven of the census entries exit 2.  Only a
+# deliberate change to a report (such as a new catalogVersion) may
+# rewrite this file.
+GOLDEN_REPORTS = json.loads(
+    (pathlib.Path(__file__).with_name("belt_tropical_reports.json")).read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "golden",
+    GOLDEN_REPORTS,
+    ids=lambda r: "%s-%s" % (r["config"]["command"], r["config"]["target"]),
+)
+def test_symbolic_and_tropical_reports_are_byte_identical(golden):
+    assert run_experiment(golden["config"]) == (golden["text"], golden["exitCode"])

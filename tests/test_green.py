@@ -243,6 +243,25 @@ def test_not_green_error_when_mutating_red_vertex():
         )
 
 
+def test_not_green_error_names_its_position_in_the_history():
+    g = bg.catalog("A3")
+    with pytest.raises(NotGreenAtStep) as info:
+        green._certify(g, first=[0, 2], second=[1, 0], factors=2, partition=[(0, 1, 2)])
+    assert (info.value.step, info.value.vertex) == (4, 0)
+    assert str(info.value) == "vertex 1 red at step 4"
+
+
+def test_certificate_sequence_is_the_mutation_history():
+    g = bg.catalog("A2xA3")
+    for cert, (first, second) in zip(
+        green.verify_bipartite_belt_mgs(g), ((g.blacks, g.whites), (g.whites, g.blacks))
+    ):
+        expected = [
+            k for f in range(cert.factors) for k in (first if f % 2 == 0 else second)
+        ]
+        assert cert.sequence == tuple(expected)
+
+
 # -- frozen isomorphism -----------------------------------------------------------
 
 

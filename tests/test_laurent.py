@@ -561,3 +561,10 @@ def test_not_divisible_message_of_a_small_remainder_is_whole():
         (x1 + 1).divexact(x2 + 1)
     assert str(err.value) == "division left remainder %s" % err.value.remainder
     assert "terms)" not in str(err.value)
+
+
+@given(a=polys(), b=polys())
+def test_hash_agrees_with_equality(a, b):
+    assert hash(a * b) == hash(b * a)
+    assert hash(Laurent(a.nvars, a.terms)) == hash(a)
+    assert hash(a + b - b) == hash(a)

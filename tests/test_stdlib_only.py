@@ -1,0 +1,50 @@
+"""The package runs on the standard library alone."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import zamobelt
+
+PACKAGE = pathlib.Path(zamobelt.__file__).parent
+
+# every module of the package, by its import name
+MODULES = sorted(
+    "zamobelt" if path.stem == "__init__" else "zamobelt." + path.stem
+    for path in PACKAGE.glob("*.py")
+)
+
+# imports its arguments and prints, one a line, each module that loaded
+PROBE = """
+import importlib
+import sys
+
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def is_allowed(module):
+    top = module.partition(".")[0]
+    return (
+        top == "zamobelt"
+        or top in sys.stdlib_module_names
+        or (top.startswith("__") and top.endswith("__"))
+    )
+
+
+def test_every_module_imports_only_the_standard_library():
+    assert "zamobelt.laurent" in MODULES and "zamobelt.cli" in MODULES
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *MODULES],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    loaded = done.stdout.split()
+    assert set(MODULES) <= set(loaded)
+    assert [m for m in loaded if not is_allowed(m)] == []
