@@ -4,7 +4,8 @@ A bigraph is a skew-symmetrizable integer matrix together with a
 two-coloring of its vertices and the induced split of its edge set into
 an unsigned red part Gamma and blue part Delta.  The sign convention is
 fixed once and for all: on a Gamma edge the entry from the white vertex
-to the black one is positive, on a Delta edge it is negative.  All the
+to the black one is positive, on a Delta edge it is negative.
+`_compose` is its one writer and `decompose` its one reader.  All the
 dynamics modules read (Gamma, Delta, epsilon) through this module and
 never re-derive signs themselves.
 """
@@ -302,6 +303,15 @@ def _component_data(weights):
     return tuple(comps)
 
 
+def _compose(gamma, delta, epsilon):
+    """The exchange matrix of the unsigned pair under a two-coloring: a
+    white row holds Gamma - Delta and a black row Delta - Gamma."""
+    return tuple(
+        tuple(x - y if e == WHITE else y - x for x, y in zip(gamma_row, delta_row))
+        for gamma_row, delta_row, e in zip(gamma, delta, epsilon)
+    )
+
+
 def decompose(m, epsilon=None):
     """Split m into the unsigned (Gamma, Delta) pair under a two-coloring."""
     b = m.b
@@ -332,23 +342,6 @@ def decompose(m, epsilon=None):
     )
 
 
-def _signed(weights, epsilon, white_sign):
-    return tuple(
-        tuple(white_sign * x if e == WHITE else -white_sign * x for x in row)
-        for row, e in zip(weights, epsilon)
-    )
-
-
-def signed_gamma(g):
-    """Gamma with the belt signs restored: white rows positive."""
-    return _signed(g.gamma, g.epsilon, 1)
-
-
-def signed_delta(g):
-    """Delta with the belt signs restored: white rows negative."""
-    return _signed(g.delta, g.epsilon, -1)
-
-
 def is_recurrent(g):
     """True iff mutating all whites, or all blacks, negates the matrix.
 
@@ -364,39 +357,28 @@ def is_recurrent(g):
 
 
 def _tensor_rows(family_l, rank_l, family_r, rank_r):
-    cl = dynkin.cartan_matrix(family_l, rank_l)
-    cr = dynkin.cartan_matrix(family_r, rank_r)
-    col_l, col_r = (
-        detect_epsilon(
-            [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(c)]
-        )
-        for c in (cl, cr)
+    adj_l, adj_r = (
+        [[0 if i == j else -x for j, x in enumerate(row)] for i, row in enumerate(c)]
+        for c in map(dynkin.cartan_matrix, (family_l, family_r), (rank_l, rank_r))
     )
+    col_l, col_r = detect_epsilon(adj_l), detect_epsilon(adj_r)
     n = rank_l * rank_r
 
     def flat(i, j):
         return j * rank_l + i
 
     eps = [None] * n
+    gamma = [[0] * n for _ in range(n)]
+    delta = [[0] * n for _ in range(n)]
     for i in range(rank_l):
         for j in range(rank_r):
-            eps[flat(i, j)] = WHITE if col_l[i] == col_r[j] else BLACK
-    b = [[0] * n for _ in range(n)]
-    for j in range(rank_r):
-        for i1 in range(rank_l):
+            u = flat(i, j)
+            eps[u] = WHITE if col_l[i] == col_r[j] else BLACK
             for i2 in range(rank_l):
-                if i1 != i2 and cl[i1][i2]:
-                    u, v = flat(i1, j), flat(i2, j)
-                    weight = -cl[i1][i2]
-                    b[u][v] = weight if eps[u] == WHITE else -weight
-    for i in range(rank_l):
-        for j1 in range(rank_r):
+                gamma[u][flat(i2, j)] = adj_l[i][i2]
             for j2 in range(rank_r):
-                if j1 != j2 and cr[j1][j2]:
-                    u, v = flat(i, j1), flat(i, j2)
-                    weight = -cr[j1][j2]
-                    b[u][v] = -weight if eps[u] == WHITE else weight
-    return b, eps
+                delta[u][flat(i, j2)] = adj_r[j][j2]
+    return _compose(gamma, delta, eps), eps
 
 
 def tensor_product(family_l, rank_l, family_r, rank_r):
@@ -583,17 +565,13 @@ _FIG2_EPSILON = (BLACK, WHITE, BLACK, WHITE, WHITE, BLACK, WHITE, BLACK)
 
 def _figure_one():
     n = 9
-    b = [[0] * n for _ in range(n)]
-    eps = _FIG1_EPSILON
-    for edges, is_gamma in ((_FIG1_GAMMA_EDGES, True), (_FIG1_DELTA_EDGES, False)):
-        for u1, v1 in edges:
-            u, v = u1 - 1, v1 - 1
-            if eps[u] != WHITE:
-                u, v = v, u
-            sign = 1 if is_gamma else -1
-            b[u][v] = sign
-            b[v][u] = -sign
-    return decompose(exchange_matrix(b), eps)
+    gamma = [[0] * n for _ in range(n)]
+    delta = [[0] * n for _ in range(n)]
+    for edges, weights in ((_FIG1_GAMMA_EDGES, gamma), (_FIG1_DELTA_EDGES, delta)):
+        for u, v in edges:
+            weights[u - 1][v - 1] = weights[v - 1][u - 1] = 1
+    b = _compose(gamma, delta, _FIG1_EPSILON)
+    return decompose(exchange_matrix(b), _FIG1_EPSILON)
 
 
 def _figure_two_rows():

@@ -33,8 +33,10 @@ def _failure(exc):
 
 
 def _resolve_target(target):
-    """The target's bigraph, which must meet the theorem's hypothesis."""
-    if target.endswith(".json") or os.path.sep in target or os.path.isfile(target):
+    """The target's bigraph, which must meet the theorem's hypothesis.
+    A JSON file when it ends in .json or holds a path separator, else a
+    catalog name whatever files the working directory holds."""
+    if target.endswith(".json") or os.path.sep in target:
         g = bigraph.load_bigraph(target)
     else:
         g = bigraph.catalog(target)

@@ -8,6 +8,9 @@ exponent vector and semifield addition takes componentwise minima.
 The two tracks must agree row for row after every single mutation; that
 agreement is asserted, not assumed.
 
+Both belts, framed for the green certificates and coframed for sigma,
+run through one checked walk, `_walk`.
+
 Each check covers every row of a start state (`framed`, `initial_y`),
 every row of a hand-built `FramedState`, and after each mutation every
 row that the mutation changed.  A mutation returns each row it leaves
@@ -112,12 +115,12 @@ def vertex_status(state, k):
     return GREEN if min(state.ext[k][state.n:]) >= 0 else RED
 
 
-def _normalize_partition(state, partition):
+def _normalize_partition(n, partition):
     parts = [tuple(sorted(part)) for part in partition]
     covered = sorted(v for part in parts for v in part)
-    if covered != list(range(state.n)):
+    if covered != list(range(n)):
         raise InvalidPartition(
-            "partition covers %s, expected 0..%d once each" % (covered, state.n - 1)
+            "partition covers %s, expected 0..%d once each" % (covered, n - 1)
         )
     return parts
 
@@ -126,7 +129,7 @@ def is_component_preserving(state, partition, k):
     """Green k may only point negatively inside its own part; red k may
     only point positively inside its own part.  Frozen columns satisfy
     this automatically through sign-coherence."""
-    parts = _normalize_partition(state, partition)
+    parts = _normalize_partition(state.n, partition)
     # no part holds a frozen k; vertex_status rejects it
     return _points_inside(state, next((p for p in parts if k in p), ()), k)
 
@@ -285,27 +288,43 @@ def _alternating_factors(first, second, count):
     return [list(first) if f % 2 == 0 else list(second) for f in range(count)]
 
 
-def _certify(g, first, second, factors, partition):
-    state = framed(g.base)
-    y = initial_y(g.n)
+def _walk(g, sign, first, second, factors, check=None):
+    """The final state of `factors` alternating factors of first and
+    second, from the framed (sign 1) or coframed (sign -1) matrix, with
+    both tracks compared at the start and on the rows each mutation
+    moved.  `mutate_framed` runs first, so a vertex out of range is a
+    FrozenVertex; check(before, k, after, moved) runs before the
+    compare."""
+    state = framed(g.base, sign)
+    y = initial_y(g.n, sign)
     _assert_y_matches_c(state, y, range(g.n))
-    parts = _normalize_partition(state, partition)
-    part_of = {v: part for part in parts for v in part}
     for factor in _alternating_factors(first, second, factors):
         for k in factor:
-            position = len(state.history) + 1
-            if vertex_status(state, k) != GREEN:
-                raise NotGreenAtStep(position, k)
-            if not _points_inside(state, part_of[k], k):
-                raise NotComponentPreserving(
-                    "vertex %d at position %d" % (k + 1, position)
-                )
             after = mutate_framed(state, k)
             y_after = mutate_y(y, state.ext, k)
             moved = _moved(state, after, y, y_after)
-            _check_restriction_commutes(state, after, part_of, k, moved)
+            if check is not None:
+                check(state, k, after, moved)
             _assert_y_matches_c(after, y_after, moved)
             state, y = after, y_after
+    return state
+
+
+def _certify(g, first, second, factors, partition):
+    parts = _normalize_partition(g.n, partition)
+    part_of = {v: part for part in parts for v in part}
+
+    def check(before, k, after, moved):
+        position = len(after.history)
+        if vertex_status(before, k) != GREEN:
+            raise NotGreenAtStep(position, k)
+        if not _points_inside(before, part_of[k], k):
+            raise NotComponentPreserving(
+                "vertex %d at position %d" % (k + 1, position)
+            )
+        _check_restriction_commutes(before, after, part_of, k, moved)
+
+    state = _walk(g, 1, first, second, factors, check)
     still_green = [k for k in range(g.n) if vertex_status(state, k) == GREEN]
     if still_green:
         raise NotMaximal("vertices %s still green" % [k + 1 for k in still_green])
@@ -341,15 +360,7 @@ def frozen_isomorphism_check(g, symbolic_sigma=None):
     and frozen labels fixed; the permutation is returned and, when a
     symbolic half-period permutation is supplied, must equal it.
     """
-    state = framed(g.base, sign=-1)
-    y = initial_y(g.n, sign=-1)
-    _assert_y_matches_c(state, y, range(g.n))
-    for factor in _alternating_factors(g.whites, g.blacks, g.half_period):
-        for k in factor:
-            y_after = mutate_y(y, state.ext, k)
-            after = mutate_framed(state, k)
-            _assert_y_matches_c(after, y_after, _moved(state, after, y, y_after))
-            state, y = after, y_after
+    state = _walk(g, -1, g.whites, g.blacks, g.half_period)
     row_perm = _minus_permutation(state.c_matrix(), NoIsomorphism, "frozen block")
     # row r holds the -1 of frozen column row_perm[r]; sigma is the inverse
     perm = tuple(sorted(range(g.n), key=row_perm.__getitem__))

@@ -412,8 +412,13 @@ class Laurent:
         return self.nvars == other.nvars and self._packed == other._packed
 
     def __hash__(self):
+        """A constant hashes as the int it equals."""
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self._packed.items())))
+            packed, origin = self._packed, _codec(self.nvars)[0]
+            if packed.keys() <= {origin}:
+                self._hash = hash(packed.get(origin, 0))
+            else:
+                self._hash = hash((self.nvars, frozenset(packed.items())))
         return self._hash
 
     # -- exact division -------------------------------------------------

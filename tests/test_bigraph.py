@@ -194,12 +194,14 @@ def test_decompose_a2():
 def test_decompose_recomposes_to_b():
     for name in ("A3", "B2", "A2xA3", "fig1-A5starD4", "fig2-F4xA2"):
         g = bg.catalog(name)
-        gamma_signed = bg.signed_gamma(g)
-        delta_signed = bg.signed_delta(g)
-        n = g.n
-        for i in range(n):
-            for j in range(n):
-                assert gamma_signed[i][j] + delta_signed[i][j] == g.base.b[i][j]
+        assert bg._compose(g.gamma, g.delta, g.epsilon) == g.base.b, name
+    # written out by hand, so the round trip does not start from _compose:
+    # a Gamma edge 1-2 of weights 2 and 1, a Delta edge 1-3, vertex 1 white
+    b = [[0, 2, -1], [-1, 0, 0], [1, 0, 0]]
+    g = bg.from_json({"n": 3, "b": b, "epsilon": ["w", "b", "b"]})
+    assert g.gamma == ((0, 2, 0), (1, 0, 0), (0, 0, 0))
+    assert g.delta == ((0, 0, 1), (0, 0, 0), (1, 0, 0))
+    assert bg._compose(g.gamma, g.delta, g.epsilon) == g.base.b == bg._freeze(b)
 
 
 def test_figure_one_decomposition():

@@ -175,6 +175,22 @@ def test_json_file_target(tmp_path, capsys):
     assert report["N"] == 6 and report["period"] == 6
 
 
+def test_a_bare_target_is_a_catalog_name_beside_a_file_of_that_name(
+    tmp_path, capsys, monkeypatch
+):
+    a2 = {"n": 2, "b": [[0, 1], [-1, 0]], "epsilon": ["w", "b"]}
+    (tmp_path / "A3").write_text(json.dumps(a2))
+    (tmp_path / "mine").write_text(json.dumps(a2))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "halfperiod", "A3")
+    assert code == 0 and json.loads(out)["N"] == 6  # the catalog's A3
+    for target in ("./A3", os.path.join(".", "mine")):
+        code, out, _ = run(capsys, "halfperiod", target)
+        assert code == 0 and json.loads(out)["N"] == 5  # the file's A2
+    code, _, err = run(capsys, "halfperiod", "mine")
+    assert code == 2 and "'mine' is not a catalog name" in err
+
+
 def test_term_guard_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("ZAMOBELT_TERM_GUARD", "2")
     code, _, err = run(capsys, "halfperiod", "A2")

@@ -251,6 +251,15 @@ def test_not_green_error_names_its_position_in_the_history():
     assert str(info.value) == "vertex 1 red at step 4"
 
 
+def test_a_vertex_out_of_range_is_frozen_before_the_coefficient_track_runs():
+    # mutate_framed rejects k >= n before mutate_y could index y[k]
+    g = bg.catalog("A2")
+    with pytest.raises(FrozenVertex, match="vertex 3 is not mutable"):
+        green._certify(g, first=[g.n], second=[0], factors=1, partition=[(0, 1)])
+    with pytest.raises(FrozenVertex, match="vertex 3 is not mutable"):
+        green._walk(g, -1, [g.n], [0], 1)
+
+
 def test_certificate_sequence_is_the_mutation_history():
     g = bg.catalog("A2xA3")
     for cert, (first, second) in zip(

@@ -568,3 +568,14 @@ def test_hash_agrees_with_equality(a, b):
     assert hash(a * b) == hash(b * a)
     assert hash(Laurent(a.nvars, a.terms)) == hash(a)
     assert hash(a + b - b) == hash(a)
+
+
+def test_a_constant_hashes_as_the_int_it_equals():
+    assert {1: "int"}.get(Laurent.one(2)) == "int"
+    assert Laurent.zero(3) in {0} and hash(Laurent.zero(3)) == hash(0)
+
+
+@given(c=st.integers(min_value=-(10**20), max_value=10**20), n=st.integers(1, 4))
+def test_constant_hash_agrees_with_int_equality(c, n):
+    p = Laurent.const(c, n)
+    assert p == c and hash(p) == hash(c)
