@@ -9,23 +9,50 @@ vertices k with eta_k = c (mod 2); whites are the first movers.  The
 bigraph's timetable, `Bigraph.movers`, lists those vertices with their
 Gamma and Delta in-edges, and the tropical track steps over it too.
 
-A run divides each distinct exchange once.  The states of one run share
-a memo of exact quotients, keyed by the exchange's inputs, so a step
-whose inputs were seen before reuses the quotient instead of dividing
-again.  At N = h_Gamma + h_Delta the belt holds the initial cluster
-relabeled by sigma, so states[N + t].values[k] == states[t].values[sigma(k)]
-and the second half of a 2N run is served by sigma-re-indexed hits.
-Nothing relies on that: a miss divides, and a failed division is never
-stored.
+A run divides only where it must.  Write N = h_Gamma + h_Delta and S_c
+for the state at time c.  Two facts let it derive states instead:
+
+- Uniqueness.  T_k(t+1) * T_k(t-1) is a sum of two monomials in the
+  values at t, and no value is zero, so one full cluster fixes a
+  solution at every time, forward and backward.  Any map taking solutions to solutions and agreeing with
+  the run on one state agrees with it on every state.
+- Symmetries.  Three maps take solutions to solutions: renaming the
+  initial variables (a ring automorphism, `Laurent.rename`); relabeling
+  the vertices by an automorphism pi of (Gamma, Delta); and a shift or
+  reversal of time, t -> t + s or t -> s - t, provided pi preserves
+  colours when s is even and reverses them when s is odd.
+
+Mirror.  Take pi = id when N is odd and a colour-reversing automorphism
+when N is even, so that s = N + 1 fits, and any permutation rho of the
+variables.  Then T_k(t) -> rho(T_{pi(k)}(N + 1 - t)) is a symmetry, and
+on states it reads S_{N-c}[k] = rho(S_c[pi(k)]).  With M = N - N // 2,
+the run steps to S_M and checks that identity at c = N - M exactly.  If
+it holds, the uniqueness argument gives it at every c, so S_{M+1}, ...,
+S_N are renamed copies of S_{N-M-1}, ..., S_0 and cost no division.
+The paper's theorem (S_N is S_0 relabeled by an involution sigma) makes
+the check pass with rho = (sigma pi)^(-1), a colour-reversing
+automorphism, so rho is drawn from those.  A lazy search yields them one
+at a time, and the run tries at most MIRROR_TRIES, stopping at the
+first that passes; so a bigraph with a huge symmetry group costs a few
+tries, not its group.  Nothing relies on the theorem: without a passing
+candidate the run steps forward.
+
+Replay.  If S_N holds the initial variables relabeled by a permutation
+sigma that is an automorphism of (Gamma, Delta), colour-preserving for
+even N and colour-reversing for odd N, then S_{N+t}[k] = S_t[sigma(k)]
+for every t by the same argument, so the run re-indexes states from
+there on.  Otherwise it steps forward.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, islice
 
 from . import dynkin
 from .bigraph import (
     Automorphism,
     automorphism,
+    automorphism_search,
     classify_color_behavior,
     unmatched_entry,
 )
@@ -34,32 +61,29 @@ from .errors import (
     InputError,
     LaurentPhenomenonViolation,
     NoPermutationMatch,
+    NotAdmissibleBigraph,
     NotDivisible,
+    SearchBoundExceeded,
 )
 from .laurent import Laurent, exchange
+
+# The mirror check tries at most this many rho; past them the run steps.
+# On every catalog and sweep entry the passing rho is the first or second.
+MIRROR_TRIES = 8
 
 
 @dataclass(frozen=True)
 class BeltState:
-    """The cluster at time t.  `done` is the run's memo of exact
-    quotients, handed on by `step`; a state built by hand starts with
-    an empty one.  It takes no part in equality."""
+    """The cluster at time t."""
 
     g: object
     t: int
     values: tuple
-    done: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def initial_state(g):
     n = g.n
     return BeltState(g=g, t=0, values=tuple(Laurent.variable(k, n) for k in range(n)))
-
-
-def _exchange_key(monomials, divisor):
-    """The memo key of an exchange: each monomial as a multiset of its
-    (base, exponent) pairs, in (Gamma, Delta) order, then the divisor."""
-    return (*(frozenset(Counter(pairs).items()) for pairs in monomials), divisor)
 
 
 def step(state):
@@ -73,31 +97,112 @@ def step(state):
             [(old[i], w) for i, w in gamma_in],
             [(old[i], w) for i, w in delta_in],
         ]
-        key = _exchange_key(monomials, old[k])
-        if key not in state.done:
-            try:
-                state.done[key] = exchange(monomials, old[k])
-            except NotDivisible as exc:
-                raise LaurentPhenomenonViolation(
-                    "vertex %d at time %d: %s" % (k + 1, c + 2, exc)
-                ) from exc
-        values[k] = state.done[key]
-    return BeltState(g=state.g, t=c + 1, values=tuple(values), done=state.done)
+        try:
+            values[k] = exchange(monomials, old[k])
+        except NotDivisible as exc:
+            raise LaurentPhenomenonViolation(
+                "vertex %d at time %d: %s" % (k + 1, c + 2, exc)
+            ) from exc
+    return BeltState(g=state.g, t=c + 1, values=tuple(values))
 
 
 def run_belt(g, steps):
     """Trajectory of steps+1 states starting from the initial cluster.
 
-    The states share one memo, so the run divides each distinct exchange
-    once; from t = N on, a 2N run replays its first half re-indexed by
-    sigma and is served by memo hits.
+    Every state equals the one stepping forward would give.  Past the
+    midpoint of the first N steps the run derives states by the mirror,
+    and past N by the replay (see the module docstring), wherever their
+    checks hold; everywhere else it steps.
     """
     if steps < 0:
         raise InputError("steps must be nonnegative")
-    out = [initial_state(g)]
-    for _ in range(steps):
-        out.append(step(out[-1]))
-    return out
+    states = [initial_state(g)]
+    try:
+        n_steps = g.half_period
+    except NotAdmissibleBigraph:
+        n_steps = None
+    if n_steps is not None:
+        first_half = min(steps, n_steps)
+        _advance(states, min(first_half, n_steps - n_steps // 2))
+        _mirror(g, states, n_steps, first_half)
+        _advance(states, first_half)
+        _replay(g, states, n_steps, steps)
+    _advance(states, steps)
+    return states
+
+
+def _advance(states, last):
+    """Step the run forward until it holds the state at time last."""
+    while len(states) <= last:
+        states.append(step(states[-1]))
+
+
+def mirror_candidates(g, n_steps):
+    """(pi, rhos) for the mirror about the midpoint of the first n_steps
+    steps, or None when there is no candidate: pi is the identity for
+    odd n_steps and the first colour-reversing automorphism for even
+    n_steps, and rhos lazily yields the first MIRROR_TRIES
+    colour-reversing automorphisms, each found only when it is tried."""
+    try:
+        rhos = automorphism_search(g, "colorReversing")
+    except SearchBoundExceeded:
+        return None
+    first = next(rhos, None)
+    if first is None:
+        return None
+    pi = tuple(range(g.n)) if n_steps % 2 else first
+    return pi, islice(chain([first], rhos), MIRROR_TRIES)
+
+
+def _mirror(g, states, n_steps, last):
+    """Derive the states after the midpoint M up to time last from the
+    ones before it, if some candidate passes the exact check at M."""
+    mid = len(states) - 1
+    if last <= mid:
+        return
+    candidates = mirror_candidates(g, n_steps)
+    if candidates is None:
+        return
+    pi, rhos = candidates
+    at_mid, source = states[mid].values, states[n_steps - mid].values
+    rho = next(
+        (
+            rho
+            for rho in rhos
+            if all(at_mid[k] == source[pi[k]].rename(rho) for k in range(g.n))
+        ),
+        None,
+    )
+    if rho is None:
+        return
+    for c in range(mid, last):
+        source = states[n_steps - c - 1].values
+        values = list(states[-1].values)
+        for k, _, _ in g.movers[c % 2]:
+            values[k] = source[pi[k]].rename(rho)
+        states.append(BeltState(g=g, t=c + 1, values=tuple(values)))
+
+
+def _replay(g, states, n_steps, steps):
+    """Re-index the states after time N from the ones before it, if the
+    state at N is the initial cluster relabeled by an automorphism whose
+    colour behaviour fits the parity of N."""
+    if steps <= n_steps:
+        return
+    try:
+        perm = sigma_from_cluster(states[n_steps].values)
+    except NoPermutationMatch:
+        return
+    if (
+        not _preserves_both(g, perm)
+        or classify_color_behavior(g, perm) != _expected_behavior(n_steps)
+    ):
+        return
+    for t in range(1, steps - n_steps + 1):
+        values = states[t].values
+        states.append(
+            BeltState(g=g, t=n_steps + t, values=tuple(values[j] for j in perm))
+        )
 
 
 def first_return(trajectory):
@@ -151,6 +256,14 @@ def sigma_from_cluster(values):
     return tuple(perm)
 
 
+def _preserves_both(g, perm):
+    return all(unmatched_entry(perm, m, m) is None for m in (g.gamma, g.delta))
+
+
+def _expected_behavior(n_steps):
+    return "preserving" if n_steps % 2 == 0 else "reversing"
+
+
 def half_period(g):
     """Run to t = h_Gamma + h_Delta and classify the relabeling found there."""
     return read_half_period(g, run_belt(g, g.half_period))
@@ -161,15 +274,14 @@ def read_half_period(g, states):
     n_steps = g.half_period
     perm = sigma_from_cluster(states[n_steps].values)
     sigma = automorphism(g, perm)
-    if any(unmatched_entry(perm, m, m) is not None for m in (g.gamma, g.delta)):
+    if not _preserves_both(g, perm):
         raise ClaimViolation(
             "half-period permutation does not preserve (Gamma, Delta)"
         )
     if sigma.order > 2:
         raise ClaimViolation("half-period permutation has order above two")
     behavior = classify_color_behavior(g, perm)
-    expected = "preserving" if n_steps % 2 == 0 else "reversing"
-    if behavior != expected:
+    if behavior != _expected_behavior(n_steps):
         raise ClaimViolation(
             "color behavior %s does not match parity of N=%d" % (behavior, n_steps)
         )

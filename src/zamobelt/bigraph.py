@@ -477,23 +477,42 @@ def unmatched_entry(perm, src, dst):
 
 
 def find_automorphisms(g, kind="all", bound=16):
-    """All permutations fixing both unsigned matrices, filtered by kind.
+    """All permutations fixing both unsigned matrices, of the given kind.
 
     kind: "all", "colorPreserving", or "colorReversing".  Backtracking
     keeps the search sound for every n, but n is capped to keep runtime
     at desk scale.
     """
+    return [automorphism(g, p) for p in automorphism_search(g, kind, bound)]
+
+
+def automorphism_search(g, kind="all", bound=16):
+    """Lazily, in lex order, each permutation fixing both unsigned
+    matrices whose colour behaviour is kind; see find_automorphisms.
+
+    The colour is a condition of placing each vertex, not a filter: the
+    search relabels (Gamma, Delta) onto itself with each vertex's colour
+    on the diagonal, swapped on the target side for "colorReversing".
+    Raises SearchBoundExceeded at once when n is over the bound.
+    """
     if g.n > bound:
         raise SearchBoundExceeded(
             "automorphism search on %d vertices exceeds bound %d" % (g.n, bound)
         )
-    pairs = tuple(tuple(zip(gr, dr)) for gr, dr in zip(g.gamma, g.delta))
-    out = [automorphism(g, p) for p in dynkin.relabelings(pairs, pairs)]
-    if kind == "colorPreserving":
-        return [a for a in out if a.kind == "bicolored"]
-    if kind == "colorReversing":
-        return [a for a in out if a.kind == "colorReversing"]
-    return out
+    coloured = kind in ("colorPreserving", "colorReversing")
+    colours = [g.eta(k) if coloured else 0 for k in range(g.n)]
+    targets = [1 - c for c in colours] if kind == "colorReversing" else colours
+
+    def marked(marks):
+        return tuple(
+            tuple(
+                (gv, dv, marks[i] if i == j else -1)
+                for j, (gv, dv) in enumerate(zip(gamma_row, delta_row))
+            )
+            for i, (gamma_row, delta_row) in enumerate(zip(g.gamma, g.delta))
+        )
+
+    return dynkin.relabelings(marked(colours), marked(targets))
 
 
 def orbits_of(perm):

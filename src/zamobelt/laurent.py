@@ -21,8 +21,10 @@ slice with the products waiting to land in it, a remainder) goes
 through one accumulate loop, `_slice_product`.
 
 The public boundary stays on exponent tuples: the constructor takes a
-{tuple: coefficient} map, `terms` gives one back, and `render` and the
-degree readers speak in exponent vectors.
+{tuple: coefficient} map, `terms` gives one back, and `render` and
+`denominator_vector` speak in exponent vectors.  `rename` permutes the
+variables by moving the exponent fields of every key, with no
+arithmetic on terms.
 
 Coefficients stay integers throughout: the exchange dynamics only ever
 needs ring operations plus exact division, and a rational coefficient
@@ -32,6 +34,7 @@ showing up anywhere would mean an invariant was already broken upstream.
 import functools
 import heapq
 import struct
+from array import array
 from operator import add, gt, sub
 
 from .errors import (
@@ -450,13 +453,40 @@ class Laurent:
         )
         return _new(n, rem, *_scan(rem, n))
 
-    # -- degrees ---------------------------------------------------------
+    # -- renaming --------------------------------------------------------
 
-    def degree_profile(self):
-        """Per-variable (min, max) exponent pairs over all terms."""
-        if self.is_zero():
-            raise ZeroPolynomial("degree profile of the zero polynomial")
-        return tuple(zip(self._lo, self._hi))
+    def rename(self, perm):
+        """This polynomial with each x_{i+1} renamed x_{perm[i]+1}.
+
+        For a permutation perm of range(nvars) this is a ring
+        automorphism.  It moves each key's exponent fields, all terms at
+        once through one array of fields, so it neither multiplies nor
+        divides, and the degree bounds permute with the fields.
+        """
+        n = self.nvars
+        if sorted(perm) != list(range(n)):
+            raise ValueError("%r is not a permutation of %d variables" % (perm, n))
+        packed = self._packed
+        if not packed:
+            return self
+        width = FIELD_BITS // 8 * n
+        fields = array(
+            _STRUCT_CODE, b"".join(key.to_bytes(width, "big") for key in packed)
+        )
+        moved = array(_STRUCT_CODE, fields)
+        for i, j in enumerate(perm):
+            moved[j::n] = fields[i::n]
+        raw = moved.tobytes()
+        keys = [
+            int.from_bytes(raw[p : p + width], "big")
+            for p in range(0, len(raw), width)
+        ]
+        lo, hi = [None] * n, [None] * n
+        for i, j in enumerate(perm):
+            lo[j], hi[j] = self._lo[i], self._hi[i]
+        return _new(n, dict(zip(keys, packed.values())), tuple(lo), tuple(hi))
+
+    # -- degrees ---------------------------------------------------------
 
     def denominator_vector(self):
         """Negated per-variable minimum exponents."""

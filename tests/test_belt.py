@@ -1,5 +1,8 @@
 """Symbolic belt recursion: periodicity, half-period permutation, censuses."""
 
+import importlib.util
+import pathlib
+
 import pytest
 import sympy
 
@@ -10,8 +13,12 @@ from zamobelt.errors import (
     InputError,
     LaurentPhenomenonViolation,
     NoPermutationMatch,
+    NotAdmissibleBigraph,
+    SearchBoundExceeded,
 )
 from zamobelt.laurent import Laurent, variables
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def to_sympy(value: Laurent, symbols: list) -> sympy.Expr:
@@ -85,33 +92,59 @@ def test_laurent_positivity_along_the_run():
                 assert all(c > 0 for c in value.terms.values()), name
 
 
-# -- the run's memo of exact quotients --------------------------------------------
+# -- derived states against forward steps --------------------------------------
 
 
-def memo_free_trajectory(g, steps):
-    """Step from a hand-built copy of each state, so every step starts
-    with an empty memo and no quotient carries over from an earlier one."""
+def _sweep_targets():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "bench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SWEEP_TARGETS
+
+
+def forward_trajectory(g, steps):
+    """Step from the initial cluster with `belt.step` alone: no state
+    is derived."""
     out = [belt.initial_state(g)]
     for _ in range(steps):
-        state = out[-1]
-        out.append(belt.step(belt.BeltState(g=state.g, t=state.t, values=state.values)))
+        out.append(belt.step(out[-1]))
     return out
+
+
+def midpoint(g):
+    return g.half_period - g.half_period // 2
 
 
 @pytest.mark.parametrize(
     "name", [name for name in bg.catalog_names() if name != "fig2-F4xA2"]
 )
 def test_memo_changes_no_value(name):
+    # every state of a 2N run, derived or stepped, is the stepped one
     g = bg.catalog(name)
     states = belt.run_belt(g, 2 * g.half_period)
-    reference = memo_free_trajectory(g, 2 * g.half_period)
+    reference = forward_trajectory(g, 2 * g.half_period)
     for state, expected in zip(states, reference):
         assert state == expected, (name, state.t)
 
 
+@pytest.mark.parametrize(
+    "name", list(dict.fromkeys(bg.catalog_names() + _sweep_targets()))
+)
+def test_derived_run_matches_forward_steps(name):
+    g = bg.catalog(name)
+    n_steps = g.half_period
+    mid = midpoint(g)
+    reference = forward_trajectory(g, 2 * n_steps + 3)
+    for steps in (mid, mid + 1, n_steps, 2 * n_steps, 2 * n_steps + 3):
+        states = belt.run_belt(g, steps)
+        assert states == reference[: steps + 1], (name, steps)
+
+
 @pytest.mark.parametrize("name", bg.catalog_names())
 def test_second_half_replays_the_first_relabeled_by_sigma(name):
-    # the reason a 2N run is served by memo hits from t = N on
+    # the identity a 2N run re-indexes its states by from t = N on
     g = bg.catalog(name)
     n_steps = g.half_period
     states = belt.run_belt(g, 2 * n_steps)
@@ -122,58 +155,162 @@ def test_second_half_replays_the_first_relabeled_by_sigma(name):
             assert later[k] == earlier[sigma(k)], (name, t, k)
 
 
-def test_belt_state_equality_and_hash_ignore_the_memo():
-    g = bg.catalog("A3")
-    states = belt.run_belt(g, 4)
-    bare = belt.BeltState(g=g, t=4, values=states[4].values)
-    assert bare.done == {} and states[4].done
-    assert bare == states[4] and hash(bare) == hash(states[4])
-    assert "done" not in repr(bare)
+def count_steps(monkeypatch):
+    calls = []
+    real_step = belt.step
+
+    def counting_step(state):
+        calls.append(state.t)
+        return real_step(state)
+
+    monkeypatch.setattr(belt, "step", counting_step)
+    return calls
 
 
-def test_memo_is_shared_within_a_run_and_fresh_for_each_run():
-    g = bg.catalog("A3")
-    first, second = belt.run_belt(g, 3), belt.run_belt(g, 3)
-    assert all(state.done is first[0].done for state in first)
-    assert first[0].done is not second[0].done
-    assert belt.initial_state(g).done == {}
-    assert belt.BeltState(g=g, t=0, values=first[0].values).done is not first[0].done
+@pytest.mark.parametrize("name", ["A2", "A2xA2", "fig2-F4xA2"])
+def test_mirror_steps_only_to_the_midpoint(name, monkeypatch):
+    # odd N (A2, fig2) mirrors with pi = id; even N (A2xA2) with a
+    # colour-reversing pi
+    g = bg.catalog(name)
+    calls = count_steps(monkeypatch)
+    belt.run_belt(g, 2 * g.half_period)
+    assert calls == list(range(midpoint(g)))
 
 
-def test_exchange_key_counts_repeated_factors():
-    x1, x2 = variables(2)
-    square, single = [(x1, 1), (x1, 1)], [(x1, 1)]
-    # a plain frozenset of the pairs would make x1 * x1 and x1 collide
-    assert frozenset(square) == frozenset(single)
-    assert belt._exchange_key([square, []], x2) != belt._exchange_key([single, []], x2)
-    assert belt._exchange_key([[], square], x2) != belt._exchange_key([[], single], x2)
+@pytest.mark.parametrize("name", ["A3", "E6"])
+def test_even_n_without_a_colour_reversing_automorphism_steps_to_n(name, monkeypatch):
+    g = bg.catalog(name)
+    assert g.half_period % 2 == 0
+    assert bg.find_automorphisms(g, "colorReversing") == []
+    assert belt.mirror_candidates(g, g.half_period) is None
+    calls = count_steps(monkeypatch)
+    states = belt.run_belt(g, 2 * g.half_period)
+    assert calls == list(range(g.half_period))
+    assert states == forward_trajectory(g, 2 * g.half_period)
 
 
-def test_exchange_key_reads_each_monomial_as_a_multiset_in_order():
-    x1, x2, x3 = variables(3)
-    ab, ba = [(x1, 1), (x2, 2)], [(x2, 2), (x1, 1)]
-    assert belt._exchange_key([ab, [(x3, 1)]], x3) == belt._exchange_key(
-        [ba, [(x3, 1)]], x3
-    )
-    # two equal monomials stay two: the sum is 2 * monomial, not monomial
-    twice = belt._exchange_key([ab, ab], x3)
-    assert twice != belt._exchange_key([ab, []], x3)
-    assert twice != belt._exchange_key([ab], x3)
-    assert belt._exchange_key([ab, []], x2) != belt._exchange_key([ab, []], x3)
+def test_mirror_check_rejects_a_perturbed_midpoint_value():
+    for name in ("A4", "A2xA2"):
+        g = bg.catalog(name)
+        n_steps, mid = g.half_period, midpoint(g)
+        states = forward_trajectory(g, mid)
+        at_mid = list(states[mid].values)
+        for k in range(g.n):
+            perturbed = at_mid[:k] + [at_mid[k] + 1] + at_mid[k + 1 :]
+            run = states[:mid] + [belt.BeltState(g=g, t=mid, values=tuple(perturbed))]
+            belt._mirror(g, run, n_steps, n_steps)
+            assert len(run) == mid + 1, (name, k)
+        derived = list(states)
+        belt._mirror(g, derived, n_steps, n_steps)
+        assert derived == forward_trajectory(g, n_steps), name
 
 
-def test_failed_exchange_is_not_stored():
+def test_mirror_check_rejects_a_wrong_rho_and_the_run_steps(monkeypatch):
+    g = bg.catalog("A4")
+    n_steps = g.half_period
+    pi, rhos = belt.mirror_candidates(g, n_steps)
+    rhos = list(rhos)
+    wrong = tuple(range(g.n))  # colour-preserving: never the mirror's rho
+    monkeypatch.setattr(belt, "mirror_candidates", lambda *_: (pi, [wrong]))
+    calls = count_steps(monkeypatch)
+    states = belt.run_belt(g, 2 * n_steps)
+    assert calls == list(range(n_steps))
+    assert states == forward_trajectory(g, 2 * n_steps)
+    # a wrong candidate ahead of the right one is passed over
+    monkeypatch.setattr(belt, "mirror_candidates", lambda *_: (pi, [wrong, *rhos]))
+    calls.clear()
+    assert belt.run_belt(g, 2 * n_steps) == states
+    assert calls == list(range(midpoint(g)))
+
+
+def test_mirror_tries_at_most_a_fixed_number_of_rhos(monkeypatch):
+    # the right rho behind MIRROR_TRIES wrong ones is never reached
+    g = bg.catalog("A4")
+    n_steps = g.half_period
+    right = list(bg.automorphism_search(g, "colorReversing"))
+    wrong = [tuple(range(g.n))] * belt.MIRROR_TRIES
+    monkeypatch.setattr(belt, "automorphism_search", lambda *_: iter(wrong + right))
+    reference = forward_trajectory(g, 2 * n_steps)
+    calls = count_steps(monkeypatch)
+    assert belt.run_belt(g, 2 * n_steps) == reference
+    assert calls == list(range(n_steps))
+    # one fewer wrong rho, and the right one is reached
+    monkeypatch.setattr(belt, "automorphism_search", lambda *_: iter(wrong[1:] + right))
+    calls.clear()
+    assert belt.run_belt(g, 2 * n_steps) == reference
+    assert calls == list(range(midpoint(g)))
+
+
+def test_mirror_candidates():
+    a2 = bg.catalog("A2")  # N = 5: pi is the identity
+    pi, rhos = belt.mirror_candidates(a2, a2.half_period)
+    assert (pi, list(rhos)) == ((0, 1), [(1, 0)])
+    g = bg.catalog("A2xA2")  # N = 6: pi is the first colour-reversing one
+    pi, rhos = belt.mirror_candidates(g, g.half_period)
+    rhos = list(rhos)
+    assert rhos == [tuple(a) for a in bg.find_automorphisms(g, "colorReversing")]
+    assert pi == rhos[0] and len(rhos) == 2
+
+
+def test_mirror_candidates_none_beyond_the_search_bound():
+    g = bg.catalog("A9xA2")
+    assert g.n == 18 and g.half_period % 2 == 1
+    with pytest.raises(SearchBoundExceeded):
+        bg.find_automorphisms(g, "colorReversing")
+    assert belt.mirror_candidates(g, g.half_period) is None
+
+
+def disjoint_a2s(copies):
+    # whites first, then blacks: copy c joins vertex c to vertex copies + c
+    n = 2 * copies
+    b = [[0] * n for _ in range(n)]
+    for c in range(copies):
+        b[c][copies + c], b[copies + c][c] = 1, -1
+    return bg.from_json({"n": n, "b": b, "epsilon": ["w"] * copies + ["b"] * copies})
+
+
+def zero_bigraph(n):
+    b = [[0] * n for _ in range(n)]
+    return bg.from_json({"n": n, "b": b, "epsilon": ["w", "b"] * (n // 2)})
+
+
+@pytest.mark.parametrize(
+    "g", [disjoint_a2s(8), zero_bigraph(12)], ids=["8xA2", "zero-b-12"]
+)
+def test_mirror_on_a_large_symmetry_group_draws_one_candidate(g, monkeypatch):
+    # 8! and 6!^2 colour-reversing automorphisms; the first passes
+    drawn = []
+    search = bg.automorphism_search
+
+    def counting_search(*args):
+        for perm in search(*args):
+            drawn.append(perm)
+            yield perm
+
+    monkeypatch.setattr(belt, "automorphism_search", counting_search)
+    n_steps = g.half_period
+    for steps in (n_steps, 2 * n_steps + 3):
+        drawn.clear()
+        assert belt.run_belt(g, steps) == forward_trajectory(g, steps)
+        assert len(drawn) == 1, steps
+
+
+def test_belt_outside_the_theorem_steps_forward():
+    # the Kronecker bigraph is recurrent but affine: it has no half period
+    g = bg.from_json({"n": 2, "b": [[0, 2], [-2, 0]], "epsilon": ["w", "b"]})
+    with pytest.raises(NotAdmissibleBigraph):
+        g.half_period
+    assert belt.run_belt(g, 9) == forward_trajectory(g, 9)
+
+
+def test_failed_exchange_names_its_vertex_and_time():
     # vertex 1 of A2 moves first: (x2 + 1) / (x1 + 1) is not a Laurent polynomial
     g = bg.catalog("A2")
     x1, x2 = variables(2)
     state = belt.BeltState(g=g, t=0, values=(x1 + 1, x2))
-    texts = []
-    for _ in range(2):
-        with pytest.raises(LaurentPhenomenonViolation) as info:
-            belt.step(state)
-        texts.append(str(info.value))
-        assert state.done == {}
-    assert texts[0] == texts[1] and texts[0].startswith("vertex 1 at time 2: ")
+    with pytest.raises(LaurentPhenomenonViolation) as info:
+        belt.step(state)
+    assert str(info.value).startswith("vertex 1 at time 2: ")
 
 
 # -- periodicity ---------------------------------------------------------------
@@ -304,3 +441,29 @@ def test_denominator_vectors_of_a2_window():
     states = belt.run_belt(g, 3)
     seen = {v.denominator_vector() for s in states for v in s.values}
     assert seen == {(-1, 0), (0, -1), (1, 0), (1, 1), (0, 1)}
+
+
+def test_replay_needs_an_automorphism_with_the_colour_behaviour_of_n():
+    a2 = bg.catalog("A2")  # N = 5: sigma must reverse colours
+    run = relabeled_run(a2, (0, 1))
+    belt._replay(a2, run, 5, 10)
+    assert len(run) == 6
+    # A5 has N = 8; swapping an end with the middle vertex keeps the
+    # colours but breaks Gamma
+    a5 = bg.catalog("A5")
+    ends = [k for k in range(a5.n) if sum(map(bool, a5.gamma[k])) == 1]
+    middle = next(k for k in range(a5.n) if sum(map(bool, a5.gamma[k])) == 2
+                  and a5.eta(k) == a5.eta(ends[0]))
+    perm = tuple({ends[0]: middle, middle: ends[0]}.get(i, i) for i in range(a5.n))
+    assert bg.classify_color_behavior(a5, perm) == "preserving"
+    run = relabeled_run(a5, perm)
+    belt._replay(a5, run, 8, 16)
+    assert len(run) == 9
+    x1, x2 = variables(2)
+    run = relabeled_run(a2, (1, 0))
+    run[-1] = belt.BeltState(g=a2, t=5, values=(x2, x1 + 1))
+    belt._replay(a2, run, 5, 10)
+    assert len(run) == 6
+    run = forward_trajectory(a2, 5)
+    belt._replay(a2, run, 5, 12)
+    assert run == forward_trajectory(a2, 12)

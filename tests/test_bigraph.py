@@ -336,6 +336,29 @@ def test_automorphism_group_of_figure_one():
     assert all(a.order in (1, 2) for a in autos)
 
 
+@pytest.mark.parametrize("name", bg.catalog_names() + ["A2xA4", "D4xA2", "E6xA2"])
+def test_colour_kinds_are_the_colour_classes_of_all_automorphisms(name):
+    # colour is a placement condition of the search; it must keep exactly
+    # the automorphisms a filter on "all" keeps, in the same order
+    g = bg.catalog(name)
+    every = bg.find_automorphisms(g)
+    for kind, label in (("colorPreserving", "bicolored"), ("colorReversing",) * 2):
+        assert bg.find_automorphisms(g, kind) == [a for a in every if a.kind == label]
+
+
+def test_automorphism_search_is_lazy():
+    # 12 isolated vertices, 6 of each colour: 6!^2 colour-reversing
+    # automorphisms, of which the first comes without enumerating the rest
+    n = 12
+    g = bg.from_json(
+        {"n": n, "b": [[0] * n for _ in range(n)], "epsilon": ["w", "b"] * 6}
+    )
+    search = bg.automorphism_search(g, "colorReversing")
+    assert next(search) == (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10)
+    assert next(search) == (1, 0, 3, 2, 5, 4, 7, 6, 9, 10, 11, 8)
+    assert list(bg.automorphism_search(bg.catalog("E7"), "colorReversing")) == []
+
+
 def test_fold_a3_by_flip_gives_rank_two_doubled_edge():
     g = bg.catalog("A3")
     flip = next(a for a in bg.find_automorphisms(g) if not a.is_identity)

@@ -8,9 +8,10 @@ import pytest
 
 import zamobelt.belt as belt
 import zamobelt.bigraph as bg
+import zamobelt.laurent as laurent
 import zamobelt.tropical as tropical
 from zamobelt.cli import main, run_experiment
-from zamobelt.errors import InputError
+from zamobelt.errors import InputError, TermGuardExceeded
 from zamobelt.laurent import Laurent
 
 
@@ -204,6 +205,48 @@ def test_term_guard_flag_overrides_environment(capsys, monkeypatch):
     assert code == 0
 
 
+def test_term_guard_applies_only_to_the_exchanges_a_run_makes(
+    tmp_path, capsys, monkeypatch
+):
+    # A2xA4 with its vertices relabeled (N = 8, midpoint M = 4): a
+    # 16-step belt run makes the exchanges of steps 0..3, which hold at
+    # most 20 terms, and derives the rest.  Made, the exchange of step 4
+    # holds 24: its mirror source is renamed, which changes the variable
+    # x1 and so how the dividend is sliced
+    b = [
+        [0, 0, 1, 0, 0, 1, 0, -1],
+        [0, 0, 0, 1, 0, -1, 0, 1],
+        [-1, 0, 0, 0, 1, 0, 0, 0],
+        [0, -1, 0, 0, 0, 0, 1, 0],
+        [0, 0, -1, 0, 0, 0, 0, 1],
+        [-1, 1, 0, 0, 0, 0, -1, 0],
+        [0, 0, 0, -1, 0, 1, 0, 0],
+        [1, -1, 0, 0, -1, 0, 0, 0],
+    ]
+    spec = {"n": 8, "b": b, "epsilon": list("bbwwbwbw")}
+    # main leaves its guard set; restore the one in force after the test
+    monkeypatch.setattr(laurent, "_term_guard", laurent.get_term_guard())
+    path = tmp_path / "a2xa4.json"
+    path.write_text(json.dumps(spec))
+    code, unguarded, _ = run(capsys, "belt", str(path), "--steps", "16")
+    assert code == 0
+    assert run(capsys, "belt", str(path), "--steps", "16", "--term-guard", "20") == (
+        0,
+        unguarded,
+        "",
+    )
+    code, _, err = run(capsys, "belt", str(path), "--steps", "16", "--term-guard", "19")
+    assert code == 2 and "polynomial has 20 terms, guard is 19" in err
+    # stepping forward through every exchange trips that guard at step 4
+    g = bg.from_json(spec)
+    states = [belt.initial_state(g)]
+    laurent.set_term_guard(20)
+    with pytest.raises(TermGuardExceeded, match="24 terms"):
+        while True:
+            states.append(belt.step(states[-1]))
+    assert g.half_period == 8 and len(states) - 1 == 4
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     first = run(capsys, "halfperiod", "A2xA3")
     second = run(capsys, "halfperiod", "A2xA3")
@@ -282,7 +325,9 @@ def test_halfperiod_steps_the_belt_once(capsys, monkeypatch):
     monkeypatch.setattr(belt, "step", counting_step)
     code, _, _ = run(capsys, "halfperiod", "A3")
     assert code == 0
-    assert calls == list(range(2 * bg.catalog("A3").half_period))
+    # A3 has no mirror (N = 6, no colour-reversing automorphism): it
+    # steps to N once, and the second half re-indexes by sigma
+    assert calls == list(range(bg.catalog("A3").half_period))
 
 
 def count_exchanges(monkeypatch):
@@ -308,8 +353,8 @@ def vertex_moves(g, steps):
 
 
 def test_halfperiod_divides_only_in_the_first_half(capsys, monkeypatch):
-    # from t = N on, each exchange is the sigma-relabeled image of one
-    # made in the first half, so the run's memo serves it
+    # from t = N on, each state is a state of the first half re-indexed
+    # by sigma, so the run makes no exchange there
     calls = count_exchanges(monkeypatch)
     g = bg.catalog("A3")
     code, _, _ = run(capsys, "halfperiod", "A3")
@@ -327,13 +372,15 @@ def test_long_belt_divides_each_distinct_exchange_once(capsys, monkeypatch):
     assert max(calls) < g.half_period
 
 
-def test_figure_two_halfperiod_divides_sixty_times(capsys, monkeypatch):
+def test_figure_two_halfperiod_divides_thirty_two_times(capsys, monkeypatch):
+    # N = 15: the run steps to the midpoint M = 8 and mirrors the rest
     calls = count_exchanges(monkeypatch)
     g = bg.catalog("fig2-F4xA2")
+    mid = g.half_period - g.half_period // 2
     code, _, _ = run(capsys, "halfperiod", "fig2-F4xA2")
     assert code == 0
-    assert len(calls) == vertex_moves(g, g.half_period) == 60
-    assert max(calls) < g.half_period
+    assert len(calls) == vertex_moves(g, mid) == 32
+    assert max(calls) < mid
 
 
 @pytest.mark.parametrize(

@@ -168,26 +168,34 @@ def test_divexact_by_zero():
 # -- degrees, denominators, rendering -------------------------------------
 
 
+def profile(p: Laurent) -> tuple:
+    """Per-variable (min, max) exponent pairs: the carried degree bounds."""
+    return tuple(zip(p._lo, p._hi))
+
+
 def test_degree_profile_and_denominator_vector():
     x1, x2 = variables(2)
     p = (x2 + 1).divexact(x1)  # (x2 + 1)/x1
-    assert p.degree_profile() == ((-1, -1), (0, 1))
+    assert profile(p) == ((-1, -1), (0, 1))
     assert p.denominator_vector() == (1, 0)
     assert x1.denominator_vector() == (-1, 0)
 
 
 def test_degree_profile_of_zero_raises():
+    # the zero polynomial carries no bounds, so it has no denominator vector
+    zero = Laurent.zero(2)
+    assert zero._lo is None and zero._hi is None
     with pytest.raises(ZeroPolynomial):
-        Laurent.zero(2).degree_profile()
+        zero.denominator_vector()
 
 
 @given(a=polys(min_terms=1), b=polys(min_terms=1))
 @settings(max_examples=60)
 def test_degree_profile_additive_under_product(a: Laurent, b: Laurent):
     # extreme degrees add under multiplication over an integral domain
-    pa = a.degree_profile()
-    pb = b.degree_profile()
-    pc = (a * b).degree_profile()
+    pa = profile(a)
+    pb = profile(b)
+    pc = profile(a * b)
     for v in range(NVARS):
         assert pc[v][0] == pa[v][0] + pb[v][0]
         assert pc[v][1] == pa[v][1] + pb[v][1]
@@ -322,7 +330,7 @@ def agrees(packed: Laurent, ref: dict) -> bool:
     """Same terms, text and degree bounds, the last carried, not rescanned."""
     if packed.terms != ref or packed.render() != ref_render(ref):
         return False
-    return not ref or packed.degree_profile() == tuple(zip(*ref_bounds(ref)))
+    return not ref or profile(packed) == tuple(zip(*ref_bounds(ref)))
 
 
 @given(a=polys(), b=polys())
@@ -491,7 +499,7 @@ def test_field_end_exponents_round_trip():
     ends = (-BIAS, BIAS - 1, 0)
     p = Laurent(3, {ends: 5, (BIAS - 1, -BIAS, 1): -2})
     assert p.terms == {ends: 5, (BIAS - 1, -BIAS, 1): -2}
-    assert p.degree_profile() == ((-BIAS, BIAS - 1), (-BIAS, BIAS - 1), (0, 1))
+    assert profile(p) == ((-BIAS, BIAS - 1), (-BIAS, BIAS - 1), (0, 1))
     assert p.render() == "-2*x1^%d*x2^%d*x3 + 5*x1^%d*x2^%d" % (
         BIAS - 1, -BIAS, -BIAS, BIAS - 1
     )
@@ -579,3 +587,68 @@ def test_a_constant_hashes_as_the_int_it_equals():
 def test_constant_hash_agrees_with_int_equality(c, n):
     p = Laurent.const(c, n)
     assert p == c and hash(p) == hash(c)
+
+
+# -- renaming the variables --------------------------------------------------
+
+
+def permutations() -> st.SearchStrategy:
+    return st.permutations(range(NVARS)).map(tuple)
+
+
+def inverse(perm: tuple) -> tuple:
+    out = [None] * len(perm)
+    for i, j in enumerate(perm):
+        out[j] = i
+    return tuple(out)
+
+
+def test_rename_golden():
+    x1, x2, x3 = variables(3)
+    p = 3 * x1**2 * x2 ** (-1) + x3 - 5
+    # x1 -> x2, x2 -> x3, x3 -> x1
+    assert p.rename((1, 2, 0)) == 3 * x2**2 * x3 ** (-1) + x1 - 5
+    assert x1.rename((2, 0, 1)) == x3
+    assert Laurent.zero(3).rename((1, 0, 2)) == 0
+    ends = Laurent(3, {(-BIAS, BIAS - 1, 0): 5})
+    assert ends.rename((2, 0, 1)).terms == {(BIAS - 1, 0, -BIAS): 5}
+
+
+def test_rename_needs_a_permutation():
+    x1, _ = variables(2)
+    for bad in ((0, 0), (0,), (0, 1, 2), (1, 2)):
+        with pytest.raises(ValueError):
+            x1.rename(bad)
+
+
+@given(a=polys(), perm=permutations())
+def test_rename_moves_each_exponent_to_its_new_variable(a, perm):
+    moved = {
+        tuple(exps[inverse(perm)[j]] for j in range(NVARS)): c
+        for exps, c in a.terms.items()
+    }
+    assert a.rename(perm).terms == moved
+
+
+@given(a=polys(), b=polys(), perm=permutations())
+def test_rename_is_a_ring_automorphism(a, b, perm):
+    assert (a * b).rename(perm) == a.rename(perm) * b.rename(perm)
+    assert (a + b).rename(perm) == a.rename(perm) + b.rename(perm)
+    assert a.rename(perm).rename(inverse(perm)) == a
+
+
+@given(a=polys(min_terms=1), perm=permutations())
+def test_rename_permutes_the_degree_bounds_exactly(a, perm):
+    renamed = profile(a.rename(perm))
+    assert all(renamed[j] == profile(a)[i] for i, j in enumerate(perm))
+    # the carried bounds are the exact bounds of the renamed terms
+    assert renamed == tuple(zip(*ref_bounds(a.rename(perm).terms)))
+
+
+@given(a=polys(), b=polys(), perm=permutations())
+def test_rename_keeps_equality_and_hash_consistent(a, b, perm):
+    ra, rb = a.rename(perm), b.rename(perm)
+    assert (ra == rb) == (a == b)
+    assert hash(ra) == hash(Laurent(NVARS, ra.terms))
+    if a == b:
+        assert hash(ra) == hash(rb)
