@@ -35,7 +35,6 @@ from .green import frozen_isomorphism_check, verify_bipartite_belt_mgs
 from .laurent import Laurent, set_term_guard, variables
 from .tropical import (
     colored_census,
-    census_with_tie_policy,
     dual_transfer_check,
     tropical_half_period,
     tropical_period,
@@ -53,7 +52,6 @@ __all__ = [
     "catalog",
     "catalog_names",
     "catalog_version",
-    "census_with_tie_policy",
     "cluster_variable_census",
     "colored_census",
     "coxeter_number",

@@ -37,11 +37,12 @@ first that passes; so a bigraph with a huge symmetry group costs a few
 tries, not its group.  Nothing relies on the theorem: without a passing
 candidate the run steps forward.
 
-Replay.  If S_N holds the initial variables relabeled by a permutation
-sigma that is an automorphism of (Gamma, Delta), colour-preserving for
-even N and colour-reversing for odd N, then S_{N+t}[k] = S_t[sigma(k)]
-for every t by the same argument, so the run re-indexes states from
-there on.  Otherwise it steps forward.
+Replay.  If read_half_period accepts S_N, it holds the initial
+variables relabeled by an involution sigma of (Gamma, Delta),
+colour-preserving for even N and colour-reversing for odd N.  Then
+S_{N+t}[k] = S_t[sigma(k)] for every t by the same argument, so the run
+re-indexes states from there on.  If the verdict rejects S_N, the run
+steps forward.
 """
 
 from collections import Counter
@@ -51,7 +52,6 @@ from itertools import chain, islice
 from . import dynkin
 from .bigraph import (
     Automorphism,
-    automorphism,
     automorphism_search,
     classify_color_behavior,
     unmatched_entry,
@@ -184,19 +184,13 @@ def _mirror(g, states, n_steps, last):
 
 
 def _replay(g, states, n_steps, steps):
-    """Re-index the states after time N from the ones before it, if the
-    state at N is the initial cluster relabeled by an automorphism whose
-    colour behaviour fits the parity of N."""
+    """Re-index the states after time N from the ones before it, if
+    read_half_period accepts the state at N."""
     if steps <= n_steps:
         return
     try:
-        perm = sigma_from_cluster(states[n_steps].values)
-    except NoPermutationMatch:
-        return
-    if (
-        not _preserves_both(g, perm)
-        or classify_color_behavior(g, perm) != _expected_behavior(n_steps)
-    ):
+        perm = read_half_period(g, states).sigma.perm
+    except ClaimViolation:
         return
     for t in range(1, steps - n_steps + 1):
         values = states[t].values
@@ -256,14 +250,6 @@ def sigma_from_cluster(values):
     return tuple(perm)
 
 
-def _preserves_both(g, perm):
-    return all(unmatched_entry(perm, m, m) is None for m in (g.gamma, g.delta))
-
-
-def _expected_behavior(n_steps):
-    return "preserving" if n_steps % 2 == 0 else "reversing"
-
-
 def half_period(g):
     """Run to t = h_Gamma + h_Delta and classify the relabeling found there."""
     return read_half_period(g, run_belt(g, g.half_period))
@@ -273,15 +259,15 @@ def read_half_period(g, states):
     """Classify the relabeling held at t = N by a belt run from t = 0."""
     n_steps = g.half_period
     perm = sigma_from_cluster(states[n_steps].values)
-    sigma = automorphism(g, perm)
-    if not _preserves_both(g, perm):
+    sigma = Automorphism(perm)
+    if any(unmatched_entry(perm, m, m) is not None for m in (g.gamma, g.delta)):
         raise ClaimViolation(
             "half-period permutation does not preserve (Gamma, Delta)"
         )
     if sigma.order > 2:
         raise ClaimViolation("half-period permutation has order above two")
     behavior = classify_color_behavior(g, perm)
-    if behavior != _expected_behavior(n_steps):
+    if behavior != ("preserving" if n_steps % 2 == 0 else "reversing"):
         raise ClaimViolation(
             "color behavior %s does not match parity of N=%d" % (behavior, n_steps)
         )

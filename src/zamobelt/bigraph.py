@@ -37,6 +37,9 @@ from .errors import (
 WHITE = "w"
 BLACK = "b"
 
+# The automorphism search refuses bigraphs on more vertices than this.
+SEARCH_BOUND = 16
+
 
 def _freeze(rows):
     return tuple(tuple(row) for row in rows)
@@ -419,7 +422,6 @@ def _cycles(perm):
 @dataclass(frozen=True)
 class Automorphism:
     perm: tuple
-    kind: str
 
     def __call__(self, i):
         return self.perm[i]
@@ -454,14 +456,6 @@ def classify_color_behavior(g, perm):
     return "mixed"
 
 
-def automorphism(g, perm):
-    """perm as an Automorphism of g, its kind named by its color behavior."""
-    kind = {"preserving": "bicolored", "reversing": "colorReversing"}.get(
-        classify_color_behavior(g, perm), "general"
-    )
-    return Automorphism(perm=tuple(perm), kind=kind)
-
-
 def unmatched_entry(perm, src, dst):
     """First (i, j) with src[i][j] != dst[perm[i]][perm[j]], or None."""
     n = len(perm)
@@ -476,28 +470,29 @@ def unmatched_entry(perm, src, dst):
     )
 
 
-def find_automorphisms(g, kind="all", bound=16):
+def find_automorphisms(g, kind="all"):
     """All permutations fixing both unsigned matrices, of the given kind.
 
     kind: "all", "colorPreserving", or "colorReversing".  Backtracking
-    keeps the search sound for every n, but n is capped to keep runtime
-    at desk scale.
+    keeps the search sound for every n, but n is capped at
+    SEARCH_BOUND to keep runtime at desk scale.
     """
-    return [automorphism(g, p) for p in automorphism_search(g, kind, bound)]
+    return [Automorphism(p) for p in automorphism_search(g, kind)]
 
 
-def automorphism_search(g, kind="all", bound=16):
+def automorphism_search(g, kind="all"):
     """Lazily, in lex order, each permutation fixing both unsigned
     matrices whose colour behaviour is kind; see find_automorphisms.
 
     The colour is a condition of placing each vertex, not a filter: the
     search relabels (Gamma, Delta) onto itself with each vertex's colour
     on the diagonal, swapped on the target side for "colorReversing".
-    Raises SearchBoundExceeded at once when n is over the bound.
+    Raises SearchBoundExceeded at once when n is over SEARCH_BOUND.
     """
-    if g.n > bound:
+    if g.n > SEARCH_BOUND:
         raise SearchBoundExceeded(
-            "automorphism search on %d vertices exceeds bound %d" % (g.n, bound)
+            "automorphism search on %d vertices exceeds bound %d"
+            % (g.n, SEARCH_BOUND)
         )
     coloured = kind in ("colorPreserving", "colorReversing")
     colours = [g.eta(k) if coloured else 0 for k in range(g.n)]

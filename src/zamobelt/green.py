@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import gt, is_not, itemgetter, lt, neg, or_
 
-from .bigraph import Automorphism, automorphism, mutate_rows, unmatched_entry
+from .bigraph import Automorphism, mutate_rows, unmatched_entry
 from .errors import (
     CoefficientMismatch,
     FrozenVertex,
@@ -333,7 +333,7 @@ def _certify(g, first, second, factors, partition):
         sequence=state.history,
         factors=factors,
         final_c=state.c_matrix(),
-        permutation=Automorphism(perm=perm, kind="general"),
+        permutation=Automorphism(perm),
     )
 
 
@@ -370,4 +370,4 @@ def frozen_isomorphism_check(g, symbolic_sigma=None):
         raise MismatchWithSymbolicSigma(
             "frozen %s vs symbolic %s" % (perm, tuple(symbolic_sigma))
         )
-    return automorphism(g, perm)
+    return Automorphism(perm)

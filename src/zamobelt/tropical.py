@@ -38,11 +38,6 @@ def random_labeling(rng, n):
     return tuple(Fraction(rng.randint(-1000, 1000), 100) for _ in range(n))
 
 
-def perturbed_negative_labeling(n):
-    """The tie-breaking rerun labeling: lambda_i = -1 - i / (100 n^2)."""
-    return tuple(-1 - Fraction(i, 100 * n * n) for i in range(1, n + 1))
-
-
 @dataclass(frozen=True)
 class MutationEvent:
     t: int
@@ -186,10 +181,26 @@ class ColoredCensus:
 
 
 def colored_census(g, lam):
-    """Event counts over one full period 2N of a tensor-with-point entry.
+    """Event counts over one full period 2N of a tensor-with-point entry,
+    judged on exactly the labeling given.
 
     A vertex with no Gamma neighbour compares two empty sums at every
     labeling, so its events all tie and the census cannot be judged.
+
+    Every other input in scope never ties.  Delta is empty, so an event
+    produced at time p is red or blue as its Gamma-sum over the values
+    at p - 1 is positive or negative.  At the four slices 0, 1, N, N+1
+    (mod 2N) those values are initial, relabeled by sigma at N and N+1,
+    so each is some lambda_i < 0.  At any other time a value is a
+    non-initial cluster variable P(x) / x^d with d a positive root and P
+    a polynomial with nonnegative coefficients and P(0) != 0
+    (Fomin-Zelevinsky, "Cluster algebras II", Invent. Math. 2003, Thm
+    1.9).  With no cancellation, its max-plus value at lambda < 0 is
+    the max over P's monomials, which the constant term wins at 0, less
+    d . lambda: that is d . |lambda| > 0.  Every vertex has a
+    Gamma neighbour, so no Gamma-sum is 0, and the events whose inputs
+    sit in the four initial slices are exactly the blue ones.  A tie
+    here would be an engine fault, and the census reports it as one.
     """
     if not g.plain:
         raise InputError("colored census needs an empty Delta")
@@ -218,17 +229,6 @@ def colored_census(g, lam):
         ties=counts[TIE],
         blue_times=tuple(blue_times),
     )
-
-
-def census_with_tie_policy(g, lam=None):
-    """Census at the given labeling (default all -1); on ties, rerun once
-    with the perturbed labeling and report both."""
-    if lam is None:
-        lam = constant_labeling(g.n, -1)
-    first = colored_census(g, lam)
-    if first.ties == 0:
-        return first, None
-    return first, colored_census(g, perturbed_negative_labeling(g.n))
 
 
 def blue_times_admissible(census, n_half):

@@ -118,18 +118,6 @@ def midpoint(g):
 
 
 @pytest.mark.parametrize(
-    "name", [name for name in bg.catalog_names() if name != "fig2-F4xA2"]
-)
-def test_memo_changes_no_value(name):
-    # every state of a 2N run, derived or stepped, is the stepped one
-    g = bg.catalog(name)
-    states = belt.run_belt(g, 2 * g.half_period)
-    reference = forward_trajectory(g, 2 * g.half_period)
-    for state, expected in zip(states, reference):
-        assert state == expected, (name, state.t)
-
-
-@pytest.mark.parametrize(
     "name", list(dict.fromkeys(bg.catalog_names() + _sweep_targets()))
 )
 def test_derived_run_matches_forward_steps(name):

@@ -342,8 +342,11 @@ def test_colour_kinds_are_the_colour_classes_of_all_automorphisms(name):
     # the automorphisms a filter on "all" keeps, in the same order
     g = bg.catalog(name)
     every = bg.find_automorphisms(g)
-    for kind, label in (("colorPreserving", "bicolored"), ("colorReversing",) * 2):
-        assert bg.find_automorphisms(g, kind) == [a for a in every if a.kind == label]
+    for kind, behavior in (("colorPreserving", "preserving"),
+                           ("colorReversing", "reversing")):
+        assert bg.find_automorphisms(g, kind) == [
+            a for a in every if bg.classify_color_behavior(g, a.perm) == behavior
+        ]
 
 
 def test_automorphism_search_is_lazy():

@@ -1,5 +1,6 @@
 """Command line driver: report shapes, exit protocol, determinism."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -81,6 +82,21 @@ def test_census_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "name,lambdaSeed,period,red,blue,ties"
     assert lines[1] == "A2,-1,10,6,4,0"
+
+
+def test_census_judges_the_labeling_given(capsys, monkeypatch):
+    # a tie is unreachable on working code (see colored_census); were the
+    # engine to produce one, the census reports it in its one row, exit 1
+    real = tropical.colored_census
+
+    def with_a_tie(g, lam):
+        census = real(g, lam)
+        return dataclasses.replace(census, red=census.red - 1, ties=1)
+
+    monkeypatch.setattr(tropical, "colored_census", with_a_tie)
+    code, out, _ = run(capsys, "census", "A2", "--lambda", "-2")
+    assert code == 1
+    assert out == "name,lambdaSeed,period,red,blue,ties\nA2,-2,10,5,4,1\n"
 
 
 def test_census_without_gamma_neighbour_exits_two(capsys):
@@ -205,9 +221,7 @@ def test_term_guard_flag_overrides_environment(capsys, monkeypatch):
     assert code == 0
 
 
-def test_term_guard_applies_only_to_the_exchanges_a_run_makes(
-    tmp_path, capsys, monkeypatch
-):
+def test_term_guard_applies_only_to_the_exchanges_a_run_makes(tmp_path, capsys):
     # A2xA4 with its vertices relabeled (N = 8, midpoint M = 4): a
     # 16-step belt run makes the exchanges of steps 0..3, which hold at
     # most 20 terms, and derives the rest.  Made, the exchange of step 4
@@ -224,8 +238,6 @@ def test_term_guard_applies_only_to_the_exchanges_a_run_makes(
         [1, -1, 0, 0, -1, 0, 0, 0],
     ]
     spec = {"n": 8, "b": b, "epsilon": list("bbwwbwbw")}
-    # main leaves its guard set; restore the one in force after the test
-    monkeypatch.setattr(laurent, "_term_guard", laurent.get_term_guard())
     path = tmp_path / "a2xa4.json"
     path.write_text(json.dumps(spec))
     code, unguarded, _ = run(capsys, "belt", str(path), "--steps", "16")
@@ -240,11 +252,23 @@ def test_term_guard_applies_only_to_the_exchanges_a_run_makes(
     # stepping forward through every exchange trips that guard at step 4
     g = bg.from_json(spec)
     states = [belt.initial_state(g)]
+    keep = laurent.get_term_guard()
     laurent.set_term_guard(20)
-    with pytest.raises(TermGuardExceeded, match="24 terms"):
-        while True:
-            states.append(belt.step(states[-1]))
+    try:
+        with pytest.raises(TermGuardExceeded, match="24 terms"):
+            while True:
+                states.append(belt.step(states[-1]))
+    finally:
+        laurent.set_term_guard(keep)
     assert g.half_period == 8 and len(states) - 1 == 4
+
+
+def test_main_restores_the_term_guard_it_found(capsys):
+    keep = laurent.get_term_guard()
+    code, _, _ = run(capsys, "halfperiod", "A2", "--term-guard", "19")
+    assert code == 0 and laurent.get_term_guard() == keep
+    # a library call after main runs under the guard in force before it
+    belt.run_belt(bg.catalog("fig2-F4xA2"), 4)
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

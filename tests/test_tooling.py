@@ -1,8 +1,10 @@
-"""The benchmark's layer tracer and the demos still run against the engine."""
+"""The benchmark's layer tracer, the demos and the README's library
+example still run against the engine."""
 
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -65,3 +67,10 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_library_surface_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library surface", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})

@@ -105,8 +105,8 @@ def test_half_period_shift_with_frozen_sigma():
 def test_half_period_shift_rejects_wrong_sigma():
     g = bg.catalog("A2")
     lam = (Fraction(-3), Fraction(5))  # asymmetric so the swap is visible
-    identity = bg.Automorphism(perm=(0, 1), kind="bicolored")
-    swap = bg.Automorphism(perm=(1, 0), kind="bicolored")
+    identity = bg.Automorphism((0, 1))
+    swap = bg.Automorphism((1, 0))
     assert tr.tropical_half_period(g, lam, swap)
     assert not tr.tropical_half_period(g, lam, identity)
 
@@ -116,7 +116,7 @@ def test_half_period_shift_trivial_at_zero():
     g = bg.catalog("A2")
     lam = tr.constant_labeling(2, 0)
     for perm in ((0, 1), (1, 0)):
-        sigma = bg.Automorphism(perm=perm, kind="bicolored")
+        sigma = bg.Automorphism(perm)
         assert tr.tropical_half_period(g, lam, sigma)
 
 
@@ -176,26 +176,50 @@ def test_census_guards():
         tr.colored_census(bg.catalog("A2"), (Fraction(-1), Fraction(0)))
 
 
-def test_tie_policy_skips_rerun_when_clean():
-    g = bg.catalog("A3")
-    first, rerun = tr.census_with_tie_policy(g, (Fraction(-1), Fraction(-2), Fraction(-1)))
-    assert first.ties == 0 and rerun is None
-
-
 def test_tie_policy_rejects_vertex_without_gamma_neighbour():
-    # a single vertex with no edges compares two empty sums: every event
-    # ties at every labeling, so the census cannot be judged on it
+    # the census's one tie policy: a single vertex with no edges compares
+    # two empty sums, so every event ties at every labeling, and the
+    # census refuses it as an input it cannot judge
     g = bg.catalog("A1")
-    for lam in (tr.constant_labeling(1, -1), tr.perturbed_negative_labeling(1)):
+    for lam in (tr.constant_labeling(1, -1), (Fraction(-3, 7),)):
         with pytest.raises(NoGammaNeighbour, match=r"vertices \[1\]"):
-            tr.census_with_tie_policy(g, lam)
+            tr.colored_census(g, lam)
 
 
-def test_perturbed_labeling_breaks_all_ties_on_sweep():
-    for name in ("A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "G2"):
-        g = bg.catalog(name)
-        census = tr.colored_census(g, tr.perturbed_negative_labeling(g.n))
-        assert census.ties == 0, name
+# every plain catalog entry with an edge, and the Dynkin types up to
+# rank 8 the catalog builds on demand
+CENSUS_ENTRIES = sorted(
+    {name for name in bg.catalog_names() if bg.catalog(name).plain and name != "A1"}
+    | {"A%d" % r for r in range(2, 9)}
+    | {"B%d" % r for r in range(2, 7)}
+    | {"C%d" % r for r in range(2, 7)}
+    | {"D%d" % r for r in range(4, 8)}
+    | {"E6", "E7", "E8", "F4", "G2"}
+)
+
+
+@pytest.mark.parametrize("name", CENSUS_ENTRIES)
+def test_census_events_are_blue_exactly_at_the_initial_slices(name):
+    # the lemma in colored_census's docstring: at any all-negative
+    # labeling an event is blue exactly when its inputs sit at a time
+    # 0, 1, N or N+1 (mod 2N), red otherwise, and never ties
+    g = bg.catalog(name)
+    n_half = g.half_period
+    rng = tr.make_rng(13)
+    labelings = [tr.constant_labeling(g.n, -1)]
+    labelings += [
+        tuple(Fraction(-rng.randint(1, 1000), rng.randint(1, 100)) for _ in range(g.n))
+        for _ in range(20)
+    ]
+    for lam in labelings:
+        events = []
+        tr.scaled_states(g, lam, tr.scale_of(lam), 2 * n_half, events)
+        assert len(events) == n_half * g.n
+        for e in events:
+            expected = tr.BLUE if (e.t - 1) % n_half in (0, 1) else tr.RED
+            assert e.color == expected, (name, lam, e)
+        census = tr.colored_census(g, lam)
+        assert census.ties == 0
         assert (census.red, census.blue) == (g.h_gamma * g.n, 2 * g.n), name
 
 
