@@ -131,6 +131,19 @@ def test_derived_run_matches_forward_steps(name):
 
 
 @pytest.mark.parametrize("name", bg.catalog_names())
+def test_memo_changes_no_value(name):
+    # no cache of exchanges stands between a run and its values: a 2N run,
+    # half of it re-indexed by sigma, equals and hashes like the forward steps
+    g = bg.catalog(name)
+    states = belt.run_belt(g, 2 * g.half_period)
+    reference = forward_trajectory(g, 2 * g.half_period)
+    assert len(states) == len(reference)
+    for state, expected in zip(states, reference):
+        assert state == expected, (name, state.t)
+        assert hash(state) == hash(expected), (name, state.t)
+
+
+@pytest.mark.parametrize("name", bg.catalog_names())
 def test_second_half_replays_the_first_relabeled_by_sigma(name):
     # the identity a 2N run re-indexes its states by from t = N on
     g = bg.catalog(name)
