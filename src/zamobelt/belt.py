@@ -257,8 +257,16 @@ def half_period(g):
 
 def read_half_period(g, states):
     """Classify the relabeling held at t = N by a belt run from t = 0."""
+    return classify_sigma(g, sigma_from_cluster(states[g.half_period].values))
+
+
+def classify_sigma(g, perm):
+    """The half-period report of perm, or ClaimViolation unless perm is
+    an automorphism of (Gamma, Delta) of order at most two that preserves
+    colours for even N and reverses them for odd N.  A relabeling held
+    at N that passes re-indexes every later state (the module docstring's
+    replay); the tropical track reuses these rules for its own."""
     n_steps = g.half_period
-    perm = sigma_from_cluster(states[n_steps].values)
     sigma = Automorphism(perm)
     if any(unmatched_entry(perm, m, m) is not None for m in (g.gamma, g.delta)):
         raise ClaimViolation(

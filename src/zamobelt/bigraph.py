@@ -630,8 +630,11 @@ def catalog_names():
     ]
 
 
+@functools.cache
 def catalog_version():
-    """Short hash pinning the figure entries and the Coxeter table."""
+    """Short hash pinning the figure entries and the Coxeter table.
+
+    It reads module constants only, so it is computed once per process."""
     payload = {
         "fig1": {
             "gamma": _FIG1_GAMMA_EDGES,

@@ -153,13 +153,12 @@ def cmd_tropical(args):
     sigma = green.frozen_isomorphism_check(g)
     periods_ok = True
     shift_ok = True
-    for _ in range(args.trials):
-        lam = tropical.random_labeling(rng, g.n)
-        states = tropical.scaled_states(g, lam, tropical.scale_of(lam), 3 * n_half)
+    labelings = [tropical.random_labeling(rng, g.n) for _ in range(args.trials)]
+    for states, shifted in tropical.half_period_runs(g, labelings, sigma):
         period = tropical.first_return(states[: 2 * n_half + 1])
         if period is None or (2 * n_half) % period != 0:
             periods_ok = False
-        if not tropical.read_half_period_shift(g, states, sigma):
+        if not shifted:
             shift_ok = False
     doc = {
         "name": args.target,

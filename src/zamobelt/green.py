@@ -16,7 +16,10 @@ every row of a hand-built `FramedState`, and after each mutation every
 row that the mutation changed.  A mutation returns each row it leaves
 alone as the very same tuple, in both tracks, so a row that is still
 the same object still holds a value that was checked: the checks stay
-exact by induction from the start state.
+exact by induction from the start state.  That includes the restriction
+check of a green certificate: it mutates the moved rows of the part
+holding k locally, each unmoved row standing in as a zero row, since
+its b_ik is 0 and the local mutation would leave it alone.
 """
 
 from dataclasses import dataclass, field
@@ -150,31 +153,42 @@ def _points_inside(state, own, k):
     return True
 
 
-def _restrict(ext, n, part, rows):
-    """Square-free restriction to part: the given rows, columns of part
-    then frozen."""
-    pick = itemgetter(*part, *range(n, 2 * n))
-    return tuple(pick(ext[i]) for i in rows)
+def _restrictions(n, parts):
+    """Vertex -> (its part, its index there, the part's picker), where
+    the picker takes a row to its square-free restriction: the columns
+    of the part, then the frozen ones."""
+    frozen = range(n, 2 * n)
+    out = {}
+    for part in parts:
+        pick = itemgetter(*part, *frozen)
+        for place, v in enumerate(part):
+            out[v] = (part, place, pick)
+    return out
 
 
 def _check_restriction_commutes(before, after, part_of, k, moved):
     """Mutation at k must act on the part containing k exactly as local
     mutation of the restricted matrix and must leave other parts alone.
 
-    The part holding k is compared whole.  Other parts are compared on
-    the moved rows alone: every other row is the very row it was."""
-    n = before.n
-    own = part_of[k]
-    local = mutate_rows(_restrict(before.ext, n, own, own), own.index(k))
-    if local != _restrict(after.ext, n, own, own):
+    Only the moved rows and k are compared.  A row outside `moved` is
+    the very row it was in both tracks, and mutate_y rebuilds every row
+    with b_ik != 0, so such a row has b_ik = 0: the local mutation
+    leaves it alone too, and it enters that mutation as a zero row.  A
+    moved row of another part must keep its restriction to that part."""
+    own, pivot, pick = part_of[k]
+    rows = {part_of[i][1]: i for i in moved if part_of[i][0] is own}
+    rows[pivot] = k
+    local = [(0,) * (len(own) + before.n)] * len(own)
+    for place, i in rows.items():
+        local[place] = pick(before.ext[i])
+    local = mutate_rows(local, pivot)
+    if any(local[place] != pick(after.ext[i]) for place, i in rows.items()):
         raise NotComponentPreserving(
             "mutation at %d does not commute with restriction" % (k + 1)
         )
     for i in moved:
-        part = part_of[i]
-        if part is not own and (
-            _restrict(before.ext, n, part, (i,)) != _restrict(after.ext, n, part, (i,))
-        ):
+        part, _, pick = part_of[i]
+        if part is not own and pick(before.ext[i]) != pick(after.ext[i]):
             raise NotComponentPreserving(
                 "mutation at %d leaked into part %s" % (k + 1, part)
             )
@@ -311,14 +325,13 @@ def _walk(g, sign, first, second, factors, check=None):
 
 
 def _certify(g, first, second, factors, partition):
-    parts = _normalize_partition(g.n, partition)
-    part_of = {v: part for part in parts for v in part}
+    part_of = _restrictions(g.n, _normalize_partition(g.n, partition))
 
     def check(before, k, after, moved):
         position = len(after.history)
         if vertex_status(before, k) != GREEN:
             raise NotGreenAtStep(position, k)
-        if not _points_inside(before, part_of[k], k):
+        if not _points_inside(before, part_of[k][0], k):
             raise NotComponentPreserving(
                 "vertex %d at position %d" % (k + 1, position)
             )

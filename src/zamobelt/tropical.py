@@ -13,6 +13,11 @@ steps on plain ints, over the bigraph's belt timetable
 equality and period detection do not change under a positive scale;
 only `run_states` and the sums a `MutationEvent` carries are divided
 back into Fractions.
+
+The half-period trials (`half_period_runs`) step only to N.  When the
+state there is the initial one relabeled by sigma and sigma passes the
+half-period rules, the states after N are re-indexed copies of earlier
+ones, as on the symbolic belt; otherwise a trial steps on to 3N.
 """
 
 import math
@@ -20,9 +25,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .belt import first_return
+from .belt import classify_sigma, first_return
 from .bigraph import dual_bigraph
-from .errors import InputError, NoGammaNeighbour
+from .errors import ClaimViolation, InputError, NoGammaNeighbour
 
 RED = "red"
 BLUE = "blue"
@@ -101,10 +106,13 @@ def scaled_states(g, lam, scale, steps, events=None):
     state = tuple(
         x.numerator * (scale // x.denominator) for x in initial_values(g, lam)
     )
-    states = [state]
-    for c in range(steps):
-        state = step_values(g.movers, c, state, scale, events)
-        states.append(state)
+    return _advance(g, [state], steps, scale, events)
+
+
+def _advance(g, states, last, scale, events=None):
+    """Step the scaled run forward until it holds the state at time last."""
+    for c in range(len(states) - 1, last):
+        states.append(step_values(g.movers, c, states[-1], scale, events))
     return states
 
 
@@ -124,8 +132,55 @@ def tropical_period(g, lam, max_steps):
 
 def tropical_half_period(g, lam, sigma):
     """Does shifting time by N match relabeling the vertices by sigma?"""
-    states = scaled_states(g, lam, scale_of(lam), 3 * g.half_period)
-    return read_half_period_shift(g, states, sigma)
+    return next(half_period_runs(g, [lam], sigma))[1]
+
+
+def _relabeled(state, perm):
+    """The state whose entry i is state[perm[i]]."""
+    return tuple(map(state.__getitem__, perm))
+
+
+def _fits(g, perm):
+    """Is perm a permutation of the vertices that passes the half-period
+    rules?  classify_sigma reads cycles, so it is given permutations
+    only; any other map is left to the stepped check."""
+    if sorted(perm) != list(range(g.n)):
+        return False
+    try:
+        classify_sigma(g, perm)
+    except ClaimViolation:
+        return False
+    return True
+
+
+def half_period_runs(g, labelings, sigma):
+    """Per labeling, its scaled states at times 0..3N and whether
+    shifting time by N relabels them by sigma.
+
+    Each run steps to N.  When state(N) is state(0) relabeled by sigma
+    and sigma passes the half-period rules (`belt.classify_sigma`,
+    checked once for all labelings), state(N + t) is state(t) relabeled
+    by sigma for every t >= 0, so the run re-indexes the states after N
+    and the shift holds.  This is the uniqueness argument of the
+    symbolic belt's replay: a step depends on its time only through the
+    parity, and sigma, an automorphism whose colour behaviour fits the
+    parity of N, takes the step at time t to the step at t + N.
+    Otherwise the run steps on to 3N and `read_half_period_shift`
+    judges it.
+    """
+    n_half = g.half_period
+    perm = tuple(sigma)
+    fits = _fits(g, perm)
+    for lam in labelings:
+        scale = scale_of(lam)
+        states = scaled_states(g, lam, scale, n_half)
+        if fits and states[n_half] == _relabeled(states[0], perm):
+            for t in range(1, 2 * n_half + 1):
+                states.append(_relabeled(states[t], perm))
+            yield states, True
+        else:
+            _advance(g, states, 3 * n_half, scale)
+            yield states, read_half_period_shift(g, states, perm)
 
 
 def read_half_period_shift(g, states, sigma):

@@ -1,6 +1,7 @@
 """Exchange matrices, bipartition, recurrence, tensors, duals, folding."""
 
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -448,6 +449,19 @@ def test_catalog_accepts_tensor_spellings():
 def test_catalog_version_is_stable_across_calls():
     assert bg.catalog_version() == bg.catalog_version()
     assert len(bg.catalog_version()) == 12
+
+
+@pytest.mark.parametrize(
+    "golden", ["belt_tropical_reports.json", "green_reports.json"]
+)
+def test_catalog_version_is_the_one_the_golden_reports_pin(golden):
+    reports = json.loads((pathlib.Path(__file__).with_name(golden)).read_text())
+    pinned = {
+        json.loads(report["text"])["catalogVersion"]
+        for report in reports
+        if report["exitCode"] == 0 and report["text"].startswith("{")
+    }
+    assert pinned == {bg.catalog_version()}
 
 
 def test_from_json_round_trip():

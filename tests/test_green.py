@@ -350,6 +350,41 @@ def test_mutate_rows_off_the_local_mutation_in_its_own_part_raises(monkeypatch):
         green.verify_bipartite_belt_mgs(g)
 
 
+@pytest.mark.parametrize(
+    "name, moved_row",
+    [
+        # the pivot row, in the column of another vertex of its part
+        ("A2xA3", lambda rows, k, own: k),
+        # a row of the pivot's part that the mutation rebuilds
+        ("E6xE6", lambda rows, k, own: next(i for i in own if i != k and rows[i][k])),
+    ],
+)
+def test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises(
+    monkeypatch, name, moved_row
+):
+    g = bg.catalog(name)
+    part_of = {v: comp.vertices for comp in g.gamma_components for v in comp.vertices}
+    real = green.mutate_rows
+    faults = []
+
+    def faulty(rows, k):
+        out = list(real(rows, k))
+        if len(rows) == g.n:  # the full matrix, not a restriction to one part
+            own = part_of[k]
+            i = moved_row(rows, k, own)
+            j = next(j for j in own if j != i)
+            row = list(out[i])
+            row[j] += 1
+            out[i] = tuple(row)
+            faults.append(i)
+        return tuple(out)
+
+    monkeypatch.setattr(green, "mutate_rows", faulty)
+    with pytest.raises(NotComponentPreserving, match="does not commute"):
+        green.verify_bipartite_belt_mgs(g)
+    assert len(faults) == 1
+
+
 def _leak_into(monkeypatch, n, pick_row):
     """Make mutation of the full n rows also shift one nonzero c-vector
     entry, away from zero, in the row pick_row(rows, k) names."""

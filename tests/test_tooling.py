@@ -33,10 +33,12 @@ def test_layer_tracer_counts_both_green_tracks_and_restores_every_original():
     before = [dict(vars(owner)) for owner in owners]
     tracer = layers.Tracer()
     layers.install(tracer)
+    trials = 5
     try:
         for config in (
             {"command": "green", "target": "A2", "skipSymbolic": True},
             {"command": "halfperiod", "target": "A2"},
+            {"command": "tropical", "target": "A3", "seed": 7, "trials": trials},
         ):
             assert cli.run_experiment(config)[1] == 0, config
         spans, _ = tracer.snapshot()
@@ -44,7 +46,9 @@ def test_layer_tracer_counts_both_green_tracks_and_restores_every_original():
         tracer.uninstall()
     framed_calls = spans["green.mutate_framed"][0]
     assert framed_calls > 0 and spans["green.mutate_y"][0] == framed_calls
-    assert spans["cli.run_experiment"][0] == 2
+    assert spans["cli.run_experiment"][0] == 3
+    # each trial steps to N and re-indexes the states up to 3N
+    assert spans["tropical.step_values"][0] == trials * bg.catalog("A3").half_period
     for owner, was in zip(owners, before):
         now = dict(vars(owner))
         assert now.keys() == was.keys(), owner

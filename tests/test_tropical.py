@@ -120,6 +120,70 @@ def test_half_period_shift_trivial_at_zero():
         assert tr.tropical_half_period(g, lam, sigma)
 
 
+def _counted_runs(monkeypatch, g, lam, sigma):
+    """The one run of half_period_runs on lam, and how many steps it made."""
+    steps = []
+    real = tr.step_values
+
+    def counting(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tr, "step_values", counting)
+    states, shifted = next(tr.half_period_runs(g, [lam], sigma))
+    monkeypatch.setattr(tr, "step_values", real)
+    return states, shifted, len(steps)
+
+
+def _labelings(n):
+    rng = tr.make_rng(11)
+    return [
+        tr.constant_labeling(n, 0),
+        tr.constant_labeling(n, -1),
+        tuple(Fraction(i + 1, 2) * (-1) ** i for i in range(n)),
+    ] + [tr.random_labeling(rng, n) for _ in range(3)]
+
+
+@pytest.mark.parametrize("name", bg.catalog_names() + ["E6", "E7", "E8"])
+def test_replayed_states_equal_a_stepped_3n_run(monkeypatch, name):
+    g = bg.catalog(name)
+    n_half = g.half_period
+    sigma = green.frozen_isomorphism_check(g)
+    for lam in _labelings(g.n):
+        states, shifted, steps = _counted_runs(monkeypatch, g, lam, sigma)
+        assert steps == n_half, (name, lam)
+        assert shifted
+        stepped = tr.scaled_states(g, lam, tr.scale_of(lam), 3 * n_half)
+        assert len(states) == len(stepped)
+        for t, (state, expected) in enumerate(zip(states, stepped)):
+            assert state == expected, (name, lam, t)
+
+
+@pytest.mark.parametrize(
+    "name, perm, lam",
+    [
+        # not an automorphism; the zero labeling matches any map at N
+        ("A3", (1, 0, 2), (0, 0, 0)),
+        ("A3", (1, 0, 2), (-1, 2, Fraction(1, 3))),
+        # an automorphism that preserves colours, though N = 5 is odd
+        ("A2", (0, 1), (0, 0)),
+        # an automorphism that fits every rule but is not sigma
+        ("A3", (0, 1, 2), (-1, 2, Fraction(1, 3))),
+        ("D4", (0, 1, 3, 2), (-1, 2, Fraction(1, 3), 5)),
+    ],
+)
+def test_a_planted_bad_sigma_steps_to_3n(monkeypatch, name, perm, lam):
+    g = bg.catalog(name)
+    n_half = g.half_period
+    lam = tuple(Fraction(x) for x in lam)
+    states, shifted, steps = _counted_runs(monkeypatch, g, lam, perm)
+    stepped = tr.scaled_states(g, lam, tr.scale_of(lam), 3 * n_half)
+    assert steps == 3 * n_half
+    assert states == stepped
+    assert shifted == tr.read_half_period_shift(g, stepped, perm)
+    assert tr.tropical_half_period(g, lam, perm) == shifted
+
+
 # -- duals -------------------------------------------------------------------------
 
 
