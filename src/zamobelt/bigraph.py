@@ -23,6 +23,7 @@ from operator import itemgetter, neg
 from . import dynkin
 from .errors import (
     InputError,
+    InvalidPermutation,
     InvalidRank,
     NotAdmissible,
     NotAdmissibleBigraph,
@@ -403,9 +404,26 @@ def dual_bigraph(g):
     return decompose(langlands_dual(g.base), g.epsilon)
 
 
+def _check_permutation(perm):
+    """Raise InvalidPermutation unless perm maps 0..n-1 onto itself; a
+    cycle walk on any other map would never close."""
+    n = len(perm)
+    source = {}
+    for i, v in enumerate(perm):
+        if not isinstance(v, int) or not 0 <= v < n:
+            raise InvalidPermutation("vertex %d maps outside 1..%d" % (i + 1, n))
+        if v in source:
+            raise InvalidPermutation(
+                "vertices %d and %d both map to vertex %d"
+                % (source[v] + 1, i + 1, v + 1)
+            )
+        source[v] = i
+
+
 def _cycles(perm):
     """The cycles of perm, fixed points included, each walked from its
-    smallest vertex."""
+    smallest vertex; InvalidPermutation unless perm is a permutation."""
+    _check_permutation(perm)
     seen = set()
     for start in range(len(perm)):
         if start in seen:

@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import belt, bigraph, green, laurent, tropical
@@ -116,7 +115,9 @@ def cmd_green(args):
     g = _resolve_target(args.target)
     cert_gamma, cert_delta = green.verify_bipartite_belt_mgs(g)
     symbolic = None if args.skip_symbolic else belt.half_period(g).sigma
-    frozen_sigma = green.frozen_isomorphism_check(g, symbolic)
+    frozen_sigma = green.frozen_isomorphism_check(
+        g, symbolic, (cert_gamma, cert_delta)
+    )
 
     def cert_doc(cert):
         return {
@@ -298,10 +299,16 @@ def run_experiment(config):
 
 
 def cmd_suite(args):
+    if args.jobs < 1:
+        raise InputError("jobs must be at least 1, got %d" % args.jobs)
     configs = bigraph.read_json(args.file)
     if not isinstance(configs, list):
         raise InputError("suite file must hold a list of configs")
     if args.jobs > 1 and configs:
+        # imported here: it loads multiprocessing, which a serial run
+        # and every other command never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_experiment, configs))
     else:

@@ -85,6 +85,10 @@ class NotRecurrent(InputError):
     the exchange matrix: the bigraph is outside the theorem's hypothesis."""
 
 
+class InvalidPermutation(InputError):
+    """A vertex map that is not a permutation of the vertices."""
+
+
 class NoGammaNeighbour(InputError):
     """A vertex has no Gamma neighbour, so every colored-census event at
     it ties whatever the labeling."""

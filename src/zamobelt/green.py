@@ -9,7 +9,16 @@ The two tracks must agree row for row after every single mutation; that
 agreement is asserted, not assumed.
 
 Both belts, framed for the green certificates and coframed for sigma,
-run through one checked walk, `_walk`.
+run through one checked walk, `_walk`.  Given the two certificates, the
+coframed belt is not walked again: it is the Gamma certificate run
+backwards and then the Delta certificate, both relabeled by q^-1, where
+q is the Gamma certificate's permutation.  Matrix mutation and the
+tropical y-mutation are involutions and commute with relabeling, and a
+certificate that ends at the coframed matrix relabeled by q can be
+retraced from there; `frozen_isomorphism_check` gives the premises and
+the proof.  That the coframed belt returns to the coframed matrix up to
+relabeling at all is Nakanishi's synchronicity (C_t = +-P fixes the
+whole seed; J. LMS 2021).
 
 Each check covers every row of a start state (`framed`, `initial_y`),
 every row of a hand-built `FramedState`, and after each mutation every
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import gt, is_not, itemgetter, lt, neg, or_
 
-from .bigraph import Automorphism, mutate_rows, unmatched_entry
+from .bigraph import Automorphism, is_recurrent, mutate_rows, unmatched_entry
 from .errors import (
     CoefficientMismatch,
     FrozenVertex,
@@ -255,10 +264,20 @@ def _assert_y_matches_c(state, y, rows):
 
 @dataclass(frozen=True)
 class GreenCertificate:
-    sequence: tuple
+    """A certified belt: its factor count, its final state and sigma
+    with final C == -P_sigma."""
+
     factors: int
-    final_c: tuple
+    final: FramedState
     permutation: object
+
+    @property
+    def sequence(self):
+        return self.final.history
+
+    @property
+    def final_c(self):
+        return self.final.c_matrix()
 
 
 SHOWN_ROWS = 3
@@ -298,8 +317,9 @@ def _minus_permutation(c_rows, error, name):
     return tuple(perm)
 
 
-def _alternating_factors(first, second, count):
-    return [list(first) if f % 2 == 0 else list(second) for f in range(count)]
+def _sequence(first, second, factors):
+    """The vertices of `factors` alternating factors, in walking order."""
+    return tuple(k for f in range(factors) for k in (second if f % 2 else first))
 
 
 def _walk(g, sign, first, second, factors, check=None):
@@ -312,15 +332,14 @@ def _walk(g, sign, first, second, factors, check=None):
     state = framed(g.base, sign)
     y = initial_y(g.n, sign)
     _assert_y_matches_c(state, y, range(g.n))
-    for factor in _alternating_factors(first, second, factors):
-        for k in factor:
-            after = mutate_framed(state, k)
-            y_after = mutate_y(y, state.ext, k)
-            moved = _moved(state, after, y, y_after)
-            if check is not None:
-                check(state, k, after, moved)
-            _assert_y_matches_c(after, y_after, moved)
-            state, y = after, y_after
+    for k in _sequence(first, second, factors):
+        after = mutate_framed(state, k)
+        y_after = mutate_y(y, state.ext, k)
+        moved = _moved(state, after, y, y_after)
+        if check is not None:
+            check(state, k, after, moved)
+        _assert_y_matches_c(after, y_after, moved)
+        state, y = after, y_after
     return state
 
 
@@ -343,10 +362,7 @@ def _certify(g, first, second, factors, partition):
         raise NotMaximal("vertices %s still green" % [k + 1 for k in still_green])
     perm = _minus_permutation(state.c_matrix(), NotPermutation, "final C")
     return GreenCertificate(
-        sequence=state.history,
-        factors=factors,
-        final_c=state.c_matrix(),
-        permutation=Automorphism(perm),
+        factors=factors, final=state, permutation=Automorphism(perm)
     )
 
 
@@ -366,17 +382,81 @@ def verify_bipartite_belt_mgs(g):
     return cert_gamma, cert_delta
 
 
-def frozen_isomorphism_check(g, symbolic_sigma=None):
+def _inverse(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def _relabeled(ext, p):
+    """R_p of an n x 2n extension: row i is row p(i), its mutable
+    columns read at p and its frozen columns left in place."""
+    n = len(p)
+    return tuple(
+        tuple(map(row.__getitem__, p)) + row[n:] for row in map(ext.__getitem__, p)
+    )
+
+
+def _derived_final(g, cert_gamma, cert_delta):
+    """The final state of the coframed walk, read off the certificates
+    (see frozen_isomorphism_check), or None when a premise fails."""
+    q = cert_gamma.permutation.perm
+    last = g.whites if g.h_gamma % 2 == 0 else g.blacks
+    if (
+        cert_gamma.sequence != _sequence(g.blacks, g.whites, g.h_gamma)
+        or cert_delta.sequence != _sequence(g.whites, g.blacks, g.h_delta)
+        or not is_recurrent(g)
+        or cert_gamma.final.ext != _relabeled(framed(g.base, -1).ext, q)
+        or sorted(q[k] for k in last) != list(g.whites)
+    ):
+        return None
+    return FramedState(
+        n=g.n,
+        ext=_relabeled(cert_delta.final.ext, _inverse(q)),
+        history=_sequence(g.whites, g.blacks, g.half_period),
+    )
+
+
+def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
     """Run the belt on the coframed matrix for N composite factors.
 
     The result must be the coframed matrix with mutable labels permuted
     and frozen labels fixed; the permutation is returned and, when a
     symbolic half-period permutation is supplied, must equal it.
+
+    Given `certificates`, the pair verify_bipartite_belt_mgs(g)
+    returned, the final state is derived from them instead of walked,
+    when four exact premises hold:
+    - each certificate's sequence is its belt's alternating sequence;
+    - g is recurrent;
+    - the Gamma certificate ends at R_q(coframed B), where q is its
+      permutation and R_q takes X to the matrix with entries
+      X[q(i)][q(j)], frozen columns left in place (`_relabeled`);
+    - q maps that certificate's last factor onto the whites.
+    Proof.  Recurrence makes the mutable block +-B at every factor
+    boundary of all three walks, so the vertices of one factor are
+    pairwise unlinked there: their mutations commute, and the factor's
+    composite, in any order, is an involution on states (matrix and
+    tropical y track alike).  Both mutations commute with relabeling,
+    mu_k(R_p X) == R_p(mu_p(k) X).  The walk starts at coframed B,
+    which is R_q^-1 of the Gamma certificate's final state, and its
+    first factor, the whites, is q of that certificate's last factor;
+    so its first h_Gamma factors undo the certificate's factors, last
+    first, relabeled by R_q^-1, and reach R_q^-1(framed B).  As q^-1
+    maps the walk's factor h_Gamma onto the certificate's first, the
+    blacks, it maps the next one, their complement, onto the whites,
+    the Delta certificate's first factor; so the last h_Delta factors
+    are that certificate's, relabeled by R_q^-1, and the walk ends at
+    R_q^-1 of its final state.  Each state of the walk at a factor
+    boundary is thus a relabeled state whose rows a certificate checked
+    for sign coherence and against the y track; the states inside a
+    factor are not formed.  When a premise fails, the walk runs.  Either
+    way the checks below read the same final state.
     """
-    state = _walk(g, -1, g.whites, g.blacks, g.half_period)
+    state = None if certificates is None else _derived_final(g, *certificates)
+    if state is None:
+        state = _walk(g, -1, g.whites, g.blacks, g.half_period)
     row_perm = _minus_permutation(state.c_matrix(), NoIsomorphism, "frozen block")
     # row r holds the -1 of frozen column row_perm[r]; sigma is the inverse
-    perm = tuple(sorted(range(g.n), key=row_perm.__getitem__))
+    perm = _inverse(row_perm)
     if unmatched_entry(perm, g.base.b, state.mutable_block()) is not None:
         raise NoIsomorphism("mutable block is not a relabeling of the original")
     if symbolic_sigma is not None and perm != tuple(symbolic_sigma):

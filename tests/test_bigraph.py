@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import zamobelt.bigraph as bg
 from zamobelt.errors import (
     InputError,
+    InvalidPermutation,
     NotAdmissible,
     NotAdmissibleBigraph,
     NotBipartite,
@@ -403,6 +405,44 @@ def test_fold_rejects_color_mixing_permutation():
     g = bg.catalog("A3")
     with pytest.raises(NotAdmissible):
         bg.fold(g, (1, 0, 2))  # white <-> black swap is not bicolored
+
+
+def _within(seconds, call):
+    """call(), or TimeoutError once seconds pass: a hang fails the test.
+    A hung cycle walk grows its cycle without end, so keep seconds short."""
+
+    def stop(signum, frame):
+        raise TimeoutError("no answer within %d s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+REPEAT = "vertices 1 and 3 both map to vertex 1"
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: bg.Automorphism((0, 1, 0)).cycles(), REPEAT),
+        (lambda: bg.Automorphism((0, 1, 0)).order, REPEAT),
+        (lambda: bg.fold(bg.catalog("A3"), bg.Automorphism((0, 1, 0))), REPEAT),
+        (lambda: bg.Automorphism((0, 3, 1)).order, "vertex 2 maps outside 1..3"),
+        (lambda: bg.orbits_of((1, -1)), "vertex 2 maps outside 1..2"),
+    ],
+    ids=["cycles", "order", "fold", "out-of-range", "orbits"],
+)
+def test_a_map_that_is_not_a_permutation_is_rejected_at_once(call, match):
+    # a cycle walk on such a map never closes; fold reaches it after
+    # check_bicolored, which (0, 1, 0) on A3 passes
+    with pytest.raises(InvalidPermutation, match=match):
+        _within(1, call)
+    assert issubclass(InvalidPermutation, InputError)
 
 
 # -- catalog and serialization ---------------------------------------------------

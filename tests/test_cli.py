@@ -317,6 +317,17 @@ def test_suite_parallel_matches_serial(tmp_path, capsys):
     assert serial[0] == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_two(tmp_path, capsys, jobs):
+    # not coerced to a serial run; a large value is not tried here, as
+    # it would start that many worker processes
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"command": "halfperiod", "target": "A2"}]))
+    code, out, err = run(capsys, "suite", str(path), "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == "error: jobs must be at least 1, got %s\n" % jobs
+
+
 def test_term_guard_holds_for_its_suite_entry_only(tmp_path, capsys):
     configs = [
         {"command": "halfperiod", "target": "A3", "termGuard": 3},

@@ -290,6 +290,164 @@ def test_frozen_isomorphism_matches_symbolic_sigma():
         assert frozen.perm == symbolic.perm, name
 
 
+# -- the frozen state derived from the two certificates --------------------------
+
+# entries with n >= 3, so that a permutation need not be an involution;
+# B3, C3 and fig2-F4xA2 are not simply laced
+LEMMA_TARGETS = (
+    "A3", "B3", "C3", "D4", "A2xA2", "A2xA3", "fig1-A5starD4", "fig2-F4xA2",
+)
+
+
+def relabel(rows, p):
+    """R_p by its definition: entry (i, j) is rows[p(i)][p(j)] for a
+    mutable column j, rows[p(i)][j] for a frozen one."""
+    n, width = len(p), len(rows[0])
+    return tuple(
+        tuple(rows[p[i]][p[j]] if j < n else rows[p[i]][j] for j in range(width))
+        for i in range(n)
+    )
+
+
+@st.composite
+def reachable_states(draw):
+    """(ext, y, k): a framed or coframed state of a catalog bigraph after
+    up to 8 mutations, its y track, and a vertex to mutate at."""
+    g = bg.catalog(draw(st.sampled_from(LEMMA_TARGETS)))
+    sign = draw(st.sampled_from((1, -1)))
+    ext, y = green.framed(g.base, sign).ext, green.initial_y(g.n, sign)
+    for k in draw(st.lists(st.integers(0, g.n - 1), max_size=8)):
+        ext, y = bg.mutate_rows(ext, k), green.mutate_y(y, ext, k)
+    return ext, y, draw(st.integers(0, g.n - 1))
+
+
+@settings(max_examples=200)
+@given(reachable_states())
+def test_both_mutations_are_involutions(case):
+    ext, y, k = case
+    once = bg.mutate_rows(ext, k)
+    assert bg.mutate_rows(once, k) == ext
+    # each y mutation reads the exchange entries from before it
+    assert green.mutate_y(green.mutate_y(y, ext, k), once, k) == y
+
+
+@settings(max_examples=200)
+@given(reachable_states(), st.data())
+def test_both_mutations_commute_with_relabeling(case, data):
+    # mu_k(R_p X) == R_p(mu_p(k) X); p is not an involution, so a
+    # relabeling by p^-1 where p belongs would not pass
+    ext, y, k = case
+    n = len(y)
+    p = tuple(
+        data.draw(
+            st.permutations(range(n)).filter(
+                lambda p: any(p[p[i]] != i for i in range(n))
+            )
+        )
+    )
+    assert green._relabeled(ext, p) == relabel(ext, p)
+    assert bg.mutate_rows(relabel(ext, p), k) == relabel(bg.mutate_rows(ext, p[k]), p)
+    # the columns of y are all frozen: R_p only reorders its rows
+    y_after = green.mutate_y(y, ext, p[k])
+    assert green.mutate_y(tuple(y[i] for i in p), relabel(ext, p), k) == tuple(
+        y_after[i] for i in p
+    )
+
+
+# every catalog entry, and larger entries of each kind
+DERIVED_TARGETS = tuple(bg.catalog_names()) + (
+    "E6", "E7", "E8", "E6xE6", "E7xE7", "E7xA2", "D6xA3",
+)
+
+
+@pytest.mark.parametrize("name", DERIVED_TARGETS)
+def test_the_derived_final_state_is_the_walked_one(name):
+    g = bg.catalog(name)
+    certificates = green.verify_bipartite_belt_mgs(g)
+    derived = green._derived_final(g, *certificates)
+    walked = green._walk(g, -1, g.whites, g.blacks, g.half_period)
+    assert derived is not None
+    assert (derived.ext, derived.history) == (walked.ext, walked.history)
+    assert green.frozen_isomorphism_check(g, certificates=certificates) == (
+        green.frozen_isomorphism_check(g)
+    )
+
+
+def spy_on_walks(monkeypatch):
+    """The sign of each walk run from now on: 1 framed, -1 coframed."""
+    real, signs = green._walk, []
+
+    def spy(g, sign, *args, **kwargs):
+        signs.append(sign)
+        return real(g, sign, *args, **kwargs)
+
+    monkeypatch.setattr(green, "_walk", spy)
+    return signs
+
+
+def test_the_green_command_derives_the_frozen_state(monkeypatch):
+    signs = spy_on_walks(monkeypatch)
+    _, code = cli.run_experiment(
+        {"command": "green", "target": "E7xE7", "skipSymbolic": True}
+    )
+    assert code == 0 and signs == [1, 1]
+
+
+def with_final(cert, ext):
+    return dataclasses.replace(cert, final=dataclasses.replace(cert.final, ext=ext))
+
+
+def doubled_entry(cert):
+    """cert with the first nonzero entry of its final mutable block doubled."""
+    ext = cert.final.ext
+    n = len(ext)
+    i, j = next((i, j) for i in range(n) for j in range(n) if ext[i][j])
+    row = list(ext[i])
+    row[j] *= 2
+    return with_final(cert, ext[:i] + (tuple(row),) + ext[i + 1:])
+
+
+def planted_q(g, cert, q):
+    """A Gamma certificate that ends at R_q(coframed B) exactly."""
+    q = tuple(q)
+    ext = green._relabeled(green.framed(g.base, -1).ext, q)
+    return dataclasses.replace(with_final(cert, ext), permutation=bg.Automorphism(q))
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        # the Gamma certificate's final block is not B relabeled by q
+        ("A2xA3", lambda g, gamma, delta: (doubled_entry(gamma), delta)),
+        ("E6xE6", lambda g, gamma, delta: (doubled_entry(gamma), delta)),
+        # the certificates in the wrong order, or the Gamma one twice
+        ("B2xB2", lambda g, gamma, delta: (delta, gamma)),
+        ("A2xA3", lambda g, gamma, delta: (gamma, gamma)),
+        # h_Gamma = 3 is odd, but q = id keeps the colours; h_Gamma = 4 is
+        # even, but q swaps them.  Both pass every other premise, and
+        # derived past this one they give a sigma the walk does not.
+        ("A2xA3", lambda g, gamma, delta: (planted_q(g, gamma, range(6)), delta)),
+        ("B2xB2", lambda g, gamma, delta: (planted_q(g, gamma, (1, 0, 3, 2)), delta)),
+    ],
+    ids=["block", "block-E6xE6", "order", "twice", "colour-kept", "colour-swapped"],
+)
+def test_a_broken_premise_falls_back_to_the_walk(monkeypatch, name, broken):
+    g = bg.catalog(name)
+    sigma = green.frozen_isomorphism_check(g)
+    certificates = broken(g, *green.verify_bipartite_belt_mgs(g))
+    assert green._derived_final(g, *certificates) is None
+    signs = spy_on_walks(monkeypatch)
+    assert green.frozen_isomorphism_check(g, certificates=certificates) == sigma
+    assert signs == [-1]
+
+
+def test_a_bigraph_not_known_recurrent_falls_back_to_the_walk(monkeypatch):
+    g = bg.catalog("A2xA3")
+    certificates = green.verify_bipartite_belt_mgs(g)
+    monkeypatch.setattr(green, "is_recurrent", lambda g: False)
+    assert green._derived_final(g, *certificates) is None
+
+
 # -- checks narrowed to the rows a mutation changed ------------------------------
 
 CHECKS = ("verify_bipartite_belt_mgs", "frozen_isomorphism_check")
@@ -429,14 +587,7 @@ def test_initial_y_disagreeing_with_c_block_raises_before_any_mutation(
 # -- bounded error text ---------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "check, error, name",
-    [
-        ("verify_bipartite_belt_mgs", NotPermutation, "final C"),
-        ("frozen_isomorphism_check", NoIsomorphism, "frozen block"),
-    ],
-)
-@pytest.mark.parametrize(
+NON_PERMUTATION_C = pytest.mark.parametrize(
     "c_row, offending",
     [
         # every entry -1: every row offends
@@ -446,6 +597,16 @@ def test_initial_y_disagreeing_with_c_block_raises_before_any_mutation(
     ],
     ids=["all-minus-one", "repeated-column"],
 )
+
+
+@pytest.mark.parametrize(
+    "check, error, name",
+    [
+        ("verify_bipartite_belt_mgs", NotPermutation, "final C"),
+        ("frozen_isomorphism_check", NoIsomorphism, "frozen block"),
+    ],
+)
+@NON_PERMUTATION_C
 def test_non_permutation_text_names_shape_and_first_rows(
     monkeypatch, check, error, name, c_row, offending
 ):
@@ -457,7 +618,7 @@ def test_non_permutation_text_names_shape_and_first_rows(
         green, "framed", lambda m, sign=1: green.FramedState(n=n, ext=ext, history=())
     )
     monkeypatch.setattr(green, "initial_y", lambda n, sign=1: tuple(r[n:] for r in ext))
-    monkeypatch.setattr(green, "_alternating_factors", lambda first, second, count: [])
+    monkeypatch.setattr(green, "_sequence", lambda first, second, factors: ())
     with pytest.raises(error) as info:
         getattr(green, check)(g)
     text = str(info.value)
@@ -466,6 +627,33 @@ def test_non_permutation_text_names_shape_and_first_rows(
     )
     assert text.count("row ") == green.SHOWN_ROWS and text.endswith(", ...")
     assert len(text) < 1000  # the whole block would print about 9 800
+
+
+@NON_PERMUTATION_C
+def test_a_derived_state_with_a_broken_c_raises_the_walks_text(
+    monkeypatch, c_row, offending
+):
+    # the Delta certificate's final C enters the derived state relabeled
+    g = bg.catalog("E7xE7")
+    n = g.n
+    gamma, delta = green.verify_bipartite_belt_mgs(g)
+    broken = with_final(delta, tuple(row[:n] + c_row(n) for row in delta.final.ext))
+    signs = spy_on_walks(monkeypatch)
+    with pytest.raises(NoIsomorphism) as info:
+        green.frozen_isomorphism_check(g, certificates=(gamma, broken))
+    assert signs == []
+    assert str(info.value).startswith(
+        "frozen block (49 x 49) is not minus a permutation matrix: %s" % offending
+    )
+
+
+def test_a_derived_state_with_a_broken_block_is_no_relabeling(monkeypatch):
+    g = bg.catalog("E6xE6")
+    gamma, delta = green.verify_bipartite_belt_mgs(g)
+    signs = spy_on_walks(monkeypatch)
+    with pytest.raises(NoIsomorphism, match="mutable block is not a relabeling"):
+        green.frozen_isomorphism_check(g, certificates=(gamma, doubled_entry(delta)))
+    assert signs == []
 
 
 def _fault_at_step(real, n, step, fault):

@@ -36,15 +36,27 @@ def is_allowed(module):
     )
 
 
-def test_every_module_imports_only_the_standard_library():
-    assert "zamobelt.laurent" in MODULES and "zamobelt.cli" in MODULES
+def loaded_by(*modules):
+    """Every module a fresh interpreter loads to import modules."""
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, *MODULES],
+        [sys.executable, "-c", PROBE, *modules],
         capture_output=True,
         text=True,
         check=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
     )
-    loaded = done.stdout.split()
+    return done.stdout.split()
+
+
+def test_every_module_imports_only_the_standard_library():
+    assert "zamobelt.laurent" in MODULES and "zamobelt.cli" in MODULES
+    loaded = loaded_by(*MODULES)
     assert set(MODULES) <= set(loaded)
     assert [m for m in loaded if not is_allowed(m)] == []
+
+
+def test_the_cli_imports_no_multiprocessing():
+    # only `suite --jobs N` with N > 1 needs a process pool
+    loaded = loaded_by("zamobelt.cli")
+    assert "zamobelt.cli" in loaded
+    assert [m for m in loaded if m.partition(".")[0] == "multiprocessing"] == []
