@@ -18,9 +18,9 @@ def banner(text: str):
 def main():
     banner("A2: every cluster along one full period")
     g = z.catalog("A2")
-    for state in z.run_belt(g, 10):
-        rendered = ", ".join(v.render() for v in state.values)
-        print("  t=%-2d  [%s]" % (state.t, rendered))
+    for t, state in enumerate(z.run_belt(g, 10)):
+        rendered = ", ".join(v.render() for v in state)
+        print("  t=%-2d  [%s]" % (t, rendered))
     print("period:", z.detect_period(g, 12))
 
     banner("A2: the half-period permutation")

@@ -21,7 +21,6 @@ from .bigraph import (
     tensor_product,
 )
 from .belt import (
-    BeltState,
     cluster_variable_census,
     denominator_bijection_check,
     detect_period,
@@ -43,7 +42,6 @@ from .tropical import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeltState",
     "Bigraph",
     "ClaimViolation",
     "InputError",

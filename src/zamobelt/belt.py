@@ -1,21 +1,24 @@
 """Symbolic T-system along the bipartite belt.
 
 Time bookkeeping follows the split convention: vertex k carries values
-only at times t with t = eta_k (mod 2).  A BeltState at time c stores,
-for every vertex, the value at c when the parities agree and the value
-at c+1 otherwise, so one state always holds a full cluster spanning the
-two times {c, c+1}.  Stepping from c to c+1 produces T_k(c+2) for the
-vertices k with eta_k = c (mod 2); whites are the first movers.  The
-bigraph's timetable, `Bigraph.movers`, lists those vertices with their
-Gamma and Delta in-edges, and the tropical track steps over it too.
+only at times t with t = eta_k (mod 2).  A run is a list of states
+indexed by time, as on the tropical track: the state at time c is a
+tuple holding, for every vertex, the value at c when the parities agree
+and the value at c+1 otherwise, so one state always holds a full cluster
+spanning the two times {c, c+1}.  Stepping from c to c+1 produces
+T_k(c+2) for the vertices k with eta_k = c (mod 2); whites are the first
+movers.  The bigraph's timetable, `Bigraph.movers`, lists those vertices
+with their Gamma and Delta in-edges, and the tropical track steps over
+it too.
 
 A run divides only where it must.  Write N = h_Gamma + h_Delta and S_c
 for the state at time c.  Two facts let it derive states instead:
 
 - Uniqueness.  T_k(t+1) * T_k(t-1) is a sum of two monomials in the
   values at t, and no value is zero, so one full cluster fixes a
-  solution at every time, forward and backward.  Any map taking solutions to solutions and agreeing with
-  the run on one state agrees with it on every state.
+  solution at every time, forward and backward.  Any map taking
+  solutions to solutions and agreeing with the run on one state agrees
+  with it on every state.
 - Symmetries.  Three maps take solutions to solutions: renaming the
   initial variables (a ring automorphism, `Laurent.rename`); relabeling
   the vertices by an automorphism pi of (Gamma, Delta); and a shift or
@@ -41,24 +44,25 @@ Replay.  If read_half_period accepts S_N, it holds the initial
 variables relabeled by an involution sigma of (Gamma, Delta),
 colour-preserving for even N and colour-reversing for odd N.  Then
 S_{N+t}[k] = S_t[sigma(k)] for every t by the same argument, so the run
-re-indexes states from there on.  If the verdict rejects S_N, the run
-steps forward.
+re-indexes states from there on (`bigraph.replay`, which the tropical
+track shares).  If the verdict rejects S_N, the run steps forward.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice
 
 from . import dynkin
 from .bigraph import (
     Automorphism,
     automorphism_search,
-    classify_color_behavior,
-    unmatched_entry,
+    classify_sigma,
+    first_return,
+    replay,
 )
 from .errors import (
     ClaimViolation,
     InputError,
+    InvalidPermutation,
     LaurentPhenomenonViolation,
     NoPermutationMatch,
     NotAdmissibleBigraph,
@@ -72,38 +76,26 @@ from .laurent import Laurent, exchange
 MIRROR_TRIES = 8
 
 
-@dataclass(frozen=True)
-class BeltState:
-    """The cluster at time t."""
-
-    g: object
-    t: int
-    values: tuple
-
-
 def initial_state(g):
-    n = g.n
-    return BeltState(g=g, t=0, values=tuple(Laurent.variable(k, n) for k in range(n)))
+    return tuple(Laurent.variable(k, g.n) for k in range(g.n))
 
 
-def step(state):
-    """Advance one time unit, mutating the vertices that move at its
-    parity in the bigraph's timetable."""
-    c = state.t
-    old = state.values
-    values = list(old)
-    for k, gamma_in, delta_in in state.g.movers[c % 2]:
+def step(g, c, values):
+    """The state at time c + 1 from the state values at c, mutating the
+    vertices that move at c's parity in the bigraph's timetable."""
+    out = list(values)
+    for k, gamma_in, delta_in in g.movers[c % 2]:
         monomials = [
-            [(old[i], w) for i, w in gamma_in],
-            [(old[i], w) for i, w in delta_in],
+            [(values[i], w) for i, w in gamma_in],
+            [(values[i], w) for i, w in delta_in],
         ]
         try:
-            values[k] = exchange(monomials, old[k])
+            out[k] = exchange(monomials, values[k])
         except NotDivisible as exc:
             raise LaurentPhenomenonViolation(
                 "vertex %d at time %d: %s" % (k + 1, c + 2, exc)
             ) from exc
-    return BeltState(g=state.g, t=c + 1, values=tuple(values))
+    return tuple(out)
 
 
 def run_belt(g, steps):
@@ -123,18 +115,18 @@ def run_belt(g, steps):
         n_steps = None
     if n_steps is not None:
         first_half = min(steps, n_steps)
-        _advance(states, min(first_half, n_steps - n_steps // 2))
+        _advance(g, states, min(first_half, n_steps - n_steps // 2))
         _mirror(g, states, n_steps, first_half)
-        _advance(states, first_half)
+        _advance(g, states, first_half)
         _replay(g, states, n_steps, steps)
-    _advance(states, steps)
+    _advance(g, states, steps)
     return states
 
 
-def _advance(states, last):
+def _advance(g, states, last):
     """Step the run forward until it holds the state at time last."""
     while len(states) <= last:
-        states.append(step(states[-1]))
+        states.append(step(g, len(states) - 1, states[-1]))
 
 
 def mirror_candidates(g, n_steps):
@@ -164,7 +156,7 @@ def _mirror(g, states, n_steps, last):
     if candidates is None:
         return
     pi, rhos = candidates
-    at_mid, source = states[mid].values, states[n_steps - mid].values
+    at_mid, source = states[mid], states[n_steps - mid]
     rho = next(
         (
             rho
@@ -176,11 +168,11 @@ def _mirror(g, states, n_steps, last):
     if rho is None:
         return
     for c in range(mid, last):
-        source = states[n_steps - c - 1].values
-        values = list(states[-1].values)
+        source = states[n_steps - c - 1]
+        values = list(states[-1])
         for k, _, _ in g.movers[c % 2]:
             values[k] = source[pi[k]].rename(rho)
-        states.append(BeltState(g=g, t=c + 1, values=tuple(values)))
+        states.append(tuple(values))
 
 
 def _replay(g, states, n_steps, steps):
@@ -189,54 +181,23 @@ def _replay(g, states, n_steps, steps):
     if steps <= n_steps:
         return
     try:
-        perm = read_half_period(g, states).sigma.perm
+        sigma = read_half_period(g, states).sigma
     except ClaimViolation:
         return
-    for t in range(1, steps - n_steps + 1):
-        values = states[t].values
-        states.append(
-            BeltState(g=g, t=n_steps + t, values=tuple(values[j] for j in perm))
-        )
-
-
-def first_return(trajectory):
-    """Smallest even p > 0 with trajectory[p] == trajectory[0], or None.
-
-    Period detection for both tracks: a trajectory is a list of belt
-    clusters or of tropical states, from time 0.
-    """
-    return next(
-        (p for p in range(2, len(trajectory), 2) if trajectory[p] == trajectory[0]),
-        None,
-    )
-
-
-def read_period(states):
-    """Smallest even p with an exact cluster recurrence in a belt run."""
-    return first_return([state.values for state in states])
+    replay(states, sigma, n_steps, steps)
 
 
 def detect_period(g, max_steps):
     """Smallest even p <= max_steps with an exact cluster recurrence."""
-    return read_period(run_belt(g, max_steps))
-
-
-@dataclass(frozen=True)
-class HalfPeriodReport:
-    N: int
-    sigma: Automorphism
-    color_behavior: str
-    order: int
-    identity: bool
+    return first_return(run_belt(g, max_steps))
 
 
 def sigma_from_cluster(values):
-    """Permutation sigma with values[i] == x_{sigma(i)}, or raise.
+    """The Automorphism sigma with values[i] == x_{sigma(i)}, or raise.
 
     Entries that are not plain variables, scalar multiples included,
     mean the cluster is not a relabeling of the initial one.
     """
-    n = len(values)
     perm = []
     for i, value in enumerate(values):
         j = value.as_variable()
@@ -245,9 +206,10 @@ def sigma_from_cluster(values):
                 "entry %d is %s, not an initial variable" % (i + 1, value)
             )
         perm.append(j)
-    if sorted(perm) != list(range(n)):
-        raise NoPermutationMatch("variable indices repeat: %s" % (perm,))
-    return tuple(perm)
+    try:
+        return Automorphism(tuple(perm))
+    except InvalidPermutation as exc:
+        raise NoPermutationMatch("variable indices repeat: %s" % (perm,)) from exc
 
 
 def half_period(g):
@@ -257,35 +219,7 @@ def half_period(g):
 
 def read_half_period(g, states):
     """Classify the relabeling held at t = N by a belt run from t = 0."""
-    return classify_sigma(g, sigma_from_cluster(states[g.half_period].values))
-
-
-def classify_sigma(g, perm):
-    """The half-period report of perm, or ClaimViolation unless perm is
-    an automorphism of (Gamma, Delta) of order at most two that preserves
-    colours for even N and reverses them for odd N.  A relabeling held
-    at N that passes re-indexes every later state (the module docstring's
-    replay); the tropical track reuses these rules for its own."""
-    n_steps = g.half_period
-    sigma = Automorphism(perm)
-    if any(unmatched_entry(perm, m, m) is not None for m in (g.gamma, g.delta)):
-        raise ClaimViolation(
-            "half-period permutation does not preserve (Gamma, Delta)"
-        )
-    if sigma.order > 2:
-        raise ClaimViolation("half-period permutation has order above two")
-    behavior = classify_color_behavior(g, perm)
-    if behavior != ("preserving" if n_steps % 2 == 0 else "reversing"):
-        raise ClaimViolation(
-            "color behavior %s does not match parity of N=%d" % (behavior, n_steps)
-        )
-    return HalfPeriodReport(
-        N=n_steps,
-        sigma=sigma,
-        color_behavior=behavior,
-        order=sigma.order,
-        identity=sigma.is_identity,
-    )
+    return classify_sigma(g, sigma_from_cluster(states[g.half_period]))
 
 
 def _require_tensor_with_point(g, what):
@@ -295,10 +229,10 @@ def _require_tensor_with_point(g, what):
 
 def _produced(g, states):
     """The initial cluster, then each value in the order the run made it."""
-    yield from states[0].values
+    yield from states[0]
     for c, state in enumerate(states[1:]):
         for k, _, _ in g.movers[c % 2]:
-            yield state.values[k]
+            yield state[k]
 
 
 def cluster_variable_census(g):

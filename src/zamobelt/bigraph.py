@@ -22,6 +22,7 @@ from operator import itemgetter, neg
 
 from . import dynkin
 from .errors import (
+    ClaimViolation,
     InputError,
     InvalidPermutation,
     InvalidRank,
@@ -404,42 +405,28 @@ def dual_bigraph(g):
     return decompose(langlands_dual(g.base), g.epsilon)
 
 
-def _check_permutation(perm):
-    """Raise InvalidPermutation unless perm maps 0..n-1 onto itself; a
-    cycle walk on any other map would never close."""
-    n = len(perm)
-    source = {}
-    for i, v in enumerate(perm):
-        if not isinstance(v, int) or not 0 <= v < n:
-            raise InvalidPermutation("vertex %d maps outside 1..%d" % (i + 1, n))
-        if v in source:
-            raise InvalidPermutation(
-                "vertices %d and %d both map to vertex %d"
-                % (source[v] + 1, i + 1, v + 1)
-            )
-        source[v] = i
-
-
-def _cycles(perm):
-    """The cycles of perm, fixed points included, each walked from its
-    smallest vertex; InvalidPermutation unless perm is a permutation."""
-    _check_permutation(perm)
-    seen = set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        cycle = [start]
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            nxt = perm[nxt]
-        seen.update(cycle)
-        yield cycle
-
-
 @dataclass(frozen=True)
 class Automorphism:
+    """A permutation of the vertices 0..n-1: vertex i goes to perm[i].
+
+    The one permutation type of the engine.  It is validated once, here:
+    a map with an entry outside 0..n-1 or a repeated image raises
+    InvalidPermutation, naming the first offending vertex.
+    """
+
     perm: tuple
+
+    def __post_init__(self):
+        n, source = len(self.perm), {}
+        for i, v in enumerate(self.perm):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise InvalidPermutation("vertex %d maps outside 1..%d" % (i + 1, n))
+            if v in source:
+                raise InvalidPermutation(
+                    "vertices %d and %d both map to vertex %d"
+                    % (source[v] + 1, i + 1, v + 1)
+                )
+            source[v] = i
 
     def __call__(self, i):
         return self.perm[i]
@@ -447,9 +434,34 @@ class Automorphism:
     def __iter__(self):
         return iter(self.perm)
 
+    def _cycles(self):
+        """The cycles, fixed points included, each walked from its
+        smallest vertex; they close, as perm is a permutation."""
+        seen = set()
+        for start in range(len(self.perm)):
+            if start in seen:
+                continue
+            cycle = [start]
+            nxt = self.perm[start]
+            while nxt != start:
+                cycle.append(nxt)
+                nxt = self.perm[nxt]
+            seen.update(cycle)
+            yield cycle
+
+    def relabel(self, seq):
+        """The tuple whose entry i is seq[sigma(i)]."""
+        return tuple(map(seq.__getitem__, self.perm))
+
+    @property
+    def inverse(self):
+        return Automorphism(
+            tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
+        )
+
     @property
     def order(self):
-        return math.lcm(*(len(cycle) for cycle in _cycles(self.perm)))
+        return math.lcm(*map(len, self._cycles()))
 
     @property
     def is_identity(self):
@@ -459,7 +471,7 @@ class Automorphism:
         """Cycle notation over one-based labels; identity renders as 'id'."""
         out = "".join(
             "(" + " ".join(str(v + 1) for v in cycle) + ")"
-            for cycle in _cycles(self.perm)
+            for cycle in self._cycles()
             if len(cycle) > 1
         )
         return out or "id"
@@ -484,6 +496,54 @@ def unmatched_entry(perm, src, dst):
             for j in range(n)
             if src[i][j] != dst[perm[i]][perm[j]]
         ),
+        None,
+    )
+
+
+@dataclass(frozen=True)
+class HalfPeriodReport:
+    N: int
+    sigma: Automorphism
+    color_behavior: str
+    order: int
+    identity: bool
+
+
+def classify_sigma(g, sigma):
+    """The half-period report of the Automorphism sigma, or
+    ClaimViolation unless sigma is an automorphism of (Gamma, Delta) of
+    order at most two that preserves colours for even N and reverses
+    them for odd N.  These are the paper's rules for the relabeling held
+    at N, and every track applies them: the symbolic verdict, the
+    tropical trials and the frozen isomorphism.  A relabeling that
+    passes re-indexes every later state (`replay`)."""
+    n_steps = g.half_period
+    if any(unmatched_entry(sigma.perm, m, m) is not None for m in (g.gamma, g.delta)):
+        raise ClaimViolation("half-period permutation does not preserve (Gamma, Delta)")
+    if sigma.order > 2:
+        raise ClaimViolation("half-period permutation has order above two")
+    behavior = classify_color_behavior(g, sigma.perm)
+    if behavior != ("preserving" if n_steps % 2 == 0 else "reversing"):
+        raise ClaimViolation(
+            "color behavior %s does not match parity of N=%d" % (behavior, n_steps)
+        )
+    return HalfPeriodReport(n_steps, sigma, behavior, sigma.order, sigma.is_identity)
+
+
+def replay(states, sigma, shift, last):
+    """Extend a run holding times 0..shift to time last, the state at
+    shift + t being states[t] relabeled by sigma: sound when shift = N,
+    the state there is the initial one relabeled and classify_sigma
+    accepts sigma (the belt module's replay gives the proof)."""
+    for t in range(len(states) - shift, last - shift + 1):
+        states.append(sigma.relabel(states[t]))
+
+
+def first_return(trajectory):
+    """Smallest even p > 0 with trajectory[p] == trajectory[0], or None:
+    period detection on a run of any track, states from time 0."""
+    return next(
+        (p for p in range(2, len(trajectory), 2) if trajectory[p] == trajectory[0]),
         None,
     )
 
@@ -529,11 +589,14 @@ def automorphism_search(g, kind="all"):
 
 
 def orbits_of(perm):
-    return sorted(tuple(sorted(cycle)) for cycle in _cycles(perm))
+    """The cycles of perm as sorted tuples, in order; InvalidPermutation
+    unless perm is a permutation."""
+    return sorted(tuple(sorted(cycle)) for cycle in Automorphism(perm)._cycles())
 
 
 def check_bicolored(g, perm):
     """Raise NotAdmissible unless perm is a bicolored automorphism of g."""
+    orbits = orbits_of(perm)
     b = g.base.b
     n = g.n
     for i in range(n):
@@ -544,7 +607,6 @@ def check_bicolored(g, perm):
         raise NotAdmissible(
             "iii", "entry (%d,%d) not preserved" % (bad[0] + 1, bad[1] + 1)
         )
-    orbits = orbits_of(perm)
     for orbit in orbits:
         for i in orbit:
             for j in orbit:

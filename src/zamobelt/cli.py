@@ -84,7 +84,7 @@ def cmd_belt(args):
     doc = {
         "name": args.target,
         "steps": args.steps,
-        "cluster": ", ".join(v.render() for v in states[-1].values),
+        "cluster": ", ".join(v.render() for v in states[-1]),
         "catalogVersion": bigraph.catalog_version(),
     }
     return _json_text(doc), EXIT_OK
@@ -94,7 +94,7 @@ def cmd_halfperiod(args):
     g = _resolve_target(args.target)
     states = belt.run_belt(g, 2 * g.half_period)
     report = belt.read_half_period(g, states)
-    period = belt.read_period(states)
+    period = bigraph.first_return(states)
     if period is None:
         raise ClaimViolation("no recurrence within 2N = %d steps" % (2 * report.N))
     census_size = len(belt.read_census(g, states)) if g.plain else None
@@ -156,7 +156,7 @@ def cmd_tropical(args):
     shift_ok = True
     labelings = [tropical.random_labeling(rng, g.n) for _ in range(args.trials)]
     for states, shifted in tropical.half_period_runs(g, labelings, sigma):
-        period = tropical.first_return(states[: 2 * n_half + 1])
+        period = bigraph.first_return(states[: 2 * n_half + 1])
         if period is None or (2 * n_half) % period != 0:
             periods_ok = False
         if not shifted:
@@ -244,6 +244,9 @@ def _is_json_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# every command's config may hold these, and the _options of the command
+_COMMON_KEYS = ("command", "target", "termGuard")
+
 # suite config key -> (argument dest, accepted JSON type, its name); a key
 # left out of a config takes the default of the command's own flag
 _CONFIG_KEYS = {
@@ -256,8 +259,19 @@ _CONFIG_KEYS = {
 }
 
 
+def _options(command):
+    """The _CONFIG_KEYS entries whose flag the command defines."""
+    dests = {action.dest for action in _build_parser()[1][command]._actions}
+    return {key: spec for key, spec in _CONFIG_KEYS.items() if spec[0] in dests}
+
+
 def _config_error(key, kind, value):
     return InputError("config key %r must be %s, got %r" % (key, kind, value))
+
+
+# the JSON type of each value a suite file decodes to, as an error names it
+_JSON_TYPES = {str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", list: "an array", type(None): "null"}
 
 
 def run_experiment(config):
@@ -266,13 +280,21 @@ def run_experiment(config):
     Never raises: failures are folded into the exit code so one bad
     suite entry cannot take down its siblings.  A termGuard holds for
     this config only.  Values are taken as given, never coerced: a
-    value of the wrong JSON type is an input error naming its key.
+    config that is not a JSON object, a key the command does not take,
+    or a value of the wrong JSON type is an input error naming it.
     """
     keep_guard = laurent.get_term_guard()
     try:
+        if not isinstance(config, dict):
+            kind = _JSON_TYPES.get(type(config), type(config).__name__)
+            raise InputError("config must be a JSON object, got %s" % kind)
         command = config.get("command")
-        if command not in _COMMANDS:
+        if not isinstance(command, str) or command not in _COMMANDS:
             raise InputError("unknown command %r" % command)
+        options = _options(command)
+        extra = [k for k in config if k not in options and k not in _COMMON_KEYS]
+        if extra:
+            raise InputError("config key %r is not a %s option" % (extra[0], command))
         target = config.get("target")
         if command != "catalog-list" and not isinstance(target, str):
             raise _config_error("target", "a string", target)
@@ -281,11 +303,10 @@ def run_experiment(config):
             if not _is_json_int(guard) or guard < 1:
                 raise _config_error("termGuard", "a positive integer", guard)
             laurent.set_term_guard(guard)
-        flags = _build_parser()[1][command]
         args = argparse.Namespace(target=target, out=None)
-        for key, (dest, accepts, kind) in _CONFIG_KEYS.items():
+        for key, (dest, accepts, kind) in options.items():
             if key not in config:
-                value = flags.get_default(dest)
+                value = _build_parser()[1][command].get_default(dest)
             elif accepts(config[key]):
                 value = config[key]
             else:

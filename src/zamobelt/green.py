@@ -35,7 +35,13 @@ from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import gt, is_not, itemgetter, lt, neg, or_
 
-from .bigraph import Automorphism, is_recurrent, mutate_rows, unmatched_entry
+from .bigraph import (
+    Automorphism,
+    classify_sigma,
+    is_recurrent,
+    mutate_rows,
+    unmatched_entry,
+)
 from .errors import (
     CoefficientMismatch,
     FrozenVertex,
@@ -269,15 +275,11 @@ class GreenCertificate:
 
     factors: int
     final: FramedState
-    permutation: object
+    permutation: Automorphism
 
     @property
     def sequence(self):
         return self.final.history
-
-    @property
-    def final_c(self):
-        return self.final.c_matrix()
 
 
 SHOWN_ROWS = 3
@@ -382,35 +384,29 @@ def verify_bipartite_belt_mgs(g):
     return cert_gamma, cert_delta
 
 
-def _inverse(p):
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
-
-
 def _relabeled(ext, p):
-    """R_p of an n x 2n extension: row i is row p(i), its mutable
-    columns read at p and its frozen columns left in place."""
-    n = len(p)
-    return tuple(
-        tuple(map(row.__getitem__, p)) + row[n:] for row in map(ext.__getitem__, p)
-    )
+    """R_p of an n x 2n extension, p an Automorphism: row i is row p(i),
+    its mutable columns read at p and its frozen columns left in place."""
+    n = len(p.perm)
+    return tuple(p.relabel(row) + row[n:] for row in p.relabel(ext))
 
 
 def _derived_final(g, cert_gamma, cert_delta):
     """The final state of the coframed walk, read off the certificates
     (see frozen_isomorphism_check), or None when a premise fails."""
-    q = cert_gamma.permutation.perm
+    q = cert_gamma.permutation
     last = g.whites if g.h_gamma % 2 == 0 else g.blacks
     if (
         cert_gamma.sequence != _sequence(g.blacks, g.whites, g.h_gamma)
         or cert_delta.sequence != _sequence(g.whites, g.blacks, g.h_delta)
         or not is_recurrent(g)
         or cert_gamma.final.ext != _relabeled(framed(g.base, -1).ext, q)
-        or sorted(q[k] for k in last) != list(g.whites)
+        or sorted(map(q, last)) != list(g.whites)
     ):
         return None
     return FramedState(
         n=g.n,
-        ext=_relabeled(cert_delta.final.ext, _inverse(q)),
+        ext=_relabeled(cert_delta.final.ext, q.inverse),
         history=_sequence(g.whites, g.blacks, g.half_period),
     )
 
@@ -419,8 +415,11 @@ def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
     """Run the belt on the coframed matrix for N composite factors.
 
     The result must be the coframed matrix with mutable labels permuted
-    and frozen labels fixed; the permutation is returned and, when a
-    symbolic half-period permutation is supplied, must equal it.
+    and frozen labels fixed, by a permutation that passes the paper's
+    half-period rules (`bigraph.classify_sigma`: an automorphism of
+    (Gamma, Delta) of order at most two with the colour behaviour N's
+    parity needs).  The permutation is returned and, when a symbolic
+    half-period permutation is supplied, must equal it.
 
     Given `certificates`, the pair verify_bipartite_belt_mgs(g)
     returned, the final state is derived from them instead of walked,
@@ -456,11 +455,12 @@ def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
         state = _walk(g, -1, g.whites, g.blacks, g.half_period)
     row_perm = _minus_permutation(state.c_matrix(), NoIsomorphism, "frozen block")
     # row r holds the -1 of frozen column row_perm[r]; sigma is the inverse
-    perm = _inverse(row_perm)
-    if unmatched_entry(perm, g.base.b, state.mutable_block()) is not None:
+    sigma = Automorphism(row_perm).inverse
+    if unmatched_entry(sigma.perm, g.base.b, state.mutable_block()) is not None:
         raise NoIsomorphism("mutable block is not a relabeling of the original")
-    if symbolic_sigma is not None and perm != tuple(symbolic_sigma):
+    classify_sigma(g, sigma)
+    if symbolic_sigma is not None and sigma.perm != tuple(symbolic_sigma):
         raise MismatchWithSymbolicSigma(
-            "frozen %s vs symbolic %s" % (perm, tuple(symbolic_sigma))
+            "frozen %s vs symbolic %s" % (sigma.perm, tuple(symbolic_sigma))
         )
-    return Automorphism(perm)
+    return sigma

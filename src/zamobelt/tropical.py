@@ -17,7 +17,8 @@ back into Fractions.
 The half-period trials (`half_period_runs`) step only to N.  When the
 state there is the initial one relabeled by sigma and sigma passes the
 half-period rules, the states after N are re-indexed copies of earlier
-ones, as on the symbolic belt; otherwise a trial steps on to 3N.
+ones, through the replay the symbolic belt uses; otherwise a trial steps
+on to 3N.
 """
 
 import math
@@ -25,8 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .belt import classify_sigma, first_return
-from .bigraph import dual_bigraph
+from .bigraph import Automorphism, classify_sigma, dual_bigraph, first_return, replay
 from .errors import ClaimViolation, InputError, NoGammaNeighbour
 
 RED = "red"
@@ -135,52 +135,37 @@ def tropical_half_period(g, lam, sigma):
     return next(half_period_runs(g, [lam], sigma))[1]
 
 
-def _relabeled(state, perm):
-    """The state whose entry i is state[perm[i]]."""
-    return tuple(map(state.__getitem__, perm))
-
-
-def _fits(g, perm):
-    """Is perm a permutation of the vertices that passes the half-period
-    rules?  classify_sigma reads cycles, so it is given permutations
-    only; any other map is left to the stepped check."""
-    if sorted(perm) != list(range(g.n)):
-        return False
-    try:
-        classify_sigma(g, perm)
-    except ClaimViolation:
-        return False
-    return True
-
-
 def half_period_runs(g, labelings, sigma):
     """Per labeling, its scaled states at times 0..3N and whether
     shifting time by N relabels them by sigma.
 
     Each run steps to N.  When state(N) is state(0) relabeled by sigma
-    and sigma passes the half-period rules (`belt.classify_sigma`,
+    and sigma passes the half-period rules (`bigraph.classify_sigma`,
     checked once for all labelings), state(N + t) is state(t) relabeled
     by sigma for every t >= 0, so the run re-indexes the states after N
-    and the shift holds.  This is the uniqueness argument of the
-    symbolic belt's replay: a step depends on its time only through the
-    parity, and sigma, an automorphism whose colour behaviour fits the
-    parity of N, takes the step at time t to the step at t + N.
-    Otherwise the run steps on to 3N and `read_half_period_shift`
-    judges it.
+    (`bigraph.replay`) and the shift holds.  This is the uniqueness
+    argument of the symbolic belt's replay: a step depends on its time
+    only through the parity, and sigma, an automorphism whose colour
+    behaviour fits the parity of N, takes the step at time t to the step
+    at t + N.  Otherwise the run steps on to 3N and
+    `read_half_period_shift` judges it.
     """
     n_half = g.half_period
-    perm = tuple(sigma)
-    fits = _fits(g, perm)
+    sigma = Automorphism(tuple(sigma))
+    try:
+        classify_sigma(g, sigma)
+        fits = True
+    except ClaimViolation:
+        fits = False
     for lam in labelings:
         scale = scale_of(lam)
         states = scaled_states(g, lam, scale, n_half)
-        if fits and states[n_half] == _relabeled(states[0], perm):
-            for t in range(1, 2 * n_half + 1):
-                states.append(_relabeled(states[t], perm))
+        if fits and states[n_half] == sigma.relabel(states[0]):
+            replay(states, sigma, n_half, 3 * n_half)
             yield states, True
         else:
             _advance(g, states, 3 * n_half, scale)
-            yield states, read_half_period_shift(g, states, perm)
+            yield states, read_half_period_shift(g, states, sigma)
 
 
 def read_half_period_shift(g, states, sigma):
@@ -190,14 +175,11 @@ def read_half_period_shift(g, states, sigma):
     for every c in one full period.  A sigma whose color behavior does
     not fit the parity of N fails here on any non-degenerate labeling.
     """
-    perm = tuple(sigma)
+    sigma = Automorphism(tuple(sigma))
     n_half = g.half_period
-    for c in range(2 * n_half):
-        shifted = states[c + n_half]
-        base = states[c]
-        if any(shifted[i] != base[perm[i]] for i in range(g.n)):
-            return False
-    return True
+    return all(
+        states[c + n_half] == sigma.relabel(states[c]) for c in range(2 * n_half)
+    )
 
 
 def dual_transfer_check(g, lam, dual=None):

@@ -76,18 +76,18 @@ def test_criterion_1_a2_golden_trace():
     g = bg.catalog("A2")
     x1, x2 = variables(2)
     states = belt.run_belt(g, 5)
-    assert states[1].values[0] == (x2 + 1).divexact(x1)  # T1(2)
-    assert states[2].values[1] == (x1 + x2 + 1).divexact(x1 * x2)  # T2(3)
-    assert states[3].values[0] == (x1 + 1).divexact(x2)  # T1(4)
-    assert states[4].values[1] == x1  # T2(5)
-    assert states[5].values[0] == x2  # T1(6)
+    assert states[1][0] == (x2 + 1).divexact(x1)  # T1(2)
+    assert states[2][1] == (x1 + x2 + 1).divexact(x1 * x2)  # T2(3)
+    assert states[3][0] == (x1 + 1).divexact(x2)  # T1(4)
+    assert states[4][1] == x1  # T2(5)
+    assert states[5][0] == x2  # T1(6)
     assert period_of("A2") == 10
     rep = half_period_of("A2")
     assert rep.sigma.cycles() == "(1 2)" and rep.color_behavior == "reversing"
     # independent oracle agreement over the full period
     symbols, trace = direct_iteration_oracle(g, 10)
     for state, expected in zip(belt.run_belt(g, 10), trace):
-        for mine, theirs in zip(state.values, expected):
+        for mine, theirs in zip(state, expected):
             built = sum(
                 coeff * sympy.prod(s**e for s, e in zip(symbols, exps))
                 for exps, coeff in mine.terms.items()

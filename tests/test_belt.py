@@ -63,12 +63,12 @@ def test_a2_trace_goldens():
     g = bg.catalog("A2")
     x1, x2 = variables(2)
     states = belt.run_belt(g, 5)
-    assert states[0].values == (x1, x2)
-    assert states[1].values == ((x2 + 1).divexact(x1), x2)
-    assert states[2].values[1] == (x1 + x2 + 1).divexact(x1 * x2)
-    assert states[3].values[0] == (x1 + 1).divexact(x2)
-    assert states[4].values[1] == x1
-    assert states[5].values == (x2, x1)  # half period: sigma swaps the labels
+    assert states[0] == (x1, x2)
+    assert states[1] == ((x2 + 1).divexact(x1), x2)
+    assert states[2][1] == (x1 + x2 + 1).divexact(x1 * x2)
+    assert states[3][0] == (x1 + 1).divexact(x2)
+    assert states[4][1] == x1
+    assert states[5] == (x2, x1)  # half period: sigma swaps the labels
 
 
 def test_agrees_with_sympy_oracle():
@@ -77,10 +77,10 @@ def test_agrees_with_sympy_oracle():
         steps = g.half_period
         states = belt.run_belt(g, steps)
         symbols, trace = sympy_belt_oracle(g, steps)
-        for state, expected in zip(states, trace):
-            for mine, theirs in zip(state.values, expected):
+        for t, (state, expected) in enumerate(zip(states, trace)):
+            for mine, theirs in zip(state, expected):
                 diff = sympy.simplify(to_sympy(mine, symbols) - theirs)
-                assert diff == 0, (name, state.t)
+                assert diff == 0, (name, t)
 
 
 def test_laurent_positivity_along_the_run():
@@ -88,7 +88,7 @@ def test_laurent_positivity_along_the_run():
     for name in ("A2", "A3", "G2", "A2xA2"):
         g = bg.catalog(name)
         for state in belt.run_belt(g, 2 * g.half_period):
-            for value in state.values:
+            for value in state:
                 assert all(c > 0 for c in value.terms.values()), name
 
 
@@ -108,8 +108,8 @@ def forward_trajectory(g, steps):
     """Step from the initial cluster with `belt.step` alone: no state
     is derived."""
     out = [belt.initial_state(g)]
-    for _ in range(steps):
-        out.append(belt.step(out[-1]))
+    for c in range(steps):
+        out.append(belt.step(g, c, out[-1]))
     return out
 
 
@@ -138,9 +138,9 @@ def test_memo_changes_no_value(name):
     states = belt.run_belt(g, 2 * g.half_period)
     reference = forward_trajectory(g, 2 * g.half_period)
     assert len(states) == len(reference)
-    for state, expected in zip(states, reference):
-        assert state == expected, (name, state.t)
-        assert hash(state) == hash(expected), (name, state.t)
+    for t, (state, expected) in enumerate(zip(states, reference)):
+        assert state == expected, (name, t)
+        assert hash(state) == hash(expected), (name, t)
 
 
 @pytest.mark.parametrize("name", bg.catalog_names())
@@ -151,7 +151,7 @@ def test_second_half_replays_the_first_relabeled_by_sigma(name):
     states = belt.run_belt(g, 2 * n_steps)
     sigma = belt.read_half_period(g, states).sigma
     for t in range(n_steps + 1):
-        later, earlier = states[n_steps + t].values, states[t].values
+        later, earlier = states[n_steps + t], states[t]
         for k in range(g.n):
             assert later[k] == earlier[sigma(k)], (name, t, k)
 
@@ -160,9 +160,9 @@ def count_steps(monkeypatch):
     calls = []
     real_step = belt.step
 
-    def counting_step(state):
-        calls.append(state.t)
-        return real_step(state)
+    def counting_step(g, c, values):
+        calls.append(c)
+        return real_step(g, c, values)
 
     monkeypatch.setattr(belt, "step", counting_step)
     return calls
@@ -195,10 +195,10 @@ def test_mirror_check_rejects_a_perturbed_midpoint_value():
         g = bg.catalog(name)
         n_steps, mid = g.half_period, midpoint(g)
         states = forward_trajectory(g, mid)
-        at_mid = list(states[mid].values)
+        at_mid = list(states[mid])
         for k in range(g.n):
             perturbed = at_mid[:k] + [at_mid[k] + 1] + at_mid[k + 1 :]
-            run = states[:mid] + [belt.BeltState(g=g, t=mid, values=tuple(perturbed))]
+            run = states[:mid] + [tuple(perturbed)]
             belt._mirror(g, run, n_steps, n_steps)
             assert len(run) == mid + 1, (name, k)
         derived = list(states)
@@ -308,9 +308,9 @@ def test_failed_exchange_names_its_vertex_and_time():
     # vertex 1 of A2 moves first: (x2 + 1) / (x1 + 1) is not a Laurent polynomial
     g = bg.catalog("A2")
     x1, x2 = variables(2)
-    state = belt.BeltState(g=g, t=0, values=(x1 + 1, x2))
+    state = (x1 + 1, x2)
     with pytest.raises(LaurentPhenomenonViolation) as info:
-        belt.step(state)
+        belt.step(g, 0, state)
     assert str(info.value).startswith("vertex 1 at time 2: ")
 
 
@@ -374,8 +374,7 @@ def relabeled_run(g, perm):
     """A run whose cluster at t = N is the initial one relabeled by perm;
     `read_half_period` reads only that state."""
     values = tuple(Laurent.variable(perm[i], g.n) for i in range(g.n))
-    at_n = belt.BeltState(g=g, t=g.half_period, values=values)
-    return [None] * g.half_period + [at_n]
+    return [None] * g.half_period + [values]
 
 
 def test_read_half_period_checks_in_order():
@@ -440,7 +439,7 @@ def test_denominator_bijection_sweep():
 def test_denominator_vectors_of_a2_window():
     g = bg.catalog("A2")
     states = belt.run_belt(g, 3)
-    seen = {v.denominator_vector() for s in states for v in s.values}
+    seen = {v.denominator_vector() for s in states for v in s}
     assert seen == {(-1, 0), (0, -1), (1, 0), (1, 1), (0, 1)}
 
 
@@ -462,7 +461,7 @@ def test_replay_needs_an_automorphism_with_the_colour_behaviour_of_n():
     assert len(run) == 9
     x1, x2 = variables(2)
     run = relabeled_run(a2, (1, 0))
-    run[-1] = belt.BeltState(g=a2, t=5, values=(x2, x1 + 1))
+    run[-1] = (x2, x1 + 1)
     belt._replay(a2, run, 5, 10)
     assert len(run) == 6
     run = forward_trajectory(a2, 5)

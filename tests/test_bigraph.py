@@ -434,8 +434,9 @@ REPEAT = "vertices 1 and 3 both map to vertex 1"
         (lambda: bg.fold(bg.catalog("A3"), bg.Automorphism((0, 1, 0))), REPEAT),
         (lambda: bg.Automorphism((0, 3, 1)).order, "vertex 2 maps outside 1..3"),
         (lambda: bg.orbits_of((1, -1)), "vertex 2 maps outside 1..2"),
+        (lambda: bg.fold(bg.catalog("A3"), (0, 5, 1)), "vertex 2 maps outside 1..3"),
     ],
-    ids=["cycles", "order", "fold", "out-of-range", "orbits"],
+    ids=["cycles", "order", "fold", "out-of-range", "orbits", "fold-out-of-range"],
 )
 def test_a_map_that_is_not_a_permutation_is_rejected_at_once(call, match):
     # a cycle walk on such a map never closes; fold reaches it after
@@ -443,6 +444,22 @@ def test_a_map_that_is_not_a_permutation_is_rejected_at_once(call, match):
     with pytest.raises(InvalidPermutation, match=match):
         _within(1, call)
     assert issubclass(InvalidPermutation, InputError)
+
+
+def test_an_automorphism_is_validated_at_construction():
+    with pytest.raises(InvalidPermutation, match=REPEAT):
+        bg.Automorphism((0, 1, 0))
+
+
+def test_relabel_inverse_and_replay():
+    sigma = bg.Automorphism((2, 0, 1))
+    assert sigma.relabel("abc") == ("c", "a", "b")  # entry i is seq[sigma(i)]
+    assert sigma.inverse == bg.Automorphism((1, 2, 0))
+    assert sigma.inverse.relabel(sigma.relabel((5, 6, 7))) == (5, 6, 7)
+    # the state at shift + t is the state at t relabeled
+    states = [(0, 1, 2), (3, 4, 5)]
+    bg.replay(states, sigma, 1, 4)
+    assert states == [(0, 1, 2), (3, 4, 5), (5, 3, 4), (4, 5, 3), (3, 4, 5)]
 
 
 # -- catalog and serialization ---------------------------------------------------

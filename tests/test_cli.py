@@ -1,6 +1,7 @@
 """Command line driver: report shapes, exit protocol, determinism."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 
 import zamobelt.belt as belt
 import zamobelt.bigraph as bg
+import zamobelt.cli as cli
 import zamobelt.laurent as laurent
 import zamobelt.tropical as tropical
 from zamobelt.cli import main, run_experiment
@@ -257,7 +259,7 @@ def test_term_guard_applies_only_to_the_exchanges_a_run_makes(tmp_path, capsys):
     try:
         with pytest.raises(TermGuardExceeded, match="24 terms"):
             while True:
-                states.append(belt.step(states[-1]))
+                states.append(belt.step(g, len(states) - 1, states[-1]))
     finally:
         laurent.set_term_guard(keep)
     assert g.half_period == 8 and len(states) - 1 == 4
@@ -353,9 +355,9 @@ def test_halfperiod_steps_the_belt_once(capsys, monkeypatch):
     calls = []
     real_step = belt.step
 
-    def counting_step(state):
-        calls.append(state.t)
-        return real_step(state)
+    def counting_step(g, c, values):
+        calls.append(c)
+        return real_step(g, c, values)
 
     monkeypatch.setattr(belt, "step", counting_step)
     code, _, _ = run(capsys, "halfperiod", "A3")
@@ -370,9 +372,9 @@ def count_exchanges(monkeypatch):
     calls, now = [], []
     real_step, real_exchange = belt.step, belt.exchange
 
-    def timed_step(state):
-        now[:] = [state.t]
-        return real_step(state)
+    def timed_step(g, c, values):
+        now[:] = [c]
+        return real_step(g, c, values)
 
     def counting_exchange(monomials, divisor):
         calls.append(now[0])
@@ -502,6 +504,64 @@ def test_suite_accepts_bool_and_string_values():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "entry, kind",
+    [
+        ("halfperiod", "a string"),
+        (5, "a number"),
+        (None, "null"),
+        ([{"command": "halfperiod"}], "an array"),
+        (True, "a boolean"),
+    ],
+)
+def test_a_suite_entry_that_is_not_an_object_exits_two(tmp_path, capsys, entry,
+                                                       kind):
+    text, code = run_experiment(entry)
+    assert (text, code) == ("error: config must be a JSON object, got %s\n" % kind, 2)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"command": "halfperiod", "target": "A2"}, entry]))
+    code, out, _ = run(capsys, "suite", str(path))
+    doc = json.loads(out)
+    assert code == 2 and "Traceback" not in out
+    assert [r["exitCode"] for r in doc["results"]] == [0, 2]
+    assert doc["results"][1]["report"] == text
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"command": "tropical", "target": "A2", "trails": 0}, "trails"),
+        ({"command": "halfperiod", "target": "A2", "seed": 1}, "seed"),
+        ({"command": "belt", "target": "A2", "skipSymbolic": True}, "skipSymbolic"),
+        ({"command": "catalog-list", "steps": 3}, "steps"),
+        ({"command": "census", "target": "A2", "lam": "-1"}, "lam"),
+    ],
+)
+def test_a_config_key_the_command_does_not_take_exits_two(config, key):
+    text, code = run_experiment(config)
+    assert code == 2
+    assert text == "error: config key %r is not a %s option\n" % (key, config["command"])
+
+
+def test_every_checked_in_config_uses_only_keys_its_command_takes():
+    root = pathlib.Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [c for w in workloads.WORKLOADS for c in workloads.experiments(w)]
+    for golden in ("belt_tropical_reports.json", "green_reports.json"):
+        entries = json.loads((root / "tests" / golden).read_text())
+        configs += [entry["config"] for entry in entries]
+    assert len(configs) > 100
+    for config in configs:
+        allowed = {"command", "target", "termGuard"} | set(
+            cli._options(config["command"])
+        )
+        assert set(config) <= allowed, config
+
+
 def test_halfperiod_multiplies_no_constant_one(capsys, monkeypatch):
     products = []
     real_mul = Laurent.__mul__
@@ -522,11 +582,10 @@ def test_exponent_overflow_exits_two(capsys, monkeypatch):
     # start B2's belt from x_k^20000: the doubled edge squares a value,
     # which would need exponents past the 16-bit field
     def high_state(g):
-        values = tuple(
+        return tuple(
             Laurent.monomial(tuple(20000 if j == k else 0 for j in range(g.n)))
             for k in range(g.n)
         )
-        return belt.BeltState(g=g, t=0, values=values)
 
     monkeypatch.setattr(belt, "initial_state", high_state)
     code, out, err = run(capsys, "belt", "B2", "--steps", "2")

@@ -12,6 +12,7 @@ import zamobelt.bigraph as bg
 import zamobelt.cli as cli
 import zamobelt.green as green
 from zamobelt.errors import (
+    ClaimViolation,
     CoefficientMismatch,
     FrozenVertex,
     NoIsomorphism,
@@ -345,7 +346,7 @@ def test_both_mutations_commute_with_relabeling(case, data):
             )
         )
     )
-    assert green._relabeled(ext, p) == relabel(ext, p)
+    assert green._relabeled(ext, bg.Automorphism(p)) == relabel(ext, p)
     assert bg.mutate_rows(relabel(ext, p), k) == relabel(bg.mutate_rows(ext, p[k]), p)
     # the columns of y are all frozen: R_p only reorders its rows
     y_after = green.mutate_y(y, ext, p[k])
@@ -393,6 +394,31 @@ def test_the_green_command_derives_the_frozen_state(monkeypatch):
     assert code == 0 and signs == [1, 1]
 
 
+def test_a_planted_order_three_sigma_is_a_claim_violation(monkeypatch):
+    # the final C is -P and the block is B relabeled, by the triality of
+    # D4: every check but the half-period rules passes
+    g = bg.catalog("D4")
+    triality = bg.Automorphism((2, 1, 3, 0))
+    assert triality.cycles() == "(1 3 4)"
+    planted = green.FramedState(
+        n=g.n, ext=green._relabeled(green.framed(g.base, -1).ext, triality), history=()
+    )
+    real = green._walk
+    monkeypatch.setattr(
+        green, "_walk", lambda g, sign, *a: planted if sign == -1 else real(g, sign, *a)
+    )
+    monkeypatch.setattr(green, "_derived_final", lambda *certificates: planted)
+    with pytest.raises(ClaimViolation, match="^half-period permutation has order"):
+        green.frozen_isomorphism_check(g)
+    for config in (
+        {"command": "tropical", "target": "D4"},
+        {"command": "green", "target": "D4", "skipSymbolic": True},
+    ):
+        assert cli.run_experiment(config) == (
+            "falsified: half-period permutation has order above two\n", 1
+        )
+
+
 def with_final(cert, ext):
     return dataclasses.replace(cert, final=dataclasses.replace(cert.final, ext=ext))
 
@@ -409,9 +435,9 @@ def doubled_entry(cert):
 
 def planted_q(g, cert, q):
     """A Gamma certificate that ends at R_q(coframed B) exactly."""
-    q = tuple(q)
+    q = bg.Automorphism(tuple(q))
     ext = green._relabeled(green.framed(g.base, -1).ext, q)
-    return dataclasses.replace(with_final(cert, ext), permutation=bg.Automorphism(q))
+    return dataclasses.replace(with_final(cert, ext), permutation=q)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """The package runs on the standard library alone."""
 
+import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import zamobelt
 
@@ -60,3 +63,31 @@ def test_the_cli_imports_no_multiprocessing():
     loaded = loaded_by("zamobelt.cli")
     assert "zamobelt.cli" in loaded
     assert [m for m in loaded if m.partition(".")[0] == "multiprocessing"] == []
+
+
+def package_imports(module):
+    """The package modules that module's source imports, by their import
+    name: `from . import x`, `from .x import y` and absolute imports."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                found.add("zamobelt." + node.module)
+            elif node.level:
+                found.update("zamobelt." + alias.name for alias in node.names)
+            elif node.module.partition(".")[0] == "zamobelt":
+                found.add(node.module)
+                found.update(node.module + "." + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", ["tropical", "green"])
+def test_the_laurent_free_tracks_import_neither_belt_nor_laurent(module):
+    # the tropical and green tracks decide sigma without Laurent
+    # polynomials, so a verdict built on them must not load the symbolic code
+    found = package_imports(module)
+    assert "zamobelt.bigraph" in found
+    assert found.isdisjoint({"zamobelt.belt", "zamobelt.laurent"}), found
