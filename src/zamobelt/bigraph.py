@@ -227,6 +227,15 @@ class Bigraph:
         return 0 if self.epsilon[k] == WHITE else 1
 
     @functools.cached_property
+    def recurrent(self):
+        """The verdict of `is_recurrent`, computed once per bigraph."""
+        minus = _freeze([[-x for x in row] for row in self.base.b])
+        return all(
+            composite_mutation(self.base, color_set).b == minus
+            for color_set in (self.whites, self.blacks)
+        )
+
+    @functools.cached_property
     def movers(self):
         """The belt timetable: per parity of c, the vertices that move at
         c, in vertex order, as (k, Gamma in-edges, Delta in-edges), each
@@ -287,6 +296,14 @@ def _connected_components(weights):
 
 
 def _component_data(weights):
+    """The connected components of the unsigned matrix weights, in order
+    of their lowest vertex, each with its Dynkin type and Coxeter number,
+    or family None and rank its size when it is not of finite type.
+
+    Components with the same Cartan matrix (E7xE7 has fourteen) share
+    one recognition: dynkin.recognize runs once per distinct matrix.
+    """
+    types = {}
     comps = []
     for vertices in _connected_components(weights):
         k = len(vertices)
@@ -297,14 +314,14 @@ def _component_data(weights):
             )
             for a in range(k)
         )
-        hit = dynkin.recognize(cartan)
-        if hit is None:
-            comps.append(Component(vertices, None, k, None))
-        else:
-            family, rank = hit
-            comps.append(
-                Component(vertices, family, rank, dynkin.coxeter_number(family, rank))
-            )
+        if cartan not in types:
+            hit = dynkin.recognize(cartan)
+            if hit is None:
+                types[cartan] = (None, k, None)
+            else:
+                family, rank = hit
+                types[cartan] = (family, rank, dynkin.coxeter_number(family, rank))
+        comps.append(Component(vertices, *types[cartan]))
     return tuple(comps)
 
 
@@ -352,13 +369,10 @@ def is_recurrent(g):
 
     The composite around a full period is the identity exactly when both
     one-color composites negate, so both are checked; one alone is not
-    enough in general.
+    enough in general.  The verdict is cached on g (`Bigraph.recurrent`),
+    so the CLI's check of a target and a later premise check share it.
     """
-    minus = _freeze([[-x for x in row] for row in g.base.b])
-    for color_set in (g.whites, g.blacks):
-        if composite_mutation(g.base, color_set).b != minus:
-            return False
-    return True
+    return g.recurrent
 
 
 def _tensor_rows(family_l, rank_l, family_r, rank_r):
@@ -410,8 +424,9 @@ class Automorphism:
     """A permutation of the vertices 0..n-1: vertex i goes to perm[i].
 
     The one permutation type of the engine.  It is validated once, here:
-    a map with an entry outside 0..n-1 or a repeated image raises
-    InvalidPermutation, naming the first offending vertex.
+    a map with an entry that is not an int in 0..n-1 (a bool is not a
+    vertex) or a repeated image raises InvalidPermutation, naming the
+    first offending vertex.
     """
 
     perm: tuple
@@ -419,6 +434,10 @@ class Automorphism:
     def __post_init__(self):
         n, source = len(self.perm), {}
         for i, v in enumerate(self.perm):
+            if isinstance(v, bool):
+                raise InvalidPermutation(
+                    "vertex %d maps to %r, not a vertex" % (i + 1, v)
+                )
             if not isinstance(v, int) or not 0 <= v < n:
                 raise InvalidPermutation("vertex %d maps outside 1..%d" % (i + 1, n))
             if v in source:
@@ -674,7 +693,9 @@ def _figure_two_rows():
     return [[-x for x in row] for row in b]
 
 
-_TENSOR_RE = re.compile(r"([A-G])(\d+)x([A-G])(\d+)")
+# a rank is ASCII decimal digits with no leading zero: A01, E06 and a
+# rank in other scripts' digits are no names, not aliases of A1 and E6
+_TENSOR_RE = re.compile(r"([A-G])(0|[1-9][0-9]*)x([A-G])(0|[1-9][0-9]*)")
 
 
 def catalog(name):

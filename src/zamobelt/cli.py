@@ -31,10 +31,19 @@ def _failure(exc):
     return "".join(traceback.format_exception(exc)), EXIT_INTERNAL
 
 
-def _resolve_target(target):
+def _resolve_target(target, resolved=None):
     """The target's bigraph, which must meet the theorem's hypothesis.
     A JSON file when it ends in .json or holds a path separator, else a
-    catalog name whatever files the working directory holds."""
+    catalog name whatever files the working directory holds.
+
+    resolved, when given, is a suite call's dict from each target string
+    it has resolved to that target's Bigraph, which is immutable: a
+    target found there is neither built nor checked again, and one
+    resolved here is added.  A failure is never kept, so a bad name, a
+    bad file or a target that is not recurrent raises again, with the
+    same text, for each entry that names it."""
+    if resolved is not None and target in resolved:
+        return resolved[target]
     if target.endswith(".json") or os.path.sep in target:
         g = bigraph.load_bigraph(target)
     else:
@@ -44,6 +53,8 @@ def _resolve_target(target):
             "%s is not recurrent: mutating every white vertex, or every "
             "black one, does not negate its exchange matrix" % target
         )
+    if resolved is not None:
+        resolved[target] = g
     return g
 
 
@@ -79,7 +90,7 @@ def _json_text(doc):
 
 
 def cmd_belt(args):
-    g = _resolve_target(args.target)
+    g = _resolve_target(args.target, args.resolved)
     states = belt.run_belt(g, args.steps)
     doc = {
         "name": args.target,
@@ -91,7 +102,7 @@ def cmd_belt(args):
 
 
 def cmd_halfperiod(args):
-    g = _resolve_target(args.target)
+    g = _resolve_target(args.target, args.resolved)
     states = belt.run_belt(g, 2 * g.half_period)
     report = belt.read_half_period(g, states)
     period = bigraph.first_return(states)
@@ -112,7 +123,7 @@ def cmd_halfperiod(args):
 
 
 def cmd_green(args):
-    g = _resolve_target(args.target)
+    g = _resolve_target(args.target, args.resolved)
     cert_gamma, cert_delta = green.verify_bipartite_belt_mgs(g)
     symbolic = None if args.skip_symbolic else belt.half_period(g).sigma
     frozen_sigma = green.frozen_isomorphism_check(
@@ -148,7 +159,7 @@ def _check_trials(args):
 
 def cmd_tropical(args):
     _check_trials(args)
-    g = _resolve_target(args.target)
+    g = _resolve_target(args.target, args.resolved)
     n_half = g.half_period
     rng = tropical.make_rng(args.seed)
     sigma = green.frozen_isomorphism_check(g)
@@ -176,7 +187,7 @@ def cmd_tropical(args):
 
 
 def cmd_census(args):
-    g = _resolve_target(args.target)
+    g = _resolve_target(args.target, args.resolved)
     lam = _parse_labeling(args.lam, g.n)
     census = tropical.colored_census(g, lam)
     ok = (
@@ -193,7 +204,7 @@ def cmd_census(args):
 
 def cmd_dual_check(args):
     _check_trials(args)
-    g = _resolve_target(args.target)
+    g = _resolve_target(args.target, args.resolved)
     rng = tropical.make_rng(args.seed)
     labelings = [tropical.constant_labeling(g.n, -1)]
     labelings += [tropical.random_labeling(rng, g.n) for _ in range(args.trials)]
@@ -274,7 +285,7 @@ _JSON_TYPES = {str: "a string", int: "a number", float: "a number",
                bool: "a boolean", list: "an array", type(None): "null"}
 
 
-def run_experiment(config):
+def run_experiment(config, resolved=None):
     """Run one config dict; returns (report text, exit code).
 
     Never raises: failures are folded into the exit code so one bad
@@ -282,6 +293,9 @@ def run_experiment(config):
     this config only.  Values are taken as given, never coerced: a
     config that is not a JSON object, a key the command does not take,
     or a value of the wrong JSON type is an input error naming it.
+    resolved is the suite call's dict of resolved targets
+    (`_resolve_target`); without it the target is built and checked
+    afresh.
     """
     keep_guard = laurent.get_term_guard()
     try:
@@ -303,7 +317,7 @@ def run_experiment(config):
             if not _is_json_int(guard) or guard < 1:
                 raise _config_error("termGuard", "a positive integer", guard)
             laurent.set_term_guard(guard)
-        args = argparse.Namespace(target=target, out=None)
+        args = argparse.Namespace(target=target, out=None, resolved=resolved)
         for key, (dest, accepts, kind) in options.items():
             if key not in config:
                 value = _build_parser()[1][command].get_default(dest)
@@ -333,7 +347,9 @@ def cmd_suite(args):
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_experiment, configs))
     else:
-        results = [run_experiment(cfg) for cfg in configs]
+        # each distinct target is built and checked once per suite call
+        resolved = {}
+        results = [run_experiment(cfg, resolved) for cfg in configs]
     entries = []
     worst = EXIT_OK
     tally = dict.fromkeys((EXIT_OK, EXIT_FALSIFIED, EXIT_INPUT, EXIT_INTERNAL), 0)
@@ -365,6 +381,9 @@ def _build_parser():
         prog="zamobelt",
         description="exact engine for bipartite-belt dynamics",
     )
+    # a command line resolves its one target afresh; run_experiment
+    # passes a suite call's resolved targets here
+    parser.set_defaults(resolved=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **kwargs):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zamobelt.bigraph as bg
+import zamobelt.dynkin as dynkin
 from zamobelt.errors import (
     InputError,
     InvalidPermutation,
@@ -274,6 +275,67 @@ def test_recurrence_needs_both_color_composites():
     assert not bg.is_recurrent(bad)
 
 
+def test_the_recurrence_verdict_is_computed_once_per_bigraph(monkeypatch):
+    composites = []
+    real = bg.composite_mutation
+
+    def counting(m, vertices):
+        composites.append(vertices)
+        return real(m, vertices)
+
+    monkeypatch.setattr(bg, "composite_mutation", counting)
+    g = bg.catalog("A3")
+    assert bg.is_recurrent(g) and bg.is_recurrent(g) and g.recurrent
+    assert composites == [g.whites, g.blacks]
+    # the cached verdict is no field: a fresh build is still equal
+    assert g == bg.catalog("A3") and hash(g) == hash(bg.catalog("A3"))
+
+
+# -- Dynkin components ----------------------------------------------------------
+
+KRONECKER = {"n": 2, "b": [[0, 2], [-2, 0]], "epsilon": ["w", "b"]}
+
+
+def _component_alone(weights, vertices):
+    """The Component of one vertex set, recognized on its own."""
+    cartan = tuple(
+        tuple(2 if u == v else -weights[u][v] for v in vertices) for u in vertices
+    )
+    hit = dynkin.recognize(cartan)
+    if hit is None:
+        return bg.Component(vertices, None, len(vertices), None), cartan
+    return bg.Component(vertices, *hit, dynkin.coxeter_number(*hit)), cartan
+
+
+@pytest.mark.parametrize("name", bg.catalog_names() + ["E7xE7", "Kronecker"])
+def test_component_data_recognizes_each_distinct_matrix_once(monkeypatch, name):
+    g = bg.from_json(KRONECKER) if name == "Kronecker" else bg.catalog(name)
+    real = dynkin.recognize
+    for weights in (g.gamma, g.delta):
+        alone = [
+            _component_alone(weights, vertices)
+            for vertices in bg._connected_components(weights)
+        ]
+        recognized = []
+
+        def counting(cartan):
+            recognized.append(cartan)
+            return real(cartan)
+
+        monkeypatch.setattr(dynkin, "recognize", counting)
+        assert bg._component_data(weights) == tuple(comp for comp, _ in alone)
+        monkeypatch.setattr(dynkin, "recognize", real)
+        assert recognized == list(dict.fromkeys(cartan for _, cartan in alone))
+    if name == "E7xE7":
+        # seven E7 components on each side, each side one recognition
+        names = [c.name for c in g.gamma_components + g.delta_components]
+        assert names == ["E7"] * 14
+    if name == "Kronecker":
+        # the affine doubled edge keeps family None; Delta is two points
+        assert g.gamma_components == (bg.Component((0, 1), None, 2, None),)
+        assert [c.name for c in g.delta_components] == ["A1", "A1"]
+
+
 # -- tensor products ----------------------------------------------------------
 
 
@@ -449,6 +511,11 @@ def test_a_map_that_is_not_a_permutation_is_rejected_at_once(call, match):
 def test_an_automorphism_is_validated_at_construction():
     with pytest.raises(InvalidPermutation, match=REPEAT):
         bg.Automorphism((0, 1, 0))
+    # a bool is an int to Python, but no vertex: True is not read as 1
+    with pytest.raises(InvalidPermutation, match="vertex 1 maps to True, not a"):
+        bg.Automorphism((True, False))
+    with pytest.raises(InvalidPermutation, match="vertex 2 maps to False, not a"):
+        bg.Automorphism((1, False, 2))
 
 
 def test_relabel_inverse_and_replay():

@@ -319,6 +319,123 @@ def test_suite_parallel_matches_serial(tmp_path, capsys):
     assert serial[0] == 0
 
 
+# Gamma is the path A6 and Delta three A2 edges: each side shares one
+# Coxeter number, but the belt does not return (see _edges_doc below)
+NON_RECURRENT_EDGES = (
+    6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], [(1, 4), (3, 6), (5, 2)]
+)
+
+
+def test_a_suite_reports_each_entry_as_it_runs_alone(tmp_path, capsys):
+    # targets repeat, good and bad: a failure is never kept, so the bad
+    # name and the non-recurrent file fail alike for every entry naming them
+    bad_file = tmp_path / "input.json"
+    bad_file.write_text(json.dumps(_edges_doc(*NON_RECURRENT_EDGES)))
+    configs = [
+        {"command": "halfperiod", "target": "A3"},
+        {"command": "tropical", "target": "A3", "seed": 7, "trials": 3},
+        {"command": "halfperiod", "target": "NOPE"},
+        {"command": "green", "target": str(bad_file)},
+        {"command": "census", "target": "A3"},
+        {"command": "census", "target": "NOPE"},
+        {"command": "tropical", "target": str(bad_file), "trials": 2},
+        {"command": "green", "target": "A3", "skipSymbolic": True},
+        {"command": "dual-check", "target": "B2", "trials": 2},
+        {"command": "census", "target": "B2"},
+        {"command": "belt", "target": "A3", "steps": 4},
+    ]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(configs))
+    serial = run(capsys, "suite", str(path))
+    results = json.loads(serial[1])["results"]
+    assert [r["config"] for r in results] == configs
+    assert [(r["report"], r["exitCode"]) for r in results] == [
+        run_experiment(config) for config in configs
+    ]
+    assert [r["exitCode"] for r in results] == [0, 0, 2, 2, 0, 2, 2, 0, 0, 0, 0]
+    assert results[2]["report"].startswith("error: 'NOPE' is not a catalog name")
+    assert results[3]["report"].startswith("error: %s is not recurrent: " % bad_file)
+    assert serial[0] == 2 and serial[2] == ""
+    assert run(capsys, "suite", str(path), "--jobs", "2") == serial
+
+
+def test_a_suite_builds_each_distinct_target_once_per_call(
+    tmp_path, capsys, monkeypatch
+):
+    built = []
+    real_catalog = bg.catalog
+
+    def counting_catalog(name):
+        built.append(name)
+        return real_catalog(name)
+
+    monkeypatch.setattr(bg, "catalog", counting_catalog)
+    # the shape of the tropical-green workload: each target under several
+    # commands, and under the same command with other options
+    targets = ["A2", "B2", "G2", "A2xA2"]
+    configs = [{"command": "tropical", "target": t, "seed": 7, "trials": 3}
+               for t in targets]
+    configs += [{"command": "census", "target": t} for t in targets[:3]]
+    configs += [{"command": "dual-check", "target": t, "trials": 3} for t in targets]
+    configs += [{"command": "green", "target": t, "skipSymbolic": True}
+                for t in targets]
+    configs += [{"command": "tropical", "target": "A2", "seed": 8, "trials": 3}]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(configs))
+    first = run(capsys, "suite", str(path))
+    assert first[0] == 0 and sorted(built) == sorted(targets)
+    # nothing outlives the suite call: the next one builds them all again
+    assert run(capsys, "suite", str(path)) == first
+    assert sorted(built) == sorted(targets * 2)
+    run(capsys, "census", "A2")
+    assert built.count("A2") == 3
+
+
+def test_a_json_target_is_read_once_per_suite_call(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "a3.json"
+    target.write_text(json.dumps({"n": 3, "b": bg.catalog("A3").base.b}))
+    read = []
+    real_read = bg.read_json
+
+    def counting_read(file):
+        read.append(file)
+        return real_read(file)
+
+    monkeypatch.setattr(bg, "read_json", counting_read)
+    configs = [{"command": c, "target": str(target)} for c in ("halfperiod", "census")]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(configs))
+    code, out, _ = run(capsys, "suite", str(path))
+    assert code == 0 and json.loads(out)["summary"]["verified"] == 2
+    assert read == [str(path), str(target)]
+
+
+def test_green_reads_the_recurrence_verdict_its_target_check_computed(
+    capsys, monkeypatch
+):
+    composites = []
+    real = bg.composite_mutation
+
+    def counting(m, vertices):
+        composites.append(vertices)
+        return real(m, vertices)
+
+    monkeypatch.setattr(bg, "composite_mutation", counting)
+    # the frozen isomorphism's premises include recurrence, checked once
+    code, _, _ = run(capsys, "green", "D4", "--skip-symbolic")
+    assert code == 0 and len(composites) == 2
+
+
+@pytest.mark.parametrize("name", ["A01", "E06", "A2xA03", "A\u0663"])
+def test_a_rank_with_a_leading_zero_or_foreign_digits_is_unknown(capsys, name):
+    # no name is read as another: A01 is not A1, nor A2xA03 A2xA3
+    code, out, err = run(capsys, "halfperiod", name)
+    assert code == 2 and out == ""
+    assert err.startswith("error: %r is not a catalog name; " % name)
+    text, code = run_experiment({"command": "halfperiod", "target": name})
+    assert code == 2 and text == err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exit_two(tmp_path, capsys, jobs):
     # not coerced to a serial run; a large value is not tried here, as
@@ -607,12 +724,8 @@ def _edges_doc(n, gamma, delta):
 
 @pytest.mark.parametrize("command", ["halfperiod", "green", "tropical"])
 def test_non_recurrent_input_exits_two(tmp_path, capsys, command):
-    # Gamma is the path A6 and Delta three A2 edges: each side shares one
-    # Coxeter number, but the belt does not return, so the theorem's
-    # hypothesis fails; no claim may be judged falsified on it
-    doc = _edges_doc(
-        6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], [(1, 4), (3, 6), (5, 2)]
-    )
+    # the theorem's hypothesis fails; no claim may be judged falsified on it
+    doc = _edges_doc(*NON_RECURRENT_EDGES)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     assert not bg.is_recurrent(bg.from_json(doc))
