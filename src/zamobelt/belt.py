@@ -123,6 +123,31 @@ def run_belt(g, steps):
     return states
 
 
+def state_at(g, steps):
+    """The state at time steps, as run_belt(g, steps)[-1] holds it,
+    without holding steps + 1 states.
+
+    On an admissible bigraph a run past 2N stops at 2N.  A step depends
+    on the time only through its parity, so when the state at an even p
+    equals the initial one (`first_return`), the state at t is the state
+    at t mod p.  Otherwise the run steps on from its last state, keeping
+    that state alone, as it does from time 0 on a bigraph outside the
+    theorem.  run_belt rejects a negative steps.
+    """
+    try:
+        last = min(steps, 2 * g.half_period)
+    except NotAdmissibleBigraph:
+        last = min(steps, 0)
+    states = run_belt(g, last)
+    period = first_return(states) if steps > last else None
+    if period is not None:
+        return states[steps % period]
+    values = states[-1]
+    for c in range(last, steps):
+        values = step(g, c, values)
+    return values
+
+
 def _advance(g, states, last):
     """Step the run forward until it holds the state at time last."""
     while len(states) <= last:

@@ -11,7 +11,6 @@ never re-derive signs themselves.
 """
 
 import functools
-import hashlib
 import json
 import math
 import re
@@ -424,14 +423,19 @@ class Automorphism:
     """A permutation of the vertices 0..n-1: vertex i goes to perm[i].
 
     The one permutation type of the engine.  It is validated once, here:
-    a map with an entry that is not an int in 0..n-1 (a bool is not a
-    vertex) or a repeated image raises InvalidPermutation, naming the
-    first offending vertex.
+    a perm that is not a tuple (a list would leave the object unhashable
+    and unequal to its tuple twin), or a map with an entry that is not an
+    int in 0..n-1 (a bool is not a vertex) or a repeated image, raises
+    InvalidPermutation, naming the first offending vertex.
     """
 
     perm: tuple
 
     def __post_init__(self):
+        if not isinstance(self.perm, tuple):
+            raise InvalidPermutation(
+                "a permutation is a tuple, got %s" % type(self.perm).__name__
+            )
         n, source = len(self.perm), {}
         for i, v in enumerate(self.perm):
             if isinstance(v, bool):
@@ -731,28 +735,15 @@ def catalog_names():
     ]
 
 
-@functools.cache
 def catalog_version():
-    """Short hash pinning the figure entries and the Coxeter table.
+    """The version every report carries, pinning the figure entries and
+    the Coxeter table.
 
-    It reads module constants only, so it is computed once per process."""
-    payload = {
-        "fig1": {
-            "gamma": _FIG1_GAMMA_EDGES,
-            "delta": _FIG1_DELTA_EDGES,
-            "epsilon": _FIG1_EPSILON,
-        },
-        "fig2": {
-            "b": _figure_two_rows(),
-            "epsilon": _FIG2_EPSILON,
-        },
-        "coxeter": {
-            "A": "n+1", "B": "2n", "C": "2n", "D": "2n-2",
-            "E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6,
-        },
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    A literal, so no process hashes anything: the first 12 hex digits of
+    a SHA-256 over that data, which the tier-1 tests recompute
+    (tests/test_bigraph.py).  An edit to the figures or to the table in
+    `dynkin` fails them, naming the new digest, until this is bumped."""
+    return "e0db35bbf4da"
 
 
 def from_json(doc):

@@ -91,11 +91,11 @@ def _json_text(doc):
 
 def cmd_belt(args):
     g = _resolve_target(args.target, args.resolved)
-    states = belt.run_belt(g, args.steps)
+    state = belt.state_at(g, args.steps)
     doc = {
         "name": args.target,
         "steps": args.steps,
-        "cluster": ", ".join(v.render() for v in states[-1]),
+        "cluster": ", ".join(v.render() for v in state),
         "catalogVersion": bigraph.catalog_version(),
     }
     return _json_text(doc), EXIT_OK
@@ -134,6 +134,10 @@ def cmd_green(args):
         return {
             "sequence": [k + 1 for k in cert.sequence],
             "factors": cert.factors,
+            # true on every report that exits 0, as _certify raises
+            # NotPermutation before a certificate exists otherwise; it
+            # stays because the benchmark oracle and the golden reports
+            # read it
             "finalCIsMinusPermutation": cert.permutation is not None,
             "permutation": cert.permutation.cycles(),
         }

@@ -1,8 +1,10 @@
 """Finite Dynkin data: Cartan matrices, root enumeration, Coxeter numbers.
 
-The Coxeter numbers come from a hard-coded table, but the table is
-cross-checked on first use against a brute-force root enumerator via
-h * rank == number of roots, so a typo here cannot survive import.
+The Coxeter numbers come from a hard-coded table that nothing checks at
+run time.  The tier-1 tests prove it against the brute-force root
+enumerator below (h * rank == number of roots on every family), so a
+typo in it fails them, and `bigraph.catalog_version` pins it in every
+report.
 """
 
 from .errors import InvalidRank
@@ -73,12 +75,9 @@ _COXETER = {
     "G": lambda n: 6,
 }
 
-_table_checked = False
-
 
 def coxeter_number(family, rank):
     _check_rank(family, rank)
-    _verify_table_once()
     return _COXETER[family](rank)
 
 
@@ -108,31 +107,6 @@ def positive_roots(cartan):
 
 def root_count(cartan):
     return 2 * len(positive_roots(cartan))
-
-
-def _verify_table_once():
-    """Check h * rank == #roots on one representative per table row."""
-    global _table_checked
-    if _table_checked:
-        return
-    _table_checked = True
-    reps = [
-        ("A", 1), ("A", 2), ("A", 5),
-        ("B", 2), ("B", 4),
-        ("C", 3), ("C", 4),
-        ("D", 4), ("D", 5),
-        ("E", 6), ("E", 7), ("E", 8),
-        ("F", 4),
-        ("G", 2),
-    ]
-    for family, rank in reps:
-        h = _COXETER[family](rank)
-        count = root_count(cartan_matrix(family, rank))
-        if h * rank != count:
-            raise AssertionError(
-                "Coxeter table broken for %s%d: h*rank=%d, roots=%d"
-                % (family, rank, h * rank, count)
-            )
 
 
 def _is_cartan_like(m):

@@ -302,6 +302,30 @@ def test_belt_outside_the_theorem_steps_forward():
     with pytest.raises(NotAdmissibleBigraph):
         g.half_period
     assert belt.run_belt(g, 9) == forward_trajectory(g, 9)
+    # and one state at a time
+    assert belt.state_at(g, 9) == forward_trajectory(g, 9)[-1]
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "D4", "A2xA2", "fig1-A5starD4"])
+def test_state_at_is_the_state_a_stepped_run_reaches(name, monkeypatch):
+    # B2 returns at 6 < 2N = 12; past 2N the run holds 2N + 1 states only
+    g = bg.catalog(name)
+    two_n = 2 * g.half_period
+    stepped = forward_trajectory(g, 2 * two_n + 3)
+    lengths = []
+    run_belt = belt.run_belt
+
+    def recording_run_belt(g, steps):
+        lengths.append(steps)
+        return run_belt(g, steps)
+
+    monkeypatch.setattr(belt, "run_belt", recording_run_belt)
+    for steps in (0, 3, two_n, two_n + 1, 2 * two_n + 3):
+        lengths.clear()
+        assert belt.state_at(g, steps) == stepped[steps], steps
+        assert lengths == [min(steps, two_n)], steps
+    with pytest.raises(InputError, match="steps must be nonnegative"):
+        belt.state_at(g, -1)
 
 
 def test_failed_exchange_names_its_vertex_and_time():

@@ -1,5 +1,6 @@
 """Exchange matrices, bipartition, recurrence, tensors, duals, folding."""
 
+import hashlib
 import json
 import pathlib
 import signal
@@ -516,6 +517,11 @@ def test_an_automorphism_is_validated_at_construction():
         bg.Automorphism((True, False))
     with pytest.raises(InvalidPermutation, match="vertex 2 maps to False, not a"):
         bg.Automorphism((1, False, 2))
+    # a list is not coerced: kept as given it would be unhashable, and
+    # unequal to the tuple, which is the identity
+    with pytest.raises(InvalidPermutation, match="a permutation is a tuple, got list"):
+        bg.Automorphism([0, 1, 2])
+    assert bg.Automorphism((0, 1, 2)).is_identity
 
 
 def test_relabel_inverse_and_replay():
@@ -586,6 +592,46 @@ def test_catalog_version_is_the_one_the_golden_reports_pin(golden):
         if report["exitCode"] == 0 and report["text"].startswith("{")
     }
     assert pinned == {bg.catalog_version()}
+
+
+# The Coxeter table as the catalog version spells it, and each series
+# formula read at rank n.
+COXETER_SPELLED = {
+    "A": "n+1", "B": "2n", "C": "2n", "D": "2n-2",
+    "E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6,
+}
+SERIES = {"n+1": lambda n: n + 1, "2n": lambda n: 2 * n, "2n-2": lambda n: 2 * n - 2}
+
+
+def test_the_spelled_coxeter_table_is_dynkins():
+    for key, value in COXETER_SPELLED.items():
+        if isinstance(value, int):
+            assert dynkin.coxeter_number(key[0], int(key[1:])) == value, key
+        else:
+            low = {"A": 1, "B": 2, "C": 2, "D": 4}[key]
+            for n in range(low, 20):
+                assert dynkin.coxeter_number(key, n) == SERIES[value](n), (key, n)
+    assert {key[0] for key in COXETER_SPELLED} == set("ABCDEFG")
+
+
+def test_catalog_version_is_the_digest_of_the_figures_and_the_coxeter_table():
+    # the version is a literal; an edit to the figure data or the table
+    # must come with a bump to the digest named here
+    payload = {
+        "fig1": {
+            "gamma": bg._FIG1_GAMMA_EDGES,
+            "delta": bg._FIG1_DELTA_EDGES,
+            "epsilon": bg._FIG1_EPSILON,
+        },
+        "fig2": {"b": bg._figure_two_rows(), "epsilon": bg._FIG2_EPSILON},
+        "coxeter": COXETER_SPELLED,
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    digest = hashlib.sha256(blob).hexdigest()[:12]
+    assert bg.catalog_version() == digest, (
+        "the figures or the Coxeter table changed: set catalog_version to %r"
+        % digest
+    )
 
 
 def test_from_json_round_trip():

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,27 @@ def test_belt_initial_cluster(capsys):
     doc = json.loads(out)
     assert doc["cluster"] == "x1, x2"
     assert doc["steps"] == 0
+
+
+@pytest.mark.parametrize("steps", [1_000_000, 1_000_003])
+def test_a_long_belt_renders_one_state_in_bounded_memory(capsys, steps):
+    # a step depends on time only through its parity, so the state at
+    # steps is the state at steps mod the period; holding every state up
+    # to a million would take tens of MiB
+    _, out, _ = run(capsys, "halfperiod", "A2")
+    period = json.loads(out)["period"]
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "belt", "A2", "--steps", str(steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20, peak
+    doc = json.loads(out)
+    assert doc["steps"] == steps
+    _, short, _ = run(capsys, "belt", "A2", "--steps", str(steps % period))
+    assert doc["cluster"] == json.loads(short)["cluster"]
 
 
 def test_halfperiod_report_keys_and_values(capsys):

@@ -1,7 +1,13 @@
 """Cartan matrices, root enumeration, Coxeter numbers, shape recognition."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import zamobelt
 from zamobelt.dynkin import (
     cartan_matrix,
     coxeter_number,
@@ -62,6 +68,37 @@ def test_coxeter_number_table_vs_root_enumeration():
         cartan = cartan_matrix(family, rank)
         h = coxeter_number(family, rank)
         assert h * rank == root_count(cartan), (family, rank)
+
+
+PACKAGE_ROOT = pathlib.Path(zamobelt.__file__).parent.parent
+
+# run in a fresh interpreter, where no earlier call can have used the
+# table: it must answer without enumerating a root
+NO_ROOTS = """
+import zamobelt.dynkin as dynkin
+
+def refuse(cartan):
+    raise AssertionError("roots enumerated")
+
+dynkin.positive_roots = refuse
+import zamobelt.bigraph as bg
+
+print(bg.catalog("E8").half_period)
+print(*(dynkin.coxeter_number(family, rank) for family, rank in %r))
+"""
+
+
+def test_coxeter_numbers_need_no_root_enumeration():
+    done = subprocess.run(
+        [sys.executable, "-c", NO_ROOTS % (ALL_FAMILIES,)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT)),
+    )
+    assert done.returncode == 0, done.stderr
+    e8, table = done.stdout.splitlines()
+    assert e8 == "32"  # h(E8) + h(A1)
+    assert table.split() == [str(coxeter_number(*fr)) for fr in ALL_FAMILIES]
 
 
 def test_positive_roots_contain_simples_and_highest():

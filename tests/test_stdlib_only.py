@@ -65,6 +65,14 @@ def test_the_cli_imports_no_multiprocessing():
     assert [m for m in loaded if m.partition(".")[0] == "multiprocessing"] == []
 
 
+def test_no_module_loads_hashlib():
+    # the catalog version is a literal: no process hashes, so none maps
+    # OpenSSL's _hashlib in
+    loaded = loaded_by("zamobelt", "zamobelt.cli")
+    assert "zamobelt.cli" in loaded
+    assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
+
+
 def package_imports(module):
     """The package modules that module's source imports, by their import
     name: `from . import x`, `from .x import y` and absolute imports."""
