@@ -14,12 +14,12 @@ import zamobelt.tropical as tr
 def main():
     print("folding goldens:")
     a3 = z.catalog("A3")
-    flip = next(a for a in bg.find_automorphisms(a3) if not a.is_identity)
+    flip = next(a for a in bg.automorphism_search(a3) if not a.is_identity)
     folded = z.fold(a3, flip)
     print("  A3 folded by %s -> b = %s" % (flip.cycles(), folded.base.b))
 
     d4 = z.catalog("D4")
-    rot = next(a for a in bg.find_automorphisms(d4) if a.order == 3)
+    rot = next(a for a in bg.automorphism_search(d4) if a.order == 3)
     folded_g2 = z.fold(d4, rot)
     print("  D4 folded by %s -> b = %s" % (rot.cycles(), folded_g2.base.b))
 

@@ -156,10 +156,10 @@ def _advance(g, states, last):
 
 def mirror_candidates(g, n_steps):
     """(pi, rhos) for the mirror about the midpoint of the first n_steps
-    steps, or None when there is no candidate: pi is the identity for
-    odd n_steps and the first colour-reversing automorphism for even
-    n_steps, and rhos lazily yields the first MIRROR_TRIES
-    colour-reversing automorphisms, each found only when it is tried."""
+    steps, or None when there is no candidate: pi is the identity
+    Automorphism for odd n_steps and the first colour-reversing one for
+    even n_steps, and rhos lazily yields the first MIRROR_TRIES
+    colour-reversing Automorphisms, each found only when it is tried."""
     try:
         rhos = automorphism_search(g, "colorReversing")
     except SearchBoundExceeded:
@@ -167,7 +167,7 @@ def mirror_candidates(g, n_steps):
     first = next(rhos, None)
     if first is None:
         return None
-    pi = tuple(range(g.n)) if n_steps % 2 else first
+    pi = Automorphism.identity(g.n) if n_steps % 2 else first
     return pi, islice(chain([first], rhos), MIRROR_TRIES)
 
 
@@ -186,7 +186,7 @@ def _mirror(g, states, n_steps, last):
         (
             rho
             for rho in rhos
-            if all(at_mid[k] == source[pi[k]].rename(rho) for k in range(g.n))
+            if all(at_mid[k] == source[pi(k)].rename(rho) for k in range(g.n))
         ),
         None,
     )
@@ -196,7 +196,7 @@ def _mirror(g, states, n_steps, last):
         source = states[n_steps - c - 1]
         values = list(states[-1])
         for k, _, _ in g.movers[c % 2]:
-            values[k] = source[pi[k]].rename(rho)
+            values[k] = source[pi(k)].rename(rho)
         states.append(tuple(values))
 
 
@@ -223,18 +223,16 @@ def sigma_from_cluster(values):
     Entries that are not plain variables, scalar multiples included,
     mean the cluster is not a relabeling of the initial one.
     """
-    perm = []
-    for i, value in enumerate(values):
-        j = value.as_variable()
-        if j is None:
-            raise NoPermutationMatch(
-                "entry %d is %s, not an initial variable" % (i + 1, value)
-            )
-        perm.append(j)
+    perm = tuple(value.as_variable() for value in values)
+    if None in perm:
+        i = perm.index(None)
+        raise NoPermutationMatch(
+            "entry %d is %s, not an initial variable" % (i + 1, values[i])
+        )
     try:
-        return Automorphism(tuple(perm))
+        return Automorphism(perm)
     except InvalidPermutation as exc:
-        raise NoPermutationMatch("variable indices repeat: %s" % (perm,)) from exc
+        raise NoPermutationMatch("variable indices repeat: %s" % (list(perm),)) from exc
 
 
 def half_period(g):

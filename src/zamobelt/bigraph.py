@@ -451,6 +451,10 @@ class Automorphism:
                 )
             source[v] = i
 
+    @classmethod
+    def identity(cls, n):
+        return cls(tuple(range(n)))
+
     def __call__(self, i):
         return self.perm[i]
 
@@ -500,8 +504,8 @@ class Automorphism:
         return out or "id"
 
 
-def classify_color_behavior(g, perm):
-    flips = [g.epsilon[perm[i]] != g.epsilon[i] for i in range(g.n)]
+def classify_color_behavior(g, sigma):
+    flips = [g.epsilon[j] != e for e, j in zip(g.epsilon, sigma.perm)]
     if not any(flips):
         return "preserving"
     if all(flips):
@@ -509,8 +513,9 @@ def classify_color_behavior(g, perm):
     return "mixed"
 
 
-def unmatched_entry(perm, src, dst):
-    """First (i, j) with src[i][j] != dst[perm[i]][perm[j]], or None."""
+def unmatched_entry(sigma, src, dst):
+    """First (i, j) with src[i][j] != dst[sigma(i)][sigma(j)], or None."""
+    perm = sigma.perm
     n = len(perm)
     return next(
         (
@@ -541,11 +546,11 @@ def classify_sigma(g, sigma):
     tropical trials and the frozen isomorphism.  A relabeling that
     passes re-indexes every later state (`replay`)."""
     n_steps = g.half_period
-    if any(unmatched_entry(sigma.perm, m, m) is not None for m in (g.gamma, g.delta)):
+    if any(unmatched_entry(sigma, m, m) is not None for m in (g.gamma, g.delta)):
         raise ClaimViolation("half-period permutation does not preserve (Gamma, Delta)")
     if sigma.order > 2:
         raise ClaimViolation("half-period permutation has order above two")
-    behavior = classify_color_behavior(g, sigma.perm)
+    behavior = classify_color_behavior(g, sigma)
     if behavior != ("preserving" if n_steps % 2 == 0 else "reversing"):
         raise ClaimViolation(
             "color behavior %s does not match parity of N=%d" % (behavior, n_steps)
@@ -571,24 +576,16 @@ def first_return(trajectory):
     )
 
 
-def find_automorphisms(g, kind="all"):
-    """All permutations fixing both unsigned matrices, of the given kind.
-
-    kind: "all", "colorPreserving", or "colorReversing".  Backtracking
-    keeps the search sound for every n, but n is capped at
-    SEARCH_BOUND to keep runtime at desk scale.
-    """
-    return [Automorphism(p) for p in automorphism_search(g, kind)]
-
-
 def automorphism_search(g, kind="all"):
-    """Lazily, in lex order, each permutation fixing both unsigned
-    matrices whose colour behaviour is kind; see find_automorphisms.
+    """Lazily, in lex order, each Automorphism fixing both unsigned
+    matrices whose colour behaviour is kind: "all", "colorPreserving" or
+    "colorReversing".
 
     The colour is a condition of placing each vertex, not a filter: the
     search relabels (Gamma, Delta) onto itself with each vertex's colour
     on the diagonal, swapped on the target side for "colorReversing".
-    Raises SearchBoundExceeded at once when n is over SEARCH_BOUND.
+    Backtracking keeps the search sound for every n, but it raises
+    SearchBoundExceeded at once when n is over SEARCH_BOUND.
     """
     if g.n > SEARCH_BOUND:
         raise SearchBoundExceeded(
@@ -608,24 +605,20 @@ def automorphism_search(g, kind="all"):
             for i, (gamma_row, delta_row) in enumerate(zip(g.gamma, g.delta))
         )
 
-    return dynkin.relabelings(marked(colours), marked(targets))
+    relabelings = dynkin.relabelings(marked(colours), marked(targets))
+    return map(Automorphism, relabelings)
 
 
-def orbits_of(perm):
-    """The cycles of perm as sorted tuples, in order; InvalidPermutation
-    unless perm is a permutation."""
-    return sorted(tuple(sorted(cycle)) for cycle in Automorphism(perm)._cycles())
-
-
-def check_bicolored(g, perm):
-    """Raise NotAdmissible unless perm is a bicolored automorphism of g."""
-    orbits = orbits_of(perm)
+def check_bicolored(g, auto):
+    """Raise NotAdmissible unless the Automorphism auto is a bicolored
+    automorphism of g; returns its orbits as sorted tuples, in order."""
+    orbits = [tuple(sorted(cycle)) for cycle in auto._cycles()]
     b = g.base.b
     n = g.n
     for i in range(n):
-        if g.epsilon[perm[i]] != g.epsilon[i]:
+        if g.epsilon[auto(i)] != g.epsilon[i]:
             raise NotAdmissible("i", "vertex %d changes color" % (i + 1))
-    bad = unmatched_entry(perm, b, b)
+    bad = unmatched_entry(auto, b, b)
     if bad is not None:
         raise NotAdmissible(
             "iii", "entry (%d,%d) not preserved" % (bad[0] + 1, bad[1] + 1)
@@ -649,9 +642,8 @@ def check_bicolored(g, perm):
 
 
 def fold(g, auto):
-    """Quotient by a bicolored automorphism; orbits become vertices."""
-    perm = tuple(auto)
-    orbits = check_bicolored(g, perm)
+    """Quotient by a bicolored Automorphism; orbits become vertices."""
+    orbits = check_bicolored(g, auto)
     b = g.base.b
     folded = []
     for orbit_i in orbits:

@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -58,9 +59,35 @@ def _resolve_target(target, resolved=None):
     return g
 
 
+# a command-line integer: an optional "-", then ASCII digits
+_ASCII_INT = re.compile(r"-?[0-9]+")
+
+# a labeling entry: an optional sign, ASCII digits, then an optional
+# "/digits" or ".digits"; no exponent, whose cost grows with its value
+_LABELING_ENTRY = re.compile(r"[-+]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
+def _ascii_int(text):
+    """The int an optional "-" and ASCII digits spell, the type of every
+    integer flag.  Anything else (digits of other scripts, "_", "+") and
+    a number past the interpreter's digit limit raise ArgumentTypeError,
+    which argparse reports as a usage error, exit 2."""
+    if not _ASCII_INT.fullmatch(text):
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_labeling(text, n):
+    """The labeling a comma-separated list of entries spells, one entry
+    standing for all n.  Each entry, stripped of surrounding whitespace,
+    is an integer, a fraction a/b or a decimal in ASCII digits."""
     parts = [p.strip() for p in text.split(",")]
     try:
+        if not all(map(_LABELING_ENTRY.fullmatch, parts)):
+            raise ValueError(text)
         values = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("bad labeling %r" % text) from exc
@@ -200,8 +227,11 @@ def cmd_census(args):
         and census.ties == 0
         and tropical.blue_times_admissible(census, g.half_period)
     )
+    # a labeling of several entries is one CSV field, quoted; the
+    # labeling grammar admits no '"' to escape
+    seed = '"%s"' % args.lam if "," in args.lam else args.lam
     text = "name,lambdaSeed,period,red,blue,ties\n%s,%s,%d,%d,%d,%d\n" % (
-        args.target, args.lam, census.period, census.red, census.blue, census.ties
+        args.target, seed, census.period, census.red, census.blue, census.ties
     )
     return text, EXIT_OK if ok else EXIT_FALSIFIED
 
@@ -402,7 +432,7 @@ def _build_parser():
 
     sp = add("belt", help="run the symbolic belt and print the cluster")
     sp.add_argument("target")
-    sp.add_argument("--steps", type=int, default=0)
+    sp.add_argument("--steps", type=_ascii_int, default=0)
 
     sp = add("halfperiod", help="half-period permutation report")
     sp.add_argument("target")
@@ -413,8 +443,8 @@ def _build_parser():
 
     sp = add("tropical", help="tropical periodicity over random labelings")
     sp.add_argument("target")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--seed", type=_ascii_int, default=0)
+    sp.add_argument("--trials", type=_ascii_int, default=100)
 
     sp = add("census", help="colored mutation counts over one period")
     sp.add_argument("target")
@@ -422,32 +452,36 @@ def _build_parser():
 
     sp = add("dual-check", help="transfer check against the Langlands dual")
     sp.add_argument("target")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--seed", type=_ascii_int, default=0)
+    sp.add_argument("--trials", type=_ascii_int, default=10)
 
     add("catalog-list", help="list built-in entries")
 
     sp = add("suite", help="run a JSON list of experiment configs")
     sp.add_argument("file")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_ascii_int, default=1)
 
     return parser, sub.choices
 
 
 def _term_guard(flag):
     """The guard from --term-guard, else ZAMOBELT_TERM_GUARD, else the
-    default.  A value must be a positive integer in decimal digits."""
+    default.  A value must be a positive integer, read as every integer
+    flag is (`_ascii_int`)."""
     source, text = "--term-guard", flag
     if text is None:
         source, text = "ZAMOBELT_TERM_GUARD", os.environ.get("ZAMOBELT_TERM_GUARD")
         if not text:
             return laurent.DEFAULT_TERM_GUARD
-    if not (text.isascii() and text.isdigit()) or not text.strip("0"):
-        raise InputError("%s must be a positive integer, got %r" % (source, text))
     try:
-        return int(text)
-    except ValueError as exc:  # more digits than the interpreter converts
-        raise InputError("%s: %s" % (source, exc)) from exc
+        value = _ascii_int(text)
+    except argparse.ArgumentTypeError as exc:
+        if _ASCII_INT.fullmatch(text):  # more digits than the interpreter converts
+            raise InputError("%s: %s" % (source, exc)) from exc
+        value = 0  # no integer: the message below names it
+    if value < 1:
+        raise InputError("%s must be a positive integer, got %r" % (source, text))
+    return value
 
 
 def main(argv=None):

@@ -286,14 +286,15 @@ SHOWN_ROWS = 3
 
 
 def _minus_permutation(c_rows, error, name):
-    """sigma with -C == P_sigma (row i has its -1 in column sigma(i)).
+    """The Automorphism sigma with -C == P_sigma (row i has its -1 in
+    column sigma(i)).
 
     Otherwise raises error naming C's shape and its first offending
     rows: those that are not minus a unit vector, or whose -1 sits in
     the column of an earlier row's.  C can be 49 x 49 and more, so the
     text shows at most SHOWN_ROWS of them.
     """
-    perm = []
+    perm = ()
     offending = []
     used = set()
     for i, row in enumerate(c_rows):
@@ -304,7 +305,7 @@ def _minus_permutation(c_rows, error, name):
             and all(x in (0, -1) for x in row)
         ):
             used.add(negatives[0])
-            perm.append(negatives[0])
+            perm += (negatives[0],)
         else:
             offending.append(i)
     if offending:
@@ -316,7 +317,7 @@ def _minus_permutation(c_rows, error, name):
             % (name, len(c_rows), len(c_rows), len(offending), shown,
                ", ..." if len(offending) > SHOWN_ROWS else "")
         )
-    return tuple(perm)
+    return Automorphism(perm)
 
 
 def _sequence(first, second, factors):
@@ -363,9 +364,7 @@ def _certify(g, first, second, factors, partition):
     if still_green:
         raise NotMaximal("vertices %s still green" % [k + 1 for k in still_green])
     perm = _minus_permutation(state.c_matrix(), NotPermutation, "final C")
-    return GreenCertificate(
-        factors=factors, final=state, permutation=Automorphism(perm)
-    )
+    return GreenCertificate(factors=factors, final=state, permutation=perm)
 
 
 def verify_bipartite_belt_mgs(g):
@@ -387,7 +386,7 @@ def verify_bipartite_belt_mgs(g):
 def _relabeled(ext, p):
     """R_p of an n x 2n extension, p an Automorphism: row i is row p(i),
     its mutable columns read at p and its frozen columns left in place."""
-    n = len(p.perm)
+    n = len(ext)
     return tuple(p.relabel(row) + row[n:] for row in p.relabel(ext))
 
 
@@ -418,8 +417,8 @@ def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
     and frozen labels fixed, by a permutation that passes the paper's
     half-period rules (`bigraph.classify_sigma`: an automorphism of
     (Gamma, Delta) of order at most two with the colour behaviour N's
-    parity needs).  The permutation is returned and, when a symbolic
-    half-period permutation is supplied, must equal it.
+    parity needs).  That Automorphism is returned and, when the symbolic
+    half-period Automorphism is supplied, must equal it.
 
     Given `certificates`, the pair verify_bipartite_belt_mgs(g)
     returned, the final state is derived from them instead of walked,
@@ -454,13 +453,13 @@ def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
     if state is None:
         state = _walk(g, -1, g.whites, g.blacks, g.half_period)
     row_perm = _minus_permutation(state.c_matrix(), NoIsomorphism, "frozen block")
-    # row r holds the -1 of frozen column row_perm[r]; sigma is the inverse
-    sigma = Automorphism(row_perm).inverse
-    if unmatched_entry(sigma.perm, g.base.b, state.mutable_block()) is not None:
+    # row r holds the -1 of frozen column row_perm(r); sigma is the inverse
+    sigma = row_perm.inverse
+    if unmatched_entry(sigma, g.base.b, state.mutable_block()) is not None:
         raise NoIsomorphism("mutable block is not a relabeling of the original")
     classify_sigma(g, sigma)
-    if symbolic_sigma is not None and sigma.perm != tuple(symbolic_sigma):
+    if symbolic_sigma is not None and sigma != symbolic_sigma:
         raise MismatchWithSymbolicSigma(
-            "frozen %s vs symbolic %s" % (sigma.perm, tuple(symbolic_sigma))
+            "frozen %s vs symbolic %s" % (sigma.perm, symbolic_sigma.perm)
         )
     return sigma

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigraph import Automorphism, classify_sigma, dual_bigraph, first_return, replay
+from .bigraph import classify_sigma, dual_bigraph, first_return, replay
 from .errors import ClaimViolation, InputError, NoGammaNeighbour
 
 RED = "red"
@@ -131,13 +131,14 @@ def tropical_period(g, lam, max_steps):
 
 
 def tropical_half_period(g, lam, sigma):
-    """Does shifting time by N match relabeling the vertices by sigma?"""
+    """Does shifting time by N match relabeling the vertices by the
+    Automorphism sigma?"""
     return next(half_period_runs(g, [lam], sigma))[1]
 
 
 def half_period_runs(g, labelings, sigma):
     """Per labeling, its scaled states at times 0..3N and whether
-    shifting time by N relabels them by sigma.
+    shifting time by N relabels them by the Automorphism sigma.
 
     Each run steps to N.  When state(N) is state(0) relabeled by sigma
     and sigma passes the half-period rules (`bigraph.classify_sigma`,
@@ -151,7 +152,6 @@ def half_period_runs(g, labelings, sigma):
     `read_half_period_shift` judges it.
     """
     n_half = g.half_period
-    sigma = Automorphism(tuple(sigma))
     try:
         classify_sigma(g, sigma)
         fits = True
@@ -172,10 +172,10 @@ def read_half_period_shift(g, states, sigma):
     """The half-period shift check on states at times 0..3N.
 
     Compared at the state level: state(c + N)[i] == state(c)[sigma(i)]
-    for every c in one full period.  A sigma whose color behavior does
-    not fit the parity of N fails here on any non-degenerate labeling.
+    for every c in one full period, sigma an Automorphism.  A sigma
+    whose color behavior does not fit the parity of N fails here on any
+    non-degenerate labeling.
     """
-    sigma = Automorphism(tuple(sigma))
     n_half = g.half_period
     return all(
         states[c + n_half] == sigma.relabel(states[c]) for c in range(2 * n_half)

@@ -239,11 +239,11 @@ def test_criterion_9_property_suite():
         for _ in range(5):
             assert tr.dual_transfer_check(g, tr.random_labeling(rng, g.n)), name
     a3 = bg.catalog("A3")
-    flip = next(a for a in bg.find_automorphisms(a3) if not a.is_identity)
+    flip = next(a for a in bg.automorphism_search(a3) if not a.is_identity)
     folded = bg.fold(a3, flip)
     assert folded.base.b == ((0, 2), (-1, 0))
     d4 = bg.catalog("D4")
-    rot = next(a for a in bg.find_automorphisms(d4) if a.order == 3)
+    rot = next(a for a in bg.automorphism_search(d4) if a.order == 3)
     folded_g2 = bg.fold(d4, rot)
     assert folded_g2.base.b == ((0, 3), (-1, 0))
     for g in (folded, folded_g2):

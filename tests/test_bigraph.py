@@ -392,7 +392,7 @@ def test_dual_bigraph_swaps_multiplicity_sides():
 
 def test_automorphism_group_of_figure_one():
     g = bg.catalog("fig1-A5starD4")
-    autos = bg.find_automorphisms(g)
+    autos = list(bg.automorphism_search(g))
     assert sorted(a.cycles() for a in autos) == [
         "(1 5)(2 4)",
         "(1 5)(2 4)(8 9)",
@@ -407,11 +407,11 @@ def test_colour_kinds_are_the_colour_classes_of_all_automorphisms(name):
     # colour is a placement condition of the search; it must keep exactly
     # the automorphisms a filter on "all" keeps, in the same order
     g = bg.catalog(name)
-    every = bg.find_automorphisms(g)
+    every = list(bg.automorphism_search(g))
     for kind, behavior in (("colorPreserving", "preserving"),
                            ("colorReversing", "reversing")):
-        assert bg.find_automorphisms(g, kind) == [
-            a for a in every if bg.classify_color_behavior(g, a.perm) == behavior
+        assert list(bg.automorphism_search(g, kind)) == [
+            a for a in every if bg.classify_color_behavior(g, a) == behavior
         ]
 
 
@@ -423,14 +423,14 @@ def test_automorphism_search_is_lazy():
         {"n": n, "b": [[0] * n for _ in range(n)], "epsilon": ["w", "b"] * 6}
     )
     search = bg.automorphism_search(g, "colorReversing")
-    assert next(search) == (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10)
-    assert next(search) == (1, 0, 3, 2, 5, 4, 7, 6, 9, 10, 11, 8)
+    assert next(search) == bg.Automorphism((1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10))
+    assert next(search) == bg.Automorphism((1, 0, 3, 2, 5, 4, 7, 6, 9, 10, 11, 8))
     assert list(bg.automorphism_search(bg.catalog("E7"), "colorReversing")) == []
 
 
 def test_fold_a3_by_flip_gives_rank_two_doubled_edge():
     g = bg.catalog("A3")
-    flip = next(a for a in bg.find_automorphisms(g) if not a.is_identity)
+    flip = next(a for a in bg.automorphism_search(g) if not a.is_identity)
     folded = bg.fold(g, flip)
     assert folded.base.b == ((0, 2), (-1, 0))
     assert folded.base.c == (1, 2)
@@ -438,15 +438,15 @@ def test_fold_a3_by_flip_gives_rank_two_doubled_edge():
 
 def test_fold_d4_by_rotation_gives_triple_edge():
     g = bg.catalog("D4")
-    rot = next(a for a in bg.find_automorphisms(g) if a.order == 3)
+    rot = next(a for a in bg.automorphism_search(g) if a.order == 3)
     folded = bg.fold(g, rot)
     assert folded.base.b == ((0, 3), (-1, 0))
 
 
 def test_fold_commutes_with_orbit_mutation():
     g = bg.catalog("A3")
-    flip = next(a for a in bg.find_automorphisms(g) if not a.is_identity)
-    orbits = bg.orbits_of(flip.perm)
+    flip = next(a for a in bg.automorphism_search(g) if not a.is_identity)
+    orbits = bg.check_bicolored(g, flip)
     folded = bg.fold(g, flip)
     for which, orbit in enumerate(orbits):
         mutated_up = bg.composite_mutation(g.base, orbit)
@@ -459,7 +459,7 @@ def test_fold_rejects_color_swapping_flip():
     g = bg.catalog("A2")
     # the flip exchanges the two adjacent vertices, which differ in color
     with pytest.raises(NotAdmissible):
-        bg.fold(g, (1, 0))
+        bg.fold(g, bg.Automorphism((1, 0)))
     # orbit adjacency is reported through the same admissibility family
     assert issubclass(OrbitAdjacency, NotAdmissible)
 
@@ -467,7 +467,15 @@ def test_fold_rejects_color_swapping_flip():
 def test_fold_rejects_color_mixing_permutation():
     g = bg.catalog("A3")
     with pytest.raises(NotAdmissible):
-        bg.fold(g, (1, 0, 2))  # white <-> black swap is not bicolored
+        bg.fold(g, bg.Automorphism((1, 0, 2)))  # white <-> black swap is not bicolored
+
+
+def test_fold_refuses_a_list():
+    # a permutation reaches fold as an Automorphism, never wrapped there
+    g = bg.catalog("A3")
+    assert bg.fold(g, bg.Automorphism((2, 1, 0))).n == 2
+    with pytest.raises(AttributeError, match="'list' object"):
+        bg.fold(g, [2, 1, 0])
 
 
 def _within(seconds, call):
@@ -496,14 +504,20 @@ REPEAT = "vertices 1 and 3 both map to vertex 1"
         (lambda: bg.Automorphism((0, 1, 0)).order, REPEAT),
         (lambda: bg.fold(bg.catalog("A3"), bg.Automorphism((0, 1, 0))), REPEAT),
         (lambda: bg.Automorphism((0, 3, 1)).order, "vertex 2 maps outside 1..3"),
-        (lambda: bg.orbits_of((1, -1)), "vertex 2 maps outside 1..2"),
-        (lambda: bg.fold(bg.catalog("A3"), (0, 5, 1)), "vertex 2 maps outside 1..3"),
+        (
+            lambda: bg.check_bicolored(bg.catalog("A2"), bg.Automorphism((1, -1))),
+            "vertex 2 maps outside 1..2",
+        ),
+        (
+            lambda: bg.fold(bg.catalog("A3"), bg.Automorphism((0, 5, 1))),
+            "vertex 2 maps outside 1..3",
+        ),
     ],
     ids=["cycles", "order", "fold", "out-of-range", "orbits", "fold-out-of-range"],
 )
 def test_a_map_that_is_not_a_permutation_is_rejected_at_once(call, match):
-    # a cycle walk on such a map never closes; fold reaches it after
-    # check_bicolored, which (0, 1, 0) on A3 passes
+    # a cycle walk on such a map never closes; each map is refused
+    # where its Automorphism is made, before any walk or fold
     with pytest.raises(InvalidPermutation, match=match):
         _within(1, call)
     assert issubclass(InvalidPermutation, InputError)

@@ -1,11 +1,15 @@
 """Command line driver: report shapes, exit protocol, determinism."""
 
+import argparse
+import csv
 import dataclasses
 import importlib.util
 import json
 import os
 import pathlib
+import signal
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -106,6 +110,104 @@ def test_census_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "name,lambdaSeed,period,red,blue,ties"
     assert lines[1] == "A2,-1,10,6,4,0"
+
+
+def test_a_census_row_with_a_per_vertex_labeling_is_six_csv_fields(capsys):
+    code, out, _ = run(capsys, "census", "A3", "--lambda=-1,-2,-3")
+    assert code == 0
+    assert out == 'name,lambdaSeed,period,red,blue,ties\nA3,"-1,-2,-3",12,12,6,0\n'
+    header, row = csv.reader(out.splitlines())
+    assert dict(zip(header, row)) == {
+        "name": "A3", "lambdaSeed": "-1,-2,-3", "period": "12",
+        "red": "12", "blue": "6", "ties": "0",
+    }
+
+
+@pytest.mark.parametrize(
+    "lam", ["-1e-3", "\u0663", "1_0", "-1,1e2,-1", ".5", "-1.", "1 / 2", "0x1", "inf"]
+)
+def test_a_labeling_outside_the_ascii_grammar_exits_two(capsys, lam):
+    # no exponent, no digits of other scripts, no "_": Fraction reads all
+    # three, an exponent at a cost growing with its value
+    code, out, err = run(capsys, "census", "A3", "--lambda=" + lam)
+    assert (code, out, err) == (2, "", "error: bad labeling %r\n" % lam)
+    text, code = run_experiment({"command": "census", "target": "A3", "lambda": lam})
+    assert (text, code) == ("error: bad labeling %r\n" % lam, 2)
+
+
+@pytest.mark.parametrize(
+    "lam, values",
+    [
+        ("-1", (-1, -1, -1)),
+        ("-2/3", (Fraction(-2, 3),) * 3),
+        ("-1.25", (Fraction(-5, 4),) * 3),
+        ("+2", (2, 2, 2)),
+        (" -1 , -2 ,-3", (-1, -2, -3)),
+    ],
+)
+def test_a_labeling_in_the_ascii_grammar_is_read(lam, values):
+    assert cli._parse_labeling(lam, 3) == values
+
+
+def test_an_exponent_labeling_in_a_suite_exits_two_at_once(tmp_path, capsys):
+    def stop(signum, frame):
+        raise TimeoutError("the labeling was not refused at once")
+
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(
+        [{"command": "census", "target": "A2", "lambda": "-1e-999999999"}]
+    ))
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        code, out, _ = run(capsys, "suite", str(path))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 2
+    (entry,) = json.loads(out)["results"]
+    assert entry["report"] == "error: bad labeling '-1e-999999999'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("belt", "A2", "--steps", "\u0663"),
+        ("tropical", "A2", "--trials", "1_0"),
+        ("tropical", "A2", "--seed", "\u0667"),
+        ("dual-check", "A2", "--seed", "+1"),
+        ("dual-check", "A2", "--trials", " 2"),
+        ("suite", "suite.json", "--jobs", "\uff12"),
+    ],
+)
+def test_an_integer_flag_reads_only_ascii_digits(capsys, argv):
+    with pytest.raises(SystemExit) as stopped:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert stopped.value.code == 2 and captured.out == ""
+    assert "argument %s: not an integer: %r" % (argv[2], argv[3]) in captured.err
+
+
+def test_no_option_is_parsed_by_int():
+    # int() reads digits of every script and "_"; each integer flag takes
+    # the one ASCII reader instead
+    parser, commands = cli._build_parser()
+    for name, sub in [("", parser), *commands.items()]:
+        for action in sub._actions:
+            assert action.type is not int, (name, action.dest)
+    int_flags = {
+        (name, action.dest)
+        for name, sub in commands.items()
+        for action in sub._actions
+        if action.type is cli._ascii_int
+    }
+    assert int_flags == {
+        ("belt", "steps"), ("tropical", "seed"), ("tropical", "trials"),
+        ("dual-check", "seed"), ("dual-check", "trials"), ("suite", "jobs"),
+    }
+    with pytest.raises(argparse.ArgumentTypeError, match="Exceeds the limit"):
+        cli._ascii_int("9" * 5000)
+    assert cli._ascii_int("-3") == -3 and cli._ascii_int("007") == 7
 
 
 def test_census_judges_the_labeling_given(capsys, monkeypatch):
@@ -792,7 +894,7 @@ def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
     assert [r["exitCode"] for r in doc["results"]] == [3, 0, 2]
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "2.5"])
+@pytest.mark.parametrize("value", ["abc", "0", "2.5", "-5", "1_0", "\u0663"])
 def test_bad_term_guard_values_exit_two(capsys, monkeypatch, value):
     monkeypatch.setenv("ZAMOBELT_TERM_GUARD", value)
     code, out, err = run(capsys, "halfperiod", "A2")

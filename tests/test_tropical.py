@@ -176,12 +176,36 @@ def test_a_planted_bad_sigma_steps_to_3n(monkeypatch, name, perm, lam):
     g = bg.catalog(name)
     n_half = g.half_period
     lam = tuple(Fraction(x) for x in lam)
-    states, shifted, steps = _counted_runs(monkeypatch, g, lam, perm)
+    sigma = bg.Automorphism(perm)
+    states, shifted, steps = _counted_runs(monkeypatch, g, lam, sigma)
     stepped = tr.scaled_states(g, lam, tr.scale_of(lam), 3 * n_half)
     assert steps == 3 * n_half
     assert states == stepped
-    assert shifted == tr.read_half_period_shift(g, stepped, perm)
-    assert tr.tropical_half_period(g, lam, perm) == shifted
+    assert shifted == tr.read_half_period_shift(g, stepped, sigma)
+    assert tr.tropical_half_period(g, lam, sigma) == shifted
+
+
+def test_a_list_sigma_is_refused_before_any_step(monkeypatch):
+    # sigma must be an Automorphism; a list is not wrapped silently
+    g = bg.catalog("A2")
+    lam = (Fraction(-3), Fraction(5))
+    steps = []
+    real = tr.step_values
+
+    def counting(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tr, "step_values", counting)
+    with pytest.raises(AttributeError, match="'list' object"):
+        tr.tropical_half_period(g, lam, [1, 0])
+    with pytest.raises(AttributeError, match="'list' object"):
+        next(tr.half_period_runs(g, [lam], [1, 0]))
+    assert steps == []
+    states = tr.scaled_states(g, lam, tr.scale_of(lam), 3 * g.half_period)
+    assert tr.read_half_period_shift(g, states, bg.Automorphism((1, 0)))
+    with pytest.raises(AttributeError, match="'list' object"):
+        tr.read_half_period_shift(g, states, [1, 0])
 
 
 # -- duals -------------------------------------------------------------------------
