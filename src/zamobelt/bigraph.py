@@ -133,9 +133,13 @@ def mutate_rows(rows, k):
     """
     pivot = rows[k]
     col = list(map(itemgetter(k), rows))
-    nonzero = list(compress(enumerate(pivot), pivot))
-    up = [(j, x) for j, x in nonzero if x > 0]
-    down = [(j, x) for j, x in nonzero if x < 0]
+    up = []
+    down = []
+    for entry in compress(enumerate(pivot), pivot):
+        if entry[1] > 0:
+            up.append(entry)
+        else:
+            down.append(entry)
     out = list(rows)
     for i in compress(range(len(rows)), col):
         if i == k:

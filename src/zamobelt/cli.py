@@ -13,6 +13,7 @@ import re
 import sys
 import traceback
 from fractions import Fraction
+from itertools import chain
 
 from . import belt, bigraph, green, laurent, tropical
 from .errors import ClaimViolation, InputError, NotRecurrent
@@ -196,7 +197,8 @@ def cmd_tropical(args):
     sigma = green.frozen_isomorphism_check(g)
     periods_ok = True
     shift_ok = True
-    labelings = [tropical.random_labeling(rng, g.n) for _ in range(args.trials)]
+    # drawn one at a time as the runs use them, not all before the first
+    labelings = (tropical.random_labeling(rng, g.n) for _ in range(args.trials))
     for states, shifted in tropical.half_period_runs(g, labelings, sigma):
         period = bigraph.first_return(states[: 2 * n_half + 1])
         if period is None or (2 * n_half) % period != 0:
@@ -240,8 +242,10 @@ def cmd_dual_check(args):
     _check_trials(args)
     g = _resolve_target(args.target, args.resolved)
     rng = tropical.make_rng(args.seed)
-    labelings = [tropical.constant_labeling(g.n, -1)]
-    labelings += [tropical.random_labeling(rng, g.n) for _ in range(args.trials)]
+    labelings = chain(
+        [tropical.constant_labeling(g.n, -1)],
+        (tropical.random_labeling(rng, g.n) for _ in range(args.trials)),
+    )
     dual = bigraph.dual_bigraph(g)
     ok = all(tropical.dual_transfer_check(g, lam, dual=dual) for lam in labelings)
     doc = {

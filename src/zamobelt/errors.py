@@ -89,6 +89,11 @@ class InvalidPermutation(InputError):
     """A vertex map that is not a permutation of the vertices."""
 
 
+class InvalidLabeling(InputError):
+    """A tropical labeling entry that is neither an int nor a Fraction:
+    floats, bools, strings."""
+
+
 class NoGammaNeighbour(InputError):
     """A vertex has no Gamma neighbour, so every colored-census event at
     it ties whatever the labeling."""

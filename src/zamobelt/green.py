@@ -102,8 +102,9 @@ def _checked(state, rows):
     """Assert sign-coherence of the c-vectors in rows, then mark state
     checked; the caller vouches for every other row."""
     n = state.n
+    ext = state.ext
     for i in rows:
-        c = state.ext[i][n:]
+        c = ext[i][n:]
         if min(c) < 0 < max(c):
             raise SignCoherenceViolation(
                 "c-vector %d is %s %s" % (i + 1, c, _when(state.history))
@@ -191,19 +192,26 @@ def _check_restriction_commutes(before, after, part_of, k, moved):
     leaves it alone too, and it enters that mutation as a zero row.  A
     moved row of another part must keep its restriction to that part."""
     own, pivot, pick = part_of[k]
-    rows = {part_of[i][1]: i for i in moved if part_of[i][0] is own}
+    old = before.ext
+    new = after.ext
+    rows = {}
+    for i in moved:
+        part, place, _ = part_of[i]
+        if part is own:
+            rows[place] = i
     rows[pivot] = k
     local = [(0,) * (len(own) + before.n)] * len(own)
     for place, i in rows.items():
-        local[place] = pick(before.ext[i])
+        local[place] = pick(old[i])
     local = mutate_rows(local, pivot)
-    if any(local[place] != pick(after.ext[i]) for place, i in rows.items()):
-        raise NotComponentPreserving(
-            "mutation at %d does not commute with restriction" % (k + 1)
-        )
+    for place, i in rows.items():
+        if local[place] != pick(new[i]):
+            raise NotComponentPreserving(
+                "mutation at %d does not commute with restriction" % (k + 1)
+            )
     for i in moved:
-        part, _, pick = part_of[i]
-        if part is not own and pick(before.ext[i]) != pick(after.ext[i]):
+        part, _, other = part_of[i]
+        if part is not own and other(old[i]) != other(new[i]):
             raise NotComponentPreserving(
                 "mutation at %d leaked into part %s" % (k + 1, part)
             )
@@ -229,13 +237,15 @@ def mutate_y(y, ext, k):
     it only checks something while they are computed independently.
     """
     yk = y[k]
-    support = [(j, ak, min(ak, 0)) for j, ak in compress(enumerate(yk), yk)]
+    support = []
+    for j, ak in compress(enumerate(yk), yk):
+        support.append((j, ak, ak if ak < 0 else 0))
     out = list(y)
     for i in compress(range(len(y)), map(itemgetter(k), ext)):
         if i == k:
             continue
         b_ik = ext[i][k]
-        plus = max(b_ik, 0)
+        plus = b_ik if b_ik > 0 else 0
         new = list(y[i])
         for j, ak, floor in support:
             new[j] += plus * ak - b_ik * floor
@@ -260,11 +270,12 @@ def _moved(before, after, y_before, y_after):
 
 def _assert_y_matches_c(state, y, rows):
     n = state.n
+    ext = state.ext
     for i in rows:
-        if state.ext[i][n:] != y[i]:
+        if ext[i][n:] != y[i]:
             raise CoefficientMismatch(
                 "row %d: c-vector %s vs coefficient %s %s"
-                % (i + 1, state.ext[i][n:], y[i], _when(state.history))
+                % (i + 1, ext[i][n:], y[i], _when(state.history))
             )
 
 

@@ -14,6 +14,12 @@ equality and period detection do not change under a positive scale;
 only `run_states` and the sums a `MutationEvent` carries are divided
 back into Fractions.
 
+A labeling entry is an int (not a bool) or a Fraction; anything else,
+a float, a string or a bool, raises InvalidLabeling naming the entry.
+Entries become Fractions in one place, `_entries`, which `initial_values`,
+`scale_of`, `constant_labeling` and `colored_census` call: a Fraction
+passes through as it is, and an int is converted once.
+
 The half-period trials (`half_period_runs`) step only to N.  When the
 state there is the initial one relabeled by sigma and sigma passes the
 half-period rules, the states after N are re-indexed copies of earlier
@@ -23,11 +29,13 @@ on to 3N.
 
 import math
 import random
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .bigraph import classify_sigma, dual_bigraph, first_return, replay
-from .errors import ClaimViolation, InputError, NoGammaNeighbour
+from .errors import ClaimViolation, InputError, InvalidLabeling, NoGammaNeighbour
 
 RED = "red"
 BLUE = "blue"
@@ -35,7 +43,7 @@ TIE = "tie"
 
 
 def constant_labeling(n, value):
-    return tuple(Fraction(value) for _ in range(n))
+    return _entries((value,)) * n
 
 
 def random_labeling(rng, n):
@@ -71,9 +79,13 @@ def step_values(movers, c, values, scale, events=None):
     """
     out = list(values)
     for k, gamma_in, delta_in in movers[c % 2]:
-        gamma_sum = sum([w * values[i] for i, w in gamma_in])
-        delta_sum = sum([w * values[j] for j, w in delta_in])
-        out[k] = max(gamma_sum, delta_sum) - values[k]
+        gamma_sum = 0
+        for i, w in gamma_in:
+            gamma_sum += w * values[i]
+        delta_sum = 0
+        for j, w in delta_in:
+            delta_sum += w * values[j]
+        out[k] = (delta_sum if gamma_sum < delta_sum else gamma_sum) - values[k]
         if events is not None:
             events.append(
                 MutationEvent(
@@ -87,15 +99,32 @@ def step_values(movers, c, values, scale, events=None):
     return tuple(out)
 
 
+def _entries(lam):
+    """The labeling's entries as Fractions, each read with one type test:
+    a Fraction as it is, an int (not a bool) converted, anything else
+    refused with InvalidLabeling."""
+    out = []
+    for i, x in enumerate(lam):
+        if type(x) is not Fraction:
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise InvalidLabeling(
+                    "labeling entry %d is %s (%s), not an int or a Fraction"
+                    % (i + 1, reprlib.repr(x), type(x).__name__)
+                )
+            x = Fraction(x)
+        out.append(x)
+    return tuple(out)
+
+
 def initial_values(g, lam):
     if len(lam) != g.n:
         raise InputError("labeling length %d, expected %d" % (len(lam), g.n))
-    return tuple(Fraction(x) for x in lam)
+    return _entries(lam)
 
 
 def scale_of(lam):
     """The least s > 0 that makes every s * lambda_i an integer."""
-    return math.lcm(*(Fraction(x).denominator for x in lam))
+    return math.lcm(*map(attrgetter("denominator"), _entries(lam)))
 
 
 def scaled_states(g, lam, scale, steps, events=None):
@@ -103,10 +132,10 @@ def scaled_states(g, lam, scale, steps, events=None):
 
     `scale` must be a multiple of `scale_of(lam)`.
     """
-    state = tuple(
-        x.numerator * (scale // x.denominator) for x in initial_values(g, lam)
-    )
-    return _advance(g, [state], steps, scale, events)
+    state = []
+    for x in initial_values(g, lam):
+        state.append(x.numerator * (scale // x.denominator))
+    return _advance(g, [tuple(state)], steps, scale, events)
 
 
 def _advance(g, states, last, scale, events=None):
@@ -188,18 +217,22 @@ def dual_transfer_check(g, lam, dual=None):
     The dual system runs the raw labeling; the primal one runs the
     labeling scaled entrywise by the primal symmetrizer, and the two
     must agree after dividing the primal values back by it.  Both runs
-    share one scale, so the comparison is on their scaled ints.  dual
-    is g's `dual_bigraph`, built here unless a caller checking many
-    labelings built it once.
+    share one scale, the labeling's own, so the comparison is on their
+    scaled ints.  dual is g's `dual_bigraph`, built here unless a
+    caller checking many labelings built it once.
     """
     c = g.base.c
     if dual is None:
         dual = dual_bigraph(g)
-    lam_tilde = tuple(ci * Fraction(x) for ci, x in zip(c, lam))
-    scale = scale_of(tuple(lam) + lam_tilde)
+    # c holds positive ints, so scale_of(lam) also clears c * lam, and
+    # the scaled ints of c * lam are c times those of lam
+    scale = scale_of(lam)
     steps = 2 * g.half_period
     dual_states = scaled_states(dual, lam, scale, steps)
-    primal_states = scaled_states(g, lam_tilde, scale, steps)
+    lam_tilde = []
+    for ci, x in zip(c, dual_states[0]):
+        lam_tilde.append(ci * x)
+    primal_states = _advance(g, [tuple(lam_tilde)], steps, scale)
     for dual_state, primal_state in zip(dual_states, primal_states):
         for i in range(g.n):
             if dual_state[i] * c[i] != primal_state[i]:
@@ -241,6 +274,7 @@ def colored_census(g, lam):
     """
     if not g.plain:
         raise InputError("colored census needs an empty Delta")
+    lam = _entries(lam)
     if any(x >= 0 for x in lam):
         raise InputError("colored census needs an all-negative labeling")
     lonely = [k + 1 for k, column in enumerate(zip(*g.gamma)) if not any(column)]
@@ -259,7 +293,7 @@ def colored_census(g, lam):
         if event.color == BLUE:
             blue_times.append(event.t)
     return ColoredCensus(
-        lam=tuple(Fraction(x) for x in lam),
+        lam=lam,
         period=period,
         red=counts[RED],
         blue=counts[BLUE],

@@ -58,6 +58,23 @@ def test_a_long_belt_renders_one_state_in_bounded_memory(capsys, steps):
     assert doc["cluster"] == json.loads(short)["cluster"]
 
 
+@pytest.mark.parametrize("command", ["tropical", "dual-check"])
+def test_trial_labelings_are_drawn_one_at_a_time(command):
+    # drawn all before the first run, the labelings took about 0.2 KiB
+    # a trial, some 360 KiB more at 2 000 trials than at 200
+    def peak(trials):
+        config = {"command": command, "target": "A2", "seed": 7, "trials": trials}
+        tracemalloc.start()
+        try:
+            assert run_experiment(config)[1] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # the catalog entry and the imports it needs, built once
+    assert peak(2000) - peak(200) < 64 * 1024
+
+
 def test_halfperiod_report_keys_and_values(capsys):
     code, out, _ = run(capsys, "halfperiod", "fig1-A5starD4")
     assert code == 0

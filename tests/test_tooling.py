@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -53,6 +54,38 @@ def test_layer_tracer_counts_both_green_tracks_and_restores_every_original():
         now = dict(vars(owner))
         assert now.keys() == was.keys(), owner
         assert all(now[name] is value for name, value in was.items()), owner
+
+
+# The kernels the integer tracks run once per step, per mutation or per
+# labeling entry.  In CPython before 3.12 each comprehension, generator
+# expression or lambda is a nested code object called with a frame of
+# its own every time it runs; 3.12 inlines list, dict and set
+# comprehensions (PEP 709), but requires-python is >=3.10.  A nested
+# code object among a function's constants is the static sign of one.
+KERNELS = (
+    (tropical, "step_values"),
+    (tropical, "_entries"),
+    (tropical, "scale_of"),
+    (tropical, "scaled_states"),
+    (tropical, "_advance"),
+    (tropical, "dual_transfer_check"),
+    (bg, "mutate_rows"),
+    (green, "mutate_framed"),
+    (green, "mutate_y"),
+    (green, "_checked"),
+    (green, "_moved"),
+    (green, "_check_restriction_commutes"),
+    (green, "_assert_y_matches_c"),
+)
+
+
+@pytest.mark.parametrize(
+    "module, name", KERNELS, ids=[m.__name__ + "." + n for m, n in KERNELS]
+)
+def test_a_per_step_kernel_holds_no_nested_code_object(module, name):
+    code = getattr(module, name).__code__
+    nested = [c.co_name for c in code.co_consts if isinstance(c, types.CodeType)]
+    assert nested == []
 
 
 @pytest.mark.parametrize(

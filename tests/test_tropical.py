@@ -1,5 +1,6 @@
 """Max-plus belt on scaled ints: periods, shifts, duals, colored counts."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import zamobelt.bigraph as bg
 import zamobelt.green as green
 import zamobelt.tropical as tr
-from zamobelt.errors import InputError, NoGammaNeighbour
+from zamobelt.errors import InputError, InvalidLabeling, NoGammaNeighbour
 
 
 def rationals() -> st.SearchStrategy:
@@ -50,6 +51,155 @@ def test_involution_two_steps_back(values):
     g = bg.catalog("A2")
     states = tr.run_states(g, values, 10)
     assert states[10] == states[0]
+
+
+# -- the step against its formula ------------------------------------------------
+
+
+@st.composite
+def movers_and_values(draw):
+    """A random two-colour timetable in the shape of `Bigraph.movers`:
+    each vertex moves at the parity of its colour, in vertex order, with
+    Gamma and Delta in-edges of weight 1 to 3 from vertices of the other
+    colour.  Some Delta lists are empty.  Values are ints of any sign."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    colour = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    weight = st.integers(min_value=1, max_value=3)
+    by_parity = ([], [])
+    for k in range(n):
+        others = [i for i in range(n) if colour[i] != colour[k]]
+        gamma = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        rest = [i for i in others if i not in gamma]
+        delta = []
+        if rest and draw(st.booleans()):
+            delta = draw(st.lists(st.sampled_from(rest), unique=True))
+        by_parity[colour[k]].append(
+            (
+                k,
+                tuple((i, draw(weight)) for i in sorted(gamma)),
+                tuple((j, draw(weight)) for j in sorted(delta)),
+            )
+        )
+    values = tuple(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)))
+    c = draw(st.integers(min_value=0, max_value=9))
+    scale = draw(st.integers(min_value=1, max_value=12))
+    return n, tuple(map(tuple, by_parity)), c, values, scale
+
+
+def dense_step(n, movers, c, values, scale, events):
+    """step_values by its formula: dense Gamma and Delta columns, the
+    max of the two weighted sums, less the old value."""
+    gamma = [[0] * n for _ in range(n)]
+    delta = [[0] * n for _ in range(n)]
+    for k, gamma_in, delta_in in movers[c % 2]:
+        for i, w in gamma_in:
+            gamma[i][k] = w
+        for j, w in delta_in:
+            delta[j][k] = w
+    out = list(values)
+    for k, _, _ in movers[c % 2]:
+        gamma_sum = sum(gamma[i][k] * values[i] for i in range(n))
+        delta_sum = sum(delta[j][k] * values[j] for j in range(n))
+        out[k] = max(gamma_sum, delta_sum) - values[k]
+        if gamma_sum > delta_sum:
+            color = tr.RED
+        elif delta_sum > gamma_sum:
+            color = tr.BLUE
+        else:
+            color = tr.TIE
+        events.append(
+            (c + 2, k, color, Fraction(gamma_sum, scale), Fraction(delta_sum, scale))
+        )
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(movers_and_values())
+def test_step_values_matches_its_dense_formula(case):
+    n, movers, c, values, scale = case
+    expected_events = []
+    expected = dense_step(n, movers, c, values, scale, expected_events)
+    assert tr.step_values(movers, c, values, scale) == expected
+    events = []
+    assert tr.step_values(movers, c, values, scale, events) == expected
+    assert [(e.t, e.k, e.color, e.gamma_sum, e.delta_sum) for e in events] == (
+        expected_events
+    )
+    assert all(
+        type(e.gamma_sum) is Fraction and type(e.delta_sum) is Fraction for e in events
+    )
+
+
+# -- which labeling entries are read ------------------------------------------------
+
+
+REFUSED_ENTRIES = pytest.mark.parametrize(
+    "entry, shown",
+    [
+        (0.1, "0.1 (float)"),
+        ("1/2", "'1/2' (str)"),
+        (True, "True (bool)"),
+        (float("nan"), "nan (float)"),
+    ],
+    ids=["float", "str", "bool", "nan"],
+)
+
+
+@REFUSED_ENTRIES
+def test_a_labeling_entry_neither_int_nor_fraction_is_refused(
+    monkeypatch, entry, shown
+):
+    # each was read through Fraction: 0.1 at scale 2**55, "1/2" as a
+    # half, True as 1, and NaN with a bare ValueError
+    g = bg.catalog("A2")
+    lam = (-1, entry)
+    sigma = green.frozen_isomorphism_check(g)
+    steps = []
+    real = tr.step_values
+
+    def counting(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tr, "step_values", counting)
+    message = "^labeling entry 2 is %s, not an int or a Fraction$" % re.escape(shown)
+    for call in (
+        lambda: tr.scale_of(lam),
+        lambda: tr.initial_values(g, lam),
+        lambda: tr.run_states(g, lam, 10),
+        lambda: tr.tropical_period(g, lam, 10),
+        lambda: tr.tropical_half_period(g, lam, sigma),
+        lambda: tr.dual_transfer_check(g, lam),
+        lambda: tr.colored_census(g, lam),
+    ):
+        with pytest.raises(InvalidLabeling, match=message):
+            call()
+    assert steps == []
+    assert issubclass(InvalidLabeling, InputError)
+
+
+@REFUSED_ENTRIES
+def test_a_constant_labeling_of_an_entry_neither_int_nor_fraction_is_refused(
+    entry, shown
+):
+    message = "^labeling entry 1 is %s, not an int or a Fraction$" % re.escape(shown)
+    with pytest.raises(InvalidLabeling, match=message):
+        tr.constant_labeling(3, entry)
+
+
+def test_int_and_fraction_entries_are_read_alike():
+    g = bg.catalog("A3")
+    as_ints = (-3, 2, 0)
+    as_fractions = tuple(map(Fraction, as_ints))
+    assert tr.initial_values(g, as_ints) == as_fractions
+    assert all(type(x) is Fraction for x in tr.initial_values(g, as_ints))
+    assert tr.run_states(g, as_ints, 12) == tr.run_states(g, as_fractions, 12)
+    assert tr.constant_labeling(3, -1) == (Fraction(-1),) * 3
+    assert tr.colored_census(g, (-1, -2, -3)).lam == (-1, -2, -3)
+    # a long entry is named in bounded text
+    with pytest.raises(InvalidLabeling) as error:
+        tr.scale_of((1, "9" * 10_000))
+    assert len(str(error.value)) < 100
 
 
 # -- periodicity ----------------------------------------------------------------
