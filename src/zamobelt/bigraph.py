@@ -508,6 +508,15 @@ class Automorphism:
         return out or "id"
 
 
+def require_automorphism(sigma):
+    """Raise InvalidPermutation unless sigma is an Automorphism: a list
+    or a tuple reaching a library call is refused, never wrapped."""
+    if not isinstance(sigma, Automorphism):
+        raise InvalidPermutation(
+            "%r object is not an Automorphism" % type(sigma).__name__
+        )
+
+
 def classify_color_behavior(g, sigma):
     flips = [g.epsilon[j] != e for e, j in zip(g.epsilon, sigma.perm)]
     if not any(flips):
@@ -549,6 +558,7 @@ def classify_sigma(g, sigma):
     at N, and every track applies them: the symbolic verdict, the
     tropical trials and the frozen isomorphism.  A relabeling that
     passes re-indexes every later state (`replay`)."""
+    require_automorphism(sigma)
     n_steps = g.half_period
     if any(unmatched_entry(sigma, m, m) is not None for m in (g.gamma, g.delta)):
         raise ClaimViolation("half-period permutation does not preserve (Gamma, Delta)")
@@ -567,6 +577,7 @@ def replay(states, sigma, shift, last):
     shift + t being states[t] relabeled by sigma: sound when shift = N,
     the state there is the initial one relabeled and classify_sigma
     accepts sigma (the belt module's replay gives the proof)."""
+    require_automorphism(sigma)
     for t in range(len(states) - shift, last - shift + 1):
         states.append(sigma.relabel(states[t]))
 
@@ -616,6 +627,7 @@ def automorphism_search(g, kind="all"):
 def check_bicolored(g, auto):
     """Raise NotAdmissible unless the Automorphism auto is a bicolored
     automorphism of g; returns its orbits as sorted tuples, in order."""
+    require_automorphism(auto)
     orbits = [tuple(sorted(cycle)) for cycle in auto._cycles()]
     b = g.base.b
     n = g.n

@@ -114,44 +114,32 @@ def _json_text(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
-# -- individual commands ------------------------------------------------------
+# -- individual commands: (fields, exit code) from the target and the args ----
 
 
-def cmd_belt(args):
-    g = _resolve_target(args.target, args.resolved)
-    state = belt.state_at(g, args.steps)
-    doc = {
-        "name": args.target,
-        "steps": args.steps,
-        "cluster": ", ".join(v.render() for v in state),
-        "catalogVersion": bigraph.catalog_version(),
-    }
-    return _json_text(doc), EXIT_OK
+def cmd_belt(g, args):
+    cluster = ", ".join(v.render() for v in belt.state_at(g, args.steps))
+    return {"steps": args.steps, "cluster": cluster}, EXIT_OK
 
 
-def cmd_halfperiod(args):
-    g = _resolve_target(args.target, args.resolved)
+def cmd_halfperiod(g, args):
     states = belt.run_belt(g, 2 * g.half_period)
     report = belt.read_half_period(g, states)
     period = bigraph.first_return(states)
     if period is None:
         raise ClaimViolation("no recurrence within 2N = %d steps" % (2 * report.N))
     census_size = len(belt.read_census(g, states)) if g.plain else None
-    doc = {
-        "name": args.target,
+    return {
         "N": report.N,
         "period": period,
         "sigma": report.sigma.cycles(),
         "colorBehavior": report.color_behavior,
         "identity": report.identity,
         "censusSize": census_size,
-        "catalogVersion": bigraph.catalog_version(),
-    }
-    return _json_text(doc), EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_green(args):
-    g = _resolve_target(args.target, args.resolved)
+def cmd_green(g, args):
     cert_gamma, cert_delta = green.verify_bipartite_belt_mgs(g)
     symbolic = None if args.skip_symbolic else belt.half_period(g).sigma
     frozen_sigma = green.frozen_isomorphism_check(
@@ -170,28 +158,17 @@ def cmd_green(args):
             "permutation": cert.permutation.cycles(),
         }
 
-    doc = {
-        "name": args.target,
+    return {
         "lengths": [g.h_gamma, g.h_delta],
         "certificates": [cert_doc(cert_gamma), cert_doc(cert_delta)],
         "frozenIsomorphism": {
             "sigma": frozen_sigma.cycles(),
             "matchesSymbolic": None if symbolic is None else True,
         },
-        "catalogVersion": bigraph.catalog_version(),
-    }
-    return _json_text(doc), EXIT_OK
+    }, EXIT_OK
 
 
-def _check_trials(args):
-    """A negative trial count would run no trial and verify nothing."""
-    if args.trials < 0:
-        raise InputError("trials must be at least 0, got %d" % args.trials)
-
-
-def cmd_tropical(args):
-    _check_trials(args)
-    g = _resolve_target(args.target, args.resolved)
+def cmd_tropical(g, args):
     n_half = g.half_period
     rng = tropical.make_rng(args.seed)
     sigma = green.frozen_isomorphism_check(g)
@@ -205,22 +182,18 @@ def cmd_tropical(args):
             periods_ok = False
         if not shifted:
             shift_ok = False
-    doc = {
-        "name": args.target,
+    fields = {
         "N": n_half,
         "seed": args.seed,
         "trials": args.trials,
         "periodsDivide2N": periods_ok,
         "sigma": sigma.cycles(),
         "halfPeriodShiftOk": shift_ok,
-        "catalogVersion": bigraph.catalog_version(),
     }
-    code = EXIT_OK if periods_ok and shift_ok else EXIT_FALSIFIED
-    return _json_text(doc), code
+    return fields, EXIT_OK if periods_ok and shift_ok else EXIT_FALSIFIED
 
 
-def cmd_census(args):
-    g = _resolve_target(args.target, args.resolved)
+def cmd_census(g, args):
     lam = _parse_labeling(args.lam, g.n)
     census = tropical.colored_census(g, lam)
     ok = (
@@ -238,9 +211,7 @@ def cmd_census(args):
     return text, EXIT_OK if ok else EXIT_FALSIFIED
 
 
-def cmd_dual_check(args):
-    _check_trials(args)
-    g = _resolve_target(args.target, args.resolved)
+def cmd_dual_check(g, args):
     rng = tropical.make_rng(args.seed)
     labelings = chain(
         [tropical.constant_labeling(g.n, -1)],
@@ -248,17 +219,13 @@ def cmd_dual_check(args):
     )
     dual = bigraph.dual_bigraph(g)
     ok = all(tropical.dual_transfer_check(g, lam, dual=dual) for lam in labelings)
-    doc = {
-        "name": args.target,
-        "seed": args.seed,
-        "trials": args.trials,
-        "ok": ok,
-        "catalogVersion": bigraph.catalog_version(),
-    }
-    return _json_text(doc), EXIT_OK if ok else EXIT_FALSIFIED
+    fields = {"seed": args.seed, "trials": args.trials, "ok": ok}
+    return fields, EXIT_OK if ok else EXIT_FALSIFIED
 
 
 def cmd_catalog_list(args):
+    """The one command without a target: its report's own text, with
+    catalogVersion first."""
     entries = []
     for name in bigraph.catalog_names():
         g = bigraph.catalog(name)
@@ -288,6 +255,27 @@ _COMMANDS = {
     "dual-check": cmd_dual_check,
     "catalog-list": cmd_catalog_list,
 }
+
+
+def _run(command, args):
+    """(report text, exit code) of one command, for main and for each
+    suite entry alike.  The checks run in this order: a negative trial
+    count is refused, as it would run no trial and verify nothing; then
+    the target resolves (`_resolve_target`); then the command reads its
+    own input.  A command returns its report's text (census's CSV row)
+    or the fields of its JSON report as a dict, written here between the
+    target's name and the catalog version."""
+    if command == "catalog-list":
+        return cmd_catalog_list(args)
+    if getattr(args, "trials", 0) < 0:
+        raise InputError("trials must be at least 0, got %d" % args.trials)
+    g = _resolve_target(args.target, args.resolved)
+    fields, code = _COMMANDS[command](g, args)
+    if isinstance(fields, dict):
+        version = bigraph.catalog_version()
+        fields = _json_text({"name": args.target, **fields, "catalogVersion": version})
+    return fields, code
+
 
 def _is_json_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
@@ -364,7 +352,7 @@ def run_experiment(config, resolved=None):
             else:
                 raise _config_error(key, kind, config[key])
             setattr(args, dest, value)
-        return _COMMANDS[command](args)
+        return _run(command, args)
     except Exception as exc:
         return _failure(exc)
     finally:
@@ -382,7 +370,13 @@ def cmd_suite(args):
         # and every other command never need
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a worker runs its entries under the suite's term guard, which
+        # it would inherit only from a forked parent
+        with ProcessPoolExecutor(
+            max_workers=args.jobs,
+            initializer=laurent.set_term_guard,
+            initargs=(laurent.get_term_guard(),),
+        ) as pool:
             results = list(pool.map(run_experiment, configs))
     else:
         # each distinct target is built and checked once per suite call
@@ -498,7 +492,7 @@ def main(argv=None):
         if args.command == "suite":
             text, code = cmd_suite(args)
         else:
-            text, code = _COMMANDS[args.command](args)
+            text, code = _run(args.command, args)
         _emit(text, args.out)
     except Exception as exc:
         text, code = _failure(exc)

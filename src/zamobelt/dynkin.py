@@ -105,10 +105,6 @@ def positive_roots(cartan):
     return sorted(v for v in seen if all(x >= 0 for x in v))
 
 
-def root_count(cartan):
-    return 2 * len(positive_roots(cartan))
-
-
 def _is_cartan_like(m):
     n = len(m)
     for i in range(n):

@@ -40,6 +40,7 @@ from .bigraph import (
     classify_sigma,
     is_recurrent,
     mutate_rows,
+    require_automorphism,
     unmatched_entry,
 )
 from .errors import (
@@ -460,6 +461,8 @@ def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
     factor are not formed.  When a premise fails, the walk runs.  Either
     way the checks below read the same final state.
     """
+    if symbolic_sigma is not None:
+        require_automorphism(symbolic_sigma)
     state = None if certificates is None else _derived_final(g, *certificates)
     if state is None:
         state = _walk(g, -1, g.whites, g.blacks, g.half_period)

@@ -34,7 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .bigraph import classify_sigma, dual_bigraph, first_return, replay
+from .bigraph import (
+    classify_sigma,
+    dual_bigraph,
+    first_return,
+    replay,
+    require_automorphism,
+)
 from .errors import ClaimViolation, InputError, InvalidLabeling, NoGammaNeighbour
 
 RED = "red"
@@ -205,6 +211,7 @@ def read_half_period_shift(g, states, sigma):
     whose color behavior does not fit the parity of N fails here on any
     non-degenerate labeling.
     """
+    require_automorphism(sigma)
     n_half = g.half_period
     return all(
         states[c + n_half] == sigma.relabel(states[c]) for c in range(2 * n_half)

@@ -474,8 +474,27 @@ def test_fold_refuses_a_list():
     # a permutation reaches fold as an Automorphism, never wrapped there
     g = bg.catalog("A3")
     assert bg.fold(g, bg.Automorphism((2, 1, 0))).n == 2
-    with pytest.raises(AttributeError, match="'list' object"):
+    with pytest.raises(InvalidPermutation, match="'list' object"):
         bg.fold(g, [2, 1, 0])
+
+
+@pytest.mark.parametrize("sigma", [[1, 0], (1, 0)], ids=["list", "tuple"])
+def test_the_half_period_rules_and_replay_refuse_a_sigma_not_an_automorphism(
+    sigma,
+):
+    # classify_sigma, replay and check_bicolored take an Automorphism
+    # only; a list or a tuple is named, never wrapped or half read
+    g = bg.catalog("A2")
+    kind = type(sigma).__name__
+    with pytest.raises(InvalidPermutation, match="'%s' object is not an" % kind):
+        bg.classify_sigma(g, sigma)
+    states = [(0, 1), (1, 0)]
+    with pytest.raises(InvalidPermutation, match="'%s' object is not an" % kind):
+        bg.replay(states, sigma, 1, 3)
+    assert states == [(0, 1), (1, 0)]
+    with pytest.raises(InvalidPermutation, match="'%s' object is not an" % kind):
+        bg.check_bicolored(g, sigma)
+    assert bg.classify_sigma(g, bg.Automorphism((1, 0))).color_behavior == "reversing"
 
 
 def _within(seconds, call):

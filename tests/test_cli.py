@@ -269,6 +269,62 @@ def test_negative_trials_exit_two(capsys, argv):
     assert text == "error: trials must be at least 0, got %s\n" % argv[-1]
 
 
+@pytest.mark.parametrize("command", ["tropical", "dual-check"])
+def test_a_negative_trial_count_is_named_before_an_unknown_target(capsys, command):
+    # the trial count is checked before the target resolves
+    message = "error: trials must be at least 0, got -1\n"
+    assert run(capsys, command, "nope", "--trials", "-1") == (2, "", message)
+    config = {"command": command, "target": "nope", "trials": -1}
+    assert run_experiment(config) == (message, 2)
+
+
+# a JSON report of each command that has one, as a command line and as a
+# suite entry
+ENVELOPED = [
+    (("belt", "A3", "--steps", "2"), {"command": "belt", "target": "A3", "steps": 2}),
+    (("halfperiod", "A3"), {"command": "halfperiod", "target": "A3"}),
+    (
+        ("green", "A3", "--skip-symbolic"),
+        {"command": "green", "target": "A3", "skipSymbolic": True},
+    ),
+    (
+        ("tropical", "A3", "--trials", "3"),
+        {"command": "tropical", "target": "A3", "trials": 3},
+    ),
+    (
+        ("dual-check", "B2", "--trials", "2"),
+        {"command": "dual-check", "target": "B2", "trials": 2},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, config", ENVELOPED, ids=[a[0] for a, _ in ENVELOPED])
+def test_a_json_report_opens_with_its_name_and_closes_with_the_catalog_version(
+    capsys, argv, config
+):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_experiment(config) == (out, 0)
+    doc = json.loads(out)
+    keys = list(doc)
+    assert keys[0] == "name" and keys[-1] == "catalogVersion"
+    assert doc["name"] == argv[1]
+    assert doc["catalogVersion"] == bg.catalog_version()
+
+
+def test_census_and_catalog_list_keep_their_own_shapes(capsys):
+    code, out, _ = run(capsys, "census", "A3")
+    assert code == 0
+    assert run_experiment({"command": "census", "target": "A3"}) == (out, 0)
+    header, row = csv.reader(out.splitlines())
+    assert header == ["name", "lambdaSeed", "period", "red", "blue", "ties"]
+    assert len(row) == 6 and row[0] == "A3"
+    code, out, _ = run(capsys, "catalog-list")
+    assert code == 0
+    assert run_experiment({"command": "catalog-list"}) == (out, 0)
+    assert list(json.loads(out)) == ["catalogVersion", "entries"]
+
+
 def test_zero_trials_still_run(capsys):
     code, out, _ = run(capsys, "tropical", "A2", "--trials", "0")
     assert code == 0 and json.loads(out)["trials"] == 0
@@ -600,6 +656,28 @@ def test_term_guard_holds_for_its_suite_entry_only(tmp_path, capsys):
     assert serial == parallel
     doc = json.loads(serial[1])
     assert [r["exitCode"] for r in doc["results"]] == [2, 0]
+
+
+def test_suite_workers_run_under_the_suite_term_guard_whatever_the_start_method(
+    tmp_path, capsys, monkeypatch
+):
+    # a spawned or forkserver worker inherits no process global: the
+    # suite's guard must reach it explicitly
+    import concurrent.futures
+    import multiprocessing
+
+    class SpawnPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            kwargs["mp_context"] = multiprocessing.get_context("spawn")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"command": "halfperiod", "target": "A3"}]))
+    serial = run(capsys, "suite", str(path), "--term-guard", "2")
+    assert serial[0] == 2
+    assert json.loads(serial[1])["results"][0]["exitCode"] == 2
+    assert run(capsys, "suite", str(path), "--jobs", "2", "--term-guard", "2") == serial
 
 
 def test_suite_entry_defaults_match_the_command_flags(capsys):

@@ -15,6 +15,7 @@ from zamobelt.errors import (
     ClaimViolation,
     CoefficientMismatch,
     FrozenVertex,
+    InvalidPermutation,
     NoIsomorphism,
     NotComponentPreserving,
     NotGreenAtStep,
@@ -384,6 +385,17 @@ def spy_on_walks(monkeypatch):
 
     monkeypatch.setattr(green, "_walk", spy)
     return signs
+
+
+def test_a_list_symbolic_sigma_is_refused_before_any_walk(monkeypatch):
+    # the symbolic sigma must be an Automorphism; a list is refused at
+    # once, not after the whole coframed belt has been walked
+    signs = spy_on_walks(monkeypatch)
+    g = bg.catalog("A2")
+    with pytest.raises(InvalidPermutation, match="'list' object is not an"):
+        green.frozen_isomorphism_check(g, [1, 0])
+    assert signs == []
+    assert green.frozen_isomorphism_check(g, bg.Automorphism((1, 0))).cycles() == "(1 2)"
 
 
 def test_the_green_command_derives_the_frozen_state(monkeypatch):

@@ -88,6 +88,27 @@ def test_a_per_step_kernel_holds_no_nested_code_object(module, name):
     assert nested == []
 
 
+# what only the dispatcher (cli._run) may name: a command that names one
+# resolves its target or writes the report envelope itself again
+DISPATCHER_NAMES = {"_resolve_target", "catalog_version", "_json_text"}
+
+
+def _names(code):
+    """The names a code object and every code object nested in it use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+@pytest.mark.parametrize(
+    "command", sorted(name for name in cli._COMMANDS if name != "catalog-list")
+)
+def test_a_command_leaves_the_target_and_the_envelope_to_the_dispatcher(command):
+    assert _names(cli._COMMANDS[command].__code__) & DISPATCHER_NAMES == set()
+
+
 @pytest.mark.parametrize(
     "demo", sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 )

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 import zamobelt.bigraph as bg
 import zamobelt.green as green
 import zamobelt.tropical as tr
-from zamobelt.errors import InputError, InvalidLabeling, NoGammaNeighbour
+from zamobelt.errors import (
+    InputError,
+    InvalidLabeling,
+    InvalidPermutation,
+    NoGammaNeighbour,
+)
 
 
 def rationals() -> st.SearchStrategy:
@@ -347,14 +352,14 @@ def test_a_list_sigma_is_refused_before_any_step(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(tr, "step_values", counting)
-    with pytest.raises(AttributeError, match="'list' object"):
+    with pytest.raises(InvalidPermutation, match="'list' object"):
         tr.tropical_half_period(g, lam, [1, 0])
-    with pytest.raises(AttributeError, match="'list' object"):
+    with pytest.raises(InvalidPermutation, match="'list' object"):
         next(tr.half_period_runs(g, [lam], [1, 0]))
     assert steps == []
     states = tr.scaled_states(g, lam, tr.scale_of(lam), 3 * g.half_period)
     assert tr.read_half_period_shift(g, states, bg.Automorphism((1, 0)))
-    with pytest.raises(AttributeError, match="'list' object"):
+    with pytest.raises(InvalidPermutation, match="'list' object"):
         tr.read_half_period_shift(g, states, [1, 0])
 
 
