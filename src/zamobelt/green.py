@@ -26,14 +26,28 @@ row that the mutation changed.  A mutation returns each row it leaves
 alone as the very same tuple, in both tracks, so a row that is still
 the same object still holds a value that was checked: the checks stay
 exact by induction from the start state.  That includes the restriction
-check of a green certificate: it mutates the moved rows of the part
-holding k locally, each unmoved row standing in as a zero row, since
-its b_ik is 0 and the local mutation would leave it alone.
+check of a green certificate: it applies the local rule to the moved
+rows of the part holding k, since an unmoved row has b_ik = 0 and the
+local mutation would leave it alone.
+
+So that a mutation pays for the entries it touches and not for n, each
+state of the matrix track keeps an index (`FramedState.index`): every
+row's nonzero entries, {column: entry}, mutable and frozen columns
+apart.  `framed` builds it from the rows, and `mutate_rows`, handed a
+copy by `mutate_framed`, keeps it in step entry by entry as it rebuilds
+rows.  The rule reads the pivot's entries and the rows it changes there,
+and the green status, `_points_inside`, the sign-coherence check and
+the restriction and leak check read it too; only `_moved` still scans
+every row, by identity.  `mutate_y` never reads the index: it reads
+column k from `ext` itself, so an index that lost or gained an entry
+sends the two tracks apart, and the walk stops with CoefficientMismatch
+(or the restriction check with NotComponentPreserving) instead of
+agreeing with itself.
 """
 
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
-from operator import gt, is_not, itemgetter, lt, neg, or_
+from itertools import chain, compress, count, repeat
+from operator import gt, is_not, itemgetter, lt, or_
 
 from .bigraph import (
     Automorphism,
@@ -41,6 +55,8 @@ from .bigraph import (
     is_recurrent,
     mutate_rows,
     require_automorphism,
+    support,
+    symmetrizer,
     unmatched_entry,
 )
 from .errors import (
@@ -53,6 +69,7 @@ from .errors import (
     NotGreenAtStep,
     NotMaximal,
     NotPermutation,
+    NotSkewSymmetrizable,
     SignCoherenceViolation,
 )
 
@@ -64,16 +81,24 @@ RED = "red"
 class FramedState:
     """The n x 2n framed matrix and the mutations that led to it.
 
-    `checked` says every row's c-vector is known to be sign-coherent.
-    Only `framed` and `mutate_framed` set it; a state built by hand (or
-    by `dataclasses.replace`) has it unset, and its first mutation
-    checks every row.  It takes no part in equality.
+    `index` holds each row's `bigraph.support`: its nonzero entries,
+    {column: entry}, the mutable columns' and the frozen ones' apart.
+    Only `framed` and `mutate_framed` set it, and only on a state whose
+    every c-vector is known to be sign-coherent and whose mutable block
+    is skew-symmetrizable; `checked` says it is set.  A state built by
+    hand (or by `dataclasses.replace`) has none, and its first mutation
+    is the stepped one, checking every row.  It takes no part in
+    equality.
     """
 
     n: int
     ext: tuple
     history: tuple
-    checked: bool = field(default=False, init=False, compare=False, repr=False)
+    index: tuple = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def checked(self):
+        return self.index is not None
 
     def c_matrix(self):
         return tuple(row[self.n:] for row in self.ext)
@@ -89,7 +114,34 @@ def framed(m, sign=1):
         tuple(m.b[i]) + tuple(sign if j == i else 0 for j in range(n))
         for i in range(n)
     )
-    return _checked(FramedState(n=n, ext=ext, history=()), range(n))
+    # m is an ExchangeMatrix: its b is skew-symmetrizable
+    return _indexed(FramedState(n=n, ext=ext, history=()), True)
+
+
+def _indexed(state, symmetrizable):
+    """state with its index built from ext and every row checked; the
+    index is dropped again unless the mutable block is skew-symmetrizable,
+    as `mutate_rows` needs to read it."""
+    object.__setattr__(state, "index", _index_of(state))
+    _checked(state, range(state.n))
+    if not symmetrizable:
+        object.__setattr__(state, "index", None)
+    return state
+
+
+def _index_of(state):
+    """state's index, or for a state with none the one its rows have."""
+    if state.index is None:
+        return tuple(map(support, state.ext, repeat(state.n)))
+    return state.index
+
+
+def _skew_symmetrizable(ext, n):
+    try:
+        symmetrizer(tuple(row[:n] for row in ext))
+    except NotSkewSymmetrizable:
+        return False
+    return True
 
 
 def _when(history):
@@ -100,39 +152,49 @@ def _when(history):
 
 
 def _checked(state, rows):
-    """Assert sign-coherence of the c-vectors in rows, then mark state
-    checked; the caller vouches for every other row."""
-    n = state.n
-    ext = state.ext
+    """Assert sign-coherence of the c-vectors in rows, reading each
+    row's nonzero frozen entries in the index; the caller vouches for
+    every other row."""
+    index = state.index
     for i in rows:
-        c = ext[i][n:]
-        if min(c) < 0 < max(c):
+        c = index[i][1].values()
+        if c and min(c) < 0 < max(c):
             raise SignCoherenceViolation(
-                "c-vector %d is %s %s" % (i + 1, c, _when(state.history))
+                "c-vector %d is %s %s"
+                % (i + 1, state.ext[i][state.n:], _when(state.history))
             )
-    object.__setattr__(state, "checked", True)
     return state
 
 
 def mutate_framed(state, k):
     """Standard mutation at mutable k over all 2n columns.
 
-    Sign-coherence is asserted on the rows the mutation changed, or on
-    every row when state itself was not checked."""
+    On an indexed state the rule reads and updates a copy of the index,
+    and sign-coherence is asserted on the rows whose tuple changed.  A state
+    with no index gets the stepped rule, `mutate_rows`, and every row
+    is checked."""
     if not 0 <= k < state.n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
-    ext = mutate_rows(state.ext, k)
-    moved = compress(count(), map(is_not, state.ext, ext))
-    return _checked(
-        FramedState(n=state.n, ext=ext, history=state.history + (k,)),
-        moved if state.checked else range(state.n),
-    )
+    history = state.history + (k,)
+    if state.index is None:
+        ext = mutate_rows(state.ext, k)
+        after = FramedState(n=state.n, ext=ext, history=history)
+        return _indexed(after, _skew_symmetrizable(ext, state.n))
+    index = list(state.index)
+    ext = mutate_rows(state.ext, k, index)
+    after = FramedState(n=state.n, ext=ext, history=history)
+    object.__setattr__(after, "index", tuple(index))
+    return _checked(after, compress(count(), map(is_not, state.ext, ext)))
 
 
 def vertex_status(state, k):
     if not 0 <= k < state.n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
-    return GREEN if min(state.ext[k][state.n:]) >= 0 else RED
+    if state.index is None:
+        c = state.ext[k][state.n:]
+    else:
+        c = state.index[k][1].values()
+    return GREEN if min(c, default=0) >= 0 else RED
 
 
 def _normalize_partition(n, partition):
@@ -150,69 +212,103 @@ def is_component_preserving(state, partition, k):
     only point positively inside its own part.  Frozen columns satisfy
     this automatically through sign-coherence."""
     parts = _normalize_partition(state.n, partition)
+    status = vertex_status(state, k)
+    if state.index is None:
+        cols = support(state.ext[k], state.n)
+    else:
+        cols = state.index[k]
     # no part holds a frozen k; vertex_status rejects it
-    return _points_inside(state, next((p for p in parts if k in p), ()), k)
+    return _points_inside(cols, next((p for p in parts if k in p), ()), k, status)
 
 
-def _points_inside(state, own, k):
-    """is_component_preserving, given the normalized part holding k.
+def _points_inside(cols, own, k, status):
+    """is_component_preserving for pivot row k, given its index entry
+    cols, the normalized part holding k and k's status.
 
-    Only the pivot-row entries of the offending sign are visited."""
-    offends = lt if vertex_status(state, k) == GREEN else gt
-    for bad in compress(count(), map(offends, state.ext[k], repeat(0))):
-        if bad >= state.n:
+    Only the pivot row's nonzero entries are visited."""
+    offends = lt if status == GREEN else gt
+    mutable, frozen = cols
+    for j, x in mutable.items():
+        if offends(x, 0) and j not in own:
+            return False
+    for j, x in frozen.items():
+        if offends(x, 0):
             # a frozen violation would contradict the green/red status
             raise SignCoherenceViolation(
-                "frozen column %d contradicts status of %d" % (bad + 1, k + 1)
+                "frozen column %d contradicts status of %d" % (j + 1, k + 1)
             )
-        if bad not in own:
-            return False
     return True
 
 
 def _restrictions(n, parts):
-    """Vertex -> (its part, its index there, the part's picker), where
-    the picker takes a row to its square-free restriction: the columns
-    of the part, then the frozen ones."""
-    frozen = range(n, 2 * n)
-    out = {}
+    """The normalized part holding each vertex, as a list by vertex."""
+    part_of = [None] * n
     for part in parts:
-        pick = itemgetter(*part, *frozen)
-        for place, v in enumerate(part):
-            out[v] = (part, place, pick)
-    return out
+        for v in part:
+            part_of[v] = part
+    return part_of
 
 
 def _check_restriction_commutes(before, after, part_of, k, moved):
     """Mutation at k must act on the part containing k exactly as local
     mutation of the restricted matrix and must leave other parts alone.
 
-    Only the moved rows and k are compared.  A row outside `moved` is
-    the very row it was in both tracks, and mutate_y rebuilds every row
-    with b_ik != 0, so such a row has b_ik = 0: the local mutation
-    leaves it alone too, and it enters that mutation as a zero row.  A
-    moved row of another part must keep its restriction to that part."""
-    own, pivot, pick = part_of[k]
+    A row's restriction to its part holds the columns of the part, then
+    the frozen ones.  Only the moved rows and k are compared.  A row
+    outside `moved` is the very row it was in both tracks, and mutate_y
+    rebuilds every row with b_ik != 0, so such a row has b_ik = 0: the
+    local mutation leaves it alone too.  A moved row of another part
+    must keep its restriction to that part.
+
+    Each moved row is compared where the index puts a nonzero entry in
+    its old or its new row and, in k's part, in the pivot row: at every
+    other column the old entry, the new one and the local rule's change
+    are all 0."""
+    n = before.n
+    own = part_of[k]
     old = before.ext
     new = after.ext
-    rows = {}
+    pivot = old[k]
+    old_index = _index_of(before)
+    new_index = _index_of(after)
+    pivot_mutable, pivot_frozen = old_index[k]
     for i in moved:
-        part, place, _ = part_of[i]
+        if part_of[i] is not own:
+            continue
+        was = old[i]
+        now = new[i]
+        was_mutable, was_frozen = old_index[i]
+        now_mutable, now_frozen = new_index[i]
+        a = was[k]
+        size = abs(a)
+        for j in chain(
+            was_mutable, was_frozen, now_mutable, now_frozen, pivot_mutable, pivot_frozen
+        ):
+            if j < n and part_of[j] is not own:
+                continue
+            if i == k or j == k:
+                want = -was[j]
+            elif a * pivot[j] > 0:
+                want = was[j] + size * pivot[j]
+            else:
+                want = was[j]
+            if now[j] != want:
+                raise NotComponentPreserving(
+                    "mutation at %d does not commute with restriction" % (k + 1)
+                )
+    for i in moved:
+        part = part_of[i]
         if part is own:
-            rows[place] = i
-    rows[pivot] = k
-    local = [(0,) * (len(own) + before.n)] * len(own)
-    for place, i in rows.items():
-        local[place] = pick(old[i])
-    local = mutate_rows(local, pivot)
-    for place, i in rows.items():
-        if local[place] != pick(new[i]):
-            raise NotComponentPreserving(
-                "mutation at %d does not commute with restriction" % (k + 1)
-            )
-    for i in moved:
-        part, _, other = part_of[i]
-        if part is not own and other(old[i]) != other(new[i]):
+            continue
+        was = old[i]
+        now = new[i]
+        was_mutable, was_frozen = old_index[i]
+        now_mutable, now_frozen = new_index[i]
+        leaked = was_frozen != now_frozen
+        for j in chain(was_mutable, now_mutable):
+            if part_of[j] is part and now[j] != was[j]:
+                leaked = True
+        if leaked:
             raise NotComponentPreserving(
                 "mutation at %d leaked into part %s" % (k + 1, part)
             )
@@ -238,9 +334,11 @@ def mutate_y(y, ext, k):
     it only checks something while they are computed independently.
     """
     yk = y[k]
-    support = []
+    entries = []
+    negated = [0] * len(yk)
     for j, ak in compress(enumerate(yk), yk):
-        support.append((j, ak, ak if ak < 0 else 0))
+        entries.append((j, ak, ak if ak < 0 else 0))
+        negated[j] = -ak
     out = list(y)
     for i in compress(range(len(y)), map(itemgetter(k), ext)):
         if i == k:
@@ -248,10 +346,10 @@ def mutate_y(y, ext, k):
         b_ik = ext[i][k]
         plus = b_ik if b_ik > 0 else 0
         new = list(y[i])
-        for j, ak, floor in support:
+        for j, ak, floor in entries:
             new[j] += plus * ak - b_ik * floor
         out[i] = tuple(new)
-    out[k] = tuple(map(neg, yk))
+    out[k] = tuple(negated)
     return tuple(out)
 
 
@@ -365,7 +463,7 @@ def _certify(g, first, second, factors, partition):
         position = len(after.history)
         if vertex_status(before, k) != GREEN:
             raise NotGreenAtStep(position, k)
-        if not _points_inside(before, part_of[k][0], k):
+        if not _points_inside(_index_of(before)[k], part_of[k], k, GREEN):
             raise NotComponentPreserving(
                 "vertex %d at position %d" % (k + 1, position)
             )

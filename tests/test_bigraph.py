@@ -153,11 +153,37 @@ def int_rectangles(draw):
     return rows, draw(st.integers(0, m - 1))
 
 
+def skew_symmetrizable(rows):
+    """rows with its top square replaced by S D, S the skew-symmetric
+    part of that square and D a positive diagonal read off the rows; D
+    is then a symmetrizer."""
+    m = len(rows)
+    d = [1 + abs(row[-1]) % 3 for row in rows]
+    return tuple(
+        tuple((rows[i][j] - rows[j][i]) * d[j] for j in range(m)) + rows[i][m:]
+        for i in range(m)
+    )
+
+
 @settings(max_examples=300)
 @given(int_rectangles())
 def test_sparse_mutate_rows_matches_dense_formula(case):
     rows, k = case
     assert bg.mutate_rows(rows, k) == dense_mutate_rows(rows, k)
+    # with an index, on a skew-symmetrizable top square: the same rows,
+    # the index kept equal to their supports, and every row with b_ik = 0
+    # and its index entry left as the very same objects
+    rows = skew_symmetrizable(rows)
+    m = len(rows)
+    bg.symmetrizer(tuple(row[:m] for row in rows))
+    index = [bg.support(row, m) for row in rows]
+    before = list(index)
+    out = bg.mutate_rows(rows, k, index)
+    assert out == dense_mutate_rows(rows, k)
+    assert index == [bg.support(row, m) for row in out]
+    for i, row in enumerate(rows):
+        if i != k and row[k] == 0:
+            assert out[i] is row and index[i] is before[i]
 
 
 def test_composite_mutation_of_disconnected_set_commutes():

@@ -1,4 +1,16 @@
-"""Framed mutation: c-vectors, green sequences, frozen isomorphisms."""
+"""Framed mutation: c-vectors, green sequences, frozen isomorphisms.
+
+The green track's derived shortcuts, each with the test that makes one
+premise fail and gets the stepped answer, and the one that plants a
+wrong derived answer and gets exit 1 (the mirror and the replay of the
+symbolic and tropical tracks are tested in test_belt and test_tropical):
+
+| shortcut | a premise fails: the stepped answer | a wrong answer: exit 1 |
+|---|---|---|
+| frozen state read off the certificates | `test_a_broken_premise_falls_back_to_the_walk`, `test_a_bigraph_not_known_recurrent_falls_back_to_the_walk` | `test_a_planted_order_three_sigma_is_a_claim_violation`, `test_a_derived_state_with_a_broken_c_raises_the_walks_text`, `test_a_derived_state_with_a_broken_block_is_no_relabeling` |
+| checks on the moved rows only | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a hand-built state: every row) | `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
+| the index of each walk state | `test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer`, `test_a_block_that_is_not_skew_symmetrizable_is_never_indexed` | `test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command` |
+"""
 
 import dataclasses
 import json
@@ -149,6 +161,18 @@ def rectangles_with_y(draw):
     return ext, y, k
 
 
+def skew_symmetrizable(rows):
+    """rows with its top square replaced by S D, S the skew-symmetric
+    part of that square and D a positive diagonal read off the rows; D
+    is then a symmetrizer."""
+    m = len(rows)
+    d = [1 + abs(row[-1]) % 3 for row in rows]
+    return tuple(
+        tuple((rows[i][j] - rows[j][i]) * d[j] for j in range(m)) + rows[i][m:]
+        for i in range(m)
+    )
+
+
 @settings(max_examples=300)
 @given(rectangles_with_y())
 def test_sparse_mutate_y_matches_dense_formula_and_keeps_untouched_rows(case):
@@ -160,6 +184,14 @@ def test_sparse_mutate_y_matches_dense_formula_and_keeps_untouched_rows(case):
         if i != k and row[k] == 0:
             assert ext_after[i] is row
             assert y_after[i] is y[i]
+    # the rule reading an index leaves exactly the rows mutate_y leaves,
+    # on a skew-symmetrizable square, where the walk gives it one
+    ext = skew_symmetrizable(ext)
+    y_after = green.mutate_y(y, ext, k)
+    assert y_after == dense_mutate_y(y, ext, k)
+    ext_after = bg.mutate_rows(ext, k, [bg.support(row, len(ext)) for row in ext])
+    for i, row in enumerate(ext):
+        assert (ext_after[i] is row) == (y_after[i] is y[i]) == (i != k and row[k] == 0)
 
 
 # -- component preserving restriction ------------------------------------------
@@ -563,8 +595,9 @@ def test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises(
     real = green.mutate_rows
     faults = []
 
-    def faulty(rows, k):
-        out = list(real(rows, k))
+    def faulty(rows, k, index=None):
+        done = real(rows, k, index)
+        out = list(done)
         if len(rows) == g.n:  # the full matrix, not a restriction to one part
             own = part_of[k]
             i = moved_row(rows, k, own)
@@ -573,7 +606,7 @@ def test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises(
             row[j] += 1
             out[i] = tuple(row)
             faults.append(i)
-        return tuple(out)
+        return _in_step(done, tuple(out), index, g.n)
 
     monkeypatch.setattr(green, "mutate_rows", faulty)
     with pytest.raises(NotComponentPreserving, match="does not commute"):
@@ -586,17 +619,29 @@ def _leak_into(monkeypatch, n, pick_row):
     entry, away from zero, in the row pick_row(rows, k) names."""
     real = green.mutate_rows
 
-    def leaky(rows, k):
-        out = list(real(rows, k))
+    def leaky(rows, k, index=None):
+        done = real(rows, k, index)
+        out = list(done)
         if len(rows) == n:  # the full matrix, not a restriction to one part
             i = pick_row(rows, k)
             row = list(out[i])
             j = next(j for j in range(n, 2 * n) if row[j] != 0)
             row[j] += 1 if row[j] > 0 else -1  # still sign-coherent
             out[i] = tuple(row)
-        return tuple(out)
+        return _in_step(done, tuple(out), index, n)
 
     monkeypatch.setattr(green, "mutate_rows", leaky)
+
+
+def _in_step(done, faulted, index, n):
+    """The rows a faulty mutate_rows returns, faulted from the rows done
+    it computed, with the index it was given kept in step with them, as
+    the real rule keeps it: the fault is in the arithmetic."""
+    if index is not None:
+        for i, (row, was) in enumerate(zip(faulted, done)):
+            if row is not was:
+                index[i] = bg.support(row, n)
+    return faulted
 
 
 @pytest.mark.parametrize("check", CHECKS)
@@ -620,6 +665,144 @@ def test_initial_y_disagreeing_with_c_block_raises_before_any_mutation(
     with pytest.raises(CoefficientMismatch, match="row 6: .* at the start$"):
         getattr(green, check)(bg.catalog("A2xA3"))
     assert calls == []
+
+
+# -- the index each walk state keeps ---------------------------------------------
+
+INDEX_TARGETS = tuple(bg.catalog_names()) + ("E6xE6",)
+
+
+def stepped(ext, ks):
+    """The rows after mutating ext at each k of ks by the dense rule."""
+    for k in ks:
+        ext = bg.mutate_rows(ext, k)
+    return ext
+
+
+@pytest.mark.parametrize("name", INDEX_TARGETS)
+def test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees(
+    monkeypatch, name
+):
+    g = bg.catalog(name)
+    real = green.mutate_framed
+    steps = []
+
+    def spy(state, k):
+        after = real(state, k)
+        assert after.index == tuple(bg.support(row, g.n) for row in after.ext)
+        by_hand = green.FramedState(n=state.n, ext=state.ext, history=state.history)
+        again = real(by_hand, k)
+        assert (again.ext, again.history, again.index) == (
+            after.ext, after.history, after.index
+        )
+        steps.append(k)
+        return after
+
+    monkeypatch.setattr(green, "mutate_framed", spy)
+    cert_gamma, cert_delta = green.verify_bipartite_belt_mgs(g)
+    assert steps == list(cert_gamma.sequence + cert_delta.sequence)
+
+
+def test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer(monkeypatch):
+    # premise: the state has an index.  A walk that starts from a hand-built
+    # framed matrix takes its first step by the dense rule and indexes the
+    # result; its certificates and its final states are the indexed walk's
+    g = bg.catalog("A2xA3")
+    indexed = green.verify_bipartite_belt_mgs(g)
+    coframed = green._walk(g, -1, g.whites, g.blacks, g.half_period)
+    real_framed, real_rows = green.framed, green.mutate_rows
+    dense_calls = []
+
+    def by_hand(m, sign=1):
+        state = real_framed(m, sign)
+        return green.FramedState(n=state.n, ext=state.ext, history=())
+
+    def counting(rows, k, index=None):
+        if index is None:
+            dense_calls.append(k)
+        return real_rows(rows, k, index)
+
+    monkeypatch.setattr(green, "framed", by_hand)
+    monkeypatch.setattr(green, "mutate_rows", counting)
+    assert green.verify_bipartite_belt_mgs(g) == indexed
+    walked = green._walk(g, -1, g.whites, g.blacks, g.half_period)
+    assert (walked.ext, walked.history) == (coframed.ext, coframed.history)
+    assert walked.ext == stepped(real_framed(g.base, -1).ext, walked.history)
+    # one stepped mutation per walk: the certificates' two and the coframed one
+    assert len(dense_calls) == 3
+
+
+def test_a_block_that_is_not_skew_symmetrizable_is_never_indexed():
+    # sign-skew-symmetric, but the ratios around the triangle disagree; the
+    # first mutation breaks even the symmetry of its zero pattern, so the
+    # index could not stand in for column k, and every step is the dense one
+    block = ((0, 1, -1), (-2, 0, 1), (1, -1, 0))
+    ext = tuple(row + tuple(int(j == i) for j in range(3)) for i, row in enumerate(block))
+    state = green.FramedState(n=3, ext=ext, history=())
+    ks = (0, 1, 0, 1, 2)
+    for t, k in enumerate(ks, 1):
+        state = green.mutate_framed(state, k)
+        assert state.index is None and not state.checked
+        assert state.ext == stepped(ext, ks[:t])
+    # there b_23 != 0 = b_32: read through an index, the rule at vertex 3
+    # would miss row 2
+    after_one = stepped(ext, ks[:1])
+    index = [bg.support(row, 3) for row in after_one]
+    assert bg.mutate_rows(after_one, 2, index)[1] == after_one[1]
+    assert bg.mutate_rows(after_one, 2)[1] != after_one[1]
+
+
+def first_own_mutable(g, k, mutable):
+    own = next(c.vertices for c in g.gamma_components if k in c.vertices)
+    return next(j for j in mutable if j in own)
+
+
+def first_other_mutable(g, k, mutable):
+    own = next(c.vertices for c in g.gamma_components if k in c.vertices)
+    return next(j for j in mutable if j not in own)
+
+
+@pytest.mark.parametrize("name", ["A2xA3", "E6xE6"])
+@pytest.mark.parametrize("step", [1, 2, 6])
+@pytest.mark.parametrize(
+    "dropped",
+    [
+        lambda g, k, mutable, frozen: next(iter(frozen)),
+        lambda g, k, mutable, frozen: first_own_mutable(g, k, mutable),
+        lambda g, k, mutable, frozen: first_other_mutable(g, k, mutable),
+    ],
+    ids=["frozen", "own-part", "other-part"],
+)
+def test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command(
+    monkeypatch, name, step, dropped
+):
+    # the state's own index loses one nonzero entry of the pivot row, so
+    # the rule and the checks read it alike; mutate_y reads column k from
+    # ext itself, and the run exits 1 and never with a certificate
+    g = bg.catalog(name)
+    real = green.mutate_framed
+    calls = []
+
+    def stale(state, k):
+        calls.append(k)
+        if len(calls) == step:
+            mutable, frozen = state.index[k]
+            j = dropped(g, k, mutable, frozen)
+            index = list(state.index)
+            index[k] = (
+                {c: x for c, x in mutable.items() if c != j},
+                {c: x for c, x in frozen.items() if c != j},
+            )
+            object.__setattr__(state, "index", tuple(index))
+        return real(state, k)
+
+    monkeypatch.setattr(green, "mutate_framed", stale)
+    with pytest.raises((CoefficientMismatch, NotComponentPreserving)):
+        green.verify_bipartite_belt_mgs(g)
+    assert len(calls) >= step
+    calls.clear()
+    text, code = cli.run_experiment({"command": "green", "target": name, "skipSymbolic": True})
+    assert code == 1 and text.startswith("falsified: ")
 
 
 # -- bounded error text ---------------------------------------------------------
@@ -695,17 +878,21 @@ def test_a_derived_state_with_a_broken_block_is_no_relabeling(monkeypatch):
 
 
 def _fault_at_step(real, n, step, fault):
-    """real (mutate_rows or mutate_y, whose last argument is the vertex),
-    with fault applied to its result on its step-th call over the full n
+    """real, mutate_rows(rows, k, index) or mutate_y(y, ext, k), with
+    fault applied to its result on its step-th call over the full n rows,
+    and the index mutate_rows is given kept in step with the faulted
     rows; restrictions to one part pass through."""
     calls = []
+    vertex = 1 if real is green.mutate_rows else 2
 
     def faulty(*args):
         out = real(*args)
         if len(args[0]) == n:
-            calls.append(args[-1])
+            calls.append(args[vertex])
             if len(calls) == step:
-                out = fault(out, args[-1])
+                faulted = fault(out, args[vertex])
+                index = args[2] if vertex == 1 and len(args) > 2 else None
+                out = _in_step(out, faulted, index, n)
         return out
 
     return faulty, calls

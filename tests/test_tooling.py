@@ -70,9 +70,16 @@ KERNELS = (
     (tropical, "_advance"),
     (tropical, "dual_transfer_check"),
     (bg, "mutate_rows"),
+    (bg, "_by_sign"),
+    (bg, "_gained"),
+    (bg, "_negated"),
+    (bg, "support"),
     (green, "mutate_framed"),
     (green, "mutate_y"),
     (green, "_checked"),
+    (green, "_index_of"),
+    (green, "vertex_status"),
+    (green, "_points_inside"),
     (green, "_moved"),
     (green, "_check_restriction_commutes"),
     (green, "_assert_y_matches_c"),
