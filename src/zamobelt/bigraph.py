@@ -127,29 +127,23 @@ def mutate_rows(rows, k, index=None):
 
     The top m x m square is the exchange matrix and any further columns
     are frozen.  Row k and column k change sign; every other entry b_ij
-    gains |b_ik| b_kj when b_ik and b_kj have the same sign.  The
-    arithmetic visits only the nonzero entries of column k and of the
-    pivot row, so every row i != k with b_ik = 0 comes back as the very
-    same tuple.
+    gains |b_ik| b_kj when b_ik and b_kj have the same sign.  Only the
+    nonzero entries of column k and of the pivot row are visited, so
+    every row i != k with b_ik = 0 comes back as the very same tuple.
 
-    Without `index` those entries are found by scanning the pivot row
-    and column k.  With it, a list holding `support(row, m)` of each
-    row, they are read there, and nothing is scanned: the list's entry
-    of each row the rule rebuilds is replaced by one kept in step with
-    the new row, entry by entry, and every other entry stays the same
-    object.  The top square must then be skew-symmetrizable, as
-    mutation keeps it, so that b_ik != 0 exactly when b_ki != 0: the
-    rows to rebuild are the pivot's nonzero mutable columns.
+    They are found by scanning the pivot row and column k, or read in
+    `index`, a list holding `support(row)` of each row, which the rule
+    keeps in step entry by entry (an untouched row keeps its entry).  The
+    rows must then be the square alone, and skew-symmetrizable, so that
+    the rows to rebuild are the pivot's nonzero columns.
     """
     pivot = rows[k]
     if index is None:
         up, down = _by_sign(compress(enumerate(pivot), pivot))
         movers = compress(range(len(rows)), map(itemgetter(k), rows))
     else:
-        mutable, frozen = index[k]
-        up, down = _by_sign(mutable.items())
-        up_frozen, down_frozen = _by_sign(frozen.items())
-        movers = mutable
+        movers = index[k]
+        up, down = _by_sign(movers.items())
     out = list(rows)
     for i in movers:
         if i == k:
@@ -161,20 +155,23 @@ def mutate_rows(rows, k, index=None):
             for j, x in up if a > 0 else down:
                 new[j] += size * x
         else:
-            row_mutable, row_frozen = index[i]
-            row_mutable = _gained(new, dict(row_mutable), up if a > 0 else down, size)
-            row_mutable[k] = -a
-            gains = up_frozen if a > 0 else down_frozen
-            if gains:
-                row_frozen = _gained(new, dict(row_frozen), gains, size)
-            index[i] = (row_mutable, row_frozen)
+            entries = dict(index[i])
+            for j, x in up if a > 0 else down:
+                w = new[j] + size * x
+                new[j] = w
+                if w:
+                    entries[j] = w
+                else:
+                    entries.pop(j, None)
+            entries[k] = -a
+            index[i] = entries
         new[k] = -a
         out[i] = tuple(new)
     if index is None:
         out[k] = tuple(map(neg, pivot))
     else:
         new = [0] * len(pivot)
-        index[k] = (_negated(new, mutable), _negated(new, frozen))
+        index[k] = _negated(new, movers)
         out[k] = tuple(new)
     return tuple(out)
 
@@ -191,19 +188,6 @@ def _by_sign(entries):
     return up, down
 
 
-def _gained(new, entries, gains, size):
-    """Add size * x to the list new at each (j, x) of gains, and keep
-    entries, the dict of its nonzero entries, in step; returns entries."""
-    for j, x in gains:
-        w = new[j] + size * x
-        new[j] = w
-        if w:
-            entries[j] = w
-        else:
-            entries.pop(j, None)
-    return entries
-
-
 def _negated(new, entries):
     """Write minus each (j, x) of entries into the list new at j, and
     return those entries as a new dict."""
@@ -213,14 +197,10 @@ def _negated(new, entries):
     return out
 
 
-def support(row, m):
-    """The index entry of a row whose first m columns are the exchange
-    matrix's: its nonzero entries as {column: entry}, those among the
-    first m columns and those among the frozen ones apart."""
-    return (
-        dict(compress(enumerate(row[:m]), row[:m])),
-        dict(compress(enumerate(row[m:], m), row[m:])),
-    )
+def support(row):
+    """The index entry of a row of an exchange matrix: its nonzero
+    entries as {column: entry}."""
+    return dict(compress(enumerate(row), row))
 
 
 def mutate(m, k):

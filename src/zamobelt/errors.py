@@ -41,6 +41,11 @@ class ExponentOverflow(InputError):
     gives each variable."""
 
 
+class EntryOverflow(InputError):
+    """An entry or a multiplier would leave the field a packed row of the
+    green walk gives each entry."""
+
+
 class NotIntegerMatrix(InputError):
     """A matrix entry is not an integer: floats, bools and strings."""
 

@@ -1,53 +1,41 @@
 """Framed matrices, c-vectors, and maximal green sequence certification.
 
-Everything here runs two bookkeeping tracks at once.  The primary track
-is plain matrix mutation of the n x 2n extension; the c-vectors are its
-frozen columns.  The second track iterates the coefficient mutation
-rule in the tropical semifield, where a coefficient is an integer
-exponent vector and semifield addition takes componentwise minima.
-The two tracks must agree row for row after every single mutation; that
-agreement is asserted, not assumed.
+Two bookkeeping tracks run at once: matrix mutation of the n x 2n
+extension, whose frozen columns are the c-vectors, and the coefficient
+rule in the tropical semifield (exponent vectors, addition the
+componentwise min).  They must agree row for row after every mutation;
+that is asserted, not assumed.  Both belts, framed for the green
+certificates and coframed for sigma, run through one checked walk,
+`_walk`; `frozen_isomorphism_check` can read the coframed belt's end off
+the certificates.  That it returns to the coframed matrix up to
+relabeling is Nakanishi's synchronicity (C_t = +-P fixes the whole seed;
+J. LMS 2021).  Each check covers every row of a start or hand-built
+state, and after each mutation the rows it changed: a mutation returns
+each row it leaves alone as the very same object, in both tracks.
 
-Both belts, framed for the green certificates and coframed for sigma,
-run through one checked walk, `_walk`.  Given the two certificates, the
-coframed belt is not walked again: it is the Gamma certificate run
-backwards and then the Delta certificate, both relabeled by q^-1, where
-q is the Gamma certificate's permutation.  Matrix mutation and the
-tropical y-mutation are involutions and commute with relabeling, and a
-certificate that ends at the coframed matrix relabeled by q can be
-retraced from there; `frozen_isomorphism_check` gives the premises and
-the proof.  That the coframed belt returns to the coframed matrix up to
-relabeling at all is Nakanishi's synchronicity (C_t = +-P fixes the
-whole seed; J. LMS 2021).
-
-Each check covers every row of a start state (`framed`, `initial_y`),
-every row of a hand-built `FramedState`, and after each mutation every
-row that the mutation changed.  A mutation returns each row it leaves
-alone as the very same tuple, in both tracks, so a row that is still
-the same object still holds a value that was checked: the checks stay
-exact by induction from the start state.  That includes the restriction
-check of a green certificate: it applies the local rule to the moved
-rows of the part holding k, since an unmoved row has b_ik = 0 and the
-local mutation would leave it alone.
-
-So that a mutation pays for the entries it touches and not for n, each
-state of the matrix track keeps an index (`FramedState.index`): every
-row's nonzero entries, {column: entry}, mutable and frozen columns
-apart.  `framed` builds it from the rows, and `mutate_rows`, handed a
-copy by `mutate_framed`, keeps it in step entry by entry as it rebuilds
-rows.  The rule reads the pivot's entries and the rows it changes there,
-and the green status, `_points_inside`, the sign-coherence check and
-the restriction and leak check read it too; only `_moved` still scans
-every row, by identity.  `mutate_y` never reads the index: it reads
-column k from `ext` itself, so an index that lost or gained an entry
-sends the two tracks apart, and the walk stops with CoefficientMismatch
-(or the restriction check with NotComponentPreserving) instead of
-agreeing with itself.
+The c-vectors and the y rows are packed: a row is one int of n
+FIELD_BITS-wide fields, entry j in the j-th from the most significant,
+plus a bias, each field's top bit.  Entries and multipliers b_ik lie in
+[-BOUND, BOUND), so no sum a mutation forms carries out of a field;
+each multiplier and each new row is checked, the row by one mask test,
+and one outside raises EntryOverflow (exit 2) before any check reads
+it.  A moved row gains |b_ik| times the part of c_k with b_ik's sign,
+cut out by masks; the pivot row becomes twice the bias less itself.  A
+row is nonnegative when every top bit is set, and has a positive entry
+when it does less 1 in every field.  The mutable block stays int tuples
+with an index of their nonzero entries, which `mutate_rows` reads and
+keeps in step: its rows to move, and `mutate_c`'s, are the pivot's
+nonzero columns.  `mutate_y` applies the semifield formula itself, with
+masks of its own, and reads column k from the rows, never the index, so
+an index that lost or gained an entry sends the tracks apart.
 """
 
+import functools
+import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
-from operator import gt, is_not, itemgetter, lt, or_
+from itertools import compress, count
+from operator import gt, is_not, itemgetter, lt, neg
 
 from .bigraph import (
     Automorphism,
@@ -60,7 +48,9 @@ from .bigraph import (
     unmatched_entry,
 )
 from .errors import (
+    ClaimViolation,
     CoefficientMismatch,
+    EntryOverflow,
     FrozenVertex,
     InvalidPartition,
     MismatchWithSymbolicSigma,
@@ -75,73 +65,130 @@ from .errors import (
 
 GREEN = "green"
 RED = "red"
+FIELD_BITS = 16
+BOUND = 1 << 7
+_FIELD = (1 << FIELD_BITS) - 1
+_TOP = FIELD_BITS - 1
+_Codec = namedtuple("_Codec", "unit offset lift high pack unpack")
+_ROW = "an entry of row %d after mutation at %d"
+
+
+@functools.lru_cache(maxsize=None)
+def _codec(n):
+    """Packed rows of n fields: unit holds 1 in every field, offset each
+    field's top bit (the packed zero row), and a row's entries lie in
+    [-BOUND, BOUND) exactly when (row + lift) & high == offset."""
+    unit = ((1 << FIELD_BITS * n) - 1) // _FIELD
+    offset = unit << _TOP
+    layout = struct.Struct(">%dh" % n)
+
+    def pack(row):
+        if row and not -BOUND <= min(row) <= max(row) < BOUND:
+            raise _overflow("an entry of a packed row", row)
+        return int.from_bytes(layout.pack(*row), "big") ^ offset
+
+    def unpack(key):
+        return layout.unpack((key ^ offset).to_bytes(2 * n, "big"))
+
+    high = unit * (_FIELD ^ (2 * BOUND - 1))
+    return _Codec(unit, offset, BOUND * unit, high, pack, unpack)
+
+
+def _overflow(where, entries):
+    """EntryOverflow naming the first of entries outside the bound; no
+    field of a packed row carries, so its unpacked entries are exact."""
+    x = next(x for x in entries if not -BOUND <= x < BOUND)
+    return EntryOverflow("%s is %d, outside [%d, %d)" % (where, x, -BOUND, BOUND))
+
+
+def _parts(row, unit, offset):
+    """The positive and the negative part of a packed row, less the
+    bias: for a sign-coherent row one of them is the row itself."""
+    if row & offset == offset:
+        return row - offset, 0
+    if not (row - unit) & offset:
+        return 0, row - offset
+    up = (((row - unit) & offset) >> _TOP) * _FIELD
+    down = (((row & offset) ^ offset) >> _TOP) * _FIELD
+    return (row & up) - (offset & up), (row & down) - (offset & down)
 
 
 @dataclass(frozen=True)
 class FramedState:
-    """The n x 2n framed matrix and the mutations that led to it.
-
-    `index` holds each row's `bigraph.support`: its nonzero entries,
-    {column: entry}, the mutable columns' and the frozen ones' apart.
-    Only `framed` and `mutate_framed` set it, and only on a state whose
-    every c-vector is known to be sign-coherent and whose mutable block
-    is skew-symmetrizable; `checked` says it is set.  A state built by
-    hand (or by `dataclasses.replace`) has none, and its first mutation
-    is the stepped one, checking every row.  It takes no part in
-    equality.
+    """The n x 2n framed matrix and the mutations that led to it, held as
+    `block`, the mutable block's int tuples, and `c`, the packed
+    c-vectors; `ext` is built from them when first read.  A state built
+    by hand (or by `dataclasses.replace`) packs at construction and has
+    no `index` (each block row's `bigraph.support`): its first mutation
+    is the stepped one, checking every row.  Only `framed` and
+    `mutate_framed` set one, on a state known sign-coherent with a
+    skew-symmetrizable block (`checked`).  Equality reads n, ext, history.
     """
 
     n: int
     ext: tuple
     history: tuple
+    block: tuple = field(init=False, compare=False, repr=False)
+    c: tuple = field(init=False, compare=False, repr=False)
     index: tuple = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n, pack = self.n, _codec(self.n).pack
+        object.__setattr__(self, "block", tuple(row[:n] for row in self.ext))
+        object.__setattr__(self, "c", tuple(pack(row[n:]) for row in self.ext))
+
+    def __getattr__(self, name):
+        # only ext can be missing: a walk state builds it when first read
+        if name != "ext":
+            raise AttributeError(name)
+        unpack = _codec(self.n).unpack
+        ext = tuple(row + unpack(c) for row, c in zip(self.block, self.c))
+        object.__setattr__(self, "ext", ext)
+        return ext
 
     @property
     def checked(self):
         return self.index is not None
 
     def c_matrix(self):
-        return tuple(row[self.n:] for row in self.ext)
+        return tuple(map(_codec(self.n).unpack, self.c))
 
     def mutable_block(self):
-        return tuple(row[: self.n] for row in self.ext)
+        return self.block
+
+
+def _state(n, history, block, c, index):
+    state = object.__new__(FramedState)
+    vars(state).update(n=n, history=history, block=block, c=c, index=index)
+    return state
 
 
 def framed(m, sign=1):
     """B over sign * I: the framed matrix, or with sign -1 the coframed one."""
     n = m.n
-    ext = tuple(
-        tuple(m.b[i]) + tuple(sign if j == i else 0 for j in range(n))
-        for i in range(n)
-    )
+    offset = _codec(n).offset
+    c = tuple(offset + (sign << FIELD_BITS * (n - 1 - i)) for i in range(n))
     # m is an ExchangeMatrix: its b is skew-symmetrizable
-    return _indexed(FramedState(n=n, ext=ext, history=()), True)
+    return _state(n, (), m.b, c, tuple(map(support, m.b)))
 
 
-def _indexed(state, symmetrizable):
-    """state with its index built from ext and every row checked; the
-    index is dropped again unless the mutable block is skew-symmetrizable,
-    as `mutate_rows` needs to read it."""
-    object.__setattr__(state, "index", _index_of(state))
+def _indexed(state):
+    """state with every row checked, indexed if its block is
+    skew-symmetrizable, as `mutate_rows` needs to read an index."""
     _checked(state, range(state.n))
-    if not symmetrizable:
-        object.__setattr__(state, "index", None)
+    try:
+        symmetrizer(state.block)
+    except NotSkewSymmetrizable:
+        return state
+    object.__setattr__(state, "index", tuple(map(support, state.block)))
     return state
 
 
 def _index_of(state):
     """state's index, or for a state with none the one its rows have."""
     if state.index is None:
-        return tuple(map(support, state.ext, repeat(state.n)))
+        return tuple(map(support, state.block))
     return state.index
-
-
-def _skew_symmetrizable(ext, n):
-    try:
-        symmetrizer(tuple(row[:n] for row in ext))
-    except NotSkewSymmetrizable:
-        return False
-    return True
 
 
 def _when(history):
@@ -152,49 +199,70 @@ def _when(history):
 
 
 def _checked(state, rows):
-    """Assert sign-coherence of the c-vectors in rows, reading each
-    row's nonzero frozen entries in the index; the caller vouches for
-    every other row."""
-    index = state.index
+    """Assert sign-coherence of the c-vectors in rows; the caller vouches
+    for every other row."""
+    unit, offset, _, _, _, unpack = _codec(state.n)
     for i in rows:
-        c = index[i][1].values()
-        if c and min(c) < 0 < max(c):
+        row = state.c[i]
+        if row & offset != offset and (row - unit) & offset:
             raise SignCoherenceViolation(
-                "c-vector %d is %s %s"
-                % (i + 1, state.ext[i][state.n:], _when(state.history))
+                "c-vector %d is %s %s" % (i + 1, unpack(row), _when(state.history))
             )
     return state
 
 
-def mutate_framed(state, k):
-    """Standard mutation at mutable k over all 2n columns.
+def mutate_c(c, rows, k, movers):
+    """The packed c-vectors after mutation at k, rows being the block
+    before it and movers the rows with b_ik != 0: each gains |b_ik| times
+    the part of c_k with b_ik's sign, row k is negated, and every other
+    row comes back as the very same int."""
+    unit, offset, lift, high, _, unpack = _codec(len(c))
+    pivot = c[k]
+    up, down = _parts(pivot, unit, offset)
+    out = list(c)
+    for i in movers:
+        if i == k:
+            continue
+        a = rows[i][k]
+        if not -BOUND <= a < BOUND:
+            raise _overflow("multiplier b_%d,%d" % (i + 1, k + 1), (a,))
+        new = c[i] + a * up if a > 0 else c[i] - a * down
+        if (new + lift) & high != offset:
+            raise _overflow(_ROW % (i + 1, k + 1), unpack(new))
+        out[i] = new
+    new = 2 * offset - pivot
+    if (new + lift) & high != offset:
+        raise _overflow(_ROW % (k + 1, k + 1), unpack(new))
+    out[k] = new
+    return tuple(out)
 
-    On an indexed state the rule reads and updates a copy of the index,
-    and sign-coherence is asserted on the rows whose tuple changed.  A state
-    with no index gets the stepped rule, `mutate_rows`, and every row
-    is checked."""
-    if not 0 <= k < state.n:
+
+def mutate_framed(state, k):
+    """Mutation at mutable k over all 2n columns: `mutate_rows` on the
+    block, reading and updating a copy of the index, and `mutate_c` on
+    the c-vectors, asserting sign-coherence where an int changed.  A
+    state with no index gets the stepped rule, finding the rows to move
+    in column k, and every row is checked."""
+    n = state.n
+    if not 0 <= k < n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
     history = state.history + (k,)
+    block = state.block
     if state.index is None:
-        ext = mutate_rows(state.ext, k)
-        after = FramedState(n=state.n, ext=ext, history=history)
-        return _indexed(after, _skew_symmetrizable(ext, state.n))
+        movers = compress(range(n), map(itemgetter(k), block))
+        c = mutate_c(state.c, block, k, movers)
+        return _indexed(_state(n, history, mutate_rows(block, k), c, None))
     index = list(state.index)
-    ext = mutate_rows(state.ext, k, index)
-    after = FramedState(n=state.n, ext=ext, history=history)
-    object.__setattr__(after, "index", tuple(index))
-    return _checked(after, compress(count(), map(is_not, state.ext, ext)))
+    c = mutate_c(state.c, block, k, index[k])
+    after = _state(n, history, mutate_rows(block, k, index), c, tuple(index))
+    return _checked(after, compress(count(), map(is_not, state.c, c)))
 
 
 def vertex_status(state, k):
     if not 0 <= k < state.n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
-    if state.index is None:
-        c = state.ext[k][state.n:]
-    else:
-        c = state.index[k][1].values()
-    return GREEN if min(c, default=0) >= 0 else RED
+    offset = _codec(state.n).offset
+    return GREEN if state.c[k] & offset == offset else RED
 
 
 def _normalize_partition(n, partition):
@@ -213,168 +281,132 @@ def is_component_preserving(state, partition, k):
     this automatically through sign-coherence."""
     parts = _normalize_partition(state.n, partition)
     status = vertex_status(state, k)
-    if state.index is None:
-        cols = support(state.ext[k], state.n)
-    else:
-        cols = state.index[k]
     # no part holds a frozen k; vertex_status rejects it
-    return _points_inside(cols, next((p for p in parts if k in p), ()), k, status)
+    return _points_inside(state, k, next((p for p in parts if k in p), ()), status)
 
 
-def _points_inside(cols, own, k, status):
-    """is_component_preserving for pivot row k, given its index entry
-    cols, the normalized part holding k and k's status.
-
-    Only the pivot row's nonzero entries are visited."""
+def _points_inside(state, k, own, status):
+    """is_component_preserving for pivot row k, given the normalized
+    part holding k and k's status, which is its c-vector's: only a red
+    one can have an entry of the wrong sign, a positive one."""
     offends = lt if status == GREEN else gt
-    mutable, frozen = cols
+    mutable = support(state.block[k]) if state.index is None else state.index[k]
     for j, x in mutable.items():
         if offends(x, 0) and j not in own:
             return False
-    for j, x in frozen.items():
-        if offends(x, 0):
-            # a frozen violation would contradict the green/red status
-            raise SignCoherenceViolation(
-                "frozen column %d contradicts status of %d" % (j + 1, k + 1)
-            )
+    code = _codec(state.n)
+    if status == RED and (state.c[k] - code.unit) & code.offset:
+        for j, x in enumerate(code.unpack(state.c[k])):
+            if x > 0:
+                raise SignCoherenceViolation(
+                    "frozen column %d contradicts status of %d"
+                    % (state.n + j + 1, k + 1)
+                )
     return True
 
 
-def _restrictions(n, parts):
-    """The normalized part holding each vertex, as a list by vertex."""
-    part_of = [None] * n
-    for part in parts:
-        for v in part:
-            part_of[v] = part
-    return part_of
-
-
 def _check_restriction_commutes(before, after, part_of, k, moved):
-    """Mutation at k must act on the part containing k exactly as local
-    mutation of the restricted matrix and must leave other parts alone.
-
-    A row's restriction to its part holds the columns of the part, then
-    the frozen ones.  Only the moved rows and k are compared.  A row
-    outside `moved` is the very row it was in both tracks, and mutate_y
-    rebuilds every row with b_ik != 0, so such a row has b_ik = 0: the
-    local mutation leaves it alone too.  A moved row of another part
-    must keep its restriction to that part.
-
-    Each moved row is compared where the index puts a nonzero entry in
-    its old or its new row and, in k's part, in the pivot row: at every
-    other column the old entry, the new one and the local rule's change
-    are all 0."""
-    n = before.n
+    """Mutation at k must act on the part containing k (its columns, then
+    the frozen ones) as local mutation of the restricted matrix, and
+    leave other parts alone.  Only moved rows are compared: mutate_y
+    rebuilds every row with b_ik != 0, so any other row has b_ik = 0.
+    Mutable entries are compared where the index puts a nonzero entry in
+    the old or new row, or in k's part in the pivot row (elsewhere all
+    are 0); the c-vector whole, the local multiply-add worked out again."""
+    code = _codec(before.n)
     own = part_of[k]
-    old = before.ext
-    new = after.ext
-    pivot = old[k]
-    old_index = _index_of(before)
-    new_index = _index_of(after)
-    pivot_mutable, pivot_frozen = old_index[k]
-    for i in moved:
-        if part_of[i] is not own:
-            continue
-        was = old[i]
-        now = new[i]
-        was_mutable, was_frozen = old_index[i]
-        now_mutable, now_frozen = new_index[i]
-        a = was[k]
-        size = abs(a)
-        for j in chain(
-            was_mutable, was_frozen, now_mutable, now_frozen, pivot_mutable, pivot_frozen
-        ):
-            if j < n and part_of[j] is not own:
-                continue
-            if i == k or j == k:
-                want = -was[j]
-            elif a * pivot[j] > 0:
-                want = was[j] + size * pivot[j]
-            else:
-                want = was[j]
-            if now[j] != want:
-                raise NotComponentPreserving(
-                    "mutation at %d does not commute with restriction" % (k + 1)
-                )
+    old, new, old_c, new_c = before.block, after.block, before.c, after.c
+    old_index, new_index = _index_of(before), _index_of(after)
+    up, down = _parts(old_c[k], code.unit, code.offset)
     for i in moved:
         part = part_of[i]
-        if part is own:
+        was, now = old[i], new[i]
+        if part is not own:
+            leaked = old_c[i] != new_c[i]
+            for index in (old_index[i], new_index[i]):
+                for j in index:
+                    if part_of[j] is part and now[j] != was[j]:
+                        leaked = True
+            if leaked:
+                raise NotComponentPreserving(
+                    "mutation at %d leaked into part %s" % (k + 1, part)
+                )
             continue
-        was = old[i]
-        now = new[i]
-        was_mutable, was_frozen = old_index[i]
-        now_mutable, now_frozen = new_index[i]
-        leaked = was_frozen != now_frozen
-        for j in chain(was_mutable, now_mutable):
-            if part_of[j] is part and now[j] != was[j]:
-                leaked = True
-        if leaked:
+        a = was[k]
+        size = abs(a)
+        if i == k:
+            commutes = new_c[i] == 2 * code.offset - old_c[k]
+        else:
+            commutes = new_c[i] == old_c[i] + size * (up if a > 0 else down)
+        for index in (old_index[i], new_index[i], old_index[k]):
+            for j in index:
+                if part_of[j] is not own:
+                    continue
+                if i == k or j == k:
+                    commutes &= now[j] == -was[j]
+                elif a * old[k][j] > 0:
+                    commutes &= now[j] == was[j] + size * old[k][j]
+                else:
+                    commutes &= now[j] == was[j]
+        if not commutes:
             raise NotComponentPreserving(
-                "mutation at %d leaked into part %s" % (k + 1, part)
+                "mutation at %d does not commute with restriction" % (k + 1)
             )
 
 
 def initial_y(n, sign=1):
-    return tuple(
-        tuple(sign if j == i else 0 for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(sign if j == i else 0 for j in range(n)) for i in range(n))
 
 
 def mutate_y(y, ext, k):
-    """Coefficient mutation in the tropical semifield, on exponent rows.
-
-    Uses the pre-mutation exchange entries b_ik; semifield addition
-    turns (y^a + 1) into the componentwise min(a, 0) exponent, so row i
-    becomes a + [b_ik]_+ a_k - b_ik min(a_k, 0).  Only the rows with
-    b_ik != 0 and, in them, the support of y_k are visited; every other
-    row comes back as the very same tuple.
-
-    This is the semifield formula itself, kept apart from mutate_rows on
-    purpose: the c-vector/coefficient check compares the two tracks, and
-    it only checks something while they are computed independently.
-    """
+    """Coefficient mutation in the tropical semifield, on packed exponent
+    rows, reading the pre-mutation b_ik in column k of ext (or the block):
+    (y^a + 1) becomes the componentwise min(a, 0) exponent, so row i
+    becomes a + [b_ik]_+ a_k - b_ik min(a_k, 0), and every row with
+    b_ik = 0 comes back as the very same int.  The semifield formula is
+    kept apart from `mutate_c` on purpose, masks and bound checks too:
+    the c-vector/coefficient check only checks something while the two
+    tracks are computed independently."""
+    unit, offset, lift, high, _, unpack = _codec(len(y))
     yk = y[k]
-    entries = []
-    negated = [0] * len(yk)
-    for j, ak in compress(enumerate(yk), yk):
-        entries.append((j, ak, ak if ak < 0 else 0))
-        negated[j] = -ak
+    negative = (((yk & offset) ^ offset) >> _TOP) * _FIELD
+    floor = (yk & negative) - (offset & negative)
     out = list(y)
     for i in compress(range(len(y)), map(itemgetter(k), ext)):
         if i == k:
             continue
         b_ik = ext[i][k]
-        plus = b_ik if b_ik > 0 else 0
-        new = list(y[i])
-        for j, ak, floor in entries:
-            new[j] += plus * ak - b_ik * floor
-        out[i] = tuple(new)
-    out[k] = tuple(negated)
+        if not -BOUND <= b_ik < BOUND:
+            raise _overflow("multiplier b_%d,%d" % (i + 1, k + 1), (b_ik,))
+        new = y[i] + (b_ik if b_ik > 0 else 0) * (yk - offset) - b_ik * floor
+        if (new + lift) & high != offset:
+            raise _overflow(_ROW % (i + 1, k + 1), unpack(new))
+        out[i] = new
+    new = 2 * offset - yk
+    if (new + lift) & high != offset:
+        raise _overflow(_ROW % (k + 1, k + 1), unpack(new))
+    out[k] = new
     return tuple(out)
 
 
 def _moved(before, after, y_before, y_after):
-    """Rows where either track's new row is not its old row object.
-
-    mutate_rows and mutate_y return each row they leave alone as the
-    same tuple, so every other row still holds its checked value.  A row
-    rebuilt equal to its old value is listed too, and merely checked
-    again.
-    """
-    changed = map(
-        or_, map(is_not, before.ext, after.ext), map(is_not, y_before, y_after)
-    )
-    return list(compress(count(), changed))
+    """Rows where a block row, a c-vector or a y row is not its old
+    object.  The rules return each row they leave alone as the same
+    object, so every other row still holds its checked value."""
+    return sorted({
+        *compress(count(), map(is_not, before.block, after.block)),
+        *compress(count(), map(is_not, before.c, after.c)),
+        *compress(count(), map(is_not, y_before, y_after)),
+    })
 
 
 def _assert_y_matches_c(state, y, rows):
-    n = state.n
-    ext = state.ext
     for i in rows:
-        if ext[i][n:] != y[i]:
+        if state.c[i] != y[i]:
+            unpack = _codec(state.n).unpack
             raise CoefficientMismatch(
                 "row %d: c-vector %s vs coefficient %s %s"
-                % (i + 1, ext[i][n:], y[i], _when(state.history))
+                % (i + 1, unpack(state.c[i]), unpack(y[i]), _when(state.history))
             )
 
 
@@ -397,37 +429,26 @@ SHOWN_ROWS = 3
 
 def _minus_permutation(c_rows, error, name):
     """The Automorphism sigma with -C == P_sigma (row i has its -1 in
-    column sigma(i)).
-
-    Otherwise raises error naming C's shape and its first offending
-    rows: those that are not minus a unit vector, or whose -1 sits in
-    the column of an earlier row's.  C can be 49 x 49 and more, so the
-    text shows at most SHOWN_ROWS of them.
-    """
-    perm = ()
-    offending = []
-    used = set()
-    for i, row in enumerate(c_rows):
-        negatives = [j for j, x in enumerate(row) if x == -1]
-        if (
-            len(negatives) == 1
-            and negatives[0] not in used
-            and all(x in (0, -1) for x in row)
-        ):
-            used.add(negatives[0])
-            perm += (negatives[0],)
-        else:
-            offending.append(i)
+    column sigma(i)), each packed row compared with the packed -e_j.
+    Otherwise raises error naming C's shape and at most SHOWN_ROWS of
+    its first offending rows: those that are not minus a unit vector, or
+    whose -1 sits in the column of an earlier row's."""
+    n = len(c_rows)
+    code = _codec(n)
+    column = {code.offset - (1 << FIELD_BITS * (n - 1 - j)): j for j in range(n)}
+    perm = [column.pop(row, None) for row in c_rows]
+    offending = [i for i, j in enumerate(perm) if j is None]
     if offending:
         shown = ", ".join(
-            "row %d = %s" % (i + 1, c_rows[i]) for i in offending[:SHOWN_ROWS]
+            "row %d = %s" % (i + 1, code.unpack(c_rows[i]))
+            for i in offending[:SHOWN_ROWS]
         )
         raise error(
             "%s (%d x %d) is not minus a permutation matrix: %d offending rows, %s%s"
-            % (name, len(c_rows), len(c_rows), len(offending), shown,
+            % (name, n, n, len(offending), shown,
                ", ..." if len(offending) > SHOWN_ROWS else "")
         )
-    return Automorphism(perm)
+    return Automorphism(tuple(perm))
 
 
 def _sequence(first, second, factors):
@@ -435,62 +456,81 @@ def _sequence(first, second, factors):
     return tuple(k for f in range(factors) for k in (second if f % 2 else first))
 
 
-def _walk(g, sign, first, second, factors, check=None):
+def _walk(g, sign, first, second, factors, check=None, name="the coframed belt"):
     """The final state of `factors` alternating factors of first and
-    second, from the framed (sign 1) or coframed (sign -1) matrix, with
-    both tracks compared at the start and on the rows each mutation
-    moved.  `mutate_framed` runs first, so a vertex out of range is a
-    FrozenVertex; check(before, k, after, moved) runs before the
-    compare."""
+    second, from the framed (sign 1) or coframed (sign -1) matrix, both
+    tracks compared at the start and on the rows each mutation moved.
+    `mutate_framed` runs first, so a vertex out of range is a
+    FrozenVertex; check(before, k, after, moved) runs before the compare.
+    On a recurrent g a whole colour's mutation negates B, so the block is
+    -B where an odd factor ends, B where an even one does; the first
+    factor where it is not is raised, naming the walk, once the walk is
+    done, as a check that names its step and vertex raises first."""
     state = framed(g.base, sign)
-    y = initial_y(g.n, sign)
+    y = tuple(map(_codec(g.n).pack, initial_y(g.n, sign)))
     _assert_y_matches_c(state, y, range(g.n))
-    for k in _sequence(first, second, factors):
+    b = g.base.b
+    blocks = (b, tuple(tuple(map(neg, row)) for row in b)) if is_recurrent(g) else ()
+    ends, t, broken = {}, 0, None
+    for f in range(1, factors + 1) if blocks else ():
+        t += len(first if f % 2 else second)
+        ends[t] = f
+    for t, k in enumerate(_sequence(first, second, factors), 1):
         after = mutate_framed(state, k)
-        y_after = mutate_y(y, state.ext, k)
+        y_after = mutate_y(y, state.block, k)
         moved = _moved(state, after, y, y_after)
         if check is not None:
             check(state, k, after, moved)
         _assert_y_matches_c(after, y_after, moved)
         state, y = after, y_after
+        if t in ends and not broken and state.block != blocks[ends[t] % 2]:
+            broken = ends[t], state.block
+    if broken:
+        f, block = broken
+        want = blocks[f % 2]
+        i, j = unmatched_entry(Automorphism.identity(g.n), want, block)
+        raise ClaimViolation(
+            "%s: the mutable block is not %sB after factor %d: entry (%d,%d) is %d, "
+            "not %d" % (name, "-" * (f % 2), f, i + 1, j + 1, block[i][j], want[i][j])
+        )
     return state
 
 
-def _certify(g, first, second, factors, partition):
-    part_of = _restrictions(g.n, _normalize_partition(g.n, partition))
+def _certify(g, first, second, factors, partition, name="the green sequence"):
+    part_of = [None] * g.n
+    for part in _normalize_partition(g.n, partition):
+        for v in part:
+            part_of[v] = part
 
     def check(before, k, after, moved):
         position = len(after.history)
         if vertex_status(before, k) != GREEN:
             raise NotGreenAtStep(position, k)
-        if not _points_inside(_index_of(before)[k], part_of[k], k, GREEN):
+        if not _points_inside(before, k, part_of[k], GREEN):
             raise NotComponentPreserving(
                 "vertex %d at position %d" % (k + 1, position)
             )
         _check_restriction_commutes(before, after, part_of, k, moved)
 
-    state = _walk(g, 1, first, second, factors, check)
+    state = _walk(g, 1, first, second, factors, check, name)
     still_green = [k for k in range(g.n) if vertex_status(state, k) == GREEN]
     if still_green:
         raise NotMaximal("vertices %s still green" % [k + 1 for k in still_green])
-    perm = _minus_permutation(state.c_matrix(), NotPermutation, "final C")
+    perm = _minus_permutation(state.c, NotPermutation, "final C")
     return GreenCertificate(factors=factors, final=state, permutation=perm)
 
 
 def verify_bipartite_belt_mgs(g):
-    """Certify both alternating belt sequences on the framed matrix.
-
-    The sink-first sequence (h_Gamma factors, Gamma-sinks open) is
-    checked against the Gamma-component partition; the other sequence
-    (h_Delta factors, Delta-sinks open) against the Delta-component
-    partition.  Whites are Gamma-sources under the sign convention, so
-    Gamma-sinks are the black vertices.
-    """
-    partition_gamma = tuple(comp.vertices for comp in g.gamma_components)
-    partition_delta = tuple(comp.vertices for comp in g.delta_components)
-    cert_gamma = _certify(g, g.blacks, g.whites, g.h_gamma, partition_gamma)
-    cert_delta = _certify(g, g.whites, g.blacks, g.h_delta, partition_delta)
-    return cert_gamma, cert_delta
+    """Certify both alternating belt sequences on the framed matrix: the
+    sink-first one (h_Gamma factors, Gamma-sinks, the blacks, open)
+    against the Gamma-component partition, the other (h_Delta factors,
+    Delta-sinks open) against the Delta-component partition."""
+    gamma = tuple(comp.vertices for comp in g.gamma_components)
+    delta = tuple(comp.vertices for comp in g.delta_components)
+    return (
+        _certify(g, g.blacks, g.whites, g.h_gamma, gamma, "the Gamma certificate"),
+        _certify(g, g.whites, g.blacks, g.h_delta, delta, "the Delta certificate"),
+    )
 
 
 def _relabeled(ext, p):
@@ -530,44 +570,38 @@ def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
     parity needs).  That Automorphism is returned and, when the symbolic
     half-period Automorphism is supplied, must equal it.
 
-    Given `certificates`, the pair verify_bipartite_belt_mgs(g)
-    returned, the final state is derived from them instead of walked,
-    when four exact premises hold:
-    - each certificate's sequence is its belt's alternating sequence;
-    - g is recurrent;
-    - the Gamma certificate ends at R_q(coframed B), where q is its
-      permutation and R_q takes X to the matrix with entries
-      X[q(i)][q(j)], frozen columns left in place (`_relabeled`);
-    - q maps that certificate's last factor onto the whites.
+    Given `certificates`, the pair verify_bipartite_belt_mgs(g) returned,
+    the final state is derived from them instead of walked when four
+    exact premises hold: each certificate's sequence is its belt's; g is
+    recurrent; the Gamma certificate ends at R_q(coframed B), q its
+    permutation and R_q taking X to the matrix with entries
+    X[q(i)][q(j)], frozen columns left in place (`_relabeled`); and q
+    maps that certificate's last factor onto the whites.
     Proof.  Recurrence makes the mutable block +-B at every factor
-    boundary of all three walks, so the vertices of one factor are
-    pairwise unlinked there: their mutations commute, and the factor's
-    composite, in any order, is an involution on states (matrix and
-    tropical y track alike).  Both mutations commute with relabeling,
-    mu_k(R_p X) == R_p(mu_p(k) X).  The walk starts at coframed B,
-    which is R_q^-1 of the Gamma certificate's final state, and its
-    first factor, the whites, is q of that certificate's last factor;
-    so its first h_Gamma factors undo the certificate's factors, last
-    first, relabeled by R_q^-1, and reach R_q^-1(framed B).  As q^-1
-    maps the walk's factor h_Gamma onto the certificate's first, the
-    blacks, it maps the next one, their complement, onto the whites,
-    the Delta certificate's first factor; so the last h_Delta factors
-    are that certificate's, relabeled by R_q^-1, and the walk ends at
-    R_q^-1 of its final state.  Each state of the walk at a factor
-    boundary is thus a relabeled state whose rows a certificate checked
-    for sign coherence and against the y track; the states inside a
-    factor are not formed.  When a premise fails, the walk runs.  Either
-    way the checks below read the same final state.
+    boundary of all three walks (each walk checks it), so the vertices
+    of one factor are pairwise unlinked there: their mutations commute,
+    and the factor's composite is an involution on states (both tracks).
+    Both mutations commute with relabeling, mu_k(R_p X) == R_p(mu_p(k) X).
+    The walk starts at coframed B = R_q^-1 of the Gamma certificate's
+    end, and its first factor, the whites, is q of that certificate's
+    last; so its first h_Gamma factors undo the certificate's, last
+    first, relabeled by R_q^-1, reaching R_q^-1(framed B).  As q^-1 maps
+    the walk's factor h_Gamma onto the blacks, it maps the next one onto
+    the whites, the Delta certificate's first factor; so the last h_Delta
+    factors are that certificate's, relabeled, and the walk ends at
+    R_q^-1 of its final state.  Each state at a factor boundary is thus a
+    relabeled one a certificate checked; the states inside a factor are
+    not formed.  When a premise fails, the walk runs.
     """
     if symbolic_sigma is not None:
         require_automorphism(symbolic_sigma)
     state = None if certificates is None else _derived_final(g, *certificates)
     if state is None:
         state = _walk(g, -1, g.whites, g.blacks, g.half_period)
-    row_perm = _minus_permutation(state.c_matrix(), NoIsomorphism, "frozen block")
+    row_perm = _minus_permutation(state.c, NoIsomorphism, "frozen block")
     # row r holds the -1 of frozen column row_perm(r); sigma is the inverse
     sigma = row_perm.inverse
-    if unmatched_entry(sigma, g.base.b, state.mutable_block()) is not None:
+    if unmatched_entry(sigma, g.base.b, state.block) is not None:
         raise NoIsomorphism("mutable block is not a relabeling of the original")
     classify_sigma(g, sigma)
     if symbolic_sigma is not None and sigma != symbolic_sigma:

@@ -170,18 +170,18 @@ def skew_symmetrizable(rows):
 def test_sparse_mutate_rows_matches_dense_formula(case):
     rows, k = case
     assert bg.mutate_rows(rows, k) == dense_mutate_rows(rows, k)
-    # with an index, on a skew-symmetrizable top square: the same rows,
-    # the index kept equal to their supports, and every row with b_ik = 0
-    # and its index entry left as the very same objects
-    rows = skew_symmetrizable(rows)
+    # with an index, on a skew-symmetrizable top square alone: the same
+    # rows, the index kept equal to their supports, and every row with
+    # b_ik = 0 and its index entry left as the very same objects
     m = len(rows)
-    bg.symmetrizer(tuple(row[:m] for row in rows))
-    index = [bg.support(row, m) for row in rows]
+    square = tuple(row[:m] for row in skew_symmetrizable(rows))
+    bg.symmetrizer(square)
+    index = [bg.support(row) for row in square]
     before = list(index)
-    out = bg.mutate_rows(rows, k, index)
-    assert out == dense_mutate_rows(rows, k)
-    assert index == [bg.support(row, m) for row in out]
-    for i, row in enumerate(rows):
+    out = bg.mutate_rows(square, k, index)
+    assert out == dense_mutate_rows(square, k)
+    assert index == [bg.support(row) for row in out]
+    for i, row in enumerate(square):
         if i != k and row[k] == 0:
             assert out[i] is row and index[i] is before[i]
 

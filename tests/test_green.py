@@ -9,12 +9,14 @@ symbolic and tropical tracks are tested in test_belt and test_tropical):
 |---|---|---|
 | frozen state read off the certificates | `test_a_broken_premise_falls_back_to_the_walk`, `test_a_bigraph_not_known_recurrent_falls_back_to_the_walk` | `test_a_planted_order_three_sigma_is_a_claim_violation`, `test_a_derived_state_with_a_broken_c_raises_the_walks_text`, `test_a_derived_state_with_a_broken_block_is_no_relabeling` |
 | checks on the moved rows only | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a hand-built state: every row) | `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
-| the index of each walk state | `test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer`, `test_a_block_that_is_not_skew_symmetrizable_is_never_indexed` | `test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command` |
+| the index of each walk state | `test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer`, `test_a_block_that_is_not_skew_symmetrizable_is_never_indexed` | `test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command`, `test_a_dropped_other_part_pivot_entry_fails_green_at_every_gamma_step` (an entry between parts, seen only by the check that the block is +-B where each factor ends) |
+| packed c-vector and y rows | `test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees` (every state unpacks to the stepped rows), `test_an_entry_just_under_the_bound_gives_the_dense_answer` | past the bound the run exits 2, not 1: `test_an_entry_past_the_bound_exits_2_under_its_name` |
 """
 
 import dataclasses
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,9 @@ import zamobelt.green as green
 from zamobelt.errors import (
     ClaimViolation,
     CoefficientMismatch,
+    EntryOverflow,
     FrozenVertex,
+    InputError,
     InvalidPermutation,
     NoIsomorphism,
     NotComponentPreserving,
@@ -38,6 +42,26 @@ from zamobelt.errors import (
 
 def framed_of(name: str) -> green.FramedState:
     return green.framed(bg.catalog(name).base)
+
+
+def packed(row):
+    """row, an int tuple, as one packed row."""
+    return green._codec(len(row)).pack(row)
+
+
+def unpacked(key, n):
+    """The int tuple of a packed row of n entries."""
+    return green._codec(n).unpack(key)
+
+
+def pack_rows(rows):
+    """n rows of n entries each as packed rows."""
+    return tuple(map(green._codec(len(rows)).pack, rows))
+
+
+def unpack_rows(keys):
+    """n packed rows of n entries each as int tuples."""
+    return tuple(map(green._codec(len(keys)).unpack, keys))
 
 
 # -- framed mutation goldens -----------------------------------------------
@@ -107,21 +131,21 @@ def test_incoherent_row_the_mutation_leaves_alone_still_raises():
 def test_y_vectors_track_c_matrix_rows():
     g = bg.catalog("A2")
     state = green.framed(g.base)
-    y = green.initial_y(2)
+    y = pack_rows(green.initial_y(2))
     for k in (1, 0, 1):
         y = green.mutate_y(y, state.ext, k)
         state = green.mutate_framed(state, k)
-        assert tuple(y) == state.c_matrix()
+        assert unpack_rows(y) == state.c_matrix()
 
 
 def test_y_vs_c_on_figure_entry():
     g = bg.catalog("fig1-A5starD4")
     state = green.framed(g.base)
-    y = green.initial_y(g.n)
+    y = pack_rows(green.initial_y(g.n))
     for k in (0, 2, 4, 6, 1, 3):
         y = green.mutate_y(y, state.ext, k)
         state = green.mutate_framed(state, k)
-        assert tuple(y) == state.c_matrix()
+        assert unpack_rows(y) == state.c_matrix()
 
 
 def dense_mutate_y(y, ext, k):
@@ -144,20 +168,20 @@ def dense_mutate_y(y, ext, k):
 
 @st.composite
 def rectangles_with_y(draw):
-    """An m x n' int rectangle, m int y-rows, and a row to mutate at;
-    y_k is all zero in about half the cases."""
+    """An m x n' int rectangle, m int y-rows of m entries (the width a
+    packed y row of the walk has), and a row to mutate at; y_k is all
+    zero in about half the cases."""
     m = draw(st.integers(min_value=1, max_value=6))
     width = m + draw(st.integers(min_value=0, max_value=6))
-    y_width = draw(st.integers(min_value=1, max_value=8))
 
     def rows(w):
         row = st.lists(st.integers(-4, 4), min_size=w, max_size=w)
         return tuple(tuple(r) for r in draw(st.lists(row, min_size=m, max_size=m)))
 
-    ext, y = rows(width), rows(y_width)
+    ext, y = rows(width), rows(m)
     k = draw(st.integers(0, m - 1))
     if draw(st.booleans()):
-        y = y[:k] + ((0,) * y_width,) + y[k + 1:]
+        y = y[:k] + ((0,) * m,) + y[k + 1:]
     return ext, y, k
 
 
@@ -176,9 +200,10 @@ def skew_symmetrizable(rows):
 @settings(max_examples=300)
 @given(rectangles_with_y())
 def test_sparse_mutate_y_matches_dense_formula_and_keeps_untouched_rows(case):
-    ext, y, k = case
+    ext, rows, k = case
+    y = pack_rows(rows)
     y_after = green.mutate_y(y, ext, k)
-    assert y_after == dense_mutate_y(y, ext, k)
+    assert unpack_rows(y_after) == dense_mutate_y(rows, ext, k)
     ext_after = bg.mutate_rows(ext, k)
     for i, row in enumerate(ext):
         if i != k and row[k] == 0:
@@ -186,12 +211,13 @@ def test_sparse_mutate_y_matches_dense_formula_and_keeps_untouched_rows(case):
             assert y_after[i] is y[i]
     # the rule reading an index leaves exactly the rows mutate_y leaves,
     # on a skew-symmetrizable square, where the walk gives it one
-    ext = skew_symmetrizable(ext)
-    y_after = green.mutate_y(y, ext, k)
-    assert y_after == dense_mutate_y(y, ext, k)
-    ext_after = bg.mutate_rows(ext, k, [bg.support(row, len(ext)) for row in ext])
-    for i, row in enumerate(ext):
-        assert (ext_after[i] is row) == (y_after[i] is y[i]) == (i != k and row[k] == 0)
+    m = len(ext)
+    square = tuple(row[:m] for row in skew_symmetrizable(ext))
+    y_after = green.mutate_y(y, square, k)
+    assert unpack_rows(y_after) == dense_mutate_y(rows, square, k)
+    after = bg.mutate_rows(square, k, [bg.support(row) for row in square])
+    for i, row in enumerate(square):
+        assert (after[i] is row) == (y_after[i] is y[i]) == (i != k and row[k] == 0)
 
 
 # -- component preserving restriction ------------------------------------------
@@ -346,10 +372,10 @@ def relabel(rows, p):
 @st.composite
 def reachable_states(draw):
     """(ext, y, k): a framed or coframed state of a catalog bigraph after
-    up to 8 mutations, its y track, and a vertex to mutate at."""
+    up to 8 mutations, its packed y track, and a vertex to mutate at."""
     g = bg.catalog(draw(st.sampled_from(LEMMA_TARGETS)))
     sign = draw(st.sampled_from((1, -1)))
-    ext, y = green.framed(g.base, sign).ext, green.initial_y(g.n, sign)
+    ext, y = green.framed(g.base, sign).ext, pack_rows(green.initial_y(g.n, sign))
     for k in draw(st.lists(st.integers(0, g.n - 1), max_size=8)):
         ext, y = bg.mutate_rows(ext, k), green.mutate_y(y, ext, k)
     return ext, y, draw(st.integers(0, g.n - 1))
@@ -539,7 +565,7 @@ def test_mutate_y_changing_a_row_it_should_leave_raises(monkeypatch, check):
     def faulty(y, ext, k):
         out = list(real(y, ext, k))
         i = next(i for i in range(len(y)) if i != k and ext[i][k] == 0)
-        out[i] = tuple(x + 1 for x in out[i])
+        out[i] = packed(tuple(x + 1 for x in unpacked(out[i], len(y))))
         return tuple(out)
 
     monkeypatch.setattr(green, "mutate_y", faulty)
@@ -598,15 +624,14 @@ def test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises(
     def faulty(rows, k, index=None):
         done = real(rows, k, index)
         out = list(done)
-        if len(rows) == g.n:  # the full matrix, not a restriction to one part
-            own = part_of[k]
-            i = moved_row(rows, k, own)
-            j = next(j for j in own if j != i)
-            row = list(out[i])
-            row[j] += 1
-            out[i] = tuple(row)
-            faults.append(i)
-        return _in_step(done, tuple(out), index, g.n)
+        own = part_of[k]
+        i = moved_row(rows, k, own)
+        j = next(j for j in own if j != i)
+        row = list(out[i])
+        row[j] += 1
+        out[i] = tuple(row)
+        faults.append(i)
+        return _in_step(done, tuple(out), index)
 
     monkeypatch.setattr(green, "mutate_rows", faulty)
     with pytest.raises(NotComponentPreserving, match="does not commute"):
@@ -615,32 +640,31 @@ def test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises(
 
 
 def _leak_into(monkeypatch, n, pick_row):
-    """Make mutation of the full n rows also shift one nonzero c-vector
-    entry, away from zero, in the row pick_row(rows, k) names."""
-    real = green.mutate_rows
+    """Make the c-vector rule also shift one nonzero c-vector entry, away
+    from zero, in the row pick_row(rows, k) names, rows being the
+    mutable block before the mutation."""
+    real = green.mutate_c
 
-    def leaky(rows, k, index=None):
-        done = real(rows, k, index)
-        out = list(done)
-        if len(rows) == n:  # the full matrix, not a restriction to one part
-            i = pick_row(rows, k)
-            row = list(out[i])
-            j = next(j for j in range(n, 2 * n) if row[j] != 0)
-            row[j] += 1 if row[j] > 0 else -1  # still sign-coherent
-            out[i] = tuple(row)
-        return _in_step(done, tuple(out), index, n)
+    def leaky(c, rows, k, movers):
+        out = list(real(c, rows, k, movers))
+        i = pick_row(rows, k)
+        row = list(unpacked(out[i], n))
+        j = next(j for j in range(n) if row[j] != 0)
+        row[j] += 1 if row[j] > 0 else -1  # still sign-coherent
+        out[i] = packed(tuple(row))
+        return tuple(out)
 
-    monkeypatch.setattr(green, "mutate_rows", leaky)
+    monkeypatch.setattr(green, "mutate_c", leaky)
 
 
-def _in_step(done, faulted, index, n):
+def _in_step(done, faulted, index):
     """The rows a faulty mutate_rows returns, faulted from the rows done
     it computed, with the index it was given kept in step with them, as
     the real rule keeps it: the fault is in the arithmetic."""
     if index is not None:
         for i, (row, was) in enumerate(zip(faulted, done)):
             if row is not was:
-                index[i] = bg.support(row, n)
+                index[i] = bg.support(row)
     return faulted
 
 
@@ -683,17 +707,26 @@ def stepped(ext, ks):
 def test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees(
     monkeypatch, name
 ):
+    # after every mutation the index is the support of each row of the
+    # mutable block, and the block and the unpacked c-vectors are the
+    # dense stepped rows; a hand-built copy of the state before packs to
+    # the same rows and mutates to the same state
     g = bg.catalog(name)
     real = green.mutate_framed
     steps = []
 
     def spy(state, k):
         after = real(state, k)
-        assert after.index == tuple(bg.support(row, g.n) for row in after.ext)
+        assert after.index == tuple(bg.support(row) for row in after.block)
+        unpacked_rows = tuple(
+            row + c for row, c in zip(after.block, unpack_rows(after.c))
+        )
+        assert unpacked_rows == bg.mutate_rows(state.ext, k)
         by_hand = green.FramedState(n=state.n, ext=state.ext, history=state.history)
+        assert (by_hand.block, by_hand.c) == (state.block, state.c)
         again = real(by_hand, k)
-        assert (again.ext, again.history, again.index) == (
-            after.ext, after.history, after.index
+        assert (again.ext, again.history, again.index, again.c) == (
+            after.ext, after.history, after.index, after.c
         )
         steps.append(k)
         return after
@@ -746,10 +779,10 @@ def test_a_block_that_is_not_skew_symmetrizable_is_never_indexed():
         assert state.ext == stepped(ext, ks[:t])
     # there b_23 != 0 = b_32: read through an index, the rule at vertex 3
     # would miss row 2
-    after_one = stepped(ext, ks[:1])
-    index = [bg.support(row, 3) for row in after_one]
-    assert bg.mutate_rows(after_one, 2, index)[1] == after_one[1]
-    assert bg.mutate_rows(after_one, 2)[1] != after_one[1]
+    block = tuple(row[:3] for row in stepped(ext, ks[:1]))
+    index = [bg.support(row) for row in block]
+    assert bg.mutate_rows(block, 2, index)[1] == block[1]
+    assert bg.mutate_rows(block, 2)[1] != block[1]
 
 
 def first_own_mutable(g, k, mutable):
@@ -760,6 +793,37 @@ def first_own_mutable(g, k, mutable):
 def first_other_mutable(g, k, mutable):
     own = next(c.vertices for c in g.gamma_components if k in c.vertices)
     return next(j for j in mutable if j not in own)
+
+
+def _drop_pivot_entry(monkeypatch, g, step, dropped):
+    """At the step-th mutation, drop one nonzero entry of the pivot row
+    from what the rule reads: a mutable one from the state's own index,
+    or a c-vector entry from its packed row, which is what the rule reads
+    of the c-vectors.  The rule and the checks read it alike; mutate_y
+    reads column k from the rows and has y rows of its own.  Returns the
+    list of vertices mutated so far."""
+    real = green.mutate_framed
+    calls = []
+
+    def stale(state, k):
+        calls.append(k)
+        if len(calls) == step:
+            mutable = state.index[k]
+            c_k = unpacked(state.c[k], g.n)
+            frozen = {g.n + j: x for j, x in enumerate(c_k) if x}
+            j = dropped(g, k, mutable, frozen)
+            if j < g.n:
+                index = list(state.index)
+                index[k] = {c: x for c, x in mutable.items() if c != j}
+                object.__setattr__(state, "index", tuple(index))
+            else:
+                c = list(state.c)
+                c[k] = packed(c_k[: j - g.n] + (0,) + c_k[j - g.n + 1:])
+                object.__setattr__(state, "c", tuple(c))
+        return real(state, k)
+
+    monkeypatch.setattr(green, "mutate_framed", stale)
+    return calls
 
 
 @pytest.mark.parametrize("name", ["A2xA3", "E6xE6"])
@@ -776,33 +840,197 @@ def first_other_mutable(g, k, mutable):
 def test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command(
     monkeypatch, name, step, dropped
 ):
-    # the state's own index loses one nonzero entry of the pivot row, so
+    # the pivot row loses one nonzero entry where the rule reads it, so
     # the rule and the checks read it alike; mutate_y reads column k from
-    # ext itself, and the run exits 1 and never with a certificate
+    # the rows themselves, and the run exits 1 and never with a certificate
     g = bg.catalog(name)
-    real = green.mutate_framed
-    calls = []
-
-    def stale(state, k):
-        calls.append(k)
-        if len(calls) == step:
-            mutable, frozen = state.index[k]
-            j = dropped(g, k, mutable, frozen)
-            index = list(state.index)
-            index[k] = (
-                {c: x for c, x in mutable.items() if c != j},
-                {c: x for c, x in frozen.items() if c != j},
-            )
-            object.__setattr__(state, "index", tuple(index))
-        return real(state, k)
-
-    monkeypatch.setattr(green, "mutate_framed", stale)
+    calls = _drop_pivot_entry(monkeypatch, g, step, dropped)
     with pytest.raises((CoefficientMismatch, NotComponentPreserving)):
         green.verify_bipartite_belt_mgs(g)
     assert len(calls) >= step
     calls.clear()
     text, code = cli.run_experiment({"command": "green", "target": name, "skipSymbolic": True})
     assert code == 1 and text.startswith("falsified: ")
+
+
+def drop_other_part(g, k, mutable, frozen):
+    return first_other_mutable(g, k, mutable)
+
+
+@pytest.mark.parametrize("step", range(1, 10))
+def test_a_dropped_other_part_pivot_entry_fails_green_at_every_gamma_step(
+    monkeypatch, step
+):
+    # an entry b_kj with j in another part of the partition is read by no
+    # restriction check; dropped in the last factor (steps 7-9) it is read
+    # by no later mutation either, and only the check that the mutable
+    # block is -B where the factor ends sees it
+    g = bg.catalog("A2xA3")
+    assert len(g.blacks) * g.h_gamma == 9
+    calls = _drop_pivot_entry(monkeypatch, g, step, drop_other_part)
+    with pytest.raises(ClaimViolation):
+        green.verify_bipartite_belt_mgs(g)
+    assert len(calls) >= step
+    calls.clear()
+    config = {"command": "green", "target": "A2xA3", "skipSymbolic": True}
+    text, code = cli.run_experiment(config)
+    assert code == 1 and text.startswith("falsified: ")
+
+
+def test_the_boundary_check_names_the_walk_the_factor_and_the_entry(monkeypatch):
+    g = bg.catalog("A2xA3")
+    _drop_pivot_entry(monkeypatch, g, 9, drop_other_part)
+    with pytest.raises(ClaimViolation) as info:
+        green.verify_bipartite_belt_mgs(g)
+    assert re.fullmatch(
+        r"the Gamma certificate: the mutable block is not -B after factor 3: "
+        r"entry \(\d,\d\) is -?\d, not -?\d",
+        str(info.value),
+    )
+
+
+def test_a_walk_on_a_bigraph_not_known_recurrent_checks_no_boundary(monkeypatch):
+    # the premise is recurrence: without it the blocks are not compared
+    g = bg.catalog("A2xA3")
+    monkeypatch.setattr(green, "is_recurrent", lambda g: False)
+    _drop_pivot_entry(monkeypatch, g, 9, drop_other_part)
+    gamma, _ = green.verify_bipartite_belt_mgs(g)
+    assert gamma.permutation.cycles() == "(1 2)(3 4)(5 6)"
+
+
+# -- the bound on the entries of packed rows ----------------------------------------
+
+
+def a2_state(c_row, s=1):
+    """A hand-built state with b_12 = s, b_21 = -s and c-vectors c_row
+    and s * e_2."""
+    return green.FramedState(n=2, ext=((0, s) + c_row, (-s, 0, 0, s)), history=())
+
+
+@pytest.mark.parametrize("entry", [green.BOUND, -green.BOUND - 1])
+def test_a_hand_built_state_with_an_entry_at_the_bound_raises(entry):
+    text = r"^an entry of a packed row is %d, outside \[-128, 128\)$" % entry
+    with pytest.raises(EntryOverflow, match=text):
+        a2_state((entry, 0))
+
+
+@pytest.mark.parametrize("entry, s", [(green.BOUND - 1, 1), (-green.BOUND, -1)])
+def test_an_entry_just_under_the_bound_gives_the_dense_answer(entry, s):
+    # mutation at vertex 2 moves row 1 by b_12 * c_2 = e_2 and negates row 2
+    state = a2_state((entry, 0), s)
+    after = green.mutate_framed(state, 1)
+    assert after.ext == bg.mutate_rows(state.ext, 1)
+    assert after.c_matrix() == ((entry, s), (0, -s))
+
+
+def test_a_row_operation_past_the_bound_raises():
+    # row 1 gains b_12 * c_2 = 100 * (1, 0): from 27 its first entry
+    # reaches 127, from 28 it would reach 128
+    def state(entry):
+        ext = ((0, 100, entry, 0), (-1, 0, 1, 0))
+        return green.FramedState(n=2, ext=ext, history=())
+
+    assert green.mutate_framed(state(27), 1).c_matrix() == ((127, 0), (-1, 0))
+    text = "an entry of row 1 after mutation at 2 is 128, outside"
+    with pytest.raises(EntryOverflow, match=text):
+        green.mutate_framed(state(28), 1)
+    # the y track checks its own rows
+    y = pack_rows(((28, 0), (1, 0)))
+    with pytest.raises(EntryOverflow, match=text):
+        green.mutate_y(y, state(28).ext, 1)
+
+
+@pytest.mark.parametrize("b", [green.BOUND, -green.BOUND - 1])
+def test_a_multiplier_at_the_bound_raises(b):
+    # b_12 = b multiplies c_2 into row 1; b_21 = 1 or -1 keeps the block
+    # skew-symmetrizable
+    def state(b):
+        ext = ((0, b, 1, 0), (-b // abs(b), 0, 0, 1))
+        return green.FramedState(n=2, ext=ext, history=())
+
+    text = "multiplier b_1,2 is %d, outside" % b
+    with pytest.raises(EntryOverflow, match=text):
+        green.mutate_framed(state(b), 1)
+    with pytest.raises(EntryOverflow, match=text):
+        green.mutate_y(pack_rows(((1, 0), (0, 1))), state(b).ext, 1)
+    b -= 1 if b > 0 else -1
+    assert green.mutate_framed(state(b), 1).ext == bg.mutate_rows(state(b).ext, 1)
+
+
+def test_an_entry_past_the_bound_exits_2_under_its_name(monkeypatch):
+    def far(m, sign=1):
+        ext = tuple(row + (green.BOUND,) * m.n for row in m.b)
+        return green.FramedState(n=m.n, ext=ext, history=())
+
+    monkeypatch.setattr(green, "framed", far)
+    config = {"command": "green", "target": "A2", "skipSymbolic": True}
+    text = "error: an entry of a packed row is 128, outside [-128, 128)\n"
+    assert cli.run_experiment(config) == (text, 2)
+    assert issubclass(EntryOverflow, InputError)
+
+
+@st.composite
+def packed_cases(draw):
+    """n, n rows of n entries inside the bound, a block whose column k
+    holds multipliers inside it, and k.  Entries and multipliers lie in
+    [-limit, limit) for a drawn limit, so both in-bound and overflowing
+    results come up, and a row is made nonnegative or nonpositive in
+    about two draws of three."""
+    n = draw(st.integers(1, 7))
+    limit = draw(st.sampled_from((3, 12, green.BOUND)))
+    entry = st.integers(-limit, limit - 1)
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+        sign = draw(st.sampled_from((1, -1, 0)))
+        rows.append(tuple(min(sign * abs(x), limit - 1) if sign else x for x in row))
+    limit = draw(st.sampled_from((2, 12, green.BOUND)))
+    column = draw(st.lists(st.integers(-limit, limit - 1), min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    block = tuple(tuple(column[i] if j == k else 0 for j in range(n)) for i in range(n))
+    return n, tuple(rows), block, k
+
+
+@settings(max_examples=400)
+@given(packed_cases())
+def test_packed_row_operations_match_the_tuple_formulas(case):
+    n, rows, block, k = case
+    c = pack_rows(rows)
+    assert unpack_rows(c) == rows
+    # the sign tests: green status, and sign coherence of every row
+    state = green.FramedState(
+        n=n, ext=tuple(b + row for b, row in zip(block, rows)), history=()
+    )
+    assert (green.vertex_status(state, k) == "green") == (min(rows[k]) >= 0)
+    for i, row in enumerate(rows):
+        if min(row) >= 0 or max(row) <= 0:
+            green._checked(state, [i])
+        else:
+            with pytest.raises(SignCoherenceViolation, match="c-vector %d is" % (i + 1)):
+                green._checked(state, [i])
+    # add a multiple: row i gains |b_ik| times the part of row k with
+    # b_ik's sign; row k is negated; the range test raises past the bound
+    pivot = rows[k]
+    want = list(rows)
+    for i in range(n):
+        a = block[i][k]
+        if i != k and a:
+            want[i] = tuple(
+                x + abs(a) * p if a * p > 0 else x for x, p in zip(rows[i], pivot)
+            )
+    want[k] = tuple(-x for x in pivot)
+    movers = [i for i in range(n) if block[i][k]]
+    if all(-green.BOUND <= x < green.BOUND for row in want for x in row):
+        out = green.mutate_c(c, block, k, movers)
+        assert unpack_rows(out) == tuple(want)
+        assert all(out[i] is c[i] for i in range(n) if i != k and not block[i][k])
+        # the y track's own formula gives the same rows
+        assert green.mutate_y(c, block, k) == out
+    else:
+        with pytest.raises(EntryOverflow, match="outside"):
+            green.mutate_c(c, block, k, movers)
+        with pytest.raises(EntryOverflow, match="outside"):
+            green.mutate_y(c, block, k)
 
 
 # -- bounded error text ---------------------------------------------------------
@@ -877,22 +1105,16 @@ def test_a_derived_state_with_a_broken_block_is_no_relabeling(monkeypatch):
     assert signs == []
 
 
-def _fault_at_step(real, n, step, fault):
-    """real, mutate_rows(rows, k, index) or mutate_y(y, ext, k), with
-    fault applied to its result on its step-th call over the full n rows,
-    and the index mutate_rows is given kept in step with the faulted
-    rows; restrictions to one part pass through."""
+def _fault_at_step(real, step, fault):
+    """real, mutate_c(c, rows, k, movers) or mutate_y(y, ext, k), with
+    fault applied to the packed rows it returns on its step-th call."""
     calls = []
-    vertex = 1 if real is green.mutate_rows else 2
 
     def faulty(*args):
         out = real(*args)
-        if len(args[0]) == n:
-            calls.append(args[vertex])
-            if len(calls) == step:
-                faulted = fault(out, args[vertex])
-                index = args[2] if vertex == 1 and len(args) > 2 else None
-                out = _in_step(out, faulted, index, n)
+        calls.append(args[2])
+        if len(calls) == step:
+            out = fault(out, args[2])
         return out
 
     return faulty, calls
@@ -903,11 +1125,11 @@ def test_sign_coherence_text_names_step_and_vertex(monkeypatch):
     n = g.n
 
     def incoherent(out, k):
-        pivot = out[k][:n] + (1,) + (-1,) * (n - 1)
+        pivot = packed((1,) + (-1,) * (n - 1))
         return out[:k] + (pivot,) + out[k + 1:]
 
-    faulty, calls = _fault_at_step(green.mutate_rows, n, 300, incoherent)
-    monkeypatch.setattr(green, "mutate_rows", faulty)
+    faulty, calls = _fault_at_step(green.mutate_c, 300, incoherent)
+    monkeypatch.setattr(green, "mutate_c", faulty)
     with pytest.raises(SignCoherenceViolation) as info:
         green.verify_bipartite_belt_mgs(g)
     text = str(info.value)
@@ -920,9 +1142,10 @@ def test_coefficient_mismatch_text_names_step_and_vertex(monkeypatch):
     g = bg.catalog("E7xE7")
 
     def shifted(out, k):
-        return out[:k] + (tuple(x + 1 for x in out[k]),) + out[k + 1:]
+        row = packed(tuple(x + 1 for x in unpacked(out[k], g.n)))
+        return out[:k] + (row,) + out[k + 1:]
 
-    faulty, calls = _fault_at_step(green.mutate_y, g.n, 300, shifted)
+    faulty, calls = _fault_at_step(green.mutate_y, 300, shifted)
     monkeypatch.setattr(green, "mutate_y", faulty)
     with pytest.raises(CoefficientMismatch) as info:
         green.frozen_isomorphism_check(g)

@@ -71,10 +71,12 @@ KERNELS = (
     (tropical, "dual_transfer_check"),
     (bg, "mutate_rows"),
     (bg, "_by_sign"),
-    (bg, "_gained"),
     (bg, "_negated"),
     (bg, "support"),
     (green, "mutate_framed"),
+    (green, "mutate_c"),
+    (green, "_parts"),
+    (green, "_state"),
     (green, "mutate_y"),
     (green, "_checked"),
     (green, "_index_of"),
