@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter, neg
 
 from . import dynkin
 from .errors import (
@@ -122,57 +121,39 @@ def exchange_matrix(rows):
     return ExchangeMatrix(n=len(b), b=b, c=symmetrizer(b))
 
 
-def mutate_rows(rows, k, index=None):
-    """Matrix mutation at row k of an m x n' rectangle: a tuple of int tuples.
+def mutate_rows(rows, k, index):
+    """Matrix mutation at k of a skew-symmetrizable square: a tuple of int
+    tuples, with `index`, a list holding `support(row)` of each row.
 
-    The top m x m square is the exchange matrix and any further columns
-    are frozen.  Row k and column k change sign; every other entry b_ij
-    gains |b_ik| b_kj when b_ik and b_kj have the same sign.  Only the
-    nonzero entries of column k and of the pivot row are visited, so
-    every row i != k with b_ik = 0 comes back as the very same tuple.
-
-    They are found by scanning the pivot row and column k, or read in
-    `index`, a list holding `support(row)` of each row, which the rule
-    keeps in step entry by entry (an untouched row keeps its entry).  The
-    rows must then be the square alone, and skew-symmetrizable, so that
-    the rows to rebuild are the pivot's nonzero columns.
+    Row k and column k change sign; every other entry b_ij gains
+    |b_ik| b_kj when b_ik and b_kj have the same sign.  As the square is
+    skew-symmetrizable, the rows to rebuild are the pivot's nonzero
+    columns, so the rule reads them, and the pivot's entries, in the
+    index, and keeps the index in step entry by entry.  Every row i != k
+    with b_ik = 0 comes back as the very same tuple, with the very same
+    index entry.
     """
-    pivot = rows[k]
-    if index is None:
-        up, down = _by_sign(compress(enumerate(pivot), pivot))
-        movers = compress(range(len(rows)), map(itemgetter(k), rows))
-    else:
-        movers = index[k]
-        up, down = _by_sign(movers.items())
+    movers = index[k]
+    up, down = _by_sign(movers.items())
     out = list(rows)
     for i in movers:
-        if i == k:
-            continue
         new = list(rows[i])
         a = new[k]
         size = abs(a)
-        if index is None:
-            for j, x in up if a > 0 else down:
-                new[j] += size * x
-        else:
-            entries = dict(index[i])
-            for j, x in up if a > 0 else down:
-                w = new[j] + size * x
-                new[j] = w
-                if w:
-                    entries[j] = w
-                else:
-                    entries.pop(j, None)
-            entries[k] = -a
-            index[i] = entries
-        new[k] = -a
+        entries = dict(index[i])
+        for j, x in up if a > 0 else down:
+            w = new[j] + size * x
+            new[j] = w
+            if w:
+                entries[j] = w
+            else:
+                entries.pop(j, None)
+        new[k] = entries[k] = -a
+        index[i] = entries
         out[i] = tuple(new)
-    if index is None:
-        out[k] = tuple(map(neg, pivot))
-    else:
-        new = [0] * len(pivot)
-        index[k] = _negated(new, movers)
-        out[k] = tuple(new)
+    new = [0] * len(rows)
+    index[k] = _negated(new, movers)
+    out[k] = tuple(new)
     return tuple(out)
 
 
@@ -205,16 +186,19 @@ def support(row):
 
 def mutate(m, k):
     """Matrix mutation at vertex k (zero-based); symmetrizer is untouched."""
-    if not 0 <= k < m.n:
-        raise IndexError("vertex %d out of range" % k)
-    return ExchangeMatrix(n=m.n, b=mutate_rows(m.b, k), c=m.c)
+    return composite_mutation(m, (k,))
 
 
 def composite_mutation(m, vertices):
-    """Mutate at each vertex in turn; callers pass pairwise non-adjacent sets."""
+    """Mutate at each vertex in turn, through one index of m's rows;
+    callers pass pairwise non-adjacent sets."""
+    b = m.b
+    index = list(map(support, b))
     for k in vertices:
-        m = mutate(m, k)
-    return m
+        if not 0 <= k < m.n:
+            raise IndexError("vertex %d out of range" % k)
+        b = mutate_rows(b, k, index)
+    return ExchangeMatrix(n=m.n, b=b, c=m.c)
 
 
 def detect_epsilon(b):

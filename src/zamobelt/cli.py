@@ -6,7 +6,9 @@ the run before any claim could be judged, 3 on an internal error.
 """
 
 import argparse
+import csv
 import functools
+import io
 import json
 import os
 import re
@@ -202,13 +204,15 @@ def cmd_census(g, args):
         and census.ties == 0
         and tropical.blue_times_admissible(census, g.half_period)
     )
-    # a labeling of several entries is one CSV field, quoted; the
-    # labeling grammar admits no '"' to escape
-    seed = '"%s"' % args.lam if "," in args.lam else args.lam
-    text = "name,lambdaSeed,period,red,blue,ties\n%s,%s,%d,%d,%d,%d\n" % (
-        args.target, seed, census.period, census.red, census.blue, census.ties
+    # one quoting rule for every field: a target path or a labeling with
+    # a comma is quoted, and a '"' in it doubled
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(("name", "lambdaSeed", "period", "red", "blue", "ties"))
+    rows.writerow(
+        (args.target, args.lam, census.period, census.red, census.blue, census.ties)
     )
-    return text, EXIT_OK if ok else EXIT_FALSIFIED
+    return out.getvalue(), EXIT_OK if ok else EXIT_FALSIFIED
 
 
 def cmd_dual_check(g, args):

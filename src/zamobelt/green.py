@@ -9,9 +9,11 @@ certificates and coframed for sigma, run through one checked walk,
 `_walk`; `frozen_isomorphism_check` can read the coframed belt's end off
 the certificates.  That it returns to the coframed matrix up to
 relabeling is Nakanishi's synchronicity (C_t = +-P fixes the whole seed;
-J. LMS 2021).  Each check covers every row of a start or hand-built
-state, and after each mutation the rows it changed: a mutation returns
-each row it leaves alone as the very same object, in both tracks.
+J. LMS 2021).  Every state is sign-coherent with a skew-symmetrizable
+block: `framed` builds one, a state built by hand is refused otherwise,
+and after each mutation the checks read only the rows it changed, as a
+mutation returns each row it leaves alone as the very same object, in
+both tracks.
 
 The c-vectors and the y rows are packed: a row is one int of n
 FIELD_BITS-wide fields, entry j in the j-th from the most significant,
@@ -23,11 +25,12 @@ it.  A moved row gains |b_ik| times the part of c_k with b_ik's sign,
 cut out by masks; the pivot row becomes twice the bias less itself.  A
 row is nonnegative when every top bit is set, and has a positive entry
 when it does less 1 in every field.  The mutable block stays int tuples
-with an index of their nonzero entries, which `mutate_rows` reads and
-keeps in step: its rows to move, and `mutate_c`'s, are the pivot's
-nonzero columns.  `mutate_y` applies the semifield formula itself, with
-masks of its own, and reads column k from the rows, never the index, so
-an index that lost or gained an entry sends the tracks apart.
+with an index of their nonzero entries, which every state holds and
+`mutate_rows` reads and keeps in step: its rows to move, and
+`mutate_c`'s, are the pivot's nonzero columns.  `mutate_y` applies the
+semifield formula itself, with masks of its own, and reads column k
+from the rows, never the index, so an index that lost or gained an
+entry sends the tracks apart.
 """
 
 import functools
@@ -59,7 +62,6 @@ from .errors import (
     NotGreenAtStep,
     NotMaximal,
     NotPermutation,
-    NotSkewSymmetrizable,
     SignCoherenceViolation,
 )
 
@@ -116,13 +118,14 @@ def _parts(row, unit, offset):
 @dataclass(frozen=True)
 class FramedState:
     """The n x 2n framed matrix and the mutations that led to it, held as
-    `block`, the mutable block's int tuples, and `c`, the packed
-    c-vectors; `ext` is built from them when first read.  A state built
-    by hand (or by `dataclasses.replace`) packs at construction and has
-    no `index` (each block row's `bigraph.support`): its first mutation
-    is the stepped one, checking every row.  Only `framed` and
-    `mutate_framed` set one, on a state known sign-coherent with a
-    skew-symmetrizable block (`checked`).  Equality reads n, ext, history.
+    `block`, the mutable block's int tuples, `c`, the packed c-vectors,
+    and `index`, each block row's `bigraph.support`; `ext` is built from
+    them when first read.  A state built by hand (or by
+    `dataclasses.replace`) is checked as it is built: its block must be
+    skew-symmetrizable (NotSkewSymmetrizable) and each c-vector
+    sign-coherent (SignCoherenceViolation).  `framed` and `mutate_framed`
+    build their states from ones known to be both.  Equality reads n,
+    ext, history.
     """
 
     n: int
@@ -130,12 +133,13 @@ class FramedState:
     history: tuple
     block: tuple = field(init=False, compare=False, repr=False)
     c: tuple = field(init=False, compare=False, repr=False)
-    index: tuple = field(default=None, init=False, compare=False, repr=False)
+    index: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n, pack = self.n, _codec(self.n).pack
-        object.__setattr__(self, "block", tuple(row[:n] for row in self.ext))
-        object.__setattr__(self, "c", tuple(pack(row[n:]) for row in self.ext))
+        block, c, index = _split(self.n, self.ext)
+        symmetrizer(block)
+        vars(self).update(block=block, c=c, index=index)
+        _checked(self, range(self.n))
 
     def __getattr__(self, name):
         # only ext can be missing: a walk state builds it when first read
@@ -146,15 +150,15 @@ class FramedState:
         object.__setattr__(self, "ext", ext)
         return ext
 
-    @property
-    def checked(self):
-        return self.index is not None
-
     def c_matrix(self):
         return tuple(map(_codec(self.n).unpack, self.c))
 
-    def mutable_block(self):
-        return self.block
+
+def _split(n, ext):
+    """The block, the packed c-vectors and the index of an n x 2n ext."""
+    pack = _codec(n).pack
+    block = tuple(row[:n] for row in ext)
+    return block, tuple(pack(row[n:]) for row in ext), tuple(map(support, block))
 
 
 def _state(n, history, block, c, index):
@@ -170,25 +174,6 @@ def framed(m, sign=1):
     c = tuple(offset + (sign << FIELD_BITS * (n - 1 - i)) for i in range(n))
     # m is an ExchangeMatrix: its b is skew-symmetrizable
     return _state(n, (), m.b, c, tuple(map(support, m.b)))
-
-
-def _indexed(state):
-    """state with every row checked, indexed if its block is
-    skew-symmetrizable, as `mutate_rows` needs to read an index."""
-    _checked(state, range(state.n))
-    try:
-        symmetrizer(state.block)
-    except NotSkewSymmetrizable:
-        return state
-    object.__setattr__(state, "index", tuple(map(support, state.block)))
-    return state
-
-
-def _index_of(state):
-    """state's index, or for a state with none the one its rows have."""
-    if state.index is None:
-        return tuple(map(support, state.block))
-    return state.index
 
 
 def _when(history):
@@ -240,21 +225,15 @@ def mutate_c(c, rows, k, movers):
 def mutate_framed(state, k):
     """Mutation at mutable k over all 2n columns: `mutate_rows` on the
     block, reading and updating a copy of the index, and `mutate_c` on
-    the c-vectors, asserting sign-coherence where an int changed.  A
-    state with no index gets the stepped rule, finding the rows to move
-    in column k, and every row is checked."""
+    the c-vectors, moving the rows the pivot's index entry names and
+    asserting sign-coherence where an int changed."""
     n = state.n
     if not 0 <= k < n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
-    history = state.history + (k,)
-    block = state.block
-    if state.index is None:
-        movers = compress(range(n), map(itemgetter(k), block))
-        c = mutate_c(state.c, block, k, movers)
-        return _indexed(_state(n, history, mutate_rows(block, k), c, None))
     index = list(state.index)
-    c = mutate_c(state.c, block, k, index[k])
-    after = _state(n, history, mutate_rows(block, k, index), c, tuple(index))
+    c = mutate_c(state.c, state.block, k, index[k])
+    block = mutate_rows(state.block, k, index)
+    after = _state(n, state.history + (k,), block, c, tuple(index))
     return _checked(after, compress(count(), map(is_not, state.c, c)))
 
 
@@ -278,7 +257,8 @@ def _normalize_partition(n, partition):
 def is_component_preserving(state, partition, k):
     """Green k may only point negatively inside its own part; red k may
     only point positively inside its own part.  Frozen columns satisfy
-    this automatically through sign-coherence."""
+    this through sign-coherence, which every state has, so only the
+    mutable entries of row k are read, in the index."""
     parts = _normalize_partition(state.n, partition)
     status = vertex_status(state, k)
     # no part holds a frozen k; vertex_status rejects it
@@ -287,21 +267,11 @@ def is_component_preserving(state, partition, k):
 
 def _points_inside(state, k, own, status):
     """is_component_preserving for pivot row k, given the normalized
-    part holding k and k's status, which is its c-vector's: only a red
-    one can have an entry of the wrong sign, a positive one."""
+    part holding k and k's status."""
     offends = lt if status == GREEN else gt
-    mutable = support(state.block[k]) if state.index is None else state.index[k]
-    for j, x in mutable.items():
+    for j, x in state.index[k].items():
         if offends(x, 0) and j not in own:
             return False
-    code = _codec(state.n)
-    if status == RED and (state.c[k] - code.unit) & code.offset:
-        for j, x in enumerate(code.unpack(state.c[k])):
-            if x > 0:
-                raise SignCoherenceViolation(
-                    "frozen column %d contradicts status of %d"
-                    % (state.n + j + 1, k + 1)
-                )
     return True
 
 
@@ -316,7 +286,7 @@ def _check_restriction_commutes(before, after, part_of, k, moved):
     code = _codec(before.n)
     own = part_of[k]
     old, new, old_c, new_c = before.block, after.block, before.c, after.c
-    old_index, new_index = _index_of(before), _index_of(after)
+    old_index, new_index = before.index, after.index
     up, down = _parts(old_c[k], code.unit, code.offset)
     for i in moved:
         part = part_of[i]
@@ -553,11 +523,12 @@ def _derived_final(g, cert_gamma, cert_delta):
         or sorted(map(q, last)) != list(g.whites)
     ):
         return None
-    return FramedState(
-        n=g.n,
-        ext=_relabeled(cert_delta.final.ext, q.inverse),
-        history=_sequence(g.whites, g.blacks, g.half_period),
-    )
+    # built unchecked: its walk checked the certificate's final state, and
+    # a wrong block must fail the relabeling check (exit 1), not be refused
+    # as an input (exit 2)
+    ext = _relabeled(cert_delta.final.ext, q.inverse)
+    history = _sequence(g.whites, g.blacks, g.half_period)
+    return _state(g.n, history, *_split(g.n, ext))
 
 
 def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import zamobelt.bigraph as bg
 import zamobelt.dynkin as dynkin
+from matrix_rules import dense_mutate_rows, skew_symmetrizable
 from zamobelt.errors import (
     InputError,
     InvalidPermutation,
@@ -111,36 +112,33 @@ def framed_rectangles(draw):
     return rows, k, sorted(part)
 
 
+def restrict(rows, part, m):
+    """The rows and columns of part, and the frozen columns, m on."""
+    cols = part + list(range(m, len(rows[0])))
+    return tuple(tuple(rows[i][j] for j in cols) for i in part)
+
+
 @settings(max_examples=200)
 @given(framed_rectangles())
 def test_mutate_rows_is_an_involution_that_commutes_with_restriction(case):
+    # the indexed rule on the square, and the dense rule the tests step by
+    # on the whole rectangle, frozen columns included
     rows, k, part = case
-    m, width = len(rows), len(rows[0])
-    once = bg.mutate_rows(rows, k)
-    assert bg.mutate_rows(once, k) == rows
-    cols = part + list(range(m, width))
-
-    def restrict(mat):
-        return tuple(tuple(mat[i][j] for j in cols) for i in part)
-
-    assert bg.mutate_rows(restrict(rows), part.index(k)) == restrict(once)
-
-
-def dense_mutate_rows(rows, k):
-    """Matrix mutation by the dense formula: every entry of every row."""
-    pivot = rows[k]
-    out = []
-    for i, row in enumerate(rows):
-        a = row[k]
-        if i == k:
-            out.append(tuple(-x for x in row))
-            continue
-        new = [
-            x + abs(a) * y if a * y > 0 else x for x, y in zip(row, pivot)
-        ]
-        new[k] = -a
-        out.append(tuple(new))
-    return tuple(out)
+    m = len(rows)
+    once = dense_mutate_rows(rows, k)
+    assert dense_mutate_rows(once, k) == rows
+    assert dense_mutate_rows(restrict(rows, part, m), part.index(k)) == restrict(
+        once, part, m
+    )
+    square = tuple(row[:m] for row in rows)
+    index = [bg.support(row) for row in square]
+    once_square = bg.mutate_rows(square, k, index)
+    assert once_square == tuple(row[:m] for row in once)
+    assert bg.mutate_rows(once_square, k, index) == square
+    assert index == [bg.support(row) for row in square]
+    sub = restrict(square, part, m)
+    local = bg.mutate_rows(sub, part.index(k), [bg.support(row) for row in sub])
+    assert local == restrict(once_square, part, m)
 
 
 @st.composite
@@ -153,26 +151,13 @@ def int_rectangles(draw):
     return rows, draw(st.integers(0, m - 1))
 
 
-def skew_symmetrizable(rows):
-    """rows with its top square replaced by S D, S the skew-symmetric
-    part of that square and D a positive diagonal read off the rows; D
-    is then a symmetrizer."""
-    m = len(rows)
-    d = [1 + abs(row[-1]) % 3 for row in rows]
-    return tuple(
-        tuple((rows[i][j] - rows[j][i]) * d[j] for j in range(m)) + rows[i][m:]
-        for i in range(m)
-    )
-
-
 @settings(max_examples=300)
 @given(int_rectangles())
 def test_sparse_mutate_rows_matches_dense_formula(case):
-    rows, k = case
-    assert bg.mutate_rows(rows, k) == dense_mutate_rows(rows, k)
-    # with an index, on a skew-symmetrizable top square alone: the same
+    # on the skew-symmetrizable top square of the rectangle: the dense
     # rows, the index kept equal to their supports, and every row with
     # b_ik = 0 and its index entry left as the very same objects
+    rows, k = case
     m = len(rows)
     square = tuple(row[:m] for row in skew_symmetrizable(rows))
     bg.symmetrizer(square)
@@ -184,6 +169,33 @@ def test_sparse_mutate_rows_matches_dense_formula(case):
     for i, row in enumerate(square):
         if i != k and row[k] == 0:
             assert out[i] is row and index[i] is before[i]
+
+
+@st.composite
+def squares_and_sequences(draw):
+    """A skew-symmetrizable square and up to 6 vertices to mutate at."""
+    rows, _ = draw(int_rectangles())
+    m = len(rows)
+    square = tuple(row[:m] for row in skew_symmetrizable(rows))
+    return square, draw(st.lists(st.integers(0, m - 1), max_size=6))
+
+
+@settings(max_examples=300)
+@given(squares_and_sequences())
+def test_composite_mutation_threads_one_index_to_the_dense_answer(case):
+    # one index, built once, carried through every mutation: the dense
+    # rows vertex by vertex, and every row no mutation moved, b_ik = 0 at
+    # each k, the very same object
+    square, ks = case
+    m = bg.exchange_matrix(square)
+    rows, moved = m.b, set()
+    for k in ks:
+        moved.update(i for i, row in enumerate(rows) if i == k or row[k])
+        rows = dense_mutate_rows(rows, k)
+    out = bg.composite_mutation(m, ks)
+    assert out.b == rows and out.c == m.c
+    for i in set(range(m.n)) - moved:
+        assert out.b[i] is m.b[i]
 
 
 def test_composite_mutation_of_disconnected_set_commutes():

@@ -140,6 +140,25 @@ def test_a_census_row_with_a_per_vertex_labeling_is_six_csv_fields(capsys):
     }
 
 
+@pytest.mark.parametrize("file_name", ["a,2.json", 'a"2.json'])
+def test_a_census_row_of_a_target_path_with_a_comma_or_quote_is_six_csv_fields(
+    tmp_path, capsys, file_name
+):
+    # one quoting rule for the name and the labeling: a comma is quoted,
+    # a '"' doubled, and the path reads back whole
+    path = tmp_path / file_name
+    path.write_text(json.dumps({"n": 2, "b": [[0, 1], [-1, 0]], "epsilon": ["w", "b"]}))
+    for lam in ("-1", "-1,-2"):
+        code, out, _ = run(capsys, "census", str(path), "--lambda=" + lam)
+        assert code == 0
+        header, row = csv.reader(out.splitlines())
+        assert len(header) == len(row) == 6
+        assert (row[0], row[1]) == (str(path), lam)
+        assert run_experiment(
+            {"command": "census", "target": str(path), "lambda": lam}
+        ) == (out, 0)
+
+
 @pytest.mark.parametrize(
     "lam", ["-1e-3", "\u0663", "1_0", "-1,1e2,-1", ".5", "-1.", "1 / 2", "0x1", "inf"]
 )

@@ -1,16 +1,21 @@
 """Framed mutation: c-vectors, green sequences, frozen isomorphisms.
 
-The green track's derived shortcuts, each with the test that makes one
-premise fail and gets the stepped answer, and the one that plants a
-wrong derived answer and gets exit 1 (the mirror and the replay of the
-symbolic and tropical tracks are tested in test_belt and test_tropical):
+The engine's derived shortcuts, each with the tests that make one
+premise fail and get the stepped answer, and the ones that plant a
+wrong derived answer and get exit 1.  The green track's are tested
+here; the mirror and the replays, in test_belt and test_tropical, as
+the row says.  "none" marks a shortcut no test yet plants a wrong
+derived answer for:
 
 | shortcut | a premise fails: the stepped answer | a wrong answer: exit 1 |
 |---|---|---|
 | frozen state read off the certificates | `test_a_broken_premise_falls_back_to_the_walk`, `test_a_bigraph_not_known_recurrent_falls_back_to_the_walk` | `test_a_planted_order_three_sigma_is_a_claim_violation`, `test_a_derived_state_with_a_broken_c_raises_the_walks_text`, `test_a_derived_state_with_a_broken_block_is_no_relabeling` |
-| checks on the moved rows only | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a hand-built state: every row) | `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
-| the index of each walk state | `test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer`, `test_a_block_that_is_not_skew_symmetrizable_is_never_indexed` | `test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command`, `test_a_dropped_other_part_pivot_entry_fails_green_at_every_gamma_step` (an entry between parts, seen only by the check that the block is +-B where each factor ends) |
+| checks on the moved rows only | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a state with an incoherent row is refused when it is built) | `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
+| the index every state holds, read by the one mutation rule | `test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer` (a hand-built state builds its own); a state the index cannot serve is refused when it is built: `test_a_block_that_is_not_skew_symmetrizable_is_never_indexed`, `test_a_hand_built_state_with_an_incoherent_c_vector_is_refused` | `test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command`, `test_a_dropped_other_part_pivot_entry_fails_green_at_every_gamma_step` (an entry between parts, seen only by the check that the block is +-B where each factor ends) |
 | packed c-vector and y rows | `test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees` (every state unpacks to the stepped rows), `test_an_entry_just_under_the_bound_gives_the_dense_answer` | past the bound the run exits 2, not 1: `test_an_entry_past_the_bound_exits_2_under_its_name` |
+| symbolic mirror past M (test_belt) | `test_mirror_check_rejects_a_wrong_rho_and_the_run_steps`, `test_mirror_check_rejects_a_perturbed_midpoint_value`, `test_even_n_without_a_colour_reversing_automorphism_steps_to_n`, `test_mirror_tries_at_most_a_fixed_number_of_rhos` | none |
+| symbolic replay past N (test_belt) | `test_replay_needs_an_automorphism_with_the_colour_behaviour_of_n` | none |
+| tropical replay past N (test_tropical) | `test_a_planted_bad_sigma_steps_to_3n` | none |
 """
 
 import dataclasses
@@ -25,6 +30,7 @@ from hypothesis import strategies as st
 import zamobelt.bigraph as bg
 import zamobelt.cli as cli
 import zamobelt.green as green
+from matrix_rules import dense_mutate_rows, skew_symmetrizable
 from zamobelt.errors import (
     ClaimViolation,
     CoefficientMismatch,
@@ -36,6 +42,7 @@ from zamobelt.errors import (
     NotComponentPreserving,
     NotGreenAtStep,
     NotPermutation,
+    NotSkewSymmetrizable,
     SignCoherenceViolation,
 )
 
@@ -62,6 +69,13 @@ def pack_rows(rows):
 def unpack_rows(keys):
     """n packed rows of n entries each as int tuples."""
     return tuple(map(green._codec(len(keys)).unpack, keys))
+
+
+def plant(ext, history=()):
+    """A state of the n x 2n ext built as a walk builds one, unchecked:
+    how a test plants a state the public constructor refuses."""
+    n = len(ext)
+    return green._state(n, history, *green._split(n, ext))
 
 
 # -- framed mutation goldens -----------------------------------------------
@@ -112,17 +126,21 @@ def test_mutate_framed_rejects_frozen_index():
 
 
 def test_incoherent_row_the_mutation_leaves_alone_still_raises():
-    # on the A3 path, mutation at vertex 1 leaves row 3 untouched (b_31 = 0);
-    # a check of changed rows only would miss the incoherent c-vector there
+    # on the A3 path, mutation at vertex 1 leaves row 3 untouched (b_31 = 0),
+    # and the check after it reads the changed rows only: planted, the
+    # incoherent c-vector there passes it, so the state is refused built
     ext = (
         (0, 1, 0, 1, 0, 0),
         (-1, 0, 1, 0, 1, 0),
         (0, -1, 0, 1, -1, 0),
     )
-    state = green.FramedState(n=3, ext=ext, history=())
-    assert bg.mutate_rows(ext, 0)[2] == ext[2]
-    with pytest.raises(SignCoherenceViolation, match="c-vector 3"):
-        green.mutate_framed(state, 0)
+    assert dense_mutate_rows(ext, 0)[2] == ext[2]
+    state = plant(ext)
+    assert green.mutate_framed(state, 0).c[2] is state.c[2]
+    with pytest.raises(
+        SignCoherenceViolation, match=r"^c-vector 3 is \(1, -1, 0\) at the start$"
+    ):
+        green.FramedState(n=3, ext=ext, history=())
 
 
 # -- y-vector track (tropical semifield coefficients) -------------------------
@@ -185,18 +203,6 @@ def rectangles_with_y(draw):
     return ext, y, k
 
 
-def skew_symmetrizable(rows):
-    """rows with its top square replaced by S D, S the skew-symmetric
-    part of that square and D a positive diagonal read off the rows; D
-    is then a symmetrizer."""
-    m = len(rows)
-    d = [1 + abs(row[-1]) % 3 for row in rows]
-    return tuple(
-        tuple((rows[i][j] - rows[j][i]) * d[j] for j in range(m)) + rows[i][m:]
-        for i in range(m)
-    )
-
-
 @settings(max_examples=300)
 @given(rectangles_with_y())
 def test_sparse_mutate_y_matches_dense_formula_and_keeps_untouched_rows(case):
@@ -204,10 +210,8 @@ def test_sparse_mutate_y_matches_dense_formula_and_keeps_untouched_rows(case):
     y = pack_rows(rows)
     y_after = green.mutate_y(y, ext, k)
     assert unpack_rows(y_after) == dense_mutate_y(rows, ext, k)
-    ext_after = bg.mutate_rows(ext, k)
     for i, row in enumerate(ext):
         if i != k and row[k] == 0:
-            assert ext_after[i] is row
             assert y_after[i] is y[i]
     # the rule reading an index leaves exactly the rows mutate_y leaves,
     # on a skew-symmetrizable square, where the walk gives it one
@@ -239,11 +243,15 @@ def test_is_component_preserving_on_a_red_vertex():
     assert green.is_component_preserving(state, ({0, 1},), 1)
 
 
-def test_is_component_preserving_rejects_a_frozen_entry_of_the_wrong_sign():
-    # red vertex 1 whose c-vector (1, -1) also points positively
-    state = green.FramedState(n=2, ext=((0, 1, 1, -1), (-1, 0, 0, 1)), history=())
-    with pytest.raises(SignCoherenceViolation, match="frozen column 3"):
-        green.is_component_preserving(state, ({0, 1},), 0)
+def test_a_hand_built_state_with_an_incoherent_c_vector_is_refused():
+    # red vertex 1 whose c-vector (1, -1) also points positively: no state
+    # holds one, so is_component_preserving reads no frozen column
+    ext = ((0, 1, 1, -1), (-1, 0, 0, 1))
+    text = r"^c-vector 1 is \(1, -1\) %s$"
+    with pytest.raises(SignCoherenceViolation, match=text % "at the start"):
+        green.FramedState(n=2, ext=ext, history=())
+    with pytest.raises(SignCoherenceViolation, match=text % "after step 2 at vertex 1"):
+        green.FramedState(n=2, ext=ext, history=(1, 0))
 
 
 def test_is_component_preserving_rejects_frozen_index():
@@ -377,16 +385,23 @@ def reachable_states(draw):
     sign = draw(st.sampled_from((1, -1)))
     ext, y = green.framed(g.base, sign).ext, pack_rows(green.initial_y(g.n, sign))
     for k in draw(st.lists(st.integers(0, g.n - 1), max_size=8)):
-        ext, y = bg.mutate_rows(ext, k), green.mutate_y(y, ext, k)
+        ext, y = dense_mutate_rows(ext, k), green.mutate_y(y, ext, k)
     return ext, y, draw(st.integers(0, g.n - 1))
+
+
+def framed_step(ext, k):
+    """The ext `mutate_framed` gives at k from a state built of ext."""
+    state = green.FramedState(n=len(ext), ext=ext, history=())
+    return green.mutate_framed(state, k).ext
 
 
 @settings(max_examples=200)
 @given(reachable_states())
 def test_both_mutations_are_involutions(case):
     ext, y, k = case
-    once = bg.mutate_rows(ext, k)
-    assert bg.mutate_rows(once, k) == ext
+    once = dense_mutate_rows(ext, k)
+    assert dense_mutate_rows(once, k) == ext
+    assert framed_step(ext, k) == once and framed_step(once, k) == ext
     # each y mutation reads the exchange entries from before it
     assert green.mutate_y(green.mutate_y(y, ext, k), once, k) == y
 
@@ -406,7 +421,9 @@ def test_both_mutations_commute_with_relabeling(case, data):
         )
     )
     assert green._relabeled(ext, bg.Automorphism(p)) == relabel(ext, p)
-    assert bg.mutate_rows(relabel(ext, p), k) == relabel(bg.mutate_rows(ext, p[k]), p)
+    after = relabel(dense_mutate_rows(ext, p[k]), p)
+    assert dense_mutate_rows(relabel(ext, p), k) == after
+    assert framed_step(relabel(ext, p), k) == after
     # the columns of y are all frozen: R_p only reorders its rows
     y_after = green.mutate_y(y, ext, p[k])
     assert green.mutate_y(tuple(y[i] for i in p), relabel(ext, p), k) == tuple(
@@ -490,7 +507,11 @@ def test_a_planted_order_three_sigma_is_a_claim_violation(monkeypatch):
 
 
 def with_final(cert, ext):
-    return dataclasses.replace(cert, final=dataclasses.replace(cert.final, ext=ext))
+    """cert with its final state planted at ext, as the certificate's
+    own walk would have built it: a block that is no longer
+    skew-symmetrizable is the fault, so the constructor must not refuse it."""
+    final = plant(ext, cert.final.history)
+    return dataclasses.replace(cert, final=final)
 
 
 def doubled_entry(cert):
@@ -549,13 +570,17 @@ def test_a_bigraph_not_known_recurrent_falls_back_to_the_walk(monkeypatch):
 CHECKS = ("verify_bipartite_belt_mgs", "frozen_isomorphism_check")
 
 
-def test_framed_state_equality_ignores_checked():
+def test_framed_state_equality_ignores_the_index():
+    # a hand-built state is indexed as it is built, and equals the framed
+    # one; a planted index that differs changes no equality either
     state = framed_of("A3")
     by_hand = green.FramedState(n=state.n, ext=state.ext, history=())
-    assert state.checked and not by_hand.checked
+    assert by_hand.index == state.index and by_hand.index is not state.index
     assert state == by_hand and hash(state) == hash(by_hand)
-    assert not dataclasses.replace(state).checked
-    assert green.mutate_framed(by_hand, 0).checked
+    assert dataclasses.replace(state).index == state.index
+    assert green.mutate_framed(by_hand, 0) == green.mutate_framed(state, 0)
+    stale = green._state(state.n, (), state.block, state.c, ({},) * state.n)
+    assert stale == state and hash(stale) == hash(state)
 
 
 @pytest.mark.parametrize("check", CHECKS)
@@ -621,7 +646,7 @@ def test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises(
     real = green.mutate_rows
     faults = []
 
-    def faulty(rows, k, index=None):
+    def faulty(rows, k, index):
         done = real(rows, k, index)
         out = list(done)
         own = part_of[k]
@@ -661,10 +686,9 @@ def _in_step(done, faulted, index):
     """The rows a faulty mutate_rows returns, faulted from the rows done
     it computed, with the index it was given kept in step with them, as
     the real rule keeps it: the fault is in the arithmetic."""
-    if index is not None:
-        for i, (row, was) in enumerate(zip(faulted, done)):
-            if row is not was:
-                index[i] = bg.support(row)
+    for i, (row, was) in enumerate(zip(faulted, done)):
+        if row is not was:
+            index[i] = bg.support(row)
     return faulted
 
 
@@ -699,7 +723,7 @@ INDEX_TARGETS = tuple(bg.catalog_names()) + ("E6xE6",)
 def stepped(ext, ks):
     """The rows after mutating ext at each k of ks by the dense rule."""
     for k in ks:
-        ext = bg.mutate_rows(ext, k)
+        ext = dense_mutate_rows(ext, k)
     return ext
 
 
@@ -721,7 +745,7 @@ def test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees(
         unpacked_rows = tuple(
             row + c for row, c in zip(after.block, unpack_rows(after.c))
         )
-        assert unpacked_rows == bg.mutate_rows(state.ext, k)
+        assert unpacked_rows == dense_mutate_rows(state.ext, k)
         by_hand = green.FramedState(n=state.n, ext=state.ext, history=state.history)
         assert (by_hand.block, by_hand.c) == (state.block, state.c)
         again = real(by_hand, k)
@@ -737,52 +761,44 @@ def test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees(
 
 
 def test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer(monkeypatch):
-    # premise: the state has an index.  A walk that starts from a hand-built
-    # framed matrix takes its first step by the dense rule and indexes the
-    # result; its certificates and its final states are the indexed walk's
+    # premise: the state has an index.  A hand-built framed matrix is given
+    # none and builds its own as it is built; the walks from it give the
+    # framed walks' certificates and final states, the dense stepped rows
     g = bg.catalog("A2xA3")
     indexed = green.verify_bipartite_belt_mgs(g)
     coframed = green._walk(g, -1, g.whites, g.blacks, g.half_period)
-    real_framed, real_rows = green.framed, green.mutate_rows
-    dense_calls = []
+    real_framed = green.framed
+    built = []
 
     def by_hand(m, sign=1):
         state = real_framed(m, sign)
-        return green.FramedState(n=state.n, ext=state.ext, history=())
-
-    def counting(rows, k, index=None):
-        if index is None:
-            dense_calls.append(k)
-        return real_rows(rows, k, index)
+        built.append(green.FramedState(n=state.n, ext=state.ext, history=()))
+        assert built[-1].index == state.index
+        return built[-1]
 
     monkeypatch.setattr(green, "framed", by_hand)
-    monkeypatch.setattr(green, "mutate_rows", counting)
     assert green.verify_bipartite_belt_mgs(g) == indexed
     walked = green._walk(g, -1, g.whites, g.blacks, g.half_period)
     assert (walked.ext, walked.history) == (coframed.ext, coframed.history)
     assert walked.ext == stepped(real_framed(g.base, -1).ext, walked.history)
-    # one stepped mutation per walk: the certificates' two and the coframed one
-    assert len(dense_calls) == 3
+    # a hand-built start for each walk: the certificates' two, the coframed one
+    assert len(built) == 3
 
 
 def test_a_block_that_is_not_skew_symmetrizable_is_never_indexed():
-    # sign-skew-symmetric, but the ratios around the triangle disagree; the
-    # first mutation breaks even the symmetry of its zero pattern, so the
-    # index could not stand in for column k, and every step is the dense one
+    # sign-skew-symmetric, but the ratios around the triangle disagree:
+    # the state is refused as it is built, so no index is made of it
     block = ((0, 1, -1), (-2, 0, 1), (1, -1, 0))
     ext = tuple(row + tuple(int(j == i) for j in range(3)) for i, row in enumerate(block))
-    state = green.FramedState(n=3, ext=ext, history=())
-    ks = (0, 1, 0, 1, 2)
-    for t, k in enumerate(ks, 1):
-        state = green.mutate_framed(state, k)
-        assert state.index is None and not state.checked
-        assert state.ext == stepped(ext, ks[:t])
-    # there b_23 != 0 = b_32: read through an index, the rule at vertex 3
+    with pytest.raises(NotSkewSymmetrizable, match="^inconsistent ratio cycle"):
+        green.FramedState(n=3, ext=ext, history=())
+    # the first mutation breaks even the symmetry of its zero pattern: there
+    # b_23 != 0 = b_32, and read through an index the rule at vertex 3
     # would miss row 2
-    block = tuple(row[:3] for row in stepped(ext, ks[:1]))
+    block = tuple(row[:3] for row in stepped(ext, (0,)))
     index = [bg.support(row) for row in block]
     assert bg.mutate_rows(block, 2, index)[1] == block[1]
-    assert bg.mutate_rows(block, 2)[1] != block[1]
+    assert dense_mutate_rows(block, 2)[1] != block[1]
 
 
 def first_own_mutable(g, k, mutable):
@@ -919,7 +935,7 @@ def test_an_entry_just_under_the_bound_gives_the_dense_answer(entry, s):
     # mutation at vertex 2 moves row 1 by b_12 * c_2 = e_2 and negates row 2
     state = a2_state((entry, 0), s)
     after = green.mutate_framed(state, 1)
-    assert after.ext == bg.mutate_rows(state.ext, 1)
+    assert after.ext == dense_mutate_rows(state.ext, 1)
     assert after.c_matrix() == ((entry, s), (0, -s))
 
 
@@ -954,7 +970,7 @@ def test_a_multiplier_at_the_bound_raises(b):
     with pytest.raises(EntryOverflow, match=text):
         green.mutate_y(pack_rows(((1, 0), (0, 1))), state(b).ext, 1)
     b -= 1 if b > 0 else -1
-    assert green.mutate_framed(state(b), 1).ext == bg.mutate_rows(state(b).ext, 1)
+    assert green.mutate_framed(state(b), 1).ext == dense_mutate_rows(state(b).ext, 1)
 
 
 def test_an_entry_past_the_bound_exits_2_under_its_name(monkeypatch):
@@ -997,10 +1013,9 @@ def test_packed_row_operations_match_the_tuple_formulas(case):
     n, rows, block, k = case
     c = pack_rows(rows)
     assert unpack_rows(c) == rows
-    # the sign tests: green status, and sign coherence of every row
-    state = green.FramedState(
-        n=n, ext=tuple(b + row for b, row in zip(block, rows)), history=()
-    )
+    # the sign tests: green status, and sign coherence of every row, on a
+    # planted state, as the constructor refuses an incoherent row
+    state = plant(tuple(b + row for b, row in zip(block, rows)))
     assert (green.vertex_status(state, k) == "green") == (min(rows[k]) >= 0)
     for i, row in enumerate(rows):
         if min(row) >= 0 or max(row) <= 0:

@@ -70,6 +70,7 @@ KERNELS = (
     (tropical, "_advance"),
     (tropical, "dual_transfer_check"),
     (bg, "mutate_rows"),
+    (bg, "composite_mutation"),
     (bg, "_by_sign"),
     (bg, "_negated"),
     (bg, "support"),
@@ -79,7 +80,6 @@ KERNELS = (
     (green, "_state"),
     (green, "mutate_y"),
     (green, "_checked"),
-    (green, "_index_of"),
     (green, "vertex_status"),
     (green, "_points_inside"),
     (green, "_moved"),
