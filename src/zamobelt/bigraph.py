@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -24,6 +25,7 @@ from .errors import (
     InputError,
     InvalidPermutation,
     InvalidRank,
+    InvalidVertex,
     NotAdmissible,
     NotAdmissibleBigraph,
     NotBipartite,
@@ -191,12 +193,17 @@ def mutate(m, k):
 
 def composite_mutation(m, vertices):
     """Mutate at each vertex in turn, through one index of m's rows;
-    callers pass pairwise non-adjacent sets."""
+    callers pass pairwise non-adjacent sets.  A vertex that is not an
+    int, or outside 0..n-1, raises InvalidVertex, numbered from 1."""
     b = m.b
     index = list(map(support, b))
     for k in vertices:
+        if type(k) is not int:
+            raise InvalidVertex(
+                "vertex %s is %s, not an int" % (reprlib.repr(k), type(k).__name__)
+            )
         if not 0 <= k < m.n:
-            raise IndexError("vertex %d out of range" % k)
+            raise InvalidVertex("vertex %d is not one of 1..%d" % (k + 1, m.n))
         b = mutate_rows(b, k, index)
     return ExchangeMatrix(n=m.n, b=b, c=m.c)
 

@@ -176,8 +176,10 @@ def cmd_tropical(g, args):
     sigma = green.frozen_isomorphism_check(g)
     periods_ok = True
     shift_ok = True
-    # drawn one at a time as the runs use them, not all before the first
-    labelings = (tropical.random_labeling(rng, g.n) for _ in range(args.trials))
+    # drawn one at a time as the runs use them, not all before the first,
+    # as ints: 100 times random_labeling's, and by homogeneity the same
+    # periods and shifts
+    labelings = (tropical.random_int_labeling(rng, g.n) for _ in range(args.trials))
     for states, shifted in tropical.half_period_runs(g, labelings, sigma):
         period = bigraph.first_return(states[: 2 * n_half + 1])
         if period is None or (2 * n_half) % period != 0:
@@ -219,7 +221,7 @@ def cmd_dual_check(g, args):
     rng = tropical.make_rng(args.seed)
     labelings = chain(
         [tropical.constant_labeling(g.n, -1)],
-        (tropical.random_labeling(rng, g.n) for _ in range(args.trials)),
+        (tropical.random_int_labeling(rng, g.n) for _ in range(args.trials)),
     )
     dual = bigraph.dual_bigraph(g)
     ok = all(tropical.dual_transfer_check(g, lam, dual=dual) for lam in labelings)

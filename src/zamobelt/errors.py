@@ -76,6 +76,11 @@ class FrozenVertex(InputError):
     """Mutation requested at a frozen vertex."""
 
 
+class InvalidVertex(InputError):
+    """A matrix mutation asked for at a vertex the matrix does not have:
+    out of range, or not an int (a bool is not one)."""
+
+
 class InvalidPartition(InputError):
     """Vertex partition does not cover the mutable vertices exactly."""
 

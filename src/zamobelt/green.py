@@ -11,9 +11,18 @@ the certificates.  That it returns to the coframed matrix up to
 relabeling is Nakanishi's synchronicity (C_t = +-P fixes the whole seed;
 J. LMS 2021).  Every state is sign-coherent with a skew-symmetrizable
 block: `framed` builds one, a state built by hand is refused otherwise,
-and after each mutation the checks read only the rows it changed, as a
-mutation returns each row it leaves alone as the very same object, in
-both tracks.
+and after each mutation the checks read only the rows it changed.  A
+mutation at k returns each row it leaves alone as the very same object,
+in the block, the c-vectors and the y rows, and on a skew-symmetrizable
+block it changes the pivot's index entry and k.  So those are taken as
+the moved rows, and `_only` confirms it with one C-level compare per
+track: the old rows with those written in, against the new ones, each
+read by identity first.  Only when a compare fails, which a sound rule
+never makes happen, does a scan of every row find those that are not
+their old objects, so a rule that changes a row it should leave is
+still checked there, at the same step.  A walk state keeps its
+mutations as a trail of pairs, so a mutation costs the same at step 1
+and at step 1 000.
 
 The c-vectors and the y rows are packed: a row is one int of n
 FIELD_BITS-wide fields, entry j in the j-th from the most significant,
@@ -120,9 +129,12 @@ class FramedState:
     """The n x 2n framed matrix and the mutations that led to it, held as
     `block`, the mutable block's int tuples, `c`, the packed c-vectors,
     and `index`, each block row's `bigraph.support`; `ext` is built from
-    them when first read.  A state built by hand (or by
-    `dataclasses.replace`) is checked as it is built: its block must be
-    skew-symmetrizable (NotSkewSymmetrizable) and each c-vector
+    them when first read.  A walk state holds its mutations as `trail`,
+    (previous trail, k) back to (), and their count as `steps`, so a
+    mutation adds one pair and copies nothing; `history` is built from
+    the trail when first read, as `ext` is.  A state built by hand (or
+    by `dataclasses.replace`) is checked as it is built: its block must
+    be skew-symmetrizable (NotSkewSymmetrizable) and each c-vector
     sign-coherent (SignCoherenceViolation).  `framed` and `mutate_framed`
     build their states from ones known to be both.  Equality reads n,
     ext, history.
@@ -134,21 +146,45 @@ class FramedState:
     block: tuple = field(init=False, compare=False, repr=False)
     c: tuple = field(init=False, compare=False, repr=False)
     index: tuple = field(init=False, compare=False, repr=False)
+    trail: tuple = field(init=False, compare=False, repr=False)
+    steps: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         block, c, index = _split(self.n, self.ext)
         symmetrizer(block)
-        vars(self).update(block=block, c=c, index=index)
+        vars(self).update(block=block, c=c, index=index, steps=len(self.history))
         _checked(self, range(self.n))
 
     def __getattr__(self, name):
-        # only ext can be missing: a walk state builds it when first read
-        if name != "ext":
+        # a walk state builds ext and history when first read; a state
+        # given its history builds its trail when first mutated
+        known = vars(self)
+        if name == "ext":
+            unpack = _codec(self.n).unpack
+            value = tuple(row + unpack(c) for row, c in zip(self.block, self.c))
+        elif name == "history" and "trail" in known:
+            ks = []
+            trail = self.trail
+            while trail:
+                trail, k = trail
+                ks.append(k)
+            ks.reverse()
+            value = tuple(ks)
+        elif name == "trail" and "history" in known:
+            value = ()
+            for k in self.history:
+                value = (value, k)
+        else:
             raise AttributeError(name)
-        unpack = _codec(self.n).unpack
-        ext = tuple(row + unpack(c) for row, c in zip(self.block, self.c))
-        object.__setattr__(self, "ext", ext)
-        return ext
+        object.__setattr__(self, name, value)
+        return value
+
+    def __getstate__(self):
+        # the trail nests one pair per mutation, deeper than copy and
+        # pickle recurse: they take the history, flat, in its place
+        state = dict(vars(self), history=self.history)
+        state.pop("trail", None)
+        return state
 
     def c_matrix(self):
         return tuple(map(_codec(self.n).unpack, self.c))
@@ -163,7 +199,9 @@ def _split(n, ext):
 
 def _state(n, history, block, c, index):
     state = object.__new__(FramedState)
-    vars(state).update(n=n, history=history, block=block, c=c, index=index)
+    vars(state).update(
+        n=n, history=history, steps=len(history), block=block, c=c, index=index
+    )
     return state
 
 
@@ -226,15 +264,35 @@ def mutate_framed(state, k):
     """Mutation at mutable k over all 2n columns: `mutate_rows` on the
     block, reading and updating a copy of the index, and `mutate_c` on
     the c-vectors, moving the rows the pivot's index entry names and
-    asserting sign-coherence where an int changed."""
+    asserting sign-coherence on the c-vectors that moved: the pivot's
+    index entry and k, when no other c-vector changed (`_only`), and
+    otherwise every one that is not its old int."""
     n = state.n
     if not 0 <= k < n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
     index = list(state.index)
+    rows = sorted((*index[k], k))
     c = mutate_c(state.c, state.block, k, index[k])
     block = mutate_rows(state.block, k, index)
-    after = _state(n, state.history + (k,), block, c, tuple(index))
-    return _checked(after, compress(count(), map(is_not, state.c, c)))
+    after = object.__new__(FramedState)
+    vars(after).update(
+        n=n, trail=(state.trail, k), steps=state.steps + 1,
+        block=block, c=c, index=tuple(index),
+    )
+    if not _only(rows, state.c, c):
+        rows = compress(count(), map(is_not, state.c, c))
+    return _checked(after, rows)
+
+
+def _only(rows, old, new):
+    """Is new the tuple old with rows written in?  One list compare,
+    which reads each other row by identity before value, so a rule that
+    returns each row it leaves alone as the same object passes at C
+    speed; a row it changed elsewhere fails it."""
+    out = [*old]
+    for i in rows:
+        out[i] = new[i]
+    return out == [*new]
 
 
 def vertex_status(state, k):
@@ -359,10 +417,20 @@ def mutate_y(y, ext, k):
     return tuple(out)
 
 
-def _moved(before, after, y_before, y_after):
-    """Rows where a block row, a c-vector or a y row is not its old
-    object.  The rules return each row they leave alone as the same
-    object, so every other row still holds its checked value."""
+def _moved(before, after, y_before, y_after, k):
+    """The rows a mutation at k moved, in order: the pivot's index entry
+    and k, when no other block row, c-vector or y row changed (`_only`,
+    one compare per track); otherwise the rows where one of them is not
+    its old object, found by scanning all three.  The rules return each
+    row they leave alone as the same object, so every other row still
+    holds its checked value."""
+    rows = sorted((*before.index[k], k))
+    if (
+        _only(rows, before.block, after.block)
+        and _only(rows, before.c, after.c)
+        and _only(rows, y_before, y_after)
+    ):
+        return rows
     return sorted({
         *compress(count(), map(is_not, before.block, after.block)),
         *compress(count(), map(is_not, before.c, after.c)),
@@ -448,7 +516,7 @@ def _walk(g, sign, first, second, factors, check=None, name="the coframed belt")
     for t, k in enumerate(_sequence(first, second, factors), 1):
         after = mutate_framed(state, k)
         y_after = mutate_y(y, state.block, k)
-        moved = _moved(state, after, y, y_after)
+        moved = _moved(state, after, y, y_after, k)
         if check is not None:
             check(state, k, after, moved)
         _assert_y_matches_c(after, y_after, moved)
@@ -473,7 +541,7 @@ def _certify(g, first, second, factors, partition, name="the green sequence"):
             part_of[v] = part
 
     def check(before, k, after, moved):
-        position = len(after.history)
+        position = after.steps
         if vertex_status(before, k) != GREEN:
             raise NotGreenAtStep(position, k)
         if not _points_inside(before, k, part_of[k], GREEN):

@@ -16,9 +16,16 @@ back into Fractions.
 
 A labeling entry is an int (not a bool) or a Fraction; anything else,
 a float, a string or a bool, raises InvalidLabeling naming the entry.
-Entries become Fractions in one place, `_entries`, which `initial_values`,
-`scale_of`, `constant_labeling` and `colored_census` call: a Fraction
-passes through as it is, and an int is converted once.
+A run reads its labeling once, in `scaled_labeling`: the least scale
+and the scaled ints, an int entry taken as it is and a Fraction by its
+numerator and denominator, so no Fraction is built.  Entries become
+Fractions only where a caller asks for them, in `_entries`, which
+`initial_values`, `constant_labeling` and `colored_census` call.  The
+CLI's trials stay on the int side: `tropical` and `dual-check` draw
+each labeling as ints (`random_int_labeling`, 100 times the Fraction
+labeling `random_labeling` draws from the same generator state), which
+by homogeneity give the same verdicts, and a run of them builds no
+Fraction at all.
 
 The half-period trials (`half_period_runs`) step only to N.  When the
 state there is the initial one relabeled by sigma and sigma passes the
@@ -32,7 +39,6 @@ import random
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 from .bigraph import (
     classify_sigma,
@@ -52,9 +58,21 @@ def constant_labeling(n, value):
     return _entries((value,)) * n
 
 
+def random_int_labeling(rng, n):
+    """n draws of rng.randint(-1000, 1000), in order: 100 times the
+    entries of `random_labeling` from the same generator state, and the
+    ints the CLI's trials run on."""
+    draw = rng.randint
+    out = []
+    for _ in range(n):
+        out.append(draw(-1000, 1000))
+    return tuple(out)
+
+
 def random_labeling(rng, n):
-    """Entries in [-10, 10] with denominator at most 100."""
-    return tuple(Fraction(rng.randint(-1000, 1000), 100) for _ in range(n))
+    """Entries in [-10, 10] with denominator at most 100: the draws of
+    `random_int_labeling` over 100."""
+    return tuple(Fraction(x, 100) for x in random_int_labeling(rng, n))
 
 
 @dataclass(frozen=True)
@@ -105,6 +123,16 @@ def step_values(movers, c, values, scale, events=None):
     return tuple(out)
 
 
+def _require_entry(i, x):
+    """Refuse entry i with InvalidLabeling unless it is an int (a bool is
+    not one) or a Fraction."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise InvalidLabeling(
+            "labeling entry %d is %s (%s), not an int or a Fraction"
+            % (i + 1, reprlib.repr(x), type(x).__name__)
+        )
+
+
 def _entries(lam):
     """The labeling's entries as Fractions, each read with one type test:
     a Fraction as it is, an int (not a bool) converted, anything else
@@ -112,25 +140,55 @@ def _entries(lam):
     out = []
     for i, x in enumerate(lam):
         if type(x) is not Fraction:
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                raise InvalidLabeling(
-                    "labeling entry %d is %s (%s), not an int or a Fraction"
-                    % (i + 1, reprlib.repr(x), type(x).__name__)
-                )
+            _require_entry(i, x)
             x = Fraction(x)
         out.append(x)
     return tuple(out)
 
 
-def initial_values(g, lam):
+def scaled_labeling(lam):
+    """The least s > 0 that makes every s * lambda_i an integer, and
+    those integers, read in one pass: an int (not a bool) as it is and a
+    Fraction by its numerator and denominator, so no Fraction is built;
+    anything else is refused with InvalidLabeling.  A denominator the
+    scale does not clear yet grows it, and the ints read so far."""
+    out = []
+    scale = 1
+    for i, x in enumerate(lam):
+        if type(x) is not int:
+            _require_entry(i, x)
+            d = x.denominator
+            if scale % d:
+                grow = d // math.gcd(scale, d)
+                scale *= grow
+                for j in range(i):
+                    out[j] *= grow
+            x = x.numerator * (scale // d)
+        elif scale != 1:
+            x *= scale
+        out.append(x)
+    return scale, tuple(out)
+
+
+def _of_length(g, lam):
     if len(lam) != g.n:
         raise InputError("labeling length %d, expected %d" % (len(lam), g.n))
-    return _entries(lam)
+    return lam
+
+
+def initial_values(g, lam):
+    return _entries(_of_length(g, lam))
 
 
 def scale_of(lam):
     """The least s > 0 that makes every s * lambda_i an integer."""
-    return math.lcm(*map(attrgetter("denominator"), _entries(lam)))
+    return scaled_labeling(lam)[0]
+
+
+def _scaled_start(g, lam):
+    """scaled_labeling(lam), its length checked against g."""
+    scale, start = scaled_labeling(lam)
+    return scale, _of_length(g, start)
 
 
 def scaled_states(g, lam, scale, steps, events=None):
@@ -138,9 +196,11 @@ def scaled_states(g, lam, scale, steps, events=None):
 
     `scale` must be a multiple of `scale_of(lam)`.
     """
+    own, start = _scaled_start(g, lam)
+    grow = scale // own
     state = []
-    for x in initial_values(g, lam):
-        state.append(x.numerator * (scale // x.denominator))
+    for x in start:
+        state.append(x * grow)
     return _advance(g, [tuple(state)], steps, scale, events)
 
 
@@ -193,8 +253,8 @@ def half_period_runs(g, labelings, sigma):
     except ClaimViolation:
         fits = False
     for lam in labelings:
-        scale = scale_of(lam)
-        states = scaled_states(g, lam, scale, n_half)
+        scale, start = _scaled_start(g, lam)
+        states = _advance(g, [start], n_half, scale)
         if fits and states[n_half] == sigma.relabel(states[0]):
             replay(states, sigma, n_half, 3 * n_half)
             yield states, True
@@ -231,11 +291,11 @@ def dual_transfer_check(g, lam, dual=None):
     c = g.base.c
     if dual is None:
         dual = dual_bigraph(g)
-    # c holds positive ints, so scale_of(lam) also clears c * lam, and
-    # the scaled ints of c * lam are c times those of lam
-    scale = scale_of(lam)
+    # c holds positive ints, so lam's scale also clears c * lam, and the
+    # scaled ints of c * lam are c times those of lam
+    scale, start = _scaled_start(dual, lam)
     steps = 2 * g.half_period
-    dual_states = scaled_states(dual, lam, scale, steps)
+    dual_states = _advance(dual, [start], steps, scale)
     lam_tilde = []
     for ci, x in zip(c, dual_states[0]):
         lam_tilde.append(ci * x)

@@ -15,6 +15,7 @@ from matrix_rules import dense_mutate_rows, skew_symmetrizable
 from zamobelt.errors import (
     InputError,
     InvalidPermutation,
+    InvalidVertex,
     NotAdmissible,
     NotAdmissibleBigraph,
     NotBipartite,
@@ -205,6 +206,25 @@ def test_composite_mutation_of_disconnected_set_commutes():
     b = bg.mutate(bg.mutate(m, 2), 0)
     assert a.b == b.b
     assert bg.composite_mutation(m, (0, 2)).b == a.b
+
+
+@pytest.mark.parametrize(
+    "k, text",
+    [
+        (3, "vertex 4 is not one of 1..3"),
+        (-1, "vertex 0 is not one of 1..3"),
+        # a bool is an int to Python; read as vertex 2 it once mutated there
+        (True, "vertex True is bool, not an int"),
+    ],
+    ids=["n", "minus-one", "True"],
+)
+def test_a_mutation_at_a_vertex_the_matrix_lacks_is_an_input_error(k, text):
+    m = bg.catalog("A3").base
+    for call in (lambda: bg.mutate(m, k), lambda: bg.composite_mutation(m, (0, k))):
+        with pytest.raises(InvalidVertex) as error:
+            call()
+        assert str(error.value) == text
+    assert issubclass(InvalidVertex, InputError)
 
 
 # -- bipartition and decomposition -------------------------------------------

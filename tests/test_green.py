@@ -10,18 +10,21 @@ derived answer for:
 | shortcut | a premise fails: the stepped answer | a wrong answer: exit 1 |
 |---|---|---|
 | frozen state read off the certificates | `test_a_broken_premise_falls_back_to_the_walk`, `test_a_bigraph_not_known_recurrent_falls_back_to_the_walk` | `test_a_planted_order_three_sigma_is_a_claim_violation`, `test_a_derived_state_with_a_broken_c_raises_the_walks_text`, `test_a_derived_state_with_a_broken_block_is_no_relabeling` |
-| checks on the moved rows only | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a state with an incoherent row is refused when it is built) | `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
+| checks on the moved rows only, found as the pivot's index entry and k, confirmed by one compare per track | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a state with an incoherent row is refused when it is built); `test_the_moved_rows_are_the_rows_the_identity_scan_finds` (at every mutation of all three walks, the rows equal the old scan's, kept as the oracle) | `test_a_row_changed_off_the_pivots_entry_takes_the_scan` (a changed row off the pivot's entry, in each track, fails the compare and is found by the scan), `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
 | the index every state holds, read by the one mutation rule | `test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer` (a hand-built state builds its own); a state the index cannot serve is refused when it is built: `test_a_block_that_is_not_skew_symmetrizable_is_never_indexed`, `test_a_hand_built_state_with_an_incoherent_c_vector_is_refused` | `test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command`, `test_a_dropped_other_part_pivot_entry_fails_green_at_every_gamma_step` (an entry between parts, seen only by the check that the block is +-B where each factor ends) |
 | packed c-vector and y rows | `test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees` (every state unpacks to the stepped rows), `test_an_entry_just_under_the_bound_gives_the_dense_answer` | past the bound the run exits 2, not 1: `test_an_entry_past_the_bound_exits_2_under_its_name` |
 | symbolic mirror past M (test_belt) | `test_mirror_check_rejects_a_wrong_rho_and_the_run_steps`, `test_mirror_check_rejects_a_perturbed_midpoint_value`, `test_even_n_without_a_colour_reversing_automorphism_steps_to_n`, `test_mirror_tries_at_most_a_fixed_number_of_rhos` | none |
 | symbolic replay past N (test_belt) | `test_replay_needs_an_automorphism_with_the_colour_behaviour_of_n` | none |
-| tropical replay past N (test_tropical) | `test_a_planted_bad_sigma_steps_to_3n` | none |
+| tropical replay past N (test_tropical) | `test_a_planted_bad_sigma_steps_to_3n` | `test_a_wrong_replayed_state_fails_the_tropical_command` |
 """
 
+import copy
 import dataclasses
 import json
 import pathlib
+import pickle
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -583,6 +586,43 @@ def test_framed_state_equality_ignores_the_index():
     assert stale == state and hash(stale) == hash(state)
 
 
+def test_a_walk_state_holds_its_history_as_a_trail_and_no_earlier_state():
+    # a mutation adds one (previous trail, k) pair to the trail it shares
+    # with the state before, and keeps that state alive through nothing;
+    # history is read back from the trail, and the state equals one built
+    # by hand with that history, which mutates on from its own trail
+    g = bg.catalog("E6xE6")
+    ks = green._sequence(g.blacks, g.whites, 3)
+    state = green.framed(g.base)
+    earlier = []
+    for k in ks:
+        after = green.mutate_framed(state, k)
+        assert after.trail[0] is state.trail and after.trail[1] == k
+        assert after.steps == state.steps + 1
+        assert "history" not in vars(after)  # built only when read
+        earlier.append(weakref.ref(state))
+        state = after
+    assert [ref() for ref in earlier] == [None] * len(ks)
+    assert state.history == ks and state.steps == len(ks)
+    by_hand = green.FramedState(n=g.n, ext=state.ext, history=state.history)
+    assert by_hand == state and hash(by_hand) == hash(state)
+    assert by_hand.steps == len(ks)
+    k = ks[0]
+    assert green.mutate_framed(by_hand, k) == green.mutate_framed(state, k)
+    assert green.mutate_framed(by_hand, k).history == ks + (k,)
+
+
+def test_a_state_of_a_long_walk_copies_and_pickles():
+    # its trail nests 2 000 pairs deep; copy and pickle take the history
+    state = framed_of("A2")
+    for k in (0, 1) * 1000:
+        state = green.mutate_framed(state, k)
+    for again in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert again == state and again.steps == 2000
+        assert (again.block, again.c, again.index) == (state.block, state.c, state.index)
+        assert green.mutate_framed(again, 0) == green.mutate_framed(state, 0)
+
+
 @pytest.mark.parametrize("check", CHECKS)
 def test_mutate_y_changing_a_row_it_should_leave_raises(monkeypatch, check):
     real = green.mutate_y
@@ -718,6 +758,99 @@ def test_initial_y_disagreeing_with_c_block_raises_before_any_mutation(
 # -- the index each walk state keeps ---------------------------------------------
 
 INDEX_TARGETS = tuple(bg.catalog_names()) + ("E6xE6",)
+
+
+# -- the rows a mutation moved ---------------------------------------------------
+
+
+def scanned(*tracks):
+    """The rows where some track's new tuple holds another object than
+    its old one, each track an (old, new) pair: the three-way identity
+    scan the walk once ran at every mutation, kept as the oracle."""
+    return sorted(
+        {i for old, new in tracks for i, (a, b) in enumerate(zip(old, new)) if a is not b}
+    )
+
+
+@pytest.mark.parametrize("name", INDEX_TARGETS)
+def test_the_moved_rows_are_the_rows_the_identity_scan_finds(monkeypatch, name):
+    # at every mutation of all three walks: the rows _moved returns are
+    # the oracle's over the block, the c-vectors and the y rows, and the
+    # c-vectors mutate_framed checks for coherence are the oracle's over
+    # the c-vectors; on a sound walk every compare holds, so no scan runs
+    g = bg.catalog(name)
+    real_moved, real_mutate = green._moved, green.mutate_framed
+    real_checked, real_only = green._checked, green._only
+    checked, compares, seen = [], [], []
+
+    def spy_checked(state, rows):
+        checked.append(list(rows))
+        return real_checked(state, checked[-1])
+
+    def spy_only(rows, old, new):
+        compares.append(real_only(rows, old, new))
+        return compares[-1]
+
+    def spy_mutate(state, k):
+        after = real_mutate(state, k)
+        assert checked[-1] == scanned((state.c, after.c))
+        return after
+
+    def spy_moved(before, after, y_before, y_after, k):
+        rows = real_moved(before, after, y_before, y_after, k)
+        tracks = (before.block, after.block), (before.c, after.c), (y_before, y_after)
+        assert rows == scanned(*tracks)
+        seen.append(k)
+        return rows
+
+    monkeypatch.setattr(green, "_checked", spy_checked)
+    monkeypatch.setattr(green, "_only", spy_only)
+    monkeypatch.setattr(green, "mutate_framed", spy_mutate)
+    monkeypatch.setattr(green, "_moved", spy_moved)
+    cert_gamma, cert_delta = green.verify_bipartite_belt_mgs(g)
+    walked = green._walk(g, -1, g.whites, g.blacks, g.half_period)
+    assert seen == list(cert_gamma.sequence + cert_delta.sequence + walked.history)
+    # one compare in mutate_framed and three in _moved per mutation
+    assert compares == [True] * (4 * len(seen))
+
+
+@pytest.mark.parametrize("track", ["block", "c", "y"])
+def test_a_row_changed_off_the_pivots_entry_takes_the_scan(monkeypatch, track):
+    # a rule that changes a row with b_ik = 0 fails that track's compare,
+    # and the scan of all three finds the row with the others; a c-vector
+    # changed there is checked for coherence by mutate_framed's own scan
+    g = bg.catalog("A2xA3")
+    state = green.framed(g.base)
+    y = pack_rows(green.initial_y(g.n))
+    k = 0
+    after = green.mutate_framed(state, k)
+    y_after = green.mutate_y(y, state.block, k)
+    i = next(i for i in range(g.n) if i != k and not state.block[i][k])
+    assert i not in green._moved(state, after, y, y_after, k)
+    block, c = list(after.block), list(after.c)
+    incoherent = (1,) + (-1,) * (g.n - 1)
+    if track == "block":
+        j = next(j for j in range(g.n) if j != i and not block[i][j] and not block[j][i])
+        block[i] = tuple(x + (col == j) for col, x in enumerate(block[i]))
+    elif track == "c":
+        c[i] = packed(incoherent)
+    else:
+        y_after = y_after[:i] + (packed((2,) * g.n),) + y_after[i + 1:]
+    planted = plant(tuple(row + unpacked(x, g.n) for row, x in zip(block, c)), (k,))
+    tracks = (state.block, planted.block), (state.c, planted.c), (y, y_after)
+    moved = green._moved(state, planted, y, y_after, k)
+    assert i in moved and moved == scanned(*tracks)
+    if track == "c":
+        real = green.mutate_c
+
+        def leaky(*args):
+            out = real(*args)
+            return out[:i] + (c[i],) + out[i + 1:]
+
+        monkeypatch.setattr(green, "mutate_c", leaky)
+        text = "c-vector %d is %s after step 1 at vertex 1" % (i + 1, incoherent)
+        with pytest.raises(SignCoherenceViolation, match="^%s$" % re.escape(text)):
+            green.mutate_framed(state, k)
 
 
 def stepped(ext, ks):

@@ -65,6 +65,9 @@ def test_layer_tracer_counts_both_green_tracks_and_restores_every_original():
 KERNELS = (
     (tropical, "step_values"),
     (tropical, "_entries"),
+    (tropical, "random_int_labeling"),
+    (tropical, "scaled_labeling"),
+    (tropical, "_scaled_start"),
     (tropical, "scale_of"),
     (tropical, "scaled_states"),
     (tropical, "_advance"),
@@ -82,6 +85,7 @@ KERNELS = (
     (green, "_checked"),
     (green, "vertex_status"),
     (green, "_points_inside"),
+    (green, "_only"),
     (green, "_moved"),
     (green, "_check_restriction_commutes"),
     (green, "_assert_y_matches_c"),

@@ -1,5 +1,6 @@
 """Max-plus belt on scaled ints: periods, shifts, duals, colored counts."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zamobelt.bigraph as bg
+import zamobelt.cli as cli
 import zamobelt.green as green
 import zamobelt.tropical as tr
 from zamobelt.errors import (
@@ -565,3 +567,104 @@ def test_scaled_states_carry_the_lcm_of_the_denominators():
     assert [tuple(Fraction(x, 12) for x in s) for s in states] == tr.run_states(
         g, lam, 10
     )
+
+
+# -- trials on drawn ints -----------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_int_draws_are_a_hundred_times_the_fraction_labeling(seed):
+    # the draws the trials always made, in the same order: the
+    # generators end in one state
+    as_ints, as_fractions, by_hand = (tr.make_rng(seed) for _ in range(3))
+    for n in (1, 3, 8, 49):
+        drawn = tr.random_int_labeling(as_ints, n)
+        lam = tr.random_labeling(as_fractions, n)
+        assert drawn == tuple(by_hand.randint(-1000, 1000) for _ in range(n))
+        assert all(type(x) is int for x in drawn)
+        assert drawn == tuple(100 * x for x in lam)
+        assert as_ints.getstate() == as_fractions.getstate() == by_hand.getstate()
+
+
+class NoFraction:
+    """Stands in for Fraction where a run on ints must build none."""
+
+    def __new__(cls, *args):
+        raise AssertionError("a Fraction was built from %r" % (args,))
+
+
+@pytest.mark.parametrize("name", bg.catalog_names() + ["E6", "E7", "E8"])
+def test_both_forms_of_a_labeling_give_one_verdict(monkeypatch, name):
+    # half_period_runs and dual_transfer_check on the drawn ints and on
+    # the same draws over 100: the scaled states agree up to the factor
+    # 100 / scale, so every period, shift and dual verdict does; the ints
+    # are read with no Fraction built
+    g = bg.catalog(name)
+    n_half = g.half_period
+    sigma = green.frozen_isomorphism_check(g)
+    rng = tr.make_rng(17)
+    drawn = [tr.random_int_labeling(rng, g.n) for _ in range(5)]
+    drawn.append((0,) * g.n)
+    fractions = [tuple(Fraction(x, 100) for x in lam) for lam in drawn]
+    runs = list(tr.half_period_runs(g, fractions, sigma))
+    duals = [tr.dual_transfer_check(g, lam) for lam in fractions]
+    monkeypatch.setattr(tr, "Fraction", NoFraction)
+    int_runs = list(tr.half_period_runs(g, drawn, sigma))
+    assert [tr.dual_transfer_check(g, lam) for lam in drawn] == duals == [True] * 6
+    monkeypatch.undo()
+    for lam, (states, shifted), (int_states, int_shifted) in zip(
+        fractions, runs, int_runs
+    ):
+        grow = 100 // tr.scale_of(lam)
+        assert int_states == [tuple(grow * x for x in state) for state in states]
+        assert int_shifted == shifted
+        assert bg.first_return(int_states[: 2 * n_half + 1]) == bg.first_return(
+            states[: 2 * n_half + 1]
+        )
+
+
+def test_scaled_labeling_reads_ints_as_they_are_and_clears_each_denominator():
+    assert tr.scaled_labeling((-3, 0, 7)) == (1, (-3, 0, 7))
+    lam = (2, Fraction(-1, 4), 3, Fraction(5, 6), Fraction(1, 3))
+    scale, ints = tr.scaled_labeling(lam)
+    assert scale == 12 == tr.scale_of(lam)
+    assert ints == tuple(int(12 * x) for x in lam) == (24, -3, 36, 10, 4)
+    assert all(type(x) is int for x in ints)
+    with pytest.raises(InputError, match="^labeling length 2, expected 3$"):
+        tr.dual_transfer_check(bg.catalog("A3"), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "t, planted",
+    [
+        # state(0) at an even time that does not divide 2N = 12
+        (8, "initial"),
+        (10, "initial"),
+        # a wrong state at 2N: the run never returns
+        (12, "shifted"),
+    ],
+)
+def test_a_wrong_replayed_state_fails_the_tropical_command(monkeypatch, t, planted):
+    # the trial labeling of seed 7 on A3 has period 2N; the replayed
+    # state at t is planted wrong, after the shift was judged at N, and
+    # the period read over the replayed states fails the command
+    g = bg.catalog("A3")
+    n_half = g.half_period
+    lam = tr.random_int_labeling(tr.make_rng(7), g.n)
+    assert tr.tropical_period(g, lam, 2 * n_half) == 2 * n_half == 12
+    config = {"command": "tropical", "target": "A3", "seed": 7, "trials": 1}
+    assert cli.run_experiment(config)[1] == 0
+    real = tr.replay
+
+    def wrong(states, sigma, shift, last):
+        real(states, sigma, shift, last)
+        if planted == "initial":
+            states[t] = states[0]
+        else:
+            states[t] = tuple(x + 1 for x in states[t])
+
+    monkeypatch.setattr(tr, "replay", wrong)
+    text, code = cli.run_experiment(config)
+    report = json.loads(text)
+    assert code == 1
+    assert report["periodsDivide2N"] is False and report["halfPeriodShiftOk"] is True
