@@ -191,6 +191,15 @@ def mutate(m, k):
     return composite_mutation(m, (k,))
 
 
+def require_int_vertex(k):
+    """Refuse a vertex that is not an int (a bool is not one) with
+    InvalidVertex: the one rule for every mutation's vertex."""
+    if type(k) is not int:
+        raise InvalidVertex(
+            "vertex %s is %s, not an int" % (reprlib.repr(k), type(k).__name__)
+        )
+
+
 def composite_mutation(m, vertices):
     """Mutate at each vertex in turn, through one index of m's rows;
     callers pass pairwise non-adjacent sets.  A vertex that is not an
@@ -198,10 +207,7 @@ def composite_mutation(m, vertices):
     b = m.b
     index = list(map(support, b))
     for k in vertices:
-        if type(k) is not int:
-            raise InvalidVertex(
-                "vertex %s is %s, not an int" % (reprlib.repr(k), type(k).__name__)
-            )
+        require_int_vertex(k)
         if not 0 <= k < m.n:
             raise InvalidVertex("vertex %d is not one of 1..%d" % (k + 1, m.n))
         b = mutate_rows(b, k, index)

@@ -55,6 +55,7 @@ from .bigraph import (
     is_recurrent,
     mutate_rows,
     require_automorphism,
+    require_int_vertex,
     support,
     symmetrizer,
     unmatched_entry,
@@ -266,8 +267,10 @@ def mutate_framed(state, k):
     the c-vectors, moving the rows the pivot's index entry names and
     asserting sign-coherence on the c-vectors that moved: the pivot's
     index entry and k, when no other c-vector changed (`_only`), and
-    otherwise every one that is not its old int."""
+    otherwise every one that is not its old int.  A vertex that is not
+    an int raises InvalidVertex, as in `bigraph.composite_mutation`."""
     n = state.n
+    require_int_vertex(k)
     if not 0 <= k < n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
     index = list(state.index)
@@ -296,6 +299,7 @@ def _only(rows, old, new):
 
 
 def vertex_status(state, k):
+    require_int_vertex(k)
     if not 0 <= k < state.n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
     offset = _codec(state.n).offset

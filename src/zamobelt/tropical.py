@@ -16,15 +16,16 @@ back into Fractions.
 
 A labeling entry is an int (not a bool) or a Fraction; anything else,
 a float, a string or a bool, raises InvalidLabeling naming the entry.
-A run reads its labeling once, in `scaled_labeling`: the least scale
-and the scaled ints, an int entry taken as it is and a Fraction by its
-numerator and denominator, so no Fraction is built.  Entries become
-Fractions only where a caller asks for them, in `_entries`, which
-`initial_values`, `constant_labeling` and `colored_census` call.  The
-CLI's trials stay on the int side: `tropical` and `dual-check` draw
-each labeling as ints (`random_int_labeling`, 100 times the Fraction
-labeling `random_labeling` draws from the same generator state), which
-by homogeneity give the same verdicts, and a run of them builds no
+Every entry point reads its labeling exactly once, in `scaled_labeling`
+(through `_scaled_start`, which also checks the length): the least
+scale and the scaled ints, an int entry taken as it is and a Fraction
+by its numerator and denominator, so no Fraction is built.  A run
+carries that one scale; `colored_census` checks signs on the scaled
+ints, which a positive scale leaves as they are.  The CLI's trials
+stay on the int side: `tropical` and `dual-check` draw each labeling
+as ints (`random_int_labeling`, 100 times the Fraction labeling
+`random_labeling` draws from the same generator state), which by
+homogeneity give the same verdicts, and a run of them builds no
 Fraction at all.
 
 The half-period trials (`half_period_runs`) step only to N.  When the
@@ -55,7 +56,9 @@ TIE = "tie"
 
 
 def constant_labeling(n, value):
-    return _entries((value,)) * n
+    """n copies of value, an entry checked as a labeling's entries are."""
+    _require_entry(0, value)
+    return (value,) * n
 
 
 def random_int_labeling(rng, n):
@@ -133,19 +136,6 @@ def _require_entry(i, x):
         )
 
 
-def _entries(lam):
-    """The labeling's entries as Fractions, each read with one type test:
-    a Fraction as it is, an int (not a bool) converted, anything else
-    refused with InvalidLabeling."""
-    out = []
-    for i, x in enumerate(lam):
-        if type(x) is not Fraction:
-            _require_entry(i, x)
-            x = Fraction(x)
-        out.append(x)
-    return tuple(out)
-
-
 def scaled_labeling(lam):
     """The least s > 0 that makes every s * lambda_i an integer, and
     those integers, read in one pass: an int (not a bool) as it is and a
@@ -170,38 +160,19 @@ def scaled_labeling(lam):
     return scale, tuple(out)
 
 
-def _of_length(g, lam):
-    if len(lam) != g.n:
-        raise InputError("labeling length %d, expected %d" % (len(lam), g.n))
-    return lam
-
-
-def initial_values(g, lam):
-    return _entries(_of_length(g, lam))
-
-
-def scale_of(lam):
-    """The least s > 0 that makes every s * lambda_i an integer."""
-    return scaled_labeling(lam)[0]
-
-
 def _scaled_start(g, lam):
     """scaled_labeling(lam), its length checked against g."""
     scale, start = scaled_labeling(lam)
-    return scale, _of_length(g, start)
+    if len(start) != g.n:
+        raise InputError("labeling length %d, expected %d" % (len(start), g.n))
+    return scale, start
 
 
-def scaled_states(g, lam, scale, steps, events=None):
-    """States at times 0..steps inclusive, every value multiplied by scale.
-
-    `scale` must be a multiple of `scale_of(lam)`.
-    """
-    own, start = _scaled_start(g, lam)
-    grow = scale // own
-    state = []
-    for x in start:
-        state.append(x * grow)
-    return _advance(g, [tuple(state)], steps, scale, events)
+def scaled_states(g, lam, steps, events=None):
+    """The labeling's scale and its states at times 0..steps inclusive,
+    every value multiplied by that scale."""
+    scale, start = _scaled_start(g, lam)
+    return scale, _advance(g, [start], steps, scale, events)
 
 
 def _advance(g, states, last, scale, events=None):
@@ -213,16 +184,13 @@ def _advance(g, states, last, scale, events=None):
 
 def run_states(g, lam, steps, events=None):
     """States at times 0..steps inclusive, as Fractions."""
-    scale = scale_of(lam)
-    return [
-        tuple(Fraction(x, scale) for x in state)
-        for state in scaled_states(g, lam, scale, steps, events)
-    ]
+    scale, states = scaled_states(g, lam, steps, events)
+    return [tuple(Fraction(x, scale) for x in state) for state in states]
 
 
 def tropical_period(g, lam, max_steps):
     """Smallest even p <= max_steps with state(p) == state(0)."""
-    return first_return(scaled_states(g, lam, scale_of(lam), max_steps))
+    return first_return(scaled_states(g, lam, max_steps)[1])
 
 
 def tropical_half_period(g, lam, sigma):
@@ -293,9 +261,8 @@ def dual_transfer_check(g, lam, dual=None):
         dual = dual_bigraph(g)
     # c holds positive ints, so lam's scale also clears c * lam, and the
     # scaled ints of c * lam are c times those of lam
-    scale, start = _scaled_start(dual, lam)
     steps = 2 * g.half_period
-    dual_states = _advance(dual, [start], steps, scale)
+    scale, dual_states = scaled_states(dual, lam, steps)
     lam_tilde = []
     for ci, x in zip(c, dual_states[0]):
         lam_tilde.append(ci * x)
@@ -309,7 +276,6 @@ def dual_transfer_check(g, lam, dual=None):
 
 @dataclass(frozen=True)
 class ColoredCensus:
-    lam: tuple
     period: int
     red: int
     blue: int
@@ -341,8 +307,8 @@ def colored_census(g, lam):
     """
     if not g.plain:
         raise InputError("colored census needs an empty Delta")
-    lam = _entries(lam)
-    if any(x >= 0 for x in lam):
+    scale, start = _scaled_start(g, lam)
+    if any(x >= 0 for x in start):
         raise InputError("colored census needs an all-negative labeling")
     lonely = [k + 1 for k, column in enumerate(zip(*g.gamma)) if not any(column)]
     if lonely:
@@ -352,7 +318,7 @@ def colored_census(g, lam):
         )
     events = []
     period = 2 * g.half_period
-    scaled_states(g, lam, scale_of(lam), period, events)
+    _advance(g, [start], period, scale, events)
     counts = {RED: 0, BLUE: 0, TIE: 0}
     blue_times = []
     for event in events:
@@ -360,7 +326,6 @@ def colored_census(g, lam):
         if event.color == BLUE:
             blue_times.append(event.t)
     return ColoredCensus(
-        lam=lam,
         period=period,
         red=counts[RED],
         blue=counts[BLUE],

@@ -8,6 +8,7 @@ import sympy
 
 import zamobelt.belt as belt
 import zamobelt.bigraph as bg
+import zamobelt.cli as cli
 from zamobelt.errors import (
     ClaimViolation,
     InputError,
@@ -491,3 +492,58 @@ def test_replay_needs_an_automorphism_with_the_colour_behaviour_of_n():
     run = forward_trajectory(a2, 5)
     belt._replay(a2, run, 5, 12)
     assert run == forward_trajectory(a2, 12)
+
+
+# -- planted wrong derived states ------------------------------------------------
+
+
+def swapped(state):
+    """state with its first two entries swapped."""
+    return (state[1], state[0], *state[2:])
+
+
+def test_a_wrong_mirrored_state_at_n_fails_halfperiod(monkeypatch):
+    # fig2 has N = 15 and M = 8: the mirror derives S_9 .. S_15 from
+    # the states before M, and a wrong S_N is read as a permutation that
+    # is no automorphism
+    g = bg.catalog("fig2-F4xA2")
+    n_steps = g.half_period
+    assert (n_steps, midpoint(g)) == (15, 8)
+    config = {"command": "halfperiod", "target": "fig2-F4xA2"}
+    assert cli.run_experiment(config)[1] == 0
+    real = belt._mirror
+
+    def wrong(g, states, n_steps, last):
+        real(g, states, n_steps, last)
+        states[n_steps] = swapped(states[n_steps])
+
+    monkeypatch.setattr(belt, "_mirror", wrong)
+    calls = count_steps(monkeypatch)
+    assert cli.run_experiment(config) == (
+        "falsified: half-period permutation does not preserve (Gamma, Delta)\n",
+        1,
+    )
+    # S_N was derived, not stepped; the replay refuses it, and the run
+    # steps on from it to 2N
+    assert calls == list(range(midpoint(g))) + list(range(n_steps, 2 * n_steps))
+
+
+def test_a_wrong_replayed_state_at_2n_fails_halfperiod(monkeypatch):
+    # A3 has N = 6: the replay re-indexes S_7 .. S_12 by sigma, and a
+    # wrong S_2N is no return to S_0
+    g = bg.catalog("A3")
+    config = {"command": "halfperiod", "target": "A3"}
+    assert cli.run_experiment(config)[1] == 0
+    real = belt.replay
+
+    def wrong(states, sigma, shift, last):
+        real(states, sigma, shift, last)
+        states[last] = swapped(states[last])
+
+    monkeypatch.setattr(belt, "replay", wrong)
+    calls = count_steps(monkeypatch)
+    assert cli.run_experiment(config) == (
+        "falsified: no recurrence within 2N = 12 steps\n",
+        1,
+    )
+    assert calls == list(range(g.half_period))

@@ -4,8 +4,7 @@ The engine's derived shortcuts, each with the tests that make one
 premise fail and get the stepped answer, and the ones that plant a
 wrong derived answer and get exit 1.  The green track's are tested
 here; the mirror and the replays, in test_belt and test_tropical, as
-the row says.  "none" marks a shortcut no test yet plants a wrong
-derived answer for:
+the row says:
 
 | shortcut | a premise fails: the stepped answer | a wrong answer: exit 1 |
 |---|---|---|
@@ -13,8 +12,8 @@ derived answer for:
 | checks on the moved rows only, found as the pivot's index entry and k, confirmed by one compare per track | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a state with an incoherent row is refused when it is built); `test_the_moved_rows_are_the_rows_the_identity_scan_finds` (at every mutation of all three walks, the rows equal the old scan's, kept as the oracle) | `test_a_row_changed_off_the_pivots_entry_takes_the_scan` (a changed row off the pivot's entry, in each track, fails the compare and is found by the scan), `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
 | the index every state holds, read by the one mutation rule | `test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer` (a hand-built state builds its own); a state the index cannot serve is refused when it is built: `test_a_block_that_is_not_skew_symmetrizable_is_never_indexed`, `test_a_hand_built_state_with_an_incoherent_c_vector_is_refused` | `test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command`, `test_a_dropped_other_part_pivot_entry_fails_green_at_every_gamma_step` (an entry between parts, seen only by the check that the block is +-B where each factor ends) |
 | packed c-vector and y rows | `test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees` (every state unpacks to the stepped rows), `test_an_entry_just_under_the_bound_gives_the_dense_answer` | past the bound the run exits 2, not 1: `test_an_entry_past_the_bound_exits_2_under_its_name` |
-| symbolic mirror past M (test_belt) | `test_mirror_check_rejects_a_wrong_rho_and_the_run_steps`, `test_mirror_check_rejects_a_perturbed_midpoint_value`, `test_even_n_without_a_colour_reversing_automorphism_steps_to_n`, `test_mirror_tries_at_most_a_fixed_number_of_rhos` | none |
-| symbolic replay past N (test_belt) | `test_replay_needs_an_automorphism_with_the_colour_behaviour_of_n` | none |
+| symbolic mirror past M (test_belt) | `test_mirror_check_rejects_a_wrong_rho_and_the_run_steps`, `test_mirror_check_rejects_a_perturbed_midpoint_value`, `test_even_n_without_a_colour_reversing_automorphism_steps_to_n`, `test_mirror_tries_at_most_a_fixed_number_of_rhos` | `test_a_wrong_mirrored_state_at_n_fails_halfperiod` (a wrong derived S_N; a wrong state strictly between M and N is caught by no check) |
+| symbolic replay past N (test_belt) | `test_replay_needs_an_automorphism_with_the_colour_behaviour_of_n` | `test_a_wrong_replayed_state_at_2n_fails_halfperiod` |
 | tropical replay past N (test_tropical) | `test_a_planted_bad_sigma_steps_to_3n` | `test_a_wrong_replayed_state_fails_the_tropical_command` |
 """
 
@@ -41,6 +40,7 @@ from zamobelt.errors import (
     FrozenVertex,
     InputError,
     InvalidPermutation,
+    InvalidVertex,
     NoIsomorphism,
     NotComponentPreserving,
     NotGreenAtStep,
@@ -126,6 +126,22 @@ def test_mutate_framed_rejects_frozen_index():
         green.mutate_framed(state, 2)
     with pytest.raises(FrozenVertex):
         green.vertex_status(state, 5)
+
+
+@pytest.mark.parametrize("k", [True, False], ids=["True", "False"])
+def test_a_bool_vertex_is_refused_as_bigraph_mutate_refuses_it(k):
+    # a bool is an int to Python: True was read as vertex 2 and recorded
+    # as (True,) in the history
+    state = framed_of("A3")
+    text = "vertex %s is bool, not an int" % k
+    for call in (
+        lambda: green.mutate_framed(state, k),
+        lambda: green.vertex_status(state, k),
+        lambda: bg.mutate(bg.catalog("A3").base, k),
+    ):
+        with pytest.raises(InvalidVertex) as error:
+            call()
+        assert str(error.value) == text
 
 
 def test_incoherent_row_the_mutation_leaves_alone_still_raises():

@@ -64,16 +64,15 @@ def test_layer_tracer_counts_both_green_tracks_and_restores_every_original():
 # code object among a function's constants is the static sign of one.
 KERNELS = (
     (tropical, "step_values"),
-    (tropical, "_entries"),
     (tropical, "random_int_labeling"),
     (tropical, "scaled_labeling"),
     (tropical, "_scaled_start"),
-    (tropical, "scale_of"),
     (tropical, "scaled_states"),
     (tropical, "_advance"),
     (tropical, "dual_transfer_check"),
     (bg, "mutate_rows"),
     (bg, "composite_mutation"),
+    (bg, "require_int_vertex"),
     (bg, "_by_sign"),
     (bg, "_negated"),
     (bg, "support"),

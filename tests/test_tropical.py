@@ -171,8 +171,8 @@ def test_a_labeling_entry_neither_int_nor_fraction_is_refused(
     monkeypatch.setattr(tr, "step_values", counting)
     message = "^labeling entry 2 is %s, not an int or a Fraction$" % re.escape(shown)
     for call in (
-        lambda: tr.scale_of(lam),
-        lambda: tr.initial_values(g, lam),
+        lambda: tr.scaled_labeling(lam),
+        lambda: tr.scaled_states(g, lam, 10),
         lambda: tr.run_states(g, lam, 10),
         lambda: tr.tropical_period(g, lam, 10),
         lambda: tr.tropical_half_period(g, lam, sigma),
@@ -198,14 +198,18 @@ def test_int_and_fraction_entries_are_read_alike():
     g = bg.catalog("A3")
     as_ints = (-3, 2, 0)
     as_fractions = tuple(map(Fraction, as_ints))
-    assert tr.initial_values(g, as_ints) == as_fractions
-    assert all(type(x) is Fraction for x in tr.initial_values(g, as_ints))
+    assert tr.scaled_labeling(as_ints) == tr.scaled_labeling(as_fractions)
     assert tr.run_states(g, as_ints, 12) == tr.run_states(g, as_fractions, 12)
-    assert tr.constant_labeling(3, -1) == (Fraction(-1),) * 3
-    assert tr.colored_census(g, (-1, -2, -3)).lam == (-1, -2, -3)
+    # a constant labeling is its entry as given, checked
+    assert tr.constant_labeling(3, -1) == (-1, -1, -1)
+    assert tr.constant_labeling(2, Fraction(-1, 3)) == (Fraction(-1, 3),) * 2
+    negative = (-1, -2, -3)
+    assert tr.colored_census(g, negative) == tr.colored_census(
+        g, tuple(map(Fraction, negative))
+    )
     # a long entry is named in bounded text
     with pytest.raises(InvalidLabeling) as error:
-        tr.scale_of((1, "9" * 10_000))
+        tr.scaled_labeling((1, "9" * 10_000))
     assert len(str(error.value)) < 100
 
 
@@ -310,7 +314,7 @@ def test_replayed_states_equal_a_stepped_3n_run(monkeypatch, name):
         states, shifted, steps = _counted_runs(monkeypatch, g, lam, sigma)
         assert steps == n_half, (name, lam)
         assert shifted
-        stepped = tr.scaled_states(g, lam, tr.scale_of(lam), 3 * n_half)
+        stepped = tr.scaled_states(g, lam, 3 * n_half)[1]
         assert len(states) == len(stepped)
         for t, (state, expected) in enumerate(zip(states, stepped)):
             assert state == expected, (name, lam, t)
@@ -335,7 +339,7 @@ def test_a_planted_bad_sigma_steps_to_3n(monkeypatch, name, perm, lam):
     lam = tuple(Fraction(x) for x in lam)
     sigma = bg.Automorphism(perm)
     states, shifted, steps = _counted_runs(monkeypatch, g, lam, sigma)
-    stepped = tr.scaled_states(g, lam, tr.scale_of(lam), 3 * n_half)
+    stepped = tr.scaled_states(g, lam, 3 * n_half)[1]
     assert steps == 3 * n_half
     assert states == stepped
     assert shifted == tr.read_half_period_shift(g, stepped, sigma)
@@ -359,7 +363,7 @@ def test_a_list_sigma_is_refused_before_any_step(monkeypatch):
     with pytest.raises(InvalidPermutation, match="'list' object"):
         next(tr.half_period_runs(g, [lam], [1, 0]))
     assert steps == []
-    states = tr.scaled_states(g, lam, tr.scale_of(lam), 3 * g.half_period)
+    states = tr.scaled_states(g, lam, 3 * g.half_period)[1]
     assert tr.read_half_period_shift(g, states, bg.Automorphism((1, 0)))
     with pytest.raises(InvalidPermutation, match="'list' object"):
         tr.read_half_period_shift(g, states, [1, 0])
@@ -419,6 +423,13 @@ def test_census_guards():
         tr.colored_census(bg.catalog("A2xA2"), tr.constant_labeling(4, -1))
     with pytest.raises(InputError):
         tr.colored_census(bg.catalog("A2"), (Fraction(-1), Fraction(0)))
+    # signs are read on the scaled ints, which a positive scale keeps
+    g = bg.catalog("A2")
+    with pytest.raises(InputError, match="all-negative"):
+        tr.colored_census(g, (Fraction(-1, 7), Fraction(1, 1000)))
+    assert tr.colored_census(g, (Fraction(-1, 7), Fraction(-1, 1000))).ties == 0
+    with pytest.raises(InputError, match="^labeling length 3, expected 2$"):
+        tr.colored_census(g, (-1, -1, -1))
 
 
 def test_tie_policy_rejects_vertex_without_gamma_neighbour():
@@ -458,7 +469,7 @@ def test_census_events_are_blue_exactly_at_the_initial_slices(name):
     ]
     for lam in labelings:
         events = []
-        tr.scaled_states(g, lam, tr.scale_of(lam), 2 * n_half, events)
+        tr.scaled_states(g, lam, 2 * n_half, events)
         assert len(events) == n_half * g.n
         for e in events:
             expected = tr.BLUE if (e.t - 1) % n_half in (0, 1) else tr.RED
@@ -560,8 +571,8 @@ def test_scaled_dual_check_matches_fraction_reference(case):
 def test_scaled_states_carry_the_lcm_of_the_denominators():
     g = bg.catalog("A2")
     lam = (Fraction(-1, 4), Fraction(5, 6))
-    assert tr.scale_of(lam) == 12
-    states = tr.scaled_states(g, lam, 12, 10)
+    scale, states = tr.scaled_states(g, lam, 10)
+    assert scale == 12
     assert states[0] == (-3, 10)
     assert all(type(x) is int for state in states for x in state)
     assert [tuple(Fraction(x, 12) for x in s) for s in states] == tr.run_states(
@@ -615,7 +626,7 @@ def test_both_forms_of_a_labeling_give_one_verdict(monkeypatch, name):
     for lam, (states, shifted), (int_states, int_shifted) in zip(
         fractions, runs, int_runs
     ):
-        grow = 100 // tr.scale_of(lam)
+        grow = 100 // tr.scaled_labeling(lam)[0]
         assert int_states == [tuple(grow * x for x in state) for state in states]
         assert int_shifted == shifted
         assert bg.first_return(int_states[: 2 * n_half + 1]) == bg.first_return(
@@ -627,7 +638,7 @@ def test_scaled_labeling_reads_ints_as_they_are_and_clears_each_denominator():
     assert tr.scaled_labeling((-3, 0, 7)) == (1, (-3, 0, 7))
     lam = (2, Fraction(-1, 4), 3, Fraction(5, 6), Fraction(1, 3))
     scale, ints = tr.scaled_labeling(lam)
-    assert scale == 12 == tr.scale_of(lam)
+    assert scale == 12
     assert ints == tuple(int(12 * x) for x in lam) == (24, -3, 36, 10, 4)
     assert all(type(x) is int for x in ints)
     with pytest.raises(InputError, match="^labeling length 2, expected 3$"):
@@ -668,3 +679,36 @@ def test_a_wrong_replayed_state_fails_the_tropical_command(monkeypatch, t, plant
     report = json.loads(text)
     assert code == 1
     assert report["periodsDivide2N"] is False and report["halfPeriodShiftOk"] is True
+
+
+# -- one reader per labeling --------------------------------------------------
+
+
+def test_every_entry_point_reads_each_labeling_once(monkeypatch):
+    # scaled_labeling is the one reader; each entry point calls it once
+    # per labeling and carries the scale it returns
+    g = bg.catalog("A3")
+    sigma = green.frozen_isomorphism_check(g)
+    lam = (Fraction(-1, 4), -2, Fraction(-5, 6))
+    others = [(-1, 2, 3), (0, 0, 0)]
+    read = []
+    real = tr.scaled_labeling
+
+    def spy(labeling):
+        read.append(labeling)
+        return real(labeling)
+
+    monkeypatch.setattr(tr, "scaled_labeling", spy)
+    for name, call in (
+        ("run_states", lambda: tr.run_states(g, lam, 12)),
+        ("tropical_period", lambda: tr.tropical_period(g, lam, 12)),
+        ("colored_census", lambda: tr.colored_census(g, lam)),
+        ("tropical_half_period", lambda: tr.tropical_half_period(g, lam, sigma)),
+        ("dual_transfer_check", lambda: tr.dual_transfer_check(g, lam)),
+    ):
+        read.clear()
+        call()
+        assert read == [lam], name
+    read.clear()
+    list(tr.half_period_runs(g, [lam] + others, sigma))
+    assert read == [lam] + others
