@@ -301,6 +301,11 @@ class Bigraph:
             )
         return tuple(map(tuple, by_parity))
 
+    @functools.cached_property
+    def dual(self):
+        """`dual_bigraph` of this bigraph, built once per bigraph."""
+        return dual_bigraph(self)
+
     @property
     def plain(self):
         """True for a plain Dynkin entry (the tensor with a point): no Delta."""

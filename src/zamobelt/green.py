@@ -575,32 +575,30 @@ def verify_bipartite_belt_mgs(g):
     )
 
 
-def _relabeled(ext, p):
-    """R_p of an n x 2n extension, p an Automorphism: row i is row p(i),
-    its mutable columns read at p and its frozen columns left in place."""
-    n = len(ext)
-    return tuple(p.relabel(row) + row[n:] for row in p.relabel(ext))
+def _relabeled(rows, p):
+    """R_p of a square, p an Automorphism: entry (i, j) is rows[p(i)][p(j)]."""
+    return tuple(map(p.relabel, p.relabel(rows)))
 
 
 def _derived_final(g, cert_gamma, cert_delta):
-    """The final state of the coframed walk, read off the certificates
-    (see frozen_isomorphism_check), or None when a premise fails."""
+    """The coframed walk's end as (block, packed c-vectors), read off the
+    certificates (see frozen_isomorphism_check), or None if a premise fails."""
     q = cert_gamma.permutation
     last = g.whites if g.h_gamma % 2 == 0 else g.blacks
     if (
         cert_gamma.sequence != _sequence(g.blacks, g.whites, g.h_gamma)
         or cert_delta.sequence != _sequence(g.whites, g.blacks, g.h_delta)
         or not is_recurrent(g)
-        or cert_gamma.final.ext != _relabeled(framed(g.base, -1).ext, q)
+        or cert_gamma.final.block != _relabeled(g.base.b, q)
+        or cert_gamma.final.c != q.relabel(framed(g.base, -1).c)
         or sorted(map(q, last)) != list(g.whites)
     ):
         return None
-    # built unchecked: its walk checked the certificate's final state, and
+    # no FramedState: its walk checked the certificate's final state, and
     # a wrong block must fail the relabeling check (exit 1), not be refused
     # as an input (exit 2)
-    ext = _relabeled(cert_delta.final.ext, q.inverse)
-    history = _sequence(g.whites, g.blacks, g.half_period)
-    return _state(g.n, history, *_split(g.n, ext))
+    p = q.inverse
+    return _relabeled(cert_delta.final.block, p), p.relabel(cert_delta.final.c)
 
 
 def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
@@ -614,12 +612,12 @@ def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
     half-period Automorphism is supplied, must equal it.
 
     Given `certificates`, the pair verify_bipartite_belt_mgs(g) returned,
-    the final state is derived from them instead of walked when four
-    exact premises hold: each certificate's sequence is its belt's; g is
-    recurrent; the Gamma certificate ends at R_q(coframed B), q its
-    permutation and R_q taking X to the matrix with entries
-    X[q(i)][q(j)], frozen columns left in place (`_relabeled`); and q
-    maps that certificate's last factor onto the whites.
+    the final block and c-vectors are derived from them instead of walked
+    when four exact premises hold: each certificate's sequence is its
+    belt's; g is recurrent; the Gamma certificate ends at R_q(coframed B),
+    q its permutation and R_q reading the block at q in rows and columns
+    (`_relabeled`) and the packed c-vectors at q in rows only; and q maps
+    that certificate's last factor onto the whites.
     Proof.  Recurrence makes the mutable block +-B at every factor
     boundary of all three walks (each walk checks it), so the vertices
     of one factor are pairwise unlinked there: their mutations commute,
@@ -638,13 +636,15 @@ def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
     """
     if symbolic_sigma is not None:
         require_automorphism(symbolic_sigma)
-    state = None if certificates is None else _derived_final(g, *certificates)
-    if state is None:
+    final = None if certificates is None else _derived_final(g, *certificates)
+    if final is None:
         state = _walk(g, -1, g.whites, g.blacks, g.half_period)
-    row_perm = _minus_permutation(state.c, NoIsomorphism, "frozen block")
+        final = state.block, state.c
+    block, c = final
+    row_perm = _minus_permutation(c, NoIsomorphism, "frozen block")
     # row r holds the -1 of frozen column row_perm(r); sigma is the inverse
     sigma = row_perm.inverse
-    if unmatched_entry(sigma, g.base.b, state.block) is not None:
+    if unmatched_entry(sigma, g.base.b, block) is not None:
         raise NoIsomorphism("mutable block is not a relabeling of the original")
     classify_sigma(g, sigma)
     if symbolic_sigma is not None and sigma != symbolic_sigma:

@@ -41,13 +41,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigraph import (
-    classify_sigma,
-    dual_bigraph,
-    first_return,
-    replay,
-    require_automorphism,
-)
+from .bigraph import classify_sigma, first_return, replay, require_automorphism
 from .errors import ClaimViolation, InputError, InvalidLabeling, NoGammaNeighbour
 
 RED = "red"
@@ -246,23 +240,20 @@ def read_half_period_shift(g, states, sigma):
     )
 
 
-def dual_transfer_check(g, lam, dual=None):
+def dual_transfer_check(g, lam):
     """Dual trajectory against the symmetrizer-rescaled primal one.
 
-    The dual system runs the raw labeling; the primal one runs the
-    labeling scaled entrywise by the primal symmetrizer, and the two
-    must agree after dividing the primal values back by it.  Both runs
-    share one scale, the labeling's own, so the comparison is on their
-    scaled ints.  dual is g's `dual_bigraph`, built here unless a
-    caller checking many labelings built it once.
+    The dual system, `g.dual`, runs the raw labeling; the primal one
+    runs the labeling scaled entrywise by the primal symmetrizer, and
+    the two must agree after dividing the primal values back by it.
+    Both runs share one scale, the labeling's own, so the comparison is
+    on their scaled ints.
     """
     c = g.base.c
-    if dual is None:
-        dual = dual_bigraph(g)
     # c holds positive ints, so lam's scale also clears c * lam, and the
     # scaled ints of c * lam are c times those of lam
     steps = 2 * g.half_period
-    scale, dual_states = scaled_states(dual, lam, steps)
+    scale, dual_states = scaled_states(g.dual, lam, steps)
     lam_tilde = []
     for ci, x in zip(c, dual_states[0]):
         lam_tilde.append(ci * x)

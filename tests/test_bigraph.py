@@ -1,5 +1,6 @@
 """Exchange matrices, bipartition, recurrence, tensors, duals, folding."""
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -443,6 +444,9 @@ def test_dual_bigraph_swaps_multiplicity_sides():
     dual = bg.dual_bigraph(g)
     assert dual.base.b == ((0, 3), (-1, 0))
     assert dual.epsilon == g.epsilon
+    # the bigraph holds its dual, built when first read
+    assert isinstance(vars(bg.Bigraph)["dual"], functools.cached_property)
+    assert g.dual is g.dual and g.dual == dual
 
 
 # -- automorphisms and folding --------------------------------------------------

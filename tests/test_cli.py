@@ -1026,18 +1026,36 @@ def test_term_guard_past_the_digit_limit_exits_two(capsys):
     assert err.startswith("error: --term-guard: ") and len(err) < 300
 
 
-def test_dual_check_builds_the_dual_once(capsys, monkeypatch):
-    built = []
-    real_dual = bg.dual_bigraph
+def count_duals(monkeypatch):
+    """The bigraphs `bigraph.dual_bigraph` is called on from now on."""
+    built, real_dual = [], bg.dual_bigraph
 
     def counting_dual(g):
         built.append(g)
         return real_dual(g)
 
     monkeypatch.setattr(bg, "dual_bigraph", counting_dual)
-    monkeypatch.setattr(tropical, "dual_bigraph", counting_dual)
+    return built
+
+
+def test_dual_check_builds_the_dual_once(capsys, monkeypatch):
+    built = count_duals(monkeypatch)
     code, out, _ = run(capsys, "dual-check", "G2", "--trials", "4")
     assert code == 0 and json.loads(out)["ok"] is True
+    assert len(built) == 1
+
+
+def test_a_suite_builds_each_targets_dual_once(tmp_path, capsys, monkeypatch):
+    # the suite resolves G2 once, and the bigraph holds its dual
+    built = count_duals(monkeypatch)
+    configs = [
+        {"command": "dual-check", "target": "G2", "seed": seed, "trials": 3}
+        for seed in (1, 2)
+    ]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(configs))
+    code, out, _ = run(capsys, "suite", str(path))
+    assert code == 0 and json.loads(out)["summary"]["verified"] == 2
     assert len(built) == 1
 
 

@@ -8,7 +8,7 @@ the row says:
 
 | shortcut | a premise fails: the stepped answer | a wrong answer: exit 1 |
 |---|---|---|
-| frozen state read off the certificates | `test_a_broken_premise_falls_back_to_the_walk`, `test_a_bigraph_not_known_recurrent_falls_back_to_the_walk` | `test_a_planted_order_three_sigma_is_a_claim_violation`, `test_a_derived_state_with_a_broken_c_raises_the_walks_text`, `test_a_derived_state_with_a_broken_block_is_no_relabeling` |
+| frozen state read off the certificates, as (block, packed c-vectors) relabeled where they are held | `test_a_broken_premise_falls_back_to_the_walk`, `test_a_bigraph_not_known_recurrent_falls_back_to_the_walk`; `test_the_derived_final_state_is_the_walked_one` (the pair equals the walk's end), `test_the_derive_reads_the_certificates_rows_as_they_are_held` (no n x 2n ext is built) | `test_a_planted_order_three_sigma_is_a_claim_violation` (a planted pair), `test_a_derived_state_with_a_broken_c_raises_the_walks_text`, `test_a_derived_state_with_a_broken_block_is_no_relabeling` |
 | checks on the moved rows only, found as the pivot's index entry and k, confirmed by one compare per track | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a state with an incoherent row is refused when it is built); `test_the_moved_rows_are_the_rows_the_identity_scan_finds` (at every mutation of all three walks, the rows equal the old scan's, kept as the oracle) | `test_a_row_changed_off_the_pivots_entry_takes_the_scan` (a changed row off the pivot's entry, in each track, fails the compare and is found by the scan), `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
 | the index every state holds, read by the one mutation rule | `test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer` (a hand-built state builds its own); a state the index cannot serve is refused when it is built: `test_a_block_that_is_not_skew_symmetrizable_is_never_indexed`, `test_a_hand_built_state_with_an_incoherent_c_vector_is_refused` | `test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command`, `test_a_dropped_other_part_pivot_entry_fails_green_at_every_gamma_step` (an entry between parts, seen only by the check that the block is +-B where each factor ends) |
 | packed c-vector and y rows | `test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees` (every state unpacks to the stepped rows), `test_an_entry_just_under_the_bound_gives_the_dense_answer` | past the bound the run exits 2, not 1: `test_an_entry_past_the_bound_exits_2_under_its_name` |
@@ -439,7 +439,11 @@ def test_both_mutations_commute_with_relabeling(case, data):
             )
         )
     )
-    assert green._relabeled(ext, bg.Automorphism(p)) == relabel(ext, p)
+    # the engine relabels the block at p in both indices and the packed
+    # c-vectors at p in the row only
+    block, c = green._split(n, ext)[:2]
+    assert green._relabeled(block, bg.Automorphism(p)) == relabel(block, p)
+    assert bg.Automorphism(p).relabel(c) == green._split(n, relabel(ext, p))[1]
     after = relabel(dense_mutate_rows(ext, p[k]), p)
     assert dense_mutate_rows(relabel(ext, p), k) == after
     assert framed_step(relabel(ext, p), k) == after
@@ -462,11 +466,21 @@ def test_the_derived_final_state_is_the_walked_one(name):
     certificates = green.verify_bipartite_belt_mgs(g)
     derived = green._derived_final(g, *certificates)
     walked = green._walk(g, -1, g.whites, g.blacks, g.half_period)
-    assert derived is not None
-    assert (derived.ext, derived.history) == (walked.ext, walked.history)
+    assert derived == (walked.block, walked.c)
     assert green.frozen_isomorphism_check(g, certificates=certificates) == (
         green.frozen_isomorphism_check(g)
     )
+
+
+@pytest.mark.parametrize("name", ["E7xE7", "fig2-F4xA2"])
+def test_the_derive_reads_the_certificates_rows_as_they_are_held(monkeypatch, name):
+    # the block and the packed c-vectors: no n x 2n ext is built
+    g = bg.catalog(name)
+    certificates = green.verify_bipartite_belt_mgs(g)
+    signs = spy_on_walks(monkeypatch)
+    green.frozen_isomorphism_check(g, certificates=certificates)
+    assert signs == []
+    assert not any("ext" in vars(cert.final) for cert in certificates)
 
 
 def spy_on_walks(monkeypatch):
@@ -506,14 +520,15 @@ def test_a_planted_order_three_sigma_is_a_claim_violation(monkeypatch):
     g = bg.catalog("D4")
     triality = bg.Automorphism((2, 1, 3, 0))
     assert triality.cycles() == "(1 3 4)"
-    planted = green.FramedState(
-        n=g.n, ext=green._relabeled(green.framed(g.base, -1).ext, triality), history=()
-    )
+    ext = relabel(green.framed(g.base, -1).ext, triality.perm)
+    planted = green.FramedState(n=g.n, ext=ext, history=())
     real = green._walk
     monkeypatch.setattr(
         green, "_walk", lambda g, sign, *a: planted if sign == -1 else real(g, sign, *a)
     )
-    monkeypatch.setattr(green, "_derived_final", lambda *certificates: planted)
+    monkeypatch.setattr(
+        green, "_derived_final", lambda *certificates: (planted.block, planted.c)
+    )
     with pytest.raises(ClaimViolation, match="^half-period permutation has order"):
         green.frozen_isomorphism_check(g)
     for config in (
@@ -545,9 +560,9 @@ def doubled_entry(cert):
 
 def planted_q(g, cert, q):
     """A Gamma certificate that ends at R_q(coframed B) exactly."""
-    q = bg.Automorphism(tuple(q))
-    ext = green._relabeled(green.framed(g.base, -1).ext, q)
-    return dataclasses.replace(with_final(cert, ext), permutation=q)
+    q = tuple(q)
+    ext = relabel(green.framed(g.base, -1).ext, q)
+    return dataclasses.replace(with_final(cert, ext), permutation=bg.Automorphism(q))
 
 
 @pytest.mark.parametrize(
