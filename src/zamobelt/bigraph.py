@@ -306,6 +306,12 @@ class Bigraph:
         """`dual_bigraph` of this bigraph, built once per bigraph."""
         return dual_bigraph(self)
 
+    @functools.cached_property
+    def certificates(self):
+        """green.verify_bipartite_belt_mgs(self), built once; a failure is not kept."""
+        from . import green  # green imports this module
+        return green.verify_bipartite_belt_mgs(self)
+
     @property
     def plain(self):
         """True for a plain Dynkin entry (the tensor with a point): no Delta."""

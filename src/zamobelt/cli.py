@@ -142,11 +142,9 @@ def cmd_halfperiod(g, args):
 
 
 def cmd_green(g, args):
-    cert_gamma, cert_delta = green.verify_bipartite_belt_mgs(g)
+    cert_gamma, cert_delta = g.certificates
     symbolic = None if args.skip_symbolic else belt.half_period(g).sigma
-    frozen_sigma = green.frozen_isomorphism_check(
-        g, symbolic, (cert_gamma, cert_delta)
-    )
+    frozen_sigma = green.frozen_isomorphism_check(g, symbolic)
 
     def cert_doc(cert):
         return {

@@ -143,7 +143,8 @@ class NotPermutation(ClaimViolation):
 
 
 class NoIsomorphism(ClaimViolation):
-    """The belt did not return the coframed matrix up to relabeling."""
+    """The coframed belt's end, read off the green certificates, is not
+    the coframed matrix relabeled, or a premise of reading it there failed."""
 
 
 class MismatchWithSymbolicSigma(ClaimViolation):

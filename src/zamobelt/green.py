@@ -4,25 +4,24 @@ Two bookkeeping tracks run at once: matrix mutation of the n x 2n
 extension, whose frozen columns are the c-vectors, and the coefficient
 rule in the tropical semifield (exponent vectors, addition the
 componentwise min).  They must agree row for row after every mutation;
-that is asserted, not assumed.  Both belts, framed for the green
-certificates and coframed for sigma, run through one checked walk,
-`_walk`; `frozen_isomorphism_check` can read the coframed belt's end off
-the certificates.  That it returns to the coframed matrix up to
-relabeling is Nakanishi's synchronicity (C_t = +-P fixes the whole seed;
-J. LMS 2021).  Every state is sign-coherent with a skew-symmetrizable
-block: `framed` builds one, a state built by hand is refused otherwise,
-and after each mutation the checks read only the rows it changed.  A
-mutation at k returns each row it leaves alone as the very same object,
-in the block, the c-vectors and the y rows, and on a skew-symmetrizable
-block it changes the pivot's index entry and k.  So those are taken as
-the moved rows, and `_only` confirms it with one C-level compare per
-track: the old rows with those written in, against the new ones, each
-read by identity first.  Only when a compare fails, which a sound rule
-never makes happen, does a scan of every row find those that are not
-their old objects, so a rule that changes a row it should leave is
-still checked there, at the same step.  A walk state keeps its
-mutations as a trail of pairs, so a mutation costs the same at step 1
-and at step 1 000.
+that is asserted, not assumed.  The green certificates run through one
+checked walk, `_walk`, and `frozen_isomorphism_check` reads the coframed
+belt's end off them, as the bigraph holds them (`Bigraph.certificates`),
+with no walk.  That it returns to the coframed matrix up to relabeling is
+Nakanishi's synchronicity (C_t = +-P fixes the whole seed; J. LMS
+2021).  Every state is sign-coherent with a skew-symmetrizable block:
+`framed` builds one, a state built by hand is refused otherwise, and
+after each mutation the checks read only the rows it changed.  A mutation
+at k returns each row it leaves alone as the very same object, in the
+block, the c-vectors and the y rows, and on a skew-symmetrizable block
+it changes the pivot's index entry and k.  So those are taken as the
+moved rows, and `_only` confirms it with one C-level compare per track:
+the old rows with those written in, against the new ones, each read by
+identity first.  Only when a compare fails, which a sound rule never
+makes happen, does a scan of every row find those that are not their old
+objects, so a rule that changes a row it should leave is still checked
+there, at the same step.  A walk state keeps its mutations as a trail of
+pairs, so a mutation costs the same at step 1 and at step 1 000.
 
 The c-vectors and the y rows are packed: a row is one int of n
 FIELD_BITS-wide fields, entry j in the j-th from the most significant,
@@ -72,6 +71,7 @@ from .errors import (
     NotGreenAtStep,
     NotMaximal,
     NotPermutation,
+    NotRecurrent,
     SignCoherenceViolation,
 )
 
@@ -386,8 +386,8 @@ def _check_restriction_commutes(before, after, part_of, k, moved):
             )
 
 
-def initial_y(n, sign=1):
-    return tuple(tuple(sign if j == i else 0 for j in range(n)) for i in range(n))
+def initial_y(n):
+    return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
 
 
 def mutate_y(y, ext, k):
@@ -498,18 +498,18 @@ def _sequence(first, second, factors):
     return tuple(k for f in range(factors) for k in (second if f % 2 else first))
 
 
-def _walk(g, sign, first, second, factors, check=None, name="the coframed belt"):
+def _walk(g, first, second, factors, check, name):
     """The final state of `factors` alternating factors of first and
-    second, from the framed (sign 1) or coframed (sign -1) matrix, both
-    tracks compared at the start and on the rows each mutation moved.
+    second, from the framed matrix, both tracks compared at the start
+    and on the rows each mutation moved.
     `mutate_framed` runs first, so a vertex out of range is a
     FrozenVertex; check(before, k, after, moved) runs before the compare.
     On a recurrent g a whole colour's mutation negates B, so the block is
     -B where an odd factor ends, B where an even one does; the first
     factor where it is not is raised, naming the walk, once the walk is
     done, as a check that names its step and vertex raises first."""
-    state = framed(g.base, sign)
-    y = tuple(map(_codec(g.n).pack, initial_y(g.n, sign)))
+    state = framed(g.base)
+    y = tuple(map(_codec(g.n).pack, initial_y(g.n)))
     _assert_y_matches_c(state, y, range(g.n))
     b = g.base.b
     blocks = (b, tuple(tuple(map(neg, row)) for row in b)) if is_recurrent(g) else ()
@@ -521,8 +521,7 @@ def _walk(g, sign, first, second, factors, check=None, name="the coframed belt")
         after = mutate_framed(state, k)
         y_after = mutate_y(y, state.block, k)
         moved = _moved(state, after, y, y_after, k)
-        if check is not None:
-            check(state, k, after, moved)
+        check(state, k, after, moved)
         _assert_y_matches_c(after, y_after, moved)
         state, y = after, y_after
         if t in ends and not broken and state.block != blocks[ends[t] % 2]:
@@ -554,7 +553,7 @@ def _certify(g, first, second, factors, partition, name="the green sequence"):
             )
         _check_restriction_commutes(before, after, part_of, k, moved)
 
-    state = _walk(g, 1, first, second, factors, check, name)
+    state = _walk(g, first, second, factors, check, name)
     still_green = [k for k in range(g.n) if vertex_status(state, k) == GREEN]
     if still_green:
         raise NotMaximal("vertices %s still green" % [k + 1 for k in still_green])
@@ -580,67 +579,62 @@ def _relabeled(rows, p):
     return tuple(map(p.relabel, p.relabel(rows)))
 
 
-def _derived_final(g, cert_gamma, cert_delta):
-    """The coframed walk's end as (block, packed c-vectors), read off the
-    certificates (see frozen_isomorphism_check), or None if a premise fails."""
+def _derived_final(g):
+    """The coframed belt's end as (block, packed c), off `g.certificates`."""
+    if not is_recurrent(g):
+        raise NotRecurrent("the bigraph is not recurrent")
+    cert_gamma, cert_delta = g.certificates
     q = cert_gamma.permutation
     last = g.whites if g.h_gamma % 2 == 0 else g.blacks
-    if (
-        cert_gamma.sequence != _sequence(g.blacks, g.whites, g.h_gamma)
-        or cert_delta.sequence != _sequence(g.whites, g.blacks, g.h_delta)
-        or not is_recurrent(g)
-        or cert_gamma.final.block != _relabeled(g.base.b, q)
-        or cert_gamma.final.c != q.relabel(framed(g.base, -1).c)
-        or sorted(map(q, last)) != list(g.whites)
+    for holds, premise in (
+        (cert_gamma.sequence == _sequence(g.blacks, g.whites, g.h_gamma)
+         and cert_delta.sequence == _sequence(g.whites, g.blacks, g.h_delta),
+         "the certificates' sequences are the belts'"),
+        (cert_gamma.final.block == _relabeled(g.base.b, q)
+         and cert_gamma.final.c == q.relabel(framed(g.base, -1).c),
+         "the Gamma certificate ends at R_q(coframed B)"),
+        (sorted(map(q, last)) == g.whites, "q maps the last factor onto the whites"),
     ):
-        return None
-    # no FramedState: its walk checked the certificate's final state, and
-    # a wrong block must fail the relabeling check (exit 1), not be refused
-    # as an input (exit 2)
+        if not holds:
+            raise NoIsomorphism("premise failed: %s" % premise)
+    # no FramedState: a wrong block fails the relabeling check, exit 1, not 2
     p = q.inverse
     return _relabeled(cert_delta.final.block, p), p.relabel(cert_delta.final.c)
 
 
-def frozen_isomorphism_check(g, symbolic_sigma=None, certificates=None):
-    """Run the belt on the coframed matrix for N composite factors.
+def frozen_isomorphism_check(g, symbolic_sigma=None):
+    """The Automorphism sigma by which the coframed belt, after N
+    composite factors, returns to the coframed matrix, frozen labels
+    fixed.  It must pass the paper's half-period rules
+    (`bigraph.classify_sigma`) and equal symbolic_sigma when given.
 
-    The result must be the coframed matrix with mutable labels permuted
-    and frozen labels fixed, by a permutation that passes the paper's
-    half-period rules (`bigraph.classify_sigma`: an automorphism of
-    (Gamma, Delta) of order at most two with the colour behaviour N's
-    parity needs).  That Automorphism is returned and, when the symbolic
-    half-period Automorphism is supplied, must equal it.
-
-    Given `certificates`, the pair verify_bipartite_belt_mgs(g) returned,
-    the final block and c-vectors are derived from them instead of walked
-    when four exact premises hold: each certificate's sequence is its
-    belt's; g is recurrent; the Gamma certificate ends at R_q(coframed B),
-    q its permutation and R_q reading the block at q in rows and columns
-    (`_relabeled`) and the packed c-vectors at q in rows only; and q maps
-    that certificate's last factor onto the whites.
+    No walk runs: `_derived_final` reads the belt's end off
+    `g.certificates` under four exact premises: g is recurrent (else
+    NotRecurrent, exit 2); each certificate's sequence is its belt's;
+    the Gamma certificate ends at R_q(coframed B), q its permutation and
+    R_q reading the block at q in rows and columns (`_relabeled`) and
+    the packed c-vectors at q in rows only; and q maps that
+    certificate's last factor onto the whites (else NoIsomorphism, exit
+    1, naming the premise).
     Proof.  Recurrence makes the mutable block +-B at every factor
-    boundary of all three walks (each walk checks it), so the vertices
-    of one factor are pairwise unlinked there: their mutations commute,
-    and the factor's composite is an involution on states (both tracks).
-    Both mutations commute with relabeling, mu_k(R_p X) == R_p(mu_p(k) X).
-    The walk starts at coframed B = R_q^-1 of the Gamma certificate's
-    end, and its first factor, the whites, is q of that certificate's
-    last; so its first h_Gamma factors undo the certificate's, last
-    first, relabeled by R_q^-1, reaching R_q^-1(framed B).  As q^-1 maps
-    the walk's factor h_Gamma onto the blacks, it maps the next one onto
-    the whites, the Delta certificate's first factor; so the last h_Delta
-    factors are that certificate's, relabeled, and the walk ends at
-    R_q^-1 of its final state.  Each state at a factor boundary is thus a
-    relabeled one a certificate checked; the states inside a factor are
-    not formed.  When a premise fails, the walk runs.
+    boundary of a belt walk (the certificates' walks check it), so the
+    vertices of one factor are pairwise unlinked there: their mutations
+    commute, and the factor's composite is an involution on states (both
+    tracks).  Both mutations commute with relabeling, mu_k(R_p X) ==
+    R_p(mu_p(k) X).  The walk starts at coframed B = R_q^-1 of the Gamma
+    certificate's end, and its first factor, the whites, is q of that
+    certificate's last; so its first h_Gamma factors undo the
+    certificate's, last first, relabeled by R_q^-1, reaching
+    R_q^-1(framed B).  As q^-1 maps the walk's factor h_Gamma onto the
+    blacks, it maps the next one onto the whites, the Delta
+    certificate's first factor; so the last h_Delta factors are that
+    certificate's, relabeled, and the walk ends at R_q^-1 of its final
+    state.  Each state at a factor boundary is thus a relabeled one a
+    certificate checked; the states inside a factor are not formed.
     """
     if symbolic_sigma is not None:
         require_automorphism(symbolic_sigma)
-    final = None if certificates is None else _derived_final(g, *certificates)
-    if final is None:
-        state = _walk(g, -1, g.whites, g.blacks, g.half_period)
-        final = state.block, state.c
-    block, c = final
+    block, c = _derived_final(g)
     row_perm = _minus_permutation(c, NoIsomorphism, "frozen block")
     # row r holds the -1 of frozen column row_perm(r); sigma is the inverse
     sigma = row_perm.inverse

@@ -16,10 +16,11 @@ import pytest
 import zamobelt.belt as belt
 import zamobelt.bigraph as bg
 import zamobelt.cli as cli
+import zamobelt.green as green
 import zamobelt.laurent as laurent
 import zamobelt.tropical as tropical
 from zamobelt.cli import main, run_experiment
-from zamobelt.errors import InputError, TermGuardExceeded
+from zamobelt.errors import InputError, NotMaximal, TermGuardExceeded
 from zamobelt.laurent import Laurent
 
 
@@ -1057,6 +1058,54 @@ def test_a_suite_builds_each_targets_dual_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "suite", str(path))
     assert code == 0 and json.loads(out)["summary"]["verified"] == 2
     assert len(built) == 1
+
+
+def test_a_suite_walks_each_targets_certificates_once(tmp_path, capsys, monkeypatch):
+    # tropical and green read sigma off the certificates the bigraph holds:
+    # the suite resolves A2xA3 once, so its two certificate walks run once
+    walks, real_walk = [], green._walk
+
+    def counting_walk(*args):
+        walks.append(args[-1])
+        return real_walk(*args)
+
+    monkeypatch.setattr(green, "_walk", counting_walk)
+    configs = [
+        {"command": "tropical", "target": "A2xA3", "seed": 7, "trials": 3},
+        {"command": "green", "target": "A2xA3", "skipSymbolic": True},
+        {"command": "tropical", "target": "A2xA3", "seed": 8, "trials": 3},
+    ]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(configs))
+    serial = run(capsys, "suite", str(path))
+    assert serial[0] == 0 and json.loads(serial[1])["summary"]["verified"] == 3
+    assert walks == ["the Gamma certificate", "the Delta certificate"]
+    assert run(capsys, "suite", str(path), "--jobs", "2") == serial
+
+
+def test_a_failed_certificate_is_not_kept_for_the_next_entry(
+    tmp_path, capsys, monkeypatch
+):
+    # the first read of the certificates fails; the next entry on the same
+    # target builds them, and the entry after that reuses them
+    calls, real_verify = [], green.verify_bipartite_belt_mgs
+
+    def fails_once(g):
+        calls.append(g)
+        if len(calls) == 1:
+            raise NotMaximal("vertices [1] still green")
+        return real_verify(g)
+
+    monkeypatch.setattr(green, "verify_bipartite_belt_mgs", fails_once)
+    configs = [{"command": "green", "target": "B2", "skipSymbolic": True}] * 3
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(configs))
+    code, out, _ = run(capsys, "suite", str(path))
+    results = json.loads(out)["results"]
+    assert code == 1 and [r["exitCode"] for r in results] == [1, 0, 0]
+    assert results[0]["report"] == "falsified: vertices [1] still green\n"
+    assert results[1]["report"] == results[2]["report"]
+    assert len(calls) == 2 and calls[0] is calls[1]
 
 
 def test_unwritable_out_path_exits_two(tmp_path, capsys):

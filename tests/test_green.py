@@ -1,15 +1,15 @@
 """Framed mutation: c-vectors, green sequences, frozen isomorphisms.
 
 The engine's derived shortcuts, each with the tests that make one
-premise fail and get the stepped answer, and the ones that plant a
-wrong derived answer and get exit 1.  The green track's are tested
-here; the mirror and the replays, in test_belt and test_tropical, as
-the row says:
+premise fail and get the stepped answer (or, where nothing is stepped,
+the named failure), and the ones that plant a wrong derived answer and
+get exit 1.  The green track's are tested here; the mirror and the
+replays, in test_belt and test_tropical, as the row says:
 
 | shortcut | a premise fails: the stepped answer | a wrong answer: exit 1 |
 |---|---|---|
-| frozen state read off the certificates, as (block, packed c-vectors) relabeled where they are held | `test_a_broken_premise_falls_back_to_the_walk`, `test_a_bigraph_not_known_recurrent_falls_back_to_the_walk`; `test_the_derived_final_state_is_the_walked_one` (the pair equals the walk's end), `test_the_derive_reads_the_certificates_rows_as_they_are_held` (no n x 2n ext is built) | `test_a_planted_order_three_sigma_is_a_claim_violation` (a planted pair), `test_a_derived_state_with_a_broken_c_raises_the_walks_text`, `test_a_derived_state_with_a_broken_block_is_no_relabeling` |
-| checks on the moved rows only, found as the pivot's index entry and k, confirmed by one compare per track | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a state with an incoherent row is refused when it is built); `test_the_moved_rows_are_the_rows_the_identity_scan_finds` (at every mutation of all three walks, the rows equal the old scan's, kept as the oracle) | `test_a_row_changed_off_the_pivots_entry_takes_the_scan` (a changed row off the pivot's entry, in each track, fails the compare and is found by the scan), `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
+| frozen state read off the certificates the bigraph holds, as (block, packed c-vectors) relabeled where they are held: the only sigma route, with no coframed walk | no walk to fall back to: a broken premise exits 1 naming it, `test_a_broken_premise_raises_no_isomorphism_naming_it`, and a bigraph not recurrent exits 2, `test_a_bigraph_not_known_recurrent_is_not_recurrent`; `test_the_derived_final_state_is_the_walked_one` (the pair equals the coframed belt's end stepped by the tests' dense rule), `test_the_derive_reads_the_certificates_rows_as_they_are_held` (no n x 2n ext is built, no walk runs) | `test_a_planted_order_three_sigma_is_a_claim_violation` (a planted pair), `test_a_derived_state_with_a_broken_c_raises_the_walks_text`, `test_a_derived_state_with_a_broken_block_is_no_relabeling` |
+| checks on the moved rows only, found as the pivot's index entry and k, confirmed by one compare per track | `test_incoherent_row_the_mutation_leaves_alone_still_raises` (a state with an incoherent row is refused when it is built); `test_the_moved_rows_are_the_rows_the_identity_scan_finds` (at every mutation of both certificates and of the coframed belt the test steps, the rows equal the old scan's, kept as the oracle) | `test_a_row_changed_off_the_pivots_entry_takes_the_scan` (a changed row off the pivot's entry, in each track, fails the compare and is found by the scan), `test_mutate_y_changing_a_row_it_should_leave_raises`, `test_mutate_rows_off_the_local_mutation_in_a_moved_row_raises` |
 | the index every state holds, read by the one mutation rule | `test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer` (a hand-built state builds its own); a state the index cannot serve is refused when it is built: `test_a_block_that_is_not_skew_symmetrizable_is_never_indexed`, `test_a_hand_built_state_with_an_incoherent_c_vector_is_refused` | `test_a_stale_index_that_drops_a_pivot_entry_fails_the_green_command`, `test_a_dropped_other_part_pivot_entry_fails_green_at_every_gamma_step` (an entry between parts, seen only by the check that the block is +-B where each factor ends) |
 | packed c-vector and y rows | `test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees` (every state unpacks to the stepped rows), `test_an_entry_just_under_the_bound_gives_the_dense_answer` | past the bound the run exits 2, not 1: `test_an_entry_past_the_bound_exits_2_under_its_name` |
 | symbolic mirror past M (test_belt) | `test_mirror_check_rejects_a_wrong_rho_and_the_run_steps`, `test_mirror_check_rejects_a_perturbed_midpoint_value`, `test_even_n_without_a_colour_reversing_automorphism_steps_to_n`, `test_mirror_tries_at_most_a_fixed_number_of_rhos` | `test_a_wrong_mirrored_state_at_n_fails_halfperiod` (a wrong derived S_N; a wrong state strictly between M and N is caught by no check) |
@@ -45,6 +45,7 @@ from zamobelt.errors import (
     NotComponentPreserving,
     NotGreenAtStep,
     NotPermutation,
+    NotRecurrent,
     NotSkewSymmetrizable,
     SignCoherenceViolation,
 )
@@ -343,8 +344,6 @@ def test_a_vertex_out_of_range_is_frozen_before_the_coefficient_track_runs():
     g = bg.catalog("A2")
     with pytest.raises(FrozenVertex, match="vertex 3 is not mutable"):
         green._certify(g, first=[g.n], second=[0], factors=1, partition=[(0, 1)])
-    with pytest.raises(FrozenVertex, match="vertex 3 is not mutable"):
-        green._walk(g, -1, [g.n], [0], 1)
 
 
 def test_certificate_sequence_is_the_mutation_history():
@@ -396,13 +395,18 @@ def relabel(rows, p):
     )
 
 
+def start_y(n, sign=1):
+    """The packed y track of the framed (sign 1) or coframed (sign -1) start."""
+    return pack_rows(tuple(tuple(sign * x for x in row) for row in green.initial_y(n)))
+
+
 @st.composite
 def reachable_states(draw):
     """(ext, y, k): a framed or coframed state of a catalog bigraph after
     up to 8 mutations, its packed y track, and a vertex to mutate at."""
     g = bg.catalog(draw(st.sampled_from(LEMMA_TARGETS)))
     sign = draw(st.sampled_from((1, -1)))
-    ext, y = green.framed(g.base, sign).ext, pack_rows(green.initial_y(g.n, sign))
+    ext, y = green.framed(g.base, sign).ext, start_y(g.n, sign)
     for k in draw(st.lists(st.integers(0, g.n - 1), max_size=8)):
         ext, y = dense_mutate_rows(ext, k), green.mutate_y(y, ext, k)
     return ext, y, draw(st.integers(0, g.n - 1))
@@ -460,58 +464,73 @@ DERIVED_TARGETS = tuple(bg.catalog_names()) + (
 )
 
 
+def stepped(ext, ks):
+    """The rows after mutating ext at each k of ks by the dense rule."""
+    for k in ks:
+        ext = dense_mutate_rows(ext, k)
+    return ext
+
+
+def coframed_end(g):
+    """The coframed belt's end after N factors, stepped by the dense rule
+    from the coframed matrix, as (block, packed c-vectors)."""
+    ks = green._sequence(g.whites, g.blacks, g.half_period)
+    ext = stepped(green.framed(g.base, -1).ext, ks)
+    return tuple(row[: g.n] for row in ext), pack_rows(tuple(row[g.n:] for row in ext))
+
+
 @pytest.mark.parametrize("name", DERIVED_TARGETS)
 def test_the_derived_final_state_is_the_walked_one(name):
+    # the walk is the tests' own: no engine walk steps the coframed belt
     g = bg.catalog(name)
-    certificates = green.verify_bipartite_belt_mgs(g)
-    derived = green._derived_final(g, *certificates)
-    walked = green._walk(g, -1, g.whites, g.blacks, g.half_period)
-    assert derived == (walked.block, walked.c)
-    assert green.frozen_isomorphism_check(g, certificates=certificates) == (
-        green.frozen_isomorphism_check(g)
-    )
+    assert green._derived_final(g) == coframed_end(g)
 
 
 @pytest.mark.parametrize("name", ["E7xE7", "fig2-F4xA2"])
 def test_the_derive_reads_the_certificates_rows_as_they_are_held(monkeypatch, name):
-    # the block and the packed c-vectors: no n x 2n ext is built
+    # the block and the packed c-vectors: no n x 2n ext is built, and
+    # no walk runs for the frozen state
     g = bg.catalog(name)
-    certificates = green.verify_bipartite_belt_mgs(g)
-    signs = spy_on_walks(monkeypatch)
-    green.frozen_isomorphism_check(g, certificates=certificates)
-    assert signs == []
+    certificates = g.certificates
+    walks = spy_on_walks(monkeypatch)
+    green.frozen_isomorphism_check(g)
+    assert walks == []
     assert not any("ext" in vars(cert.final) for cert in certificates)
 
 
 def spy_on_walks(monkeypatch):
-    """The sign of each walk run from now on: 1 framed, -1 coframed."""
-    real, signs = green._walk, []
+    """The name of each walk run from now on."""
+    real, walks = green._walk, []
 
-    def spy(g, sign, *args, **kwargs):
-        signs.append(sign)
-        return real(g, sign, *args, **kwargs)
+    def spy(g, first, second, factors, check, name):
+        walks.append(name)
+        return real(g, first, second, factors, check, name)
 
     monkeypatch.setattr(green, "_walk", spy)
-    return signs
+    return walks
+
+
+CERTIFICATE_WALKS = ["the Gamma certificate", "the Delta certificate"]
 
 
 def test_a_list_symbolic_sigma_is_refused_before_any_walk(monkeypatch):
     # the symbolic sigma must be an Automorphism; a list is refused at
-    # once, not after the whole coframed belt has been walked
-    signs = spy_on_walks(monkeypatch)
+    # once, before the certificates are read or built
+    walks = spy_on_walks(monkeypatch)
     g = bg.catalog("A2")
     with pytest.raises(InvalidPermutation, match="'list' object is not an"):
         green.frozen_isomorphism_check(g, [1, 0])
-    assert signs == []
+    assert walks == [] and "certificates" not in vars(g)
     assert green.frozen_isomorphism_check(g, bg.Automorphism((1, 0))).cycles() == "(1 2)"
+    assert walks == CERTIFICATE_WALKS
 
 
 def test_the_green_command_derives_the_frozen_state(monkeypatch):
-    signs = spy_on_walks(monkeypatch)
+    walks = spy_on_walks(monkeypatch)
     _, code = cli.run_experiment(
         {"command": "green", "target": "E7xE7", "skipSymbolic": True}
     )
-    assert code == 0 and signs == [1, 1]
+    assert code == 0 and walks == CERTIFICATE_WALKS
 
 
 def test_a_planted_order_three_sigma_is_a_claim_violation(monkeypatch):
@@ -522,13 +541,7 @@ def test_a_planted_order_three_sigma_is_a_claim_violation(monkeypatch):
     assert triality.cycles() == "(1 3 4)"
     ext = relabel(green.framed(g.base, -1).ext, triality.perm)
     planted = green.FramedState(n=g.n, ext=ext, history=())
-    real = green._walk
-    monkeypatch.setattr(
-        green, "_walk", lambda g, sign, *a: planted if sign == -1 else real(g, sign, *a)
-    )
-    monkeypatch.setattr(
-        green, "_derived_final", lambda *certificates: (planted.block, planted.c)
-    )
+    monkeypatch.setattr(green, "_derived_final", lambda g: (planted.block, planted.c))
     with pytest.raises(ClaimViolation, match="^half-period permutation has order"):
         green.frozen_isomorphism_check(g)
     for config in (
@@ -538,6 +551,12 @@ def test_a_planted_order_three_sigma_is_a_claim_violation(monkeypatch):
         assert cli.run_experiment(config) == (
             "falsified: half-period permutation has order above two\n", 1
         )
+
+
+def with_certificates(g, certificates):
+    """g holding certificates as the pair its `certificates` gives."""
+    vars(g)["certificates"] = certificates
+    return g
 
 
 def with_final(cert, ext):
@@ -565,38 +584,52 @@ def planted_q(g, cert, q):
     return dataclasses.replace(with_final(cert, ext), permutation=bg.Automorphism(q))
 
 
+SEQUENCES = "the certificates' sequences are the belts'"
+GAMMA_END = "the Gamma certificate ends at R_q(coframed B)"
+LAST_FACTOR = "q maps the last factor onto the whites"
+
+
 @pytest.mark.parametrize(
-    "name, broken",
+    "name, broken, premise",
     [
         # the Gamma certificate's final block is not B relabeled by q
-        ("A2xA3", lambda g, gamma, delta: (doubled_entry(gamma), delta)),
-        ("E6xE6", lambda g, gamma, delta: (doubled_entry(gamma), delta)),
+        ("A2xA3", lambda g, gamma, delta: (doubled_entry(gamma), delta), GAMMA_END),
+        ("E6xE6", lambda g, gamma, delta: (doubled_entry(gamma), delta), GAMMA_END),
         # the certificates in the wrong order, or the Gamma one twice
-        ("B2xB2", lambda g, gamma, delta: (delta, gamma)),
-        ("A2xA3", lambda g, gamma, delta: (gamma, gamma)),
+        ("B2xB2", lambda g, gamma, delta: (delta, gamma), SEQUENCES),
+        ("A2xA3", lambda g, gamma, delta: (gamma, gamma), SEQUENCES),
         # h_Gamma = 3 is odd, but q = id keeps the colours; h_Gamma = 4 is
         # even, but q swaps them.  Both pass every other premise, and
         # derived past this one they give a sigma the walk does not.
-        ("A2xA3", lambda g, gamma, delta: (planted_q(g, gamma, range(6)), delta)),
-        ("B2xB2", lambda g, gamma, delta: (planted_q(g, gamma, (1, 0, 3, 2)), delta)),
+        ("A2xA3", lambda g, gamma, delta: (planted_q(g, gamma, range(6)), delta),
+         LAST_FACTOR),
+        ("B2xB2", lambda g, gamma, delta: (planted_q(g, gamma, (1, 0, 3, 2)), delta),
+         LAST_FACTOR),
     ],
     ids=["block", "block-E6xE6", "order", "twice", "colour-kept", "colour-swapped"],
 )
-def test_a_broken_premise_falls_back_to_the_walk(monkeypatch, name, broken):
+def test_a_broken_premise_raises_no_isomorphism_naming_it(
+    monkeypatch, name, broken, premise
+):
+    # no walk runs in its place: the failed premise is a claim violation
     g = bg.catalog(name)
-    sigma = green.frozen_isomorphism_check(g)
-    certificates = broken(g, *green.verify_bipartite_belt_mgs(g))
-    assert green._derived_final(g, *certificates) is None
-    signs = spy_on_walks(monkeypatch)
-    assert green.frozen_isomorphism_check(g, certificates=certificates) == sigma
-    assert signs == [-1]
+    with_certificates(g, broken(g, *green.verify_bipartite_belt_mgs(g)))
+    walks = spy_on_walks(monkeypatch)
+    with pytest.raises(NoIsomorphism) as info:
+        green.frozen_isomorphism_check(g)
+    assert str(info.value) == "premise failed: " + premise
+    assert cli._failure(info.value) == ("falsified: premise failed: %s\n" % premise, 1)
+    assert walks == []
 
 
-def test_a_bigraph_not_known_recurrent_falls_back_to_the_walk(monkeypatch):
+def test_a_bigraph_not_known_recurrent_is_not_recurrent(monkeypatch):
+    # recurrence is read first, and with it the certificates are not
     g = bg.catalog("A2xA3")
-    certificates = green.verify_bipartite_belt_mgs(g)
     monkeypatch.setattr(green, "is_recurrent", lambda g: False)
-    assert green._derived_final(g, *certificates) is None
+    with pytest.raises(NotRecurrent, match="^the bigraph is not recurrent$") as info:
+        green.frozen_isomorphism_check(g)
+    assert cli._failure(info.value)[1] == 2
+    assert "certificates" not in vars(g)
 
 
 # -- checks narrowed to the rows a mutation changed ------------------------------
@@ -671,12 +704,7 @@ def test_mutate_y_changing_a_row_it_should_leave_raises(monkeypatch, check):
 
 @pytest.mark.parametrize(
     "check, error, match",
-    [
-        ("verify_bipartite_belt_mgs", NotComponentPreserving, "leaked into part"),
-        # the coframed belt is checked against no partition; the leaked
-        # c-vector still shows against the coefficient track
-        ("frozen_isomorphism_check", CoefficientMismatch, "after step 1 at"),
-    ],
+    [("verify_bipartite_belt_mgs", NotComponentPreserving, "leaked into part")],
 )
 def test_mutate_rows_leaking_into_another_part_raises(monkeypatch, check, error, match):
     g = bg.catalog("A2xA3")
@@ -770,8 +798,8 @@ def test_initial_y_disagreeing_with_c_block_raises_before_any_mutation(
     real_y, real_mutate = green.initial_y, green.mutate_framed
     calls = []
 
-    def wrong_y(n, sign=1):
-        y = list(real_y(n, sign))
+    def wrong_y(n):
+        y = list(real_y(n))
         y[-1] = tuple(2 * x for x in y[-1])
         return tuple(y)
 
@@ -805,10 +833,11 @@ def scanned(*tracks):
 
 @pytest.mark.parametrize("name", INDEX_TARGETS)
 def test_the_moved_rows_are_the_rows_the_identity_scan_finds(monkeypatch, name):
-    # at every mutation of all three walks: the rows _moved returns are
-    # the oracle's over the block, the c-vectors and the y rows, and the
-    # c-vectors mutate_framed checks for coherence are the oracle's over
-    # the c-vectors; on a sound walk every compare holds, so no scan runs
+    # at every mutation of both certificates and of the coframed belt,
+    # stepped here: the rows _moved returns are the oracle's over the
+    # block, the c-vectors and the y rows, and the c-vectors
+    # mutate_framed checks for coherence are the oracle's over the
+    # c-vectors; on a sound walk every compare holds, so no scan runs
     g = bg.catalog(name)
     real_moved, real_mutate = green._moved, green.mutate_framed
     real_checked, real_only = green._checked, green._only
@@ -839,8 +868,16 @@ def test_the_moved_rows_are_the_rows_the_identity_scan_finds(monkeypatch, name):
     monkeypatch.setattr(green, "mutate_framed", spy_mutate)
     monkeypatch.setattr(green, "_moved", spy_moved)
     cert_gamma, cert_delta = green.verify_bipartite_belt_mgs(g)
-    walked = green._walk(g, -1, g.whites, g.blacks, g.half_period)
-    assert seen == list(cert_gamma.sequence + cert_delta.sequence + walked.history)
+    # no engine walk steps the coframed belt: its states are stepped here
+    ks = green._sequence(g.whites, g.blacks, g.half_period)
+    state, y = green.framed(g.base, -1), start_y(g.n, -1)
+    for k in ks:
+        after = green.mutate_framed(state, k)
+        y_after = green.mutate_y(y, state.block, k)
+        green._moved(state, after, y, y_after, k)
+        state, y = after, y_after
+    assert state.ext == stepped(green.framed(g.base, -1).ext, ks)
+    assert seen == list(cert_gamma.sequence + cert_delta.sequence + ks)
     # one compare in mutate_framed and three in _moved per mutation
     assert compares == [True] * (4 * len(seen))
 
@@ -884,13 +921,6 @@ def test_a_row_changed_off_the_pivots_entry_takes_the_scan(monkeypatch, track):
             green.mutate_framed(state, k)
 
 
-def stepped(ext, ks):
-    """The rows after mutating ext at each k of ks by the dense rule."""
-    for k in ks:
-        ext = dense_mutate_rows(ext, k)
-    return ext
-
-
 @pytest.mark.parametrize("name", INDEX_TARGETS)
 def test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees(
     monkeypatch, name
@@ -930,7 +960,6 @@ def test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer(monkeypatch)
     # framed walks' certificates and final states, the dense stepped rows
     g = bg.catalog("A2xA3")
     indexed = green.verify_bipartite_belt_mgs(g)
-    coframed = green._walk(g, -1, g.whites, g.blacks, g.half_period)
     real_framed = green.framed
     built = []
 
@@ -942,11 +971,10 @@ def test_a_walk_from_a_state_with_no_index_gives_the_stepped_answer(monkeypatch)
 
     monkeypatch.setattr(green, "framed", by_hand)
     assert green.verify_bipartite_belt_mgs(g) == indexed
-    walked = green._walk(g, -1, g.whites, g.blacks, g.half_period)
-    assert (walked.ext, walked.history) == (coframed.ext, coframed.history)
-    assert walked.ext == stepped(real_framed(g.base, -1).ext, walked.history)
-    # a hand-built start for each walk: the certificates' two, the coframed one
-    assert len(built) == 3
+    for cert in indexed:
+        assert cert.final.ext == stepped(real_framed(g.base).ext, cert.sequence)
+    # a hand-built start for each walk: the certificates' two
+    assert len(built) == 2
 
 
 def test_a_block_that_is_not_skew_symmetrizable_is_never_indexed():
@@ -1228,11 +1256,7 @@ NON_PERMUTATION_C = pytest.mark.parametrize(
 
 
 @pytest.mark.parametrize(
-    "check, error, name",
-    [
-        ("verify_bipartite_belt_mgs", NotPermutation, "final C"),
-        ("frozen_isomorphism_check", NoIsomorphism, "frozen block"),
-    ],
+    "check, error, name", [("verify_bipartite_belt_mgs", NotPermutation, "final C")]
 )
 @NON_PERMUTATION_C
 def test_non_permutation_text_names_shape_and_first_rows(
@@ -1245,7 +1269,7 @@ def test_non_permutation_text_names_shape_and_first_rows(
     monkeypatch.setattr(
         green, "framed", lambda m, sign=1: green.FramedState(n=n, ext=ext, history=())
     )
-    monkeypatch.setattr(green, "initial_y", lambda n, sign=1: tuple(r[n:] for r in ext))
+    monkeypatch.setattr(green, "initial_y", lambda n: tuple(r[n:] for r in ext))
     monkeypatch.setattr(green, "_sequence", lambda first, second, factors: ())
     with pytest.raises(error) as info:
         getattr(green, check)(g)
@@ -1264,12 +1288,13 @@ def test_a_derived_state_with_a_broken_c_raises_the_walks_text(
     # the Delta certificate's final C enters the derived state relabeled
     g = bg.catalog("E7xE7")
     n = g.n
-    gamma, delta = green.verify_bipartite_belt_mgs(g)
+    gamma, delta = g.certificates
     broken = with_final(delta, tuple(row[:n] + c_row(n) for row in delta.final.ext))
-    signs = spy_on_walks(monkeypatch)
+    with_certificates(g, (gamma, broken))
+    walks = spy_on_walks(monkeypatch)
     with pytest.raises(NoIsomorphism) as info:
-        green.frozen_isomorphism_check(g, certificates=(gamma, broken))
-    assert signs == []
+        green.frozen_isomorphism_check(g)
+    assert walks == []
     assert str(info.value).startswith(
         "frozen block (49 x 49) is not minus a permutation matrix: %s" % offending
     )
@@ -1277,11 +1302,12 @@ def test_a_derived_state_with_a_broken_c_raises_the_walks_text(
 
 def test_a_derived_state_with_a_broken_block_is_no_relabeling(monkeypatch):
     g = bg.catalog("E6xE6")
-    gamma, delta = green.verify_bipartite_belt_mgs(g)
-    signs = spy_on_walks(monkeypatch)
+    gamma, delta = g.certificates
+    with_certificates(g, (gamma, doubled_entry(delta)))
+    walks = spy_on_walks(monkeypatch)
     with pytest.raises(NoIsomorphism, match="mutable block is not a relabeling"):
-        green.frozen_isomorphism_check(g, certificates=(gamma, doubled_entry(delta)))
-    assert signs == []
+        green.frozen_isomorphism_check(g)
+    assert walks == []
 
 
 def _fault_at_step(real, step, fault):

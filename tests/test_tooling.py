@@ -48,6 +48,9 @@ def test_layer_tracer_counts_both_green_tracks_and_restores_every_original():
     framed_calls = spans["green.mutate_framed"][0]
     assert framed_calls > 0 and spans["green.mutate_y"][0] == framed_calls
     assert spans["cli.run_experiment"][0] == 3
+    # green A2 and tropical A3 each read their bigraph's certificates once,
+    # through the attribute the tracer patches
+    assert spans["green.verify_bipartite_belt_mgs"][0] == 2
     # each trial steps to N and re-indexes the states up to 3N
     assert spans["tropical.step_values"][0] == trials * bg.catalog("A3").half_period
     for owner, was in zip(owners, before):
@@ -119,6 +122,16 @@ def _names(code):
 )
 def test_a_command_leaves_the_target_and_the_envelope_to_the_dispatcher(command):
     assert _names(cli._COMMANDS[command].__code__) & DISPATCHER_NAMES == set()
+
+
+# what only the bigraph's certificates (`Bigraph.certificates`) may call:
+# a command that names one walks a belt the bigraph may already hold
+CERTIFICATE_NAMES = {"verify_bipartite_belt_mgs", "_walk"}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_a_command_reads_the_certificates_the_bigraph_holds(command):
+    assert _names(cli._COMMANDS[command].__code__) & CERTIFICATE_NAMES == set()
 
 
 @pytest.mark.parametrize(
