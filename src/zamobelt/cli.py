@@ -6,18 +6,16 @@ the run before any claim could be judged, 3 on an internal error.
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import re
 import sys
-import traceback
 from fractions import Fraction
 from itertools import chain
 
-from . import belt, bigraph, green, laurent, tropical
+# each command imports the tracks it runs, so a process compiles only those
+from . import bigraph, laurent
 from .errors import ClaimViolation, InputError, NotRecurrent
 
 EXIT_OK = 0
@@ -32,6 +30,8 @@ def _failure(exc):
         return "error: %s\n" % exc, EXIT_INPUT
     if isinstance(exc, ClaimViolation):
         return "falsified: %s\n" % exc, EXIT_FALSIFIED
+    import traceback
+
     return "".join(traceback.format_exception(exc)), EXIT_INTERNAL
 
 
@@ -120,11 +120,15 @@ def _json_text(doc):
 
 
 def cmd_belt(g, args):
+    from . import belt
+
     cluster = ", ".join(v.render() for v in belt.state_at(g, args.steps))
     return {"steps": args.steps, "cluster": cluster}, EXIT_OK
 
 
 def cmd_halfperiod(g, args):
+    from . import belt
+
     states = belt.run_belt(g, 2 * g.half_period)
     report = belt.read_half_period(g, states)
     period = bigraph.first_return(states)
@@ -142,8 +146,14 @@ def cmd_halfperiod(g, args):
 
 
 def cmd_green(g, args):
+    from . import green
+
     cert_gamma, cert_delta = g.certificates
-    symbolic = None if args.skip_symbolic else belt.half_period(g).sigma
+    symbolic = None
+    if not args.skip_symbolic:
+        from . import belt
+
+        symbolic = belt.half_period(g).sigma
     frozen_sigma = green.frozen_isomorphism_check(g, symbolic)
 
     def cert_doc(cert):
@@ -169,6 +179,8 @@ def cmd_green(g, args):
 
 
 def cmd_tropical(g, args):
+    from . import green, tropical
+
     n_half = g.half_period
     rng = tropical.make_rng(args.seed)
     sigma = green.frozen_isomorphism_check(g)
@@ -196,6 +208,11 @@ def cmd_tropical(g, args):
 
 
 def cmd_census(g, args):
+    import csv
+    import io
+
+    from . import tropical
+
     lam = _parse_labeling(args.lam, g.n)
     census = tropical.colored_census(g, lam)
     ok = (
@@ -216,6 +233,8 @@ def cmd_census(g, args):
 
 
 def cmd_dual_check(g, args):
+    from . import tropical
+
     rng = tropical.make_rng(args.seed)
     labelings = chain(
         [tropical.constant_labeling(g.n, -1)],
@@ -362,6 +381,23 @@ def run_experiment(config, resolved=None):
         laurent.set_term_guard(keep_guard)
 
 
+# a suite worker's resolved targets, kept for the pool's life
+_worker_resolved = None
+
+
+def _start_worker(guard):
+    """Set up a suite worker: it runs its entries under the suite's term
+    guard, which it would inherit only from a forked parent, and resolves
+    each distinct target once however many of its entries name it."""
+    global _worker_resolved
+    laurent.set_term_guard(guard)
+    _worker_resolved = {}
+
+
+def _run_in_worker(config):
+    return run_experiment(config, _worker_resolved)
+
+
 def cmd_suite(args):
     if args.jobs < 1:
         raise InputError("jobs must be at least 1, got %d" % args.jobs)
@@ -373,14 +409,12 @@ def cmd_suite(args):
         # and every other command never need
         from concurrent.futures import ProcessPoolExecutor
 
-        # a worker runs its entries under the suite's term guard, which
-        # it would inherit only from a forked parent
         with ProcessPoolExecutor(
             max_workers=args.jobs,
-            initializer=laurent.set_term_guard,
+            initializer=_start_worker,
             initargs=(laurent.get_term_guard(),),
         ) as pool:
-            results = list(pool.map(run_experiment, configs))
+            results = list(pool.map(_run_in_worker, configs))
     else:
         # each distinct target is built and checked once per suite call
         resolved = {}

@@ -608,6 +608,54 @@ def test_a_suite_builds_each_distinct_target_once_per_call(
     assert built.count("A2") == 3
 
 
+def test_a_parallel_suite_builds_and_walks_each_target_once_per_worker(
+    tmp_path, capsys, monkeypatch
+):
+    # forked workers inherit the patches below and log each call, by
+    # pid, to a file the parent reads back
+    import concurrent.futures
+    import multiprocessing
+
+    class ForkPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            kwargs["mp_context"] = multiprocessing.get_context("fork")
+            super().__init__(*args, **kwargs)
+
+    log = tmp_path / "calls.log"
+    real_catalog, real_walk = bg.catalog, green.verify_bipartite_belt_mgs
+
+    def logged(kind, key):
+        with open(log, "a") as handle:
+            handle.write("%d %s %s\n" % (os.getpid(), kind, key))
+
+    def logging_catalog(name):
+        logged("build", name)
+        return real_catalog(name)
+
+    def logging_walk(g):
+        logged("walk", g.n)
+        return real_walk(g)
+
+    configs = [
+        {"command": "tropical", "target": "A2xA3", "trials": 3},
+        {"command": "green", "target": "A2xA3"},
+        {"command": "tropical", "target": "A2xA3", "trials": 3},
+        {"command": "census", "target": "A3"},
+        {"command": "tropical", "target": "A3", "trials": 3},
+    ]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(configs))
+    serial = run(capsys, "suite", str(path))
+    assert serial[0] == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkPool)
+    monkeypatch.setattr(bg, "catalog", logging_catalog)
+    monkeypatch.setattr(green, "verify_bipartite_belt_mgs", logging_walk)
+    assert run(capsys, "suite", str(path), "--jobs", "2") == serial
+    calls = log.read_text().splitlines()
+    assert {line.split()[1] for line in calls} == {"build", "walk"}
+    assert len(calls) == len(set(calls)), calls
+
+
 def test_a_json_target_is_read_once_per_suite_call(tmp_path, capsys, monkeypatch):
     target = tmp_path / "a3.json"
     target.write_text(json.dumps({"n": 3, "b": bg.catalog("A3").base.b}))

@@ -99,3 +99,115 @@ def test_the_laurent_free_tracks_import_neither_belt_nor_laurent(module):
     found = package_imports(module)
     assert "zamobelt.bigraph" in found
     assert found.isdisjoint({"zamobelt.belt", "zamobelt.laurent"}), found
+
+
+def package_modules(loaded):
+    return {m for m in loaded if m.partition(".")[0] == "zamobelt"}
+
+
+def test_importing_the_package_loads_no_track():
+    assert package_modules(loaded_by("zamobelt")) == {"zamobelt"}
+
+
+def test_the_bigraph_track_loads_only_what_it_imports():
+    # every bigraph of a suite is built with these alone
+    loaded = loaded_by("zamobelt.bigraph")
+    assert package_modules(loaded) == {
+        "zamobelt", "zamobelt.bigraph", "zamobelt.dynkin", "zamobelt.errors",
+    }
+
+
+def test_importing_the_cli_loads_no_track_a_command_runs():
+    loaded = package_modules(loaded_by("zamobelt.cli"))
+    assert "zamobelt.cli" in loaded
+    assert loaded.isdisjoint({"zamobelt.belt", "zamobelt.green", "zamobelt.tropical"})
+
+
+# runs `python -m zamobelt.cli` on its arguments, then prints to stderr,
+# one a line, each module the process loaded
+CLI_PROBE = """
+import atexit
+import runpy
+import sys
+
+atexit.register(lambda: sys.stderr.write("\\n".join(sorted(sys.modules))))
+runpy.run_module("zamobelt.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def cli_run_loads(*argv):
+    """Every package module one CLI run in a fresh interpreter loads."""
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert done.returncode == 0, done.stderr
+    return package_modules(done.stderr.split())
+
+
+@pytest.mark.parametrize("argv", [("halfperiod", "A2"), ("belt", "A2", "--steps", "3")])
+def test_a_symbolic_command_loads_neither_green_nor_tropical(argv):
+    loaded = cli_run_loads(*argv)
+    assert "zamobelt.belt" in loaded
+    assert loaded.isdisjoint({"zamobelt.green", "zamobelt.tropical"}), loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tropical", "A2", "--trials", "2"),
+        ("census", "A2"),
+        ("dual-check", "A2", "--trials", "2"),
+        ("green", "A2", "--skip-symbolic"),
+    ],
+)
+def test_a_laurent_free_command_does_not_load_the_belt(argv):
+    loaded = cli_run_loads(*argv)
+    assert loaded & {"zamobelt.green", "zamobelt.tropical"}
+    assert "zamobelt.belt" not in loaded, loaded
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    for name in zamobelt.__all__:
+        if name != "__version__":
+            value = getattr(zamobelt, name)
+            assert value.__module__.partition(".")[0] == "zamobelt", name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_the_package_lists_and_star_exports_its_public_names():
+    assert set(zamobelt.__all__) <= set(dir(zamobelt))
+    namespace = {}
+    exec("from zamobelt import *", namespace)
+    assert set(zamobelt.__all__) <= set(namespace)
+
+
+def test_a_track_module_resolves_as_a_package_attribute_in_a_fresh_interpreter():
+    done = subprocess.run(
+        [sys.executable, "-c", "import zamobelt; print(zamobelt.belt.__name__)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert done.stdout == "zamobelt.belt\n"
+
+
+def test_an_unknown_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError) as caught:
+        zamobelt.no_such_name
+    assert str(caught.value) == "module 'zamobelt' has no attribute 'no_such_name'"
+    assert not hasattr(zamobelt, "no_such_name")
+
+
+def test_the_cli_runs_as_a_module_without_a_warning():
+    # runpy warns when importing the package already loaded zamobelt.cli
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "zamobelt.cli", "halfperiod", "A2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert (done.returncode, done.stderr) == (0, "")
