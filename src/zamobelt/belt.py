@@ -55,6 +55,7 @@ from . import dynkin
 from .bigraph import (
     Automorphism,
     automorphism_search,
+    cartan_companion,
     classify_sigma,
     first_return,
     replay,
@@ -280,10 +281,7 @@ def denominator_bijection_check(g):
     n = g.n
     states = run_belt(g, g.half_period - 2)
     collected = Counter(v.denominator_vector() for v in _produced(g, states))
-    cartan = tuple(
-        tuple(2 if i == j else -g.gamma[i][j] for j in range(n)) for i in range(n)
-    )
-    expected = Counter(dynkin.positive_roots(cartan))
+    expected = Counter(dynkin.positive_roots(cartan_companion(g.gamma, range(n))))
     for i in range(n):
         expected[tuple(-1 if j == i else 0 for j in range(n))] += 1
     return collected == expected

@@ -354,6 +354,14 @@ def _connected_components(weights):
     ]
 
 
+def cartan_companion(weights, vertices):
+    """2I - W on vertices, in their order: the Cartan companion of the
+    unsigned matrix weights restricted to them."""
+    return tuple(
+        tuple(2 if a == b else -weights[a][b] for b in vertices) for a in vertices
+    )
+
+
 def _component_data(weights):
     """The connected components of the unsigned matrix weights, in order
     of their lowest vertex, each with its Dynkin type and Coxeter number,
@@ -365,18 +373,11 @@ def _component_data(weights):
     types = {}
     comps = []
     for vertices in _connected_components(weights):
-        k = len(vertices)
-        cartan = tuple(
-            tuple(
-                2 if a == b else -weights[vertices[a]][vertices[b]]
-                for b in range(k)
-            )
-            for a in range(k)
-        )
+        cartan = cartan_companion(weights, vertices)
         if cartan not in types:
             hit = dynkin.recognize(cartan)
             if hit is None:
-                types[cartan] = (None, k, None)
+                types[cartan] = (None, len(vertices), None)
             else:
                 family, rank = hit
                 types[cartan] = (family, rank, dynkin.coxeter_number(family, rank))

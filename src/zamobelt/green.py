@@ -20,8 +20,10 @@ the old rows with those written in, against the new ones, each read by
 identity first.  Only when a compare fails, which a sound rule never
 makes happen, does a scan of every row find those that are not their old
 objects, so a rule that changes a row it should leave is still checked
-there, at the same step.  A walk state keeps its mutations as a trail of
-pairs, so a mutation costs the same at step 1 and at step 1 000.
+there, at the same step.  A state (`FramedState`) stores what the walk
+holds: the block, its index, the packed c-vectors and its mutations as
+a trail of pairs, so a mutation costs the same at step 1 and at step
+1 000; the n x 2n `ext` and the `history` are views built on first read.
 
 The c-vectors and the y rows are packed: a row is one int of n
 FIELD_BITS-wide fields, entry j in the j-th from the most significant,
@@ -44,7 +46,7 @@ entry sends the tracks apart.
 import functools
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import compress, count
 from operator import gt, is_not, itemgetter, lt, neg
 
@@ -125,84 +127,83 @@ def _parts(row, unit, offset):
     return (row & up) - (offset & up), (row & down) - (offset & down)
 
 
-@dataclass(frozen=True)
 class FramedState:
-    """The n x 2n framed matrix and the mutations that led to it, held as
-    `block`, the mutable block's int tuples, `c`, the packed c-vectors,
-    and `index`, each block row's `bigraph.support`; `ext` is built from
-    them when first read.  A walk state holds its mutations as `trail`,
-    (previous trail, k) back to (), and their count as `steps`, so a
-    mutation adds one pair and copies nothing; `history` is built from
-    the trail when first read, as `ext` is.  A state built by hand (or
-    by `dataclasses.replace`) is checked as it is built: its block must
-    be skew-symmetrizable (NotSkewSymmetrizable) and each c-vector
+    """The n x 2n framed matrix and the mutations that led to it, held as a
+    walk holds them: `block`, the mutable block's int tuples, `c`, the
+    packed c-vectors, `index`, each block row's `bigraph.support`,
+    `trail`, the mutations as (previous trail, k) pairs back to (), and
+    `steps`, their count, so a mutation adds one pair and copies nothing.
+    `ext`, the n x 2n rows, and `history`, the mutations in order, are
+    views built from those when first read.  FramedState(n, ext, history)
+    builds a state by hand and checks it: its block must be
+    skew-symmetrizable (NotSkewSymmetrizable) and each c-vector
     sign-coherent (SignCoherenceViolation).  `framed` and `mutate_framed`
-    build their states from ones known to be both.  Equality reads n,
-    ext, history.
+    build theirs unchecked (`_state`) from states known to be both.  A
+    state is read-only; equality and hash read n, the block, the
+    c-vectors and history, never the index; copy and pickle rebuild it
+    from (n, ext, history), so they never recurse into the trail.
     """
 
-    n: int
-    ext: tuple
-    history: tuple
-    block: tuple = field(init=False, compare=False, repr=False)
-    c: tuple = field(init=False, compare=False, repr=False)
-    index: tuple = field(init=False, compare=False, repr=False)
-    trail: tuple = field(init=False, compare=False, repr=False)
-    steps: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        block, c, index = _split(self.n, self.ext)
+    def __init__(self, n, ext, history):
+        pack = _codec(n).pack
+        block = tuple(row[:n] for row in ext)
+        c = tuple(pack(row[n:]) for row in ext)
         symmetrizer(block)
-        vars(self).update(block=block, c=c, index=index, steps=len(self.history))
-        _checked(self, range(self.n))
+        trail = ()
+        for k in history:
+            trail = (trail, k)
+        vars(self).update(
+            n=n, block=block, c=c, index=tuple(map(support, block)),
+            trail=trail, steps=len(history),
+        )
+        _checked(self, range(n))
 
-    def __getattr__(self, name):
-        # a walk state builds ext and history when first read; a state
-        # given its history builds its trail when first mutated
-        known = vars(self)
-        if name == "ext":
-            unpack = _codec(self.n).unpack
-            value = tuple(row + unpack(c) for row, c in zip(self.block, self.c))
-        elif name == "history" and "trail" in known:
-            ks = []
-            trail = self.trail
-            while trail:
-                trail, k = trail
-                ks.append(k)
-            ks.reverse()
-            value = tuple(ks)
-        elif name == "trail" and "history" in known:
-            value = ()
-            for k in self.history:
-                value = (value, k)
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+    @functools.cached_property
+    def ext(self):
+        unpack = _codec(self.n).unpack
+        return tuple(row + unpack(c) for row, c in zip(self.block, self.c))
 
-    def __getstate__(self):
+    @functools.cached_property
+    def history(self):
+        ks = []
+        trail = self.trail
+        while trail:
+            trail, k = trail
+            ks.append(k)
+        return tuple(reversed(ks))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.block, self.c, self.history) == (
+            other.n, other.block, other.c, other.history
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.block, self.c, self.history))
+
+    def __repr__(self):
+        return "FramedState(n=%d, ext=%r, steps=%d)" % (self.n, self.ext, self.steps)
+
+    def __reduce__(self):
         # the trail nests one pair per mutation, deeper than copy and
         # pickle recurse: they take the history, flat, in its place
-        state = dict(vars(self), history=self.history)
-        state.pop("trail", None)
-        return state
+        return FramedState, (self.n, self.ext, self.history)
 
     def c_matrix(self):
         return tuple(map(_codec(self.n).unpack, self.c))
 
 
-def _split(n, ext):
-    """The block, the packed c-vectors and the index of an n x 2n ext."""
-    pack = _codec(n).pack
-    block = tuple(row[:n] for row in ext)
-    return block, tuple(pack(row[n:]) for row in ext), tuple(map(support, block))
-
-
-def _state(n, history, block, c, index):
+def _state(n, trail, block, c, index, steps=0):
+    """The state of parts already known sound, built unchecked."""
     state = object.__new__(FramedState)
-    vars(state).update(
-        n=n, history=history, steps=len(history), block=block, c=c, index=index
-    )
+    vars(state).update(n=n, block=block, c=c, index=index, trail=trail, steps=steps)
     return state
 
 
@@ -269,19 +270,12 @@ def mutate_framed(state, k):
     index entry and k, when no other c-vector changed (`_only`), and
     otherwise every one that is not its old int.  A vertex that is not
     an int raises InvalidVertex, as in `bigraph.composite_mutation`."""
-    n = state.n
-    require_int_vertex(k)
-    if not 0 <= k < n:
-        raise FrozenVertex("vertex %d is not mutable" % (k + 1))
+    _require_mutable(k, state.n)
     index = list(state.index)
     rows = sorted((*index[k], k))
     c = mutate_c(state.c, state.block, k, index[k])
     block = mutate_rows(state.block, k, index)
-    after = object.__new__(FramedState)
-    vars(after).update(
-        n=n, trail=(state.trail, k), steps=state.steps + 1,
-        block=block, c=c, index=tuple(index),
-    )
+    after = _state(state.n, (state.trail, k), block, c, tuple(index), state.steps + 1)
     if not _only(rows, state.c, c):
         rows = compress(count(), map(is_not, state.c, c))
     return _checked(after, rows)
@@ -298,10 +292,16 @@ def _only(rows, old, new):
     return out == [*new]
 
 
-def vertex_status(state, k):
+def _require_mutable(k, n):
+    """Refuse k unless it is an int (InvalidVertex) naming one of the n
+    mutable vertices (FrozenVertex)."""
     require_int_vertex(k)
-    if not 0 <= k < state.n:
+    if not 0 <= k < n:
         raise FrozenVertex("vertex %d is not mutable" % (k + 1))
+
+
+def vertex_status(state, k):
+    _require_mutable(k, state.n)
     offset = _codec(state.n).offset
     return GREEN if state.c[k] & offset == offset else RED
 

@@ -22,6 +22,7 @@ import dataclasses
 import json
 import pathlib
 import pickle
+import random
 import re
 import weakref
 
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zamobelt.belt as belt
 import zamobelt.bigraph as bg
 import zamobelt.cli as cli
 import zamobelt.green as green
@@ -79,7 +81,12 @@ def plant(ext, history=()):
     """A state of the n x 2n ext built as a walk builds one, unchecked:
     how a test plants a state the public constructor refuses."""
     n = len(ext)
-    return green._state(n, history, *green._split(n, ext))
+    trail = ()
+    for k in history:
+        trail = (trail, k)
+    block = tuple(row[:n] for row in ext)
+    c = tuple(packed(row[n:]) for row in ext)
+    return green._state(n, trail, block, c, tuple(map(bg.support, block)), len(history))
 
 
 # -- framed mutation goldens -----------------------------------------------
@@ -445,9 +452,9 @@ def test_both_mutations_commute_with_relabeling(case, data):
     )
     # the engine relabels the block at p in both indices and the packed
     # c-vectors at p in the row only
-    block, c = green._split(n, ext)[:2]
-    assert green._relabeled(block, bg.Automorphism(p)) == relabel(block, p)
-    assert bg.Automorphism(p).relabel(c) == green._split(n, relabel(ext, p))[1]
+    state = plant(ext)
+    assert green._relabeled(state.block, bg.Automorphism(p)) == relabel(state.block, p)
+    assert bg.Automorphism(p).relabel(state.c) == plant(relabel(ext, p)).c
     after = relabel(dense_mutate_rows(ext, p[k]), p)
     assert dense_mutate_rows(relabel(ext, p), k) == after
     assert framed_step(relabel(ext, p), k) == after
@@ -523,6 +530,37 @@ def test_a_list_symbolic_sigma_is_refused_before_any_walk(monkeypatch):
     assert walks == [] and "certificates" not in vars(g)
     assert green.frozen_isomorphism_check(g, bg.Automorphism((1, 0))).cycles() == "(1 2)"
     assert walks == CERTIFICATE_WALKS
+
+
+RELABELED_TARGETS = bg.catalog_names() + ["D5", "E6", "A2xA4", "C3xA2"]
+
+
+def relabeled_target(g, pi):
+    """g read back through `from_json` with vertex v renamed pi[v]: b and
+    epsilon permuted alike."""
+    old = bg.Automorphism(pi).inverse
+    return bg.from_json({
+        "n": g.n,
+        "b": [list(row) for row in relabel(g.base.b, old.perm)],
+        "epsilon": list(old.relabel(g.epsilon)),
+    })
+
+
+@pytest.mark.parametrize("name", RELABELED_TARGETS)
+def test_a_relabeled_target_conjugates_sigma(name):
+    # renaming vertex v to pi(v) leaves N alone and conjugates the
+    # half-period sigma: pi sigma pi^-1, on the green track and on the
+    # symbolic one, which every target here (n <= 9) runs in tier-1 time
+    g = bg.catalog(name)
+    sigma = green.frozen_isomorphism_check(g)
+    rng = random.Random(name)
+    for _ in range(3):
+        pi = tuple(rng.sample(range(g.n), g.n))
+        h = relabeled_target(g, pi)
+        want = bg.Automorphism(tuple(pi[sigma(v)] for v in bg.Automorphism(pi).inverse))
+        assert h.half_period == g.half_period, pi
+        assert green.frozen_isomorphism_check(h) == want, pi
+        assert belt.half_period(h).sigma == want, pi
 
 
 def test_the_green_command_derives_the_frozen_state(monkeypatch):
@@ -644,10 +682,23 @@ def test_framed_state_equality_ignores_the_index():
     by_hand = green.FramedState(n=state.n, ext=state.ext, history=())
     assert by_hand.index == state.index and by_hand.index is not state.index
     assert state == by_hand and hash(state) == hash(by_hand)
-    assert dataclasses.replace(state).index == state.index
     assert green.mutate_framed(by_hand, 0) == green.mutate_framed(state, 0)
     stale = green._state(state.n, (), state.block, state.c, ({},) * state.n)
     assert stale == state and hash(stale) == hash(state)
+
+
+@pytest.mark.parametrize("name", ["n", "block", "c", "ext", "history"])
+def test_a_framed_state_is_read_only(name):
+    # a walk state and a hand-built one alike: neither an assignment nor
+    # a deletion takes, and the state still equals its twin
+    state = green.mutate_framed(framed_of("A3"), 0)
+    by_hand = green.FramedState(n=state.n, ext=state.ext, history=state.history)
+    for s in (state, by_hand):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, getattr(s, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, name)
+    assert state == by_hand
 
 
 def test_a_walk_state_holds_its_history_as_a_trail_and_no_earlier_state():

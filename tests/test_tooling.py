@@ -1,7 +1,10 @@
 """The benchmark's layer tracer, the demos and the README's library
-example still run against the engine."""
+example still run against the engine, and its reports still hash to the
+pinned digest."""
 
+import hashlib
 import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -21,15 +24,16 @@ import zamobelt.tropical as tropical
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("layers", ROOT / "bench" / "layers.py")
+def _load_bench(name):
+    """The benchmark's module bench/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_layer_tracer_counts_both_green_tracks_and_restores_every_original():
-    layers = _load_layers()
+    layers = _load_bench("layers")
     owners = (belt, bg, cli, green, laurent.Laurent, tropical)
     before = [dict(vars(owner)) for owner in owners]
     tracer = layers.Tracer()
@@ -59,6 +63,28 @@ def test_layer_tracer_counts_both_green_tracks_and_restores_every_original():
         assert all(now[name] is value for name, value in was.items()), owner
 
 
+# The digest's configs: the benchmark's experiments, then a 25-step belt
+# and a symbolic green run on each of these targets.
+DIGEST_TARGETS = ("A3", "D4", "E6", "A2xA4", "fig2-F4xA2", "fig1-A5starD4", "D4xA2")
+REPORT_DIGEST = "8283398f214d4768"
+
+
+def test_the_reports_hash_to_the_pinned_digest():
+    # one SHA-256 over json.dumps([config, text, code]) of each config's
+    # run: every report byte and exit code of 111 runs, pinned
+    workloads = _load_bench("workloads")
+    configs = [c for w in workloads.WORKLOADS for c in workloads.experiments(w)]
+    configs += [{"command": "belt", "target": t, "steps": 25} for t in DIGEST_TARGETS]
+    configs += [{"command": "green", "target": t} for t in DIGEST_TARGETS]
+    digest, codes = hashlib.sha256(), set()
+    for config in configs:
+        text, code = cli.run_experiment(config)
+        codes.add(code)
+        digest.update(json.dumps([config, text, code]).encode())
+    assert (len(configs), codes) == (111, {0})
+    assert digest.hexdigest()[:16] == REPORT_DIGEST, "a report or an exit code changed"
+
+
 # The kernels the integer tracks run once per step, per mutation or per
 # labeling entry.  In CPython before 3.12 each comprehension, generator
 # expression or lambda is a nested code object called with a frame of
@@ -85,6 +111,7 @@ KERNELS = (
     (green, "_state"),
     (green, "mutate_y"),
     (green, "_checked"),
+    (green, "_require_mutable"),
     (green, "vertex_status"),
     (green, "_points_inside"),
     (green, "_only"),
