@@ -24,9 +24,9 @@ _EXPORTS = {
         "detect_period", "half_period", "initial_state", "run_belt",
     ),
     "dynkin": ("cartan_matrix", "coxeter_number", "positive_roots", "recognize"),
-    "errors": ("ClaimViolation", "InputError"),
+    "errors": ("ClaimViolation", "InputError", "set_term_guard"),
     "green": ("frozen_isomorphism_check", "verify_bipartite_belt_mgs"),
-    "laurent": ("Laurent", "set_term_guard", "variables"),
+    "laurent": ("Laurent", "variables"),
     "tropical": (
         "colored_census", "dual_transfer_check", "tropical_half_period",
         "tropical_period",

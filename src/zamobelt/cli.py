@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 
 # each command imports the tracks it runs, so a process compiles only those
-from . import bigraph, laurent
+from . import bigraph, errors
 from .errors import ClaimViolation, InputError, NotRecurrent
 
 EXIT_OK = 0
@@ -345,7 +345,7 @@ def run_experiment(config, resolved=None):
     (`_resolve_target`); without it the target is built and checked
     afresh.
     """
-    keep_guard = laurent.get_term_guard()
+    keep_guard = errors.get_term_guard()
     try:
         if not isinstance(config, dict):
             kind = _JSON_TYPES.get(type(config), type(config).__name__)
@@ -364,7 +364,7 @@ def run_experiment(config, resolved=None):
         if guard is not None:
             if not _is_json_int(guard) or guard < 1:
                 raise _config_error("termGuard", "a positive integer", guard)
-            laurent.set_term_guard(guard)
+            errors.set_term_guard(guard)
         args = argparse.Namespace(target=target, out=None, resolved=resolved)
         for key, (dest, accepts, kind) in options.items():
             if key not in config:
@@ -378,7 +378,7 @@ def run_experiment(config, resolved=None):
     except Exception as exc:
         return _failure(exc)
     finally:
-        laurent.set_term_guard(keep_guard)
+        errors.set_term_guard(keep_guard)
 
 
 # a suite worker's resolved targets, kept for the pool's life
@@ -390,7 +390,7 @@ def _start_worker(guard):
     guard, which it would inherit only from a forked parent, and resolves
     each distinct target once however many of its entries name it."""
     global _worker_resolved
-    laurent.set_term_guard(guard)
+    errors.set_term_guard(guard)
     _worker_resolved = {}
 
 
@@ -412,7 +412,7 @@ def cmd_suite(args):
         with ProcessPoolExecutor(
             max_workers=args.jobs,
             initializer=_start_worker,
-            initargs=(laurent.get_term_guard(),),
+            initargs=(errors.get_term_guard(),),
         ) as pool:
             results = list(pool.map(_run_in_worker, configs))
     else:
@@ -507,7 +507,7 @@ def _term_guard(flag):
     if text is None:
         source, text = "ZAMOBELT_TERM_GUARD", os.environ.get("ZAMOBELT_TERM_GUARD")
         if not text:
-            return laurent.DEFAULT_TERM_GUARD
+            return errors.DEFAULT_TERM_GUARD
     try:
         value = _ascii_int(text)
     except argparse.ArgumentTypeError as exc:
@@ -523,9 +523,9 @@ def main(argv=None):
     """Run one command line; the term guard it sets holds for this call
     only, as a suite entry's does in run_experiment."""
     args = _build_parser()[0].parse_args(argv)
-    keep_guard = laurent.get_term_guard()
+    keep_guard = errors.get_term_guard()
     try:
-        laurent.set_term_guard(_term_guard(args.term_guard))
+        errors.set_term_guard(_term_guard(args.term_guard))
         if args.command == "suite":
             text, code = cmd_suite(args)
         else:
@@ -535,7 +535,7 @@ def main(argv=None):
         text, code = _failure(exc)
         sys.stderr.write(text)
     finally:
-        laurent.set_term_guard(keep_guard)
+        errors.set_term_guard(keep_guard)
     return code
 
 

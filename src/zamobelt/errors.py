@@ -5,6 +5,11 @@ request itself was bad (unknown name, malformed matrix, guard tripped)
 and maps to exit code 2; ClaimViolation means the engine ran fine but a
 mathematical claim failed on the input, and maps to exit code 1.  Any
 other exception is an internal error and maps to exit code 3.
+
+The term guard, the one resource limit a run sets, is held here beside
+TermGuardExceeded: `laurent` checks every polynomial it builds against
+it, and the CLI sets it per command line or suite entry without loading
+`laurent`.
 """
 
 
@@ -34,6 +39,30 @@ class ArityMismatch(InputError):
 
 class TermGuardExceeded(InputError):
     """A polynomial grew past the configured term ceiling."""
+
+
+DEFAULT_TERM_GUARD = 10**6
+
+_term_guard = DEFAULT_TERM_GUARD
+
+
+def set_term_guard(limit):
+    """Set the global ceiling on the term count of any single polynomial."""
+    global _term_guard
+    if limit < 1:
+        raise ValueError("term guard must be positive")
+    _term_guard = int(limit)
+
+
+def get_term_guard():
+    return _term_guard
+
+
+def check_term_guard(nterms):
+    if nterms > _term_guard:
+        raise TermGuardExceeded(
+            "polynomial has %d terms, guard is %d" % (nterms, _term_guard)
+        )
 
 
 class ExponentOverflow(InputError):

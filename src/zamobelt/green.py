@@ -4,26 +4,27 @@ Two bookkeeping tracks run at once: matrix mutation of the n x 2n
 extension, whose frozen columns are the c-vectors, and the coefficient
 rule in the tropical semifield (exponent vectors, addition the
 componentwise min).  They must agree row for row after every mutation;
-that is asserted, not assumed.  The green certificates run through one
-checked walk, `_walk`, and `frozen_isomorphism_check` reads the coframed
-belt's end off them, as the bigraph holds them (`Bigraph.certificates`),
-with no walk.  That it returns to the coframed matrix up to relabeling is
-Nakanishi's synchronicity (C_t = +-P fixes the whole seed; J. LMS
-2021).  Every state is sign-coherent with a skew-symmetrizable block:
-`framed` builds one, a state built by hand is refused otherwise, and
-after each mutation the checks read only the rows it changed.  A mutation
-at k returns each row it leaves alone as the very same object, in the
-block, the c-vectors and the y rows, and on a skew-symmetrizable block
-it changes the pivot's index entry and k.  So those are taken as the
-moved rows, and `_only` confirms it with one C-level compare per track:
-the old rows with those written in, against the new ones, each read by
-identity first.  Only when a compare fails, which a sound rule never
-makes happen, does a scan of every row find those that are not their old
-objects, so a rule that changes a row it should leave is still checked
-there, at the same step.  A state (`FramedState`) stores what the walk
-holds: the block, its index, the packed c-vectors and its mutations as
-a trail of pairs, so a mutation costs the same at step 1 and at step
-1 000; the n x 2n `ext` and the `history` are views built on first read.
+that is asserted, not assumed.  Each green certificate is one walk,
+`_certify`, which runs every check in its own body, and
+`frozen_isomorphism_check` reads the coframed belt's end off them, as
+the bigraph holds them (`Bigraph.certificates`), with no walk.  That it
+returns to the coframed matrix up to relabeling is Nakanishi's
+synchronicity (C_t = +-P fixes the whole seed; J. LMS 2021).  Every
+state is sign-coherent with a skew-symmetrizable block: `framed` builds
+one, a state built by hand is refused otherwise, and after each mutation
+the checks read only the rows it changed.  A mutation at k returns each
+row it leaves alone as the very same object, in the block, the c-vectors
+and the y rows, and on a skew-symmetrizable block it changes the pivot's
+index entry and k.  So those are taken as the moved rows, and `_only`
+confirms it with one C-level compare per track: the old rows with those
+written in, against the new ones, each read by identity first.  Only
+when a compare fails, which a sound rule never makes happen, does a scan
+of every row find those that are not their old objects, so a rule that
+changes a row it should leave is still checked there, at the same step.
+A state (`FramedState`) stores what the walk holds: the block, its
+index, the packed c-vectors and its mutations as a trail of pairs, so a
+mutation costs the same at step 1 and at step 1 000; the n x 2n `ext`
+and the `history` are views built on first read.
 
 The c-vectors and the y rows are packed: a row is one int of n
 FIELD_BITS-wide fields, entry j in the j-th from the most significant,
@@ -48,7 +49,7 @@ import struct
 from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import compress, count
-from operator import gt, is_not, itemgetter, lt, neg
+from operator import is_not, itemgetter, neg
 
 from .bigraph import (
     Automorphism,
@@ -207,13 +208,16 @@ def _state(n, trail, block, c, index, steps=0):
     return state
 
 
+def _unit_rows(n, sign):
+    """The packed rows of sign * I."""
+    offset = _codec(n).offset
+    return tuple(offset + (sign << FIELD_BITS * (n - 1 - i)) for i in range(n))
+
+
 def framed(m, sign=1):
     """B over sign * I: the framed matrix, or with sign -1 the coframed one."""
-    n = m.n
-    offset = _codec(n).offset
-    c = tuple(offset + (sign << FIELD_BITS * (n - 1 - i)) for i in range(n))
     # m is an ExchangeMatrix: its b is skew-symmetrizable
-    return _state(n, (), m.b, c, tuple(map(support, m.b)))
+    return _state(m.n, (), m.b, _unit_rows(m.n, sign), tuple(map(support, m.b)))
 
 
 def _when(history):
@@ -316,23 +320,13 @@ def _normalize_partition(n, partition):
     return parts
 
 
-def is_component_preserving(state, partition, k):
-    """Green k may only point negatively inside its own part; red k may
-    only point positively inside its own part.  Frozen columns satisfy
-    this through sign-coherence, which every state has, so only the
-    mutable entries of row k are read, in the index."""
-    parts = _normalize_partition(state.n, partition)
-    status = vertex_status(state, k)
-    # no part holds a frozen k; vertex_status rejects it
-    return _points_inside(state, k, next((p for p in parts if k in p), ()), status)
-
-
-def _points_inside(state, k, own, status):
-    """is_component_preserving for pivot row k, given the normalized
-    part holding k and k's status."""
-    offends = lt if status == GREEN else gt
+def _points_inside(state, k, own):
+    """Does green k point negatively only inside own, the part holding
+    k?  Frozen columns satisfy this through sign-coherence, which every
+    state has, so only the mutable entries of row k are read, in the
+    index."""
     for j, x in state.index[k].items():
-        if offends(x, 0) and j not in own:
+        if x < 0 and j not in own:
             return False
     return True
 
@@ -477,7 +471,7 @@ def _minus_permutation(c_rows, error, name):
     whose -1 sits in the column of an earlier row's."""
     n = len(c_rows)
     code = _codec(n)
-    column = {code.offset - (1 << FIELD_BITS * (n - 1 - j)): j for j in range(n)}
+    column = {row: j for j, row in enumerate(_unit_rows(n, -1))}
     perm = [column.pop(row, None) for row in c_rows]
     offending = [i for i, j in enumerate(perm) if j is None]
     if offending:
@@ -498,16 +492,22 @@ def _sequence(first, second, factors):
     return tuple(k for f in range(factors) for k in (second if f % 2 else first))
 
 
-def _walk(g, first, second, factors, check, name):
-    """The final state of `factors` alternating factors of first and
-    second, from the framed matrix, both tracks compared at the start
-    and on the rows each mutation moved.
-    `mutate_framed` runs first, so a vertex out of range is a
-    FrozenVertex; check(before, k, after, moved) runs before the compare.
-    On a recurrent g a whole colour's mutation negates B, so the block is
-    -B where an odd factor ends, B where an even one does; the first
-    factor where it is not is raised, naming the walk, once the walk is
-    done, as a check that names its step and vertex raises first."""
+def _certify(g, first, second, factors, partition, name="the green sequence"):
+    """The certificate of `factors` alternating factors of first and
+    second, walked from the framed matrix, both tracks compared at the
+    start and on the rows each mutation moved.  `mutate_framed` runs
+    first, so a vertex out of range is a FrozenVertex; then the pivot
+    must have been green, point negatively only inside its part, and
+    mutate as its part's restriction does, before the y rows are
+    compared.  On a recurrent g a whole colour's mutation negates B, so
+    the block is -B where an odd factor ends, B where an even one does;
+    the first factor where it is not is raised, naming the walk, once
+    the walk is done, as a check that names its step and vertex raises
+    first.  Then no vertex may be green, and -C must be P_sigma."""
+    part_of = [None] * g.n
+    for part in _normalize_partition(g.n, partition):
+        for v in part:
+            part_of[v] = part
     state = framed(g.base)
     y = tuple(map(_codec(g.n).pack, initial_y(g.n)))
     _assert_y_matches_c(state, y, range(g.n))
@@ -521,7 +521,11 @@ def _walk(g, first, second, factors, check, name):
         after = mutate_framed(state, k)
         y_after = mutate_y(y, state.block, k)
         moved = _moved(state, after, y, y_after, k)
-        check(state, k, after, moved)
+        if vertex_status(state, k) != GREEN:
+            raise NotGreenAtStep(t, k)
+        if not _points_inside(state, k, part_of[k]):
+            raise NotComponentPreserving("vertex %d at position %d" % (k + 1, t))
+        _check_restriction_commutes(state, after, part_of, k, moved)
         _assert_y_matches_c(after, y_after, moved)
         state, y = after, y_after
         if t in ends and not broken and state.block != blocks[ends[t] % 2]:
@@ -534,26 +538,6 @@ def _walk(g, first, second, factors, check, name):
             "%s: the mutable block is not %sB after factor %d: entry (%d,%d) is %d, "
             "not %d" % (name, "-" * (f % 2), f, i + 1, j + 1, block[i][j], want[i][j])
         )
-    return state
-
-
-def _certify(g, first, second, factors, partition, name="the green sequence"):
-    part_of = [None] * g.n
-    for part in _normalize_partition(g.n, partition):
-        for v in part:
-            part_of[v] = part
-
-    def check(before, k, after, moved):
-        position = after.steps
-        if vertex_status(before, k) != GREEN:
-            raise NotGreenAtStep(position, k)
-        if not _points_inside(before, k, part_of[k], GREEN):
-            raise NotComponentPreserving(
-                "vertex %d at position %d" % (k + 1, position)
-            )
-        _check_restriction_commutes(before, after, part_of, k, moved)
-
-    state = _walk(g, first, second, factors, check, name)
     still_green = [k for k in range(g.n) if vertex_status(state, k) == GREEN]
     if still_green:
         raise NotMaximal("vertices %s still green" % [k + 1 for k in still_green])
@@ -591,7 +575,7 @@ def _derived_final(g):
          and cert_delta.sequence == _sequence(g.whites, g.blacks, g.h_delta),
          "the certificates' sequences are the belts'"),
         (cert_gamma.final.block == _relabeled(g.base.b, q)
-         and cert_gamma.final.c == q.relabel(framed(g.base, -1).c),
+         and cert_gamma.final.c == q.relabel(_unit_rows(g.n, -1)),
          "the Gamma certificate ends at R_q(coframed B)"),
         (sorted(map(q, last)) == g.whites, "q maps the last factor onto the whites"),
     ):

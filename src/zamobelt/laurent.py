@@ -16,7 +16,10 @@ slice of that sum only when the division reaches it, so a dividend far
 larger than its quotient is held whole only when the division fails.
 `divexact` is its case of one monomial.  The term guard bounds what is
 held: each power and head product, each dividend slice, the quotient
-and any remainder.  Every sum of term products (a product, a dividend
+and any remainder.  Its value is held in `errors`, beside
+TermGuardExceeded, so a run that makes no polynomial never loads this
+module; `set_term_guard`, `get_term_guard` and DEFAULT_TERM_GUARD import
+from here as well.  Every sum of term products (a product, a dividend
 slice with the products waiting to land in it, a remainder) goes
 through one accumulate loop, `_slice_product`.
 
@@ -38,41 +41,21 @@ from array import array
 from operator import add, gt, sub
 
 from .errors import (
+    DEFAULT_TERM_GUARD,
     ArityMismatch,
     DivisionByZero,
     ExponentOverflow,
     NotDivisible,
-    TermGuardExceeded,
     ZeroPolynomial,
+    check_term_guard,
+    get_term_guard,
+    set_term_guard,
 )
-
-DEFAULT_TERM_GUARD = 10**6
 
 # Width of one variable's exponent field; exponents lie in [-BIAS, BIAS).
 FIELD_BITS = 16
 BIAS = 1 << (FIELD_BITS - 1)
 _STRUCT_CODE = {8: "b", 16: "h", 32: "i", 64: "q"}[FIELD_BITS]
-
-_term_guard = DEFAULT_TERM_GUARD
-
-
-def set_term_guard(limit):
-    """Set the global ceiling on the term count of any single polynomial."""
-    global _term_guard
-    if limit < 1:
-        raise ValueError("term guard must be positive")
-    _term_guard = int(limit)
-
-
-def get_term_guard():
-    return _term_guard
-
-
-def _check_guard(nterms):
-    if nterms > _term_guard:
-        raise TermGuardExceeded(
-            "polynomial has %d terms, guard is %d" % (nterms, _term_guard)
-        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,7 +104,7 @@ def _scan(packed, nvars):
 
 def _new(nvars, packed, lo, hi):
     """Wrap a packed term map whose exact degree bounds are lo, hi."""
-    _check_guard(len(packed))
+    check_term_guard(len(packed))
     p = object.__new__(Laurent)
     p.nvars = nvars
     p._packed = packed
@@ -184,7 +167,7 @@ def _divide(n, plan, divisor, qlo, qhi):
         s = -heappop(todo)
         # the slice's own products, then the waiting ones landing in it
         rem = _slice_product(plan.get(s, []) + waiting.pop(s, []))
-        _check_guard(len(rem))
+        check_term_guard(len(rem))
         heap = [-key for key in rem]
         heapq.heapify(heap)
         found = []
@@ -199,7 +182,7 @@ def _divide(n, plan, divisor, qlo, qhi):
                 return quot, False
             qc = c // lc_b
             quot[lead_r - lead_b + offset] = qc
-            _check_guard(len(quot))
+            check_term_guard(len(quot))
             del rem[lead_r]
             found.append((lead_r, -qc))
             for step, cb in same:
@@ -242,7 +225,7 @@ class Laurent:
                     )
                 if coeff:
                     clean[tuple(exps)] = coeff
-        _check_guard(len(clean))
+        check_term_guard(len(clean))
         lo = hi = None
         if clean:
             lo, hi = _bounds(clean)

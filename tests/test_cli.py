@@ -7,6 +7,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import random
 import signal
 import tracemalloc
 from fractions import Fraction
@@ -1111,13 +1112,13 @@ def test_a_suite_builds_each_targets_dual_once(tmp_path, capsys, monkeypatch):
 def test_a_suite_walks_each_targets_certificates_once(tmp_path, capsys, monkeypatch):
     # tropical and green read sigma off the certificates the bigraph holds:
     # the suite resolves A2xA3 once, so its two certificate walks run once
-    walks, real_walk = [], green._walk
+    walks, real_walk = [], green._certify
 
     def counting_walk(*args):
         walks.append(args[-1])
         return real_walk(*args)
 
-    monkeypatch.setattr(green, "_walk", counting_walk)
+    monkeypatch.setattr(green, "_certify", counting_walk)
     configs = [
         {"command": "tropical", "target": "A2xA3", "seed": 7, "trials": 3},
         {"command": "green", "target": "A2xA3", "skipSymbolic": True},
@@ -1161,6 +1162,57 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, "halfperiod", "A2", "--out", str(target))
     assert code == 2 and out == ""
     assert err == "error: cannot write %s: No such file or directory\n" % target
+
+
+# -- the exit code on random input ---------------------------------------------
+
+
+def random_bigraph_document(rng):
+    """A JSON bigraph of at most 7 vertices: a random colouring, edges
+    mostly between colours, |b_ij| <= 3 with |b_ji| often equal, and the
+    colouring given as epsilon half the time."""
+    n = rng.randint(1, 7)
+    colour = [rng.choice("wb") for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5 and (colour[i] != colour[j] or rng.random() < 0.1):
+                sign, weight = rng.choice((1, -1)), rng.randint(1, 3)
+                back = weight if rng.random() < 0.6 else rng.randint(1, 3)
+                b[i][j], b[j][i] = sign * weight, -sign * back
+    doc = {"n": n, "b": b}
+    if rng.random() < 0.5:
+        doc["epsilon"] = colour
+    return doc
+
+
+# belt stays at 2 steps: on some recurrent bigraphs outside the theorem
+# the values grow so fast that a few more steps run for minutes
+FUZZED_COMMANDS = [
+    {"command": "halfperiod"},
+    {"command": "green", "skipSymbolic": True},
+    {"command": "tropical"},
+    {"command": "census"},
+    {"command": "dual-check"},
+    {"command": "belt", "steps": 2},
+]
+
+
+def test_random_bigraphs_exit_zero_or_two(tmp_path):
+    # a claim of the paper never fails and no run ends in an internal
+    # error: every input either meets the hypotheses and is verified, or
+    # is rejected under a named InputError
+    rng = random.Random(31)
+    codes = {}
+    for index in range(300):
+        doc = random_bigraph_document(rng)
+        path = tmp_path / ("g%d.json" % index)
+        path.write_text(json.dumps(doc))
+        for config in FUZZED_COMMANDS:
+            text, code = run_experiment(dict(config, target=str(path)))
+            assert code in (0, 2), (doc, config, text)
+            codes[code] = codes.get(code, 0) + 1
+    assert min(codes.get(0, 0), codes.get(2, 0)) > 300, codes
 
 
 # -- byte-identical reports -------------------------------------------------------

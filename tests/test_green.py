@@ -255,35 +255,32 @@ def test_sparse_mutate_y_matches_dense_formula_and_keeps_untouched_rows(case):
 
 
 def test_is_component_preserving_goldens():
+    # a green pivot points negatively only inside its own part
     state = framed_of("A2")
-    assert green.is_component_preserving(state, ({0}, {1}), 0)
-    assert not green.is_component_preserving(state, ({0}, {1}), 1)
-    assert green.is_component_preserving(state, ({0, 1},), 1)
+    assert green._points_inside(state, 0, (0,))
+    assert not green._points_inside(state, 1, (1,))
+    assert green._points_inside(state, 1, (0, 1))
 
 
-def test_is_component_preserving_on_a_red_vertex():
-    # after mu_2 on A2, row 2 is (1, 0 | 0, -1): red, and it points
-    # positively at vertex 1
-    state = green.mutate_framed(framed_of("A2"), 1)
-    assert green.vertex_status(state, 1) == "red"
-    assert not green.is_component_preserving(state, ({0}, {1}), 1)
-    assert green.is_component_preserving(state, ({0, 1},), 1)
+def test_a_pivot_pointing_out_of_its_part_names_its_vertex_and_position():
+    # on A2, green vertex 2 has b_21 = -1, which points at vertex 1, in
+    # another part: the walk's first mutation is refused
+    with pytest.raises(NotComponentPreserving) as info:
+        green._certify(
+            bg.catalog("A2"), first=[1], second=[0], factors=1, partition=[(0,), (1,)]
+        )
+    assert str(info.value) == "vertex 2 at position 1"
 
 
 def test_a_hand_built_state_with_an_incoherent_c_vector_is_refused():
     # red vertex 1 whose c-vector (1, -1) also points positively: no state
-    # holds one, so is_component_preserving reads no frozen column
+    # holds one, so _points_inside reads no frozen column
     ext = ((0, 1, 1, -1), (-1, 0, 0, 1))
     text = r"^c-vector 1 is \(1, -1\) %s$"
     with pytest.raises(SignCoherenceViolation, match=text % "at the start"):
         green.FramedState(n=2, ext=ext, history=())
     with pytest.raises(SignCoherenceViolation, match=text % "after step 2 at vertex 1"):
         green.FramedState(n=2, ext=ext, history=(1, 0))
-
-
-def test_is_component_preserving_rejects_frozen_index():
-    with pytest.raises(FrozenVertex):
-        green.is_component_preserving(framed_of("A2"), ({0}, {1}), 2)
 
 
 # -- maximal green certification -------------------------------------------------
@@ -507,13 +504,13 @@ def test_the_derive_reads_the_certificates_rows_as_they_are_held(monkeypatch, na
 
 def spy_on_walks(monkeypatch):
     """The name of each walk run from now on."""
-    real, walks = green._walk, []
+    real, walks = green._certify, []
 
-    def spy(g, first, second, factors, check, name):
+    def spy(g, first, second, factors, partition, name):
         walks.append(name)
-        return real(g, first, second, factors, check, name)
+        return real(g, first, second, factors, partition, name)
 
-    monkeypatch.setattr(green, "_walk", spy)
+    monkeypatch.setattr(green, "_certify", spy)
     return walks
 
 
@@ -550,9 +547,12 @@ def relabeled_target(g, pi):
 def test_a_relabeled_target_conjugates_sigma(name):
     # renaming vertex v to pi(v) leaves N alone and conjugates the
     # half-period sigma: pi sigma pi^-1, on the green track and on the
-    # symbolic one, which every target here (n <= 9) runs in tier-1 time
+    # symbolic one, which every target here (n <= 9) runs in tier-1 time.
+    # It keeps the period, the census size, the Coxeter numbers and both
+    # certificates' lengths.
     g = bg.catalog(name)
     sigma = green.frozen_isomorphism_check(g)
+    kept = relabeling_invariants(g)
     rng = random.Random(name)
     for _ in range(3):
         pi = tuple(rng.sample(range(g.n), g.n))
@@ -560,7 +560,22 @@ def test_a_relabeled_target_conjugates_sigma(name):
         want = bg.Automorphism(tuple(pi[sigma(v)] for v in bg.Automorphism(pi).inverse))
         assert h.half_period == g.half_period, pi
         assert green.frozen_isomorphism_check(h) == want, pi
-        assert belt.half_period(h).sigma == want, pi
+        states = belt.run_belt(h, 2 * h.half_period)
+        assert belt.read_half_period(h, states).sigma == want, pi
+        assert relabeling_invariants(h, states) == kept, pi
+
+
+def relabeling_invariants(g, states=None):
+    """The period of a 2N belt run, the census size on a plain target,
+    [h_Gamma, h_Delta] and the certificates' sequence lengths."""
+    if states is None:
+        states = belt.run_belt(g, 2 * g.half_period)
+    return (
+        bg.first_return(states),
+        len(belt.read_census(g, states)) if g.plain else None,
+        [g.h_gamma, g.h_delta],
+        [len(cert.sequence) for cert in g.certificates],
+    )
 
 
 def test_the_green_command_derives_the_frozen_state(monkeypatch):

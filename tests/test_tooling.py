@@ -153,7 +153,7 @@ def test_a_command_leaves_the_target_and_the_envelope_to_the_dispatcher(command)
 
 # what only the bigraph's certificates (`Bigraph.certificates`) may call:
 # a command that names one walks a belt the bigraph may already hold
-CERTIFICATE_NAMES = {"verify_bipartite_belt_mgs", "_walk"}
+CERTIFICATE_NAMES = {"verify_bipartite_belt_mgs", "_certify"}
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

@@ -1,13 +1,16 @@
 """Max-plus belt on scaled ints: periods, shifts, duals, colored counts."""
 
 import json
+import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zamobelt.belt as belt
 import zamobelt.bigraph as bg
 import zamobelt.cli as cli
 import zamobelt.green as green
@@ -712,3 +715,47 @@ def test_every_entry_point_reads_each_labeling_once(monkeypatch):
     read.clear()
     list(tr.half_period_runs(g, [lam] + others, sigma))
     assert read == [lam] + others
+
+
+# -- the bridge to the symbolic track -------------------------------------------
+#
+# Every belt value is a Laurent polynomial with positive coefficients and
+# the exchange relation is subtraction-free, so no term ever cancels: the
+# max-plus run at lambda is, at every time and vertex, max <e, lambda>
+# over the value's exponents e, the support function of its Newton
+# polytope.  The two tracks are computed apart.
+
+SUPPORT_TARGETS = [
+    "A3", "B3", "C3", "G2", "D4", "E6", "A2xA3", "B2xB2", "G2xG2",
+    "fig1-A5starD4", "fig2-F4xA2",
+]
+
+
+def support_labelings(n, seed):
+    """Every +-e_i, then 5 seeded int vectors with entries in [-9, 9]."""
+    rng = random.Random(seed)
+    units = [
+        tuple(sign * (j == i) for j in range(n)) for i in range(n) for sign in (1, -1)
+    ]
+    return units + [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(5)]
+
+
+@pytest.mark.parametrize("name", SUPPORT_TARGETS)
+def test_the_tropical_run_is_the_support_function_of_the_belt_values(name):
+    g = bg.catalog(name)
+    steps = 2 * g.half_period
+    exponents = []
+    for state in belt.run_belt(g, steps):
+        row = []
+        for value in state:
+            terms = value.terms
+            assert min(terms.values()) > 0
+            row.append(tuple(terms))
+        exponents.append(row)
+    for lam in support_labelings(g.n, name):
+        scale, states = tr.scaled_states(g, lam, steps)
+        assert len(states) == len(exponents) == steps + 1
+        for t, (row, values) in enumerate(zip(exponents, states)):
+            for i, (es, x) in enumerate(zip(row, values)):
+                top = max(sum(map(mul, e, lam)) for e in es)
+                assert scale * top == x, (lam, t, i + 1)
