@@ -32,13 +32,14 @@ on states it reads S_{N-c}[k] = rho(S_c[pi(k)]).  With M = N - N // 2,
 the run steps to S_M and checks that identity at c = N - M exactly.  If
 it holds, the uniqueness argument gives it at every c, so S_{M+1}, ...,
 S_N are renamed copies of S_{N-M-1}, ..., S_0 and cost no division.
-The paper's theorem (S_N is S_0 relabeled by an involution sigma) makes
-the check pass with rho = (sigma pi)^(-1), a colour-reversing
-automorphism, so rho is drawn from those.  A lazy search yields them one
-at a time, and the run tries at most MIRROR_TRIES, stopping at the
-first that passes; so a bigraph with a huge symmetry group costs a few
-tries, not its group.  Nothing relies on the theorem: without a passing
-candidate the run steps forward.
+Renaming by rho permutes every value's d-vector (`denominator_vector`)
+the same way, so the d-vectors at M force rho: variable i goes to the
+lowest free variable whose column of d-vectors in S_M equals i's column
+in pi(S_{N-M}) (`_renaming`).  That one rho is checked; for odd N no
+automorphism search runs, and for even N the search yields only pi.  The
+paper's theorem (S_N is S_0 relabeled by an involution sigma) makes the
+check pass with rho = (sigma pi)^(-1), but nothing relies on it: when no
+rho is read or the check fails, the run steps forward.
 
 Replay.  If read_half_period accepts S_N, it holds the initial
 variables relabeled by an involution sigma of (Gamma, Delta),
@@ -49,7 +50,6 @@ track shares).  If the verdict rejects S_N, the run steps forward.
 """
 
 from collections import Counter
-from itertools import chain, islice
 
 from . import dynkin
 from .bigraph import (
@@ -71,10 +71,6 @@ from .errors import (
     SearchBoundExceeded,
 )
 from .laurent import Laurent, exchange
-
-# The mirror check tries at most this many rho; past them the run steps.
-# On every catalog and sweep entry the passing rho is the first or second.
-MIRROR_TRIES = 8
 
 
 def initial_state(g):
@@ -155,43 +151,39 @@ def _advance(g, states, last):
         states.append(step(g, len(states) - 1, states[-1]))
 
 
-def mirror_candidates(g, n_steps):
-    """(pi, rhos) for the mirror about the midpoint of the first n_steps
-    steps, or None when there is no candidate: pi is the identity
-    Automorphism for odd n_steps and the first colour-reversing one for
-    even n_steps, and rhos lazily yields the first MIRROR_TRIES
-    colour-reversing Automorphisms, each found only when it is tried."""
-    try:
-        rhos = automorphism_search(g, "colorReversing")
-    except SearchBoundExceeded:
-        return None
-    first = next(rhos, None)
-    if first is None:
-        return None
-    pi = Automorphism.identity(g.n) if n_steps % 2 else first
-    return pi, islice(chain([first], rhos), MIRROR_TRIES)
+def _renaming(before, after):
+    """The one candidate rho for after[k] == before[k].rename(rho) at
+    every k, or None.  Renaming moves variable i's column of d-vectors
+    to column rho(i), so i goes to the lowest free j whose column in
+    after equals i's column in before; the caller checks rho exactly.
+    """
+    free = {}
+    for j, column in enumerate(zip(*(v.denominator_vector() for v in after))):
+        free.setdefault(column, []).append(j)
+    rho = []
+    for column in zip(*(v.denominator_vector() for v in before)):
+        if not free.get(column):
+            return None
+        rho.append(free[column].pop(0))
+    return Automorphism(tuple(rho))
 
 
 def _mirror(g, states, n_steps, last):
     """Derive the states after the midpoint M up to time last from the
-    ones before it, if some candidate passes the exact check at M."""
+    ones before it, if the rho read off the d-vectors at M passes the
+    exact check there; for odd n_steps pi = id and nothing is searched."""
     mid = len(states) - 1
     if last <= mid:
         return
-    candidates = mirror_candidates(g, n_steps)
-    if candidates is None:
-        return
-    pi, rhos = candidates
-    at_mid, source = states[mid], states[n_steps - mid]
-    rho = next(
-        (
-            rho
-            for rho in rhos
-            if all(at_mid[k] == source[pi(k)].rename(rho) for k in range(g.n))
-        ),
-        None,
-    )
-    if rho is None:
+    pi = Automorphism.identity(g.n)
+    if n_steps % 2 == 0:
+        try:
+            pi = next(automorphism_search(g, "colorReversing"))
+        except (SearchBoundExceeded, StopIteration):
+            return
+    at_mid, source = states[mid], pi.relabel(states[n_steps - mid])
+    rho = _renaming(source, at_mid)
+    if rho is None or any(at_mid[k] != source[k].rename(rho) for k in range(g.n)):
         return
     for c in range(mid, last):
         source = states[n_steps - c - 1]

@@ -39,7 +39,8 @@ from .errors import (
 WHITE = "w"
 BLACK = "b"
 
-# The automorphism search refuses bigraphs on more vertices than this.
+# The automorphism search refuses bigraphs on more vertices than this; in
+# a run only the even-N symbolic mirror searches, for its pi.
 SEARCH_BOUND = 16
 
 
@@ -656,15 +657,18 @@ def automorphism_search(g, kind="all"):
     The colour is a condition of placing each vertex, not a filter: the
     search relabels (Gamma, Delta) onto itself with each vertex's colour
     on the diagonal, swapped on the target side for "colorReversing".
-    Backtracking keeps the search sound for every n, but it raises
-    SearchBoundExceeded at once when n is over SEARCH_BOUND.
+    Backtracking keeps it sound for every n, but any other kind raises
+    InputError, and n over SEARCH_BOUND SearchBoundExceeded, at once.
     """
+    if kind not in ("all", "colorPreserving", "colorReversing"):
+        raise InputError("unknown automorphism kind %r: expected 'all', "
+                         "'colorPreserving' or 'colorReversing'" % (kind,))
     if g.n > SEARCH_BOUND:
         raise SearchBoundExceeded(
             "automorphism search on %d vertices exceeds bound %d"
             % (g.n, SEARCH_BOUND)
         )
-    coloured = kind in ("colorPreserving", "colorReversing")
+    coloured = kind != "all"
     colours = [g.eta(k) if coloured else 0 for k in range(g.n)]
     targets = [1 - c for c in colours] if kind == "colorReversing" else colours
 

@@ -9,6 +9,7 @@ import sympy
 import zamobelt.belt as belt
 import zamobelt.bigraph as bg
 import zamobelt.cli as cli
+import zamobelt.green as green
 from zamobelt.errors import (
     ClaimViolation,
     InputError,
@@ -184,7 +185,6 @@ def test_even_n_without_a_colour_reversing_automorphism_steps_to_n(name, monkeyp
     g = bg.catalog(name)
     assert g.half_period % 2 == 0
     assert list(bg.automorphism_search(g, "colorReversing")) == []
-    assert belt.mirror_candidates(g, g.half_period) is None
     calls = count_steps(monkeypatch)
     states = belt.run_belt(g, 2 * g.half_period)
     assert calls == list(range(g.half_period))
@@ -210,56 +210,104 @@ def test_mirror_check_rejects_a_perturbed_midpoint_value():
 def test_mirror_check_rejects_a_wrong_rho_and_the_run_steps(monkeypatch):
     g = bg.catalog("A4")
     n_steps = g.half_period
-    pi, rhos = belt.mirror_candidates(g, n_steps)
-    rhos = list(rhos)
-    wrong = tuple(range(g.n))  # colour-preserving: never the mirror's rho
-    monkeypatch.setattr(belt, "mirror_candidates", lambda *_: (pi, [wrong]))
-    calls = count_steps(monkeypatch)
-    states = belt.run_belt(g, 2 * n_steps)
-    assert calls == list(range(n_steps))
-    assert states == forward_trajectory(g, 2 * n_steps)
-    # a wrong candidate ahead of the right one is passed over
-    monkeypatch.setattr(belt, "mirror_candidates", lambda *_: (pi, [wrong, *rhos]))
-    calls.clear()
-    assert belt.run_belt(g, 2 * n_steps) == states
-    assert calls == list(range(midpoint(g)))
-
-
-def test_mirror_tries_at_most_a_fixed_number_of_rhos(monkeypatch):
-    # the right rho behind MIRROR_TRIES wrong ones is never reached
-    g = bg.catalog("A4")
-    n_steps = g.half_period
-    right = list(bg.automorphism_search(g, "colorReversing"))
-    wrong = [tuple(range(g.n))] * belt.MIRROR_TRIES
-    monkeypatch.setattr(belt, "automorphism_search", lambda *_: iter(wrong + right))
     reference = forward_trajectory(g, 2 * n_steps)
     calls = count_steps(monkeypatch)
     assert belt.run_belt(g, 2 * n_steps) == reference
-    assert calls == list(range(n_steps))
-    # one fewer wrong rho, and the right one is reached
-    monkeypatch.setattr(belt, "automorphism_search", lambda *_: iter(wrong[1:] + right))
-    calls.clear()
-    assert belt.run_belt(g, 2 * n_steps) == reference
     assert calls == list(range(midpoint(g)))
+    # colour-preserving: never the mirror's rho; and no rho at all
+    for planted in (bg.Automorphism.identity(g.n), None):
+        monkeypatch.setattr(belt, "_renaming", lambda *_: planted)
+        calls.clear()
+        assert belt.run_belt(g, 2 * n_steps) == reference
+        assert calls == list(range(n_steps)), planted
 
 
-def test_mirror_candidates():
-    a2 = bg.catalog("A2")  # N = 5: pi is the identity
-    pi, rhos = belt.mirror_candidates(a2, a2.half_period)
-    assert (pi, list(rhos)) == (bg.Automorphism((0, 1)), [bg.Automorphism((1, 0))])
-    g = bg.catalog("A2xA2")  # N = 6: pi is the first colour-reversing one
-    pi, rhos = belt.mirror_candidates(g, g.half_period)
-    rhos = list(rhos)
-    assert rhos == list(bg.automorphism_search(g, "colorReversing"))
-    assert pi == rhos[0] and len(rhos) == 2
+def read_rhos(g, monkeypatch):
+    """The rhos the mirror reads on a run of g to N, each with whether
+    it passed the exact check."""
+    read = []
+    reader = belt._renaming
+
+    def recording(before, after):
+        rho = reader(before, after)
+        passed = rho is not None and all(
+            a == b.rename(rho) for a, b in zip(after, before)
+        )
+        read.append((rho, passed))
+        return rho
+
+    monkeypatch.setattr(belt, "_renaming", recording)
+    belt.run_belt(g, g.half_period)
+    return read
 
 
-def test_mirror_candidates_none_beyond_the_search_bound():
+@pytest.mark.parametrize(
+    "name", list(dict.fromkeys(bg.catalog_names() + _sweep_targets()))
+)
+def test_the_read_rho_is_the_green_sigma(name, monkeypatch):
+    # rho = (sigma pi)^-1, which is sigma itself for odd N, where pi = id;
+    # even N without a colour-reversing pi reads no rho
+    g = bg.catalog(name)
+    read = read_rhos(g, monkeypatch)
+    if g.half_period % 2:
+        pi = bg.Automorphism.identity(g.n)
+    else:
+        pi = next(bg.automorphism_search(g, "colorReversing"), None)
+        if pi is None:
+            assert read == []
+            return
+    sigma = green.frozen_isomorphism_check(g)
+    sigma_pi = bg.Automorphism(tuple(sigma(pi(k)) for k in range(g.n)))
+    assert read == [(sigma_pi.inverse, True)]
+
+
+def test_an_odd_n_bigraph_beyond_the_search_bound_mirrors(monkeypatch):
     g = bg.catalog("A9xA2")
     assert g.n == 18 and g.half_period % 2 == 1
     with pytest.raises(SearchBoundExceeded):
         bg.automorphism_search(g, "colorReversing")
-    assert belt.mirror_candidates(g, g.half_period) is None
+    reference = forward_trajectory(g, g.half_period)
+    calls = count_steps(monkeypatch)
+    assert belt.run_belt(g, g.half_period) == reference
+    assert calls == list(range(midpoint(g)))
+
+
+@pytest.mark.parametrize("name", ["A2", "D4xA2", "fig2-F4xA2", "A9xA2"])
+def test_an_odd_n_run_mirrors_without_an_automorphism_search(name, monkeypatch):
+    def no_search(*_):
+        raise AssertionError("an odd-N run searched for automorphisms")
+
+    monkeypatch.setattr(belt, "automorphism_search", no_search)
+    g = bg.catalog(name)
+    calls = count_steps(monkeypatch)
+    belt.run_belt(g, g.half_period)
+    assert calls == list(range(midpoint(g)))
+
+
+def test_renaming_recovers_a_planted_permutation():
+    g = bg.catalog("D4xA2")
+    state = belt.run_belt(g, 3)[3]
+    columns = list(zip(*(v.denominator_vector() for v in state)))
+    assert len(set(columns)) == g.n  # no tie: the reader has one answer
+    planted = bg.Automorphism((3, 0, 7, 1, 6, 2, 5, 4))
+    renamed = tuple(v.rename(planted) for v in state)
+    assert belt._renaming(state, renamed) == planted
+    assert belt._renaming(renamed, state) == planted.inverse
+
+
+def test_renaming_is_none_on_a_column_with_no_partner():
+    x1, x2 = variables(2)
+    # columns (-1, 0), (0, -1) against (-1, -1), (0, 1)
+    assert belt._renaming((x1, x2), (x1, Laurent.monomial((1, -1)))) is None
+
+
+def test_renaming_breaks_a_tie_by_the_lowest_free_column():
+    x1, x2, x3 = variables(3)
+    # before's columns 0 and 1 are equal, so a renaming by (2, 0, 1) is
+    # read as (0, 2, 1): the first tied column takes the lowest partner
+    before = (x1 * x2, x1 * x2 + x3, x3)
+    after = tuple(v.rename((2, 0, 1)) for v in before)
+    assert belt._renaming(before, after) == bg.Automorphism((0, 2, 1))
 
 
 def disjoint_a2s(copies):
@@ -277,10 +325,13 @@ def zero_bigraph(n):
 
 
 @pytest.mark.parametrize(
-    "g", [disjoint_a2s(8), zero_bigraph(12)], ids=["8xA2", "zero-b-12"]
+    "g, searched",
+    [(disjoint_a2s(8), 0), (zero_bigraph(12), 1)],
+    ids=["8xA2", "zero-b-12"],
 )
-def test_mirror_on_a_large_symmetry_group_draws_one_candidate(g, monkeypatch):
-    # 8! and 6!^2 colour-reversing automorphisms; the first passes
+def test_mirror_on_a_large_symmetry_group_draws_one_candidate(g, searched, monkeypatch):
+    # 8! and 6!^2 colour-reversing automorphisms; the mirror reads one rho.
+    # 8xA2 has odd N and draws no automorphism; zero-b-12 draws one, its pi
     drawn = []
     search = bg.automorphism_search
 
@@ -291,10 +342,15 @@ def test_mirror_on_a_large_symmetry_group_draws_one_candidate(g, monkeypatch):
 
     monkeypatch.setattr(belt, "automorphism_search", counting_search)
     n_steps = g.half_period
+    assert n_steps % 2 == 1 - searched
+    calls = count_steps(monkeypatch)
     for steps in (n_steps, 2 * n_steps + 3):
+        reference = forward_trajectory(g, steps)
         drawn.clear()
-        assert belt.run_belt(g, steps) == forward_trajectory(g, steps)
-        assert len(drawn) == 1, steps
+        calls.clear()
+        assert belt.run_belt(g, steps) == reference
+        assert len(drawn) == searched, steps
+        assert calls == list(range(midpoint(g))), steps
 
 
 def test_belt_outside_the_theorem_steps_forward():

@@ -477,6 +477,25 @@ def test_colour_kinds_are_the_colour_classes_of_all_automorphisms(name):
         ]
 
 
+@pytest.mark.parametrize("kind", ["colourReversing", "reversing", "", None])
+def test_automorphism_search_refuses_an_unknown_kind(kind, monkeypatch):
+    # once read as "all": A2xA2 has 4 automorphisms, 2 colour-reversing
+    targets = [bg.catalog("A2xA2"), bg.catalog("A9xA2")]  # 18 > SEARCH_BOUND
+
+    def no_search(*_):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(bg.dynkin, "relabelings", no_search)
+    for g in targets:
+        with pytest.raises(InputError) as info:
+            bg.automorphism_search(g, kind)
+        assert type(info.value) is InputError
+        assert str(info.value) == (
+            "unknown automorphism kind %r: expected 'all', 'colorPreserving'"
+            " or 'colorReversing'" % (kind,)
+        )
+
+
 def test_automorphism_search_is_lazy():
     # 12 isolated vertices, 6 of each colour: 6!^2 colour-reversing
     # automorphisms, of which the first comes without enumerating the rest
