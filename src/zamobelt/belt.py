@@ -25,21 +25,21 @@ for the state at time c.  Two facts let it derive states instead:
   reversal of time, t -> t + s or t -> s - t, provided pi preserves
   colours when s is even and reverses them when s is odd.
 
-Mirror.  Take pi = id when N is odd and a colour-reversing automorphism
-when N is even, so that s = N + 1 fits, and any permutation rho of the
-variables.  Then T_k(t) -> rho(T_{pi(k)}(N + 1 - t)) is a symmetry, and
-on states it reads S_{N-c}[k] = rho(S_c[pi(k)]).  With M = N - N // 2,
-the run steps to S_M and checks that identity at c = N - M exactly.  If
-it holds, the uniqueness argument gives it at every c, so S_{M+1}, ...,
-S_N are renamed copies of S_{N-M-1}, ..., S_0 and cost no division.
-Renaming by rho permutes every value's d-vector (`denominator_vector`)
-the same way, so the d-vectors at M force rho: variable i goes to the
-lowest free variable whose column of d-vectors in S_M equals i's column
-in pi(S_{N-M}) (`_renaming`).  That one rho is checked; for odd N no
-automorphism search runs, and for even N the search yields only pi.  The
-paper's theorem (S_N is S_0 relabeled by an involution sigma) makes the
-check pass with rho = (sigma pi)^(-1), but nothing relies on it: when no
-rho is read or the check fails, the run steps forward.
+Mirror.  For odd N, s = N + 1 is even and fits pi = id, so for any
+permutation rho of the variables T_k(t) -> rho(T_k(N + 1 - t)) is a
+symmetry; on states it reads S_{N-c}[k] = rho(S_c[k]).  With
+M = N - N // 2, M - 1 = N - M, so the run steps to S_M and checks that
+identity once, as S_M = rho(S_{M-1}).  If it holds, the uniqueness
+argument gives it at every c, so S_{M+1}, ..., S_N are renamed copies of
+S_{M-2}, ..., S_0 and cost no division.  Renaming by rho permutes every
+value's d-vector (`denominator_vector`) the same way, so the d-vectors
+force rho: variable i goes to the lowest free variable whose column of
+d-vectors in S_M equals i's column in S_{M-1} (`_renaming`).  That one
+rho is checked.  The paper's theorem (S_N is S_0 relabeled by an
+involution sigma) makes the check pass with rho = sigma, but nothing
+relies on it: when no rho is read or the check fails, the run steps
+forward.  An even N would need a colour-reversing pi, found only by an
+automorphism search, so an even-N run searches nothing and steps to N.
 
 Replay.  If read_half_period accepts S_N, it holds the initial
 variables relabeled by an involution sigma of (Gamma, Delta),
@@ -54,7 +54,6 @@ from collections import Counter
 from . import dynkin
 from .bigraph import (
     Automorphism,
-    automorphism_search,
     cartan_companion,
     classify_sigma,
     first_return,
@@ -68,7 +67,6 @@ from .errors import (
     NoPermutationMatch,
     NotAdmissibleBigraph,
     NotDivisible,
-    SearchBoundExceeded,
 )
 from .laurent import Laurent, exchange
 
@@ -99,9 +97,9 @@ def run_belt(g, steps):
     """Trajectory of steps+1 states starting from the initial cluster.
 
     Every state equals the one stepping forward would give.  Past the
-    midpoint of the first N steps the run derives states by the mirror,
-    and past N by the replay (see the module docstring), wherever their
-    checks hold; everywhere else it steps.
+    midpoint of the first N steps, for odd N, the run derives states by
+    the mirror, and past N by the replay (see the module docstring),
+    wherever their checks hold; everywhere else it steps.
     """
     if steps < 0:
         raise InputError("steps must be nonnegative")
@@ -170,18 +168,12 @@ def _renaming(before, after):
 
 def _mirror(g, states, n_steps, last):
     """Derive the states after the midpoint M up to time last from the
-    ones before it, if the rho read off the d-vectors at M passes the
-    exact check there; for odd n_steps pi = id and nothing is searched."""
+    ones before it, if n_steps is odd and the rho read off the d-vectors
+    at M passes the exact check S_M = rho(S_{M-1}) there."""
     mid = len(states) - 1
-    if last <= mid:
+    if n_steps % 2 == 0 or last <= mid:
         return
-    pi = Automorphism.identity(g.n)
-    if n_steps % 2 == 0:
-        try:
-            pi = next(automorphism_search(g, "colorReversing"))
-        except (SearchBoundExceeded, StopIteration):
-            return
-    at_mid, source = states[mid], pi.relabel(states[n_steps - mid])
+    at_mid, source = states[mid], states[n_steps - mid]
     rho = _renaming(source, at_mid)
     if rho is None or any(at_mid[k] != source[k].rename(rho) for k in range(g.n)):
         return
@@ -189,7 +181,7 @@ def _mirror(g, states, n_steps, last):
         source = states[n_steps - c - 1]
         values = list(states[-1])
         for k, _, _ in g.movers[c % 2]:
-            values[k] = source[pi(k)].rename(rho)
+            values[k] = source[k].rename(rho)
         states.append(tuple(values))
 
 

@@ -39,8 +39,9 @@ from .errors import (
 WHITE = "w"
 BLACK = "b"
 
-# The automorphism search refuses bigraphs on more vertices than this; in
-# a run only the even-N symbolic mirror searches, for its pi.
+# The automorphism search refuses bigraphs on more vertices than this.  No
+# run searches; the bound guards the library search, which `fold` callers
+# use to find their tau.
 SEARCH_BOUND = 16
 
 
@@ -113,8 +114,14 @@ class ExchangeMatrix:
 
 
 def exchange_matrix(rows):
-    """Validated exchange matrix; every entry must be a plain int."""
+    """Validated exchange matrix: a square of plain ints."""
     b = _freeze(rows)
+    for i, row in enumerate(b):
+        if len(row) != len(b):
+            raise NotSkewSymmetrizable(
+                "row %d has length %d, not %d: the matrix is not square"
+                % (i + 1, len(row), len(b))
+            )
     for i, row in enumerate(b):
         for j, x in enumerate(row):
             if type(x) is not int:
@@ -277,7 +284,12 @@ class Bigraph:
 
     @functools.cached_property
     def recurrent(self):
-        """The verdict of `is_recurrent`, computed once per bigraph."""
+        """True iff mutating all whites, or all blacks, negates the matrix.
+
+        The composite around a full period is the identity exactly when
+        both one-color composites negate, so both are checked; one alone
+        is not enough in general.  Cached, so the CLI's check of a target
+        and a later premise check share it."""
         minus = _freeze([[-x for x in row] for row in self.base.b])
         return all(
             composite_mutation(self.base, color_set).b == minus
@@ -423,17 +435,6 @@ def decompose(m, epsilon=None):
         gamma_components=_component_data(gamma),
         delta_components=_component_data(delta),
     )
-
-
-def is_recurrent(g):
-    """True iff mutating all whites, or all blacks, negates the matrix.
-
-    The composite around a full period is the identity exactly when both
-    one-color composites negate, so both are checked; one alone is not
-    enough in general.  The verdict is cached on g (`Bigraph.recurrent`),
-    so the CLI's check of a target and a later premise check share it.
-    """
-    return g.recurrent
 
 
 def _tensor_rows(family_l, rank_l, family_r, rank_r):

@@ -52,7 +52,7 @@ def _resolve_target(target, resolved=None):
         g = bigraph.load_bigraph(target)
     else:
         g = bigraph.catalog(target)
-    if not bigraph.is_recurrent(g):
+    if not g.recurrent:
         raise NotRecurrent(
             "%s is not recurrent: mutating every white vertex, or every "
             "black one, does not negate its exchange matrix" % target

@@ -12,6 +12,8 @@ it, and the CLI sets it per command line or suite entry without loading
 `laurent`.
 """
 
+import reprlib
+
 
 class InputError(Exception):
     """Bad input or a resource guard stopped the run."""
@@ -47,11 +49,14 @@ _term_guard = DEFAULT_TERM_GUARD
 
 
 def set_term_guard(limit):
-    """Set the global ceiling on the term count of any single polynomial."""
+    """Set the global ceiling on the term count of any single polynomial:
+    a positive int, a bool not being one."""
     global _term_guard
-    if limit < 1:
-        raise ValueError("term guard must be positive")
-    _term_guard = int(limit)
+    if type(limit) is not int or limit < 1:
+        raise ValueError(
+            "term guard must be a positive int, not %s" % reprlib.repr(limit)
+        )
+    _term_guard = limit
 
 
 def get_term_guard():

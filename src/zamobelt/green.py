@@ -54,7 +54,6 @@ from operator import is_not, itemgetter, neg
 from .bigraph import (
     Automorphism,
     classify_sigma,
-    is_recurrent,
     mutate_rows,
     require_automorphism,
     require_int_vertex,
@@ -512,7 +511,7 @@ def _certify(g, first, second, factors, partition, name="the green sequence"):
     y = tuple(map(_codec(g.n).pack, initial_y(g.n)))
     _assert_y_matches_c(state, y, range(g.n))
     b = g.base.b
-    blocks = (b, tuple(tuple(map(neg, row)) for row in b)) if is_recurrent(g) else ()
+    blocks = (b, tuple(tuple(map(neg, row)) for row in b)) if g.recurrent else ()
     ends, t, broken = {}, 0, None
     for f in range(1, factors + 1) if blocks else ():
         t += len(first if f % 2 else second)
@@ -565,7 +564,7 @@ def _relabeled(rows, p):
 
 def _derived_final(g):
     """The coframed belt's end as (block, packed c), off `g.certificates`."""
-    if not is_recurrent(g):
+    if not g.recurrent:
         raise NotRecurrent("the bigraph is not recurrent")
     cert_gamma, cert_delta = g.certificates
     q = cert_gamma.permutation

@@ -1,6 +1,8 @@
 """Symbolic belt recursion: periodicity, half-period permutation, censuses."""
 
+import hashlib
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -170,21 +172,50 @@ def count_steps(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["A2", "A2xA2", "fig2-F4xA2"])
+def disjoint_a2s(copies):
+    # whites first, then blacks: copy c joins vertex c to vertex copies + c
+    n = 2 * copies
+    b = [[0] * n for _ in range(n)]
+    for c in range(copies):
+        b[c][copies + c], b[copies + c][c] = 1, -1
+    return bg.from_json({"n": n, "b": b, "epsilon": ["w"] * copies + ["b"] * copies})
+
+
+def zero_bigraph(n):
+    b = [[0] * n for _ in range(n)]
+    return bg.from_json({"n": n, "b": b, "epsilon": ["w", "b"] * (n // 2)})
+
+
+def forbid_automorphism_search(monkeypatch):
+    def no_search(*_):
+        raise AssertionError("a run searched for automorphisms")
+
+    monkeypatch.setattr(bg, "automorphism_search", no_search)
+
+
+@pytest.mark.parametrize("name", ["A2", "A2xA3", "fig2-F4xA2"])
 def test_mirror_steps_only_to_the_midpoint(name, monkeypatch):
-    # odd N (A2, fig2) mirrors with pi = id; even N (A2xA2) with a
-    # colour-reversing pi
+    # odd N mirrors
     g = bg.catalog(name)
+    assert g.half_period % 2 == 1
     calls = count_steps(monkeypatch)
     belt.run_belt(g, 2 * g.half_period)
     assert calls == list(range(midpoint(g)))
 
 
-@pytest.mark.parametrize("name", ["A3", "E6"])
-def test_even_n_without_a_colour_reversing_automorphism_steps_to_n(name, monkeypatch):
-    g = bg.catalog(name)
+EVEN_N = ["A3", "E6", "A2xA2", "A2xA4"]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [bg.catalog(name) for name in EVEN_N] + [zero_bigraph(12)],
+    ids=EVEN_N + ["zero-b-12"],
+)
+def test_an_even_n_run_steps_to_n(g, monkeypatch):
+    # A3 and E6 have no colour-reversing automorphism; A2xA2, A2xA4 and
+    # zero-b-12 have one, and the run still neither searches nor mirrors
     assert g.half_period % 2 == 0
-    assert list(bg.automorphism_search(g, "colorReversing")) == []
+    forbid_automorphism_search(monkeypatch)
     calls = count_steps(monkeypatch)
     states = belt.run_belt(g, 2 * g.half_period)
     assert calls == list(range(g.half_period))
@@ -192,7 +223,7 @@ def test_even_n_without_a_colour_reversing_automorphism_steps_to_n(name, monkeyp
 
 
 def test_mirror_check_rejects_a_perturbed_midpoint_value():
-    for name in ("A4", "A2xA2"):
+    for name in ("A4", "A2xA3"):
         g = bg.catalog(name)
         n_steps, mid = g.half_period, midpoint(g)
         states = forward_trajectory(g, mid)
@@ -245,20 +276,13 @@ def read_rhos(g, monkeypatch):
     "name", list(dict.fromkeys(bg.catalog_names() + _sweep_targets()))
 )
 def test_the_read_rho_is_the_green_sigma(name, monkeypatch):
-    # rho = (sigma pi)^-1, which is sigma itself for odd N, where pi = id;
-    # even N without a colour-reversing pi reads no rho
+    # odd N reads rho = sigma and passes; even N reads no rho
     g = bg.catalog(name)
     read = read_rhos(g, monkeypatch)
     if g.half_period % 2:
-        pi = bg.Automorphism.identity(g.n)
+        assert read == [(green.frozen_isomorphism_check(g), True)]
     else:
-        pi = next(bg.automorphism_search(g, "colorReversing"), None)
-        if pi is None:
-            assert read == []
-            return
-    sigma = green.frozen_isomorphism_check(g)
-    sigma_pi = bg.Automorphism(tuple(sigma(pi(k)) for k in range(g.n)))
-    assert read == [(sigma_pi.inverse, True)]
+        assert read == []
 
 
 def test_an_odd_n_bigraph_beyond_the_search_bound_mirrors(monkeypatch):
@@ -274,14 +298,28 @@ def test_an_odd_n_bigraph_beyond_the_search_bound_mirrors(monkeypatch):
 
 @pytest.mark.parametrize("name", ["A2", "D4xA2", "fig2-F4xA2", "A9xA2"])
 def test_an_odd_n_run_mirrors_without_an_automorphism_search(name, monkeypatch):
-    def no_search(*_):
-        raise AssertionError("an odd-N run searched for automorphisms")
-
-    monkeypatch.setattr(belt, "automorphism_search", no_search)
+    forbid_automorphism_search(monkeypatch)
     g = bg.catalog(name)
     calls = count_steps(monkeypatch)
     belt.run_belt(g, g.half_period)
     assert calls == list(range(midpoint(g)))
+
+
+# One SHA-256 over json.dumps([target, text, code]) of `halfperiod` on
+# each catalog and sweep target, pinned while even-N runs still drew a
+# colour-reversing pi from the automorphism search.
+HALFPERIOD_DIGEST = "14676c9bdb9b0e5b"
+
+
+def test_no_halfperiod_run_searches_and_every_report_stays(monkeypatch):
+    forbid_automorphism_search(monkeypatch)
+    digest, codes = hashlib.sha256(), set()
+    for name in dict.fromkeys(bg.catalog_names() + _sweep_targets()):
+        text, code = cli.run_experiment({"command": "halfperiod", "target": name})
+        codes.add(code)
+        digest.update(json.dumps([name, text, code]).encode())
+    assert codes == {0}
+    assert digest.hexdigest()[:16] == HALFPERIOD_DIGEST
 
 
 def test_renaming_recovers_a_planted_permutation():
@@ -310,47 +348,32 @@ def test_renaming_breaks_a_tie_by_the_lowest_free_column():
     assert belt._renaming(before, after) == bg.Automorphism((0, 2, 1))
 
 
-def disjoint_a2s(copies):
-    # whites first, then blacks: copy c joins vertex c to vertex copies + c
-    n = 2 * copies
-    b = [[0] * n for _ in range(n)]
-    for c in range(copies):
-        b[c][copies + c], b[copies + c][c] = 1, -1
-    return bg.from_json({"n": n, "b": b, "epsilon": ["w"] * copies + ["b"] * copies})
-
-
-def zero_bigraph(n):
-    b = [[0] * n for _ in range(n)]
-    return bg.from_json({"n": n, "b": b, "epsilon": ["w", "b"] * (n // 2)})
-
-
 @pytest.mark.parametrize(
-    "g, searched",
-    [(disjoint_a2s(8), 0), (zero_bigraph(12), 1)],
-    ids=["8xA2", "zero-b-12"],
+    "g", [disjoint_a2s(8), zero_bigraph(12)], ids=["8xA2", "zero-b-12"]
 )
-def test_mirror_on_a_large_symmetry_group_draws_one_candidate(g, searched, monkeypatch):
-    # 8! and 6!^2 colour-reversing automorphisms; the mirror reads one rho.
-    # 8xA2 has odd N and draws no automorphism; zero-b-12 draws one, its pi
-    drawn = []
-    search = bg.automorphism_search
-
-    def counting_search(*args):
-        for perm in search(*args):
-            drawn.append(perm)
-            yield perm
-
-    monkeypatch.setattr(belt, "automorphism_search", counting_search)
+def test_mirror_on_a_large_symmetry_group_draws_one_candidate(g, monkeypatch):
+    # 8! and 6!^2 colour-reversing automorphisms, and no search: 8xA2 has
+    # odd N, reads one rho and steps to M; zero-b-12 has even N, reads
+    # none and steps to N
+    forbid_automorphism_search(monkeypatch)
     n_steps = g.half_period
-    assert n_steps % 2 == 1 - searched
+    odd = n_steps % 2 == 1
+    read = []
+    reader = belt._renaming
+
+    def recording(*args):
+        read.append(args)
+        return reader(*args)
+
+    monkeypatch.setattr(belt, "_renaming", recording)
     calls = count_steps(monkeypatch)
     for steps in (n_steps, 2 * n_steps + 3):
         reference = forward_trajectory(g, steps)
-        drawn.clear()
+        read.clear()
         calls.clear()
         assert belt.run_belt(g, steps) == reference
-        assert len(drawn) == searched, steps
-        assert calls == list(range(midpoint(g))), steps
+        assert len(read) == odd, steps
+        assert calls == list(range(midpoint(g) if odd else n_steps)), steps
 
 
 def test_belt_outside_the_theorem_steps_forward():

@@ -62,6 +62,20 @@ def test_symmetrizer_rejects_inconsistent_cycle():
         bg.symmetrizer(rows)
 
 
+@pytest.mark.parametrize(
+    "rows, bad_row",
+    [
+        ([[0, 1, 5], [-1, 0]], 1),  # a dropped 5 would leave an A2
+        ([[0, 1, 0], [-1, 0, 0]], 1),  # 2 x 3
+        ([[0, 1], [-1]], 2),  # once an IndexError
+        ([[0, 1.5], [-1]], 2),  # the shape is read before the entries
+    ],
+)
+def test_exchange_matrix_refuses_a_matrix_that_is_not_square(rows, bad_row):
+    with pytest.raises(NotSkewSymmetrizable, match="^row %d has length " % bad_row):
+        bg.exchange_matrix(rows)
+
+
 # -- single mutation ---------------------------------------------------------
 
 
@@ -318,13 +332,13 @@ def test_non_integer_entries_are_rejected(entry):
 
 def test_catalog_entries_are_recurrent():
     for name in bg.catalog_names():
-        assert bg.is_recurrent(bg.catalog(name))
+        assert bg.catalog(name).recurrent
 
 
 def test_recurrence_needs_both_color_composites():
     rows = ((0, 1, 0), (-1, 0, -1), (0, 1, 0))
     good = bg.decompose(bg.exchange_matrix(rows))
-    assert bg.is_recurrent(good)
+    assert good.recurrent
     # flipping one edge keeps the coloring but breaks recurrence: the
     # white composite still negates the matrix while the black one does not,
     # so checking a single color would wrongly accept this bigraph
@@ -332,7 +346,7 @@ def test_recurrence_needs_both_color_composites():
     minus = tuple(tuple(-x for x in row) for row in bad.base.b)
     assert bg.composite_mutation(bad.base, bad.whites).b == minus
     assert bg.composite_mutation(bad.base, bad.blacks).b != minus
-    assert not bg.is_recurrent(bad)
+    assert not bad.recurrent
 
 
 def test_the_recurrence_verdict_is_computed_once_per_bigraph(monkeypatch):
@@ -345,7 +359,7 @@ def test_the_recurrence_verdict_is_computed_once_per_bigraph(monkeypatch):
 
     monkeypatch.setattr(bg, "composite_mutation", counting)
     g = bg.catalog("A3")
-    assert bg.is_recurrent(g) and bg.is_recurrent(g) and g.recurrent
+    assert g.recurrent and g.recurrent
     assert composites == [g.whites, g.blacks]
     # the cached verdict is no field: a fresh build is still equal
     assert g == bg.catalog("A3") and hash(g) == hash(bg.catalog("A3"))
@@ -405,7 +419,7 @@ def test_tensor_a2_a2_golden():
     assert sorted(c.name for c in g.gamma_components) == ["A2", "A2"]
     assert sorted(c.name for c in g.delta_components) == ["A2", "A2"]
     assert g.half_period == 6
-    assert bg.is_recurrent(g)
+    assert g.recurrent
 
 
 def test_tensor_with_point_matches_plain_dynkin():

@@ -442,45 +442,47 @@ def test_term_guard_flag_overrides_environment(capsys, monkeypatch):
 
 
 def test_term_guard_applies_only_to_the_exchanges_a_run_makes(tmp_path, capsys):
-    # A2xA4 with its vertices relabeled (N = 8, midpoint M = 4): a
-    # 16-step belt run makes the exchanges of steps 0..3, which hold at
-    # most 20 terms, and derives the rest.  Made, the exchange of step 4
-    # holds 24: its mirror source is renamed, which changes the variable
+    # A2xA5 with its vertices relabeled (N = 9, midpoint M = 5): an
+    # 18-step belt run makes the exchanges of steps 0..4, which hold at
+    # most 51 terms, and derives the rest.  Made, the exchange of step 5
+    # holds 58: its mirror source is renamed, which changes the variable
     # x1 and so how the dividend is sliced
     b = [
-        [0, 0, 1, 0, 0, 1, 0, -1],
-        [0, 0, 0, 1, 0, -1, 0, 1],
-        [-1, 0, 0, 0, 1, 0, 0, 0],
-        [0, -1, 0, 0, 0, 0, 1, 0],
-        [0, 0, -1, 0, 0, 0, 0, 1],
-        [-1, 1, 0, 0, 0, 0, -1, 0],
-        [0, 0, 0, -1, 0, 1, 0, 0],
-        [1, -1, 0, 0, -1, 0, 0, 0],
+        [0, 1, 0, -1, 0, 0, 0, 1, 0, 0],
+        [-1, 0, 0, 0, -1, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 1, 0, -1, 0, 0, -1],
+        [1, 0, 0, 0, 0, -1, 0, 0, 0, -1],
+        [0, 1, -1, 0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 1, 0, 0, 0, -1, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0, -1, 0],
+        [-1, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, -1, 0, 1, 0, 0, 0],
+        [0, -1, 1, 1, 0, 0, 0, 0, 0, 0],
     ]
-    spec = {"n": 8, "b": b, "epsilon": list("bbwwbwbw")}
-    path = tmp_path / "a2xa4.json"
+    spec = {"n": 10, "b": b, "epsilon": list("bwwwbbbwwb")}
+    path = tmp_path / "a2xa5.json"
     path.write_text(json.dumps(spec))
-    code, unguarded, _ = run(capsys, "belt", str(path), "--steps", "16")
+    code, unguarded, _ = run(capsys, "belt", str(path), "--steps", "18")
     assert code == 0
-    assert run(capsys, "belt", str(path), "--steps", "16", "--term-guard", "20") == (
+    assert run(capsys, "belt", str(path), "--steps", "18", "--term-guard", "51") == (
         0,
         unguarded,
         "",
     )
-    code, _, err = run(capsys, "belt", str(path), "--steps", "16", "--term-guard", "19")
-    assert code == 2 and "polynomial has 20 terms, guard is 19" in err
-    # stepping forward through every exchange trips that guard at step 4
+    code, _, err = run(capsys, "belt", str(path), "--steps", "18", "--term-guard", "50")
+    assert code == 2 and "polynomial has 51 terms, guard is 50" in err
+    # stepping forward through every exchange trips that guard at step 5
     g = bg.from_json(spec)
     states = [belt.initial_state(g)]
     keep = laurent.get_term_guard()
-    laurent.set_term_guard(20)
+    laurent.set_term_guard(51)
     try:
-        with pytest.raises(TermGuardExceeded, match="24 terms"):
+        with pytest.raises(TermGuardExceeded, match="58 terms"):
             while True:
                 states.append(belt.step(g, len(states) - 1, states[-1]))
     finally:
         laurent.set_term_guard(keep)
-    assert g.half_period == 8 and len(states) - 1 == 4
+    assert g.half_period == 9 and len(states) - 1 == 5
 
 
 def test_main_restores_the_term_guard_it_found(capsys):
@@ -1016,7 +1018,7 @@ def test_non_recurrent_input_exits_two(tmp_path, capsys, command):
     doc = _edges_doc(*NON_RECURRENT_EDGES)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    assert not bg.is_recurrent(bg.from_json(doc))
+    assert not bg.from_json(doc).recurrent
     code, out, err = run(capsys, command, str(path))
     message = "error: %s is not recurrent: " % path
     assert code == 2 and out == "" and err.startswith(message)

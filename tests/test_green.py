@@ -678,7 +678,7 @@ def test_a_broken_premise_raises_no_isomorphism_naming_it(
 def test_a_bigraph_not_known_recurrent_is_not_recurrent(monkeypatch):
     # recurrence is read first, and with it the certificates are not
     g = bg.catalog("A2xA3")
-    monkeypatch.setattr(green, "is_recurrent", lambda g: False)
+    vars(g)["recurrent"] = False
     with pytest.raises(NotRecurrent, match="^the bigraph is not recurrent$") as info:
         green.frozen_isomorphism_check(g)
     assert cli._failure(info.value)[1] == 2
@@ -1166,7 +1166,7 @@ def test_the_boundary_check_names_the_walk_the_factor_and_the_entry(monkeypatch)
 def test_a_walk_on_a_bigraph_not_known_recurrent_checks_no_boundary(monkeypatch):
     # the premise is recurrence: without it the blocks are not compared
     g = bg.catalog("A2xA3")
-    monkeypatch.setattr(green, "is_recurrent", lambda g: False)
+    vars(g)["recurrent"] = False
     _drop_pivot_entry(monkeypatch, g, 9, drop_other_part)
     gamma, _ = green.verify_bipartite_belt_mgs(g)
     assert gamma.permutation.cycles() == "(1 2)(3 4)(5 6)"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zamobelt
 from zamobelt.errors import (
     ExponentOverflow,
     InputError,
@@ -224,6 +225,14 @@ def test_render_round_trips_through_eval(a: Laurent):
 
 
 # -- the term guard ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("limit", [2.5, True, 1000000.9, "5", 0])
+def test_set_term_guard_refuses_what_is_not_a_positive_int(limit):
+    keep = get_term_guard()
+    with pytest.raises(ValueError, match="^term guard must be a positive int, not "):
+        zamobelt.set_term_guard(limit)
+    assert get_term_guard() == keep
 
 
 def test_term_guard_trips_and_restores():
