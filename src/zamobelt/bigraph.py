@@ -32,21 +32,25 @@ from .errors import (
     NotIntegerMatrix,
     NotSkewSymmetrizable,
     OrbitAdjacency,
-    SearchBoundExceeded,
     UnknownName,
 )
 
 WHITE = "w"
 BLACK = "b"
 
-# The automorphism search refuses bigraphs on more vertices than this.  No
-# run searches; the bound guards the library search, which `fold` callers
-# use to find their tau.
-SEARCH_BOUND = 16
-
 
 def _freeze(rows):
     return tuple(tuple(row) for row in rows)
+
+
+def _require_sequence(value, what):
+    """value, unless it is not a list or a tuple: NotIntegerMatrix."""
+    if not isinstance(value, (list, tuple)):
+        raise NotIntegerMatrix(
+            "%s is %s (%s), not a list or a tuple"
+            % (what, reprlib.repr(value), type(value).__name__)
+        )
+    return value
 
 
 def _spread(b, first, rule):
@@ -114,7 +118,10 @@ class ExchangeMatrix:
 
 
 def exchange_matrix(rows):
-    """Validated exchange matrix: a square of plain ints."""
+    """Validated exchange matrix: a square of plain ints, given as a list
+    or tuple of rows, each a list or tuple (no other iterable is read)."""
+    for i, row in enumerate(_require_sequence(rows, "the matrix")):
+        _require_sequence(row, "row %d" % (i + 1))
     b = _freeze(rows)
     for i, row in enumerate(b):
         if len(row) != len(b):
@@ -650,40 +657,17 @@ def first_return(trajectory):
     )
 
 
-def automorphism_search(g, kind="all"):
+def automorphism_search(g):
     """Lazily, in lex order, each Automorphism fixing both unsigned
-    matrices whose colour behaviour is kind: "all", "colorPreserving" or
-    "colorReversing".
-
-    The colour is a condition of placing each vertex, not a filter: the
-    search relabels (Gamma, Delta) onto itself with each vertex's colour
-    on the diagonal, swapped on the target side for "colorReversing".
-    Backtracking keeps it sound for every n, but any other kind raises
-    InputError, and n over SEARCH_BOUND SearchBoundExceeded, at once.
-    """
-    if kind not in ("all", "colorPreserving", "colorReversing"):
-        raise InputError("unknown automorphism kind %r: expected 'all', "
-                         "'colorPreserving' or 'colorReversing'" % (kind,))
-    if g.n > SEARCH_BOUND:
-        raise SearchBoundExceeded(
-            "automorphism search on %d vertices exceeds bound %d"
-            % (g.n, SEARCH_BOUND)
-        )
-    coloured = kind != "all"
-    colours = [g.eta(k) if coloured else 0 for k in range(g.n)]
-    targets = [1 - c for c in colours] if kind == "colorReversing" else colours
-
-    def marked(marks):
-        return tuple(
-            tuple(
-                (gv, dv, marks[i] if i == j else -1)
-                for j, (gv, dv) in enumerate(zip(gamma_row, delta_row))
-            )
-            for i, (gamma_row, delta_row) in enumerate(zip(g.gamma, g.delta))
-        )
-
-    relabelings = dynkin.relabelings(marked(colours), marked(targets))
-    return map(Automorphism, relabelings)
+    matrices, the identity first: the relabelings of the (Gamma, Delta)
+    entry pairs onto themselves.  Colour plays no part; a caller after
+    one colour class keeps the automorphisms `classify_color_behavior`
+    puts in it, as `fold` callers do to find their tau."""
+    pairs = tuple(
+        tuple(zip(gamma_row, delta_row))
+        for gamma_row, delta_row in zip(g.gamma, g.delta)
+    )
+    return map(Automorphism, dynkin.relabelings(pairs, pairs))
 
 
 def check_bicolored(g, auto):

@@ -304,11 +304,13 @@ def _is_json_int(value):
 
 
 # every command's config may hold these, and the _options of the command
-_COMMON_KEYS = ("command", "target", "termGuard")
+_COMMON_KEYS = ("command", "termGuard")
 
 # suite config key -> (argument dest, accepted JSON type, its name); a key
-# left out of a config takes the default of the command's own flag
+# left out of a config takes the default of the command's own flag, but a
+# command with a target argument needs its target
 _CONFIG_KEYS = {
+    "target": ("target", lambda value: isinstance(value, str), "a string"),
     "steps": ("steps", _is_json_int, "an integer"),
     "seed": ("seed", _is_json_int, "an integer"),
     "trials": ("trials", _is_json_int, "an integer"),
@@ -357,15 +359,14 @@ def run_experiment(config, resolved=None):
         extra = [k for k in config if k not in options and k not in _COMMON_KEYS]
         if extra:
             raise InputError("config key %r is not a %s option" % (extra[0], command))
-        target = config.get("target")
-        if command != "catalog-list" and not isinstance(target, str):
-            raise _config_error("target", "a string", target)
+        if "target" in options and not isinstance(config.get("target"), str):
+            raise _config_error("target", "a string", config.get("target"))
         guard = config.get("termGuard")
         if guard is not None:
             if not _is_json_int(guard) or guard < 1:
                 raise _config_error("termGuard", "a positive integer", guard)
             errors.set_term_guard(guard)
-        args = argparse.Namespace(target=target, out=None, resolved=resolved)
+        args = argparse.Namespace(out=None, resolved=resolved)
         for key, (dest, accepts, kind) in options.items():
             if key not in config:
                 value = _build_parser()[1][command].get_default(dest)

@@ -81,11 +81,8 @@ class EntryOverflow(InputError):
 
 
 class NotIntegerMatrix(InputError):
-    """A matrix entry is not an integer: floats, bools and strings."""
-
-
-class SearchBoundExceeded(InputError):
-    """Exhaustive automorphism search refused: too many vertices."""
+    """A matrix entry is not an integer (floats, bools and strings), or
+    a matrix or one of its rows is not a list or a tuple."""
 
 
 class NotAdmissible(InputError):

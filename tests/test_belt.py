@@ -18,7 +18,6 @@ from zamobelt.errors import (
     LaurentPhenomenonViolation,
     NoPermutationMatch,
     NotAdmissibleBigraph,
-    SearchBoundExceeded,
 )
 from zamobelt.laurent import Laurent, variables
 
@@ -287,9 +286,8 @@ def test_the_read_rho_is_the_green_sigma(name, monkeypatch):
 
 def test_an_odd_n_bigraph_beyond_the_search_bound_mirrors(monkeypatch):
     g = bg.catalog("A9xA2")
+    # 18 vertices, past the 16 the automorphism search once refused
     assert g.n == 18 and g.half_period % 2 == 1
-    with pytest.raises(SearchBoundExceeded):
-        bg.automorphism_search(g, "colorReversing")
     reference = forward_trajectory(g, g.half_period)
     calls = count_steps(monkeypatch)
     assert belt.run_belt(g, g.half_period) == reference

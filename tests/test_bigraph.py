@@ -76,6 +76,22 @@ def test_exchange_matrix_refuses_a_matrix_that_is_not_square(rows, bad_row):
         bg.exchange_matrix(rows)
 
 
+@pytest.mark.parametrize(
+    "rows, what",
+    [
+        ([[0, 1], 5], "row 2 is 5 (int)"),  # once a bare TypeError
+        ([[0, 1], None], "row 2 is None (NoneType)"),
+        (5, "the matrix is 5 (int)"),
+        ([[0, 1], {-1: "x", 0: "y"}], "row 2 is {-1: 'x', 0: 'y'} (dict)"),  # read as (-1, 0)
+        (([0, 1], range(-1, 1)), "row 2 is range(-1, 1) (range)"),
+    ],
+)
+def test_exchange_matrix_refuses_a_row_that_is_not_a_list_or_a_tuple(rows, what):
+    with pytest.raises(NotIntegerMatrix) as info:
+        bg.exchange_matrix(rows)
+    assert str(info.value) == what + ", not a list or a tuple"
+
+
 # -- single mutation ---------------------------------------------------------
 
 
@@ -480,47 +496,54 @@ def test_automorphism_group_of_figure_one():
 
 @pytest.mark.parametrize("name", bg.catalog_names() + ["A2xA4", "D4xA2", "E6xA2"])
 def test_colour_kinds_are_the_colour_classes_of_all_automorphisms(name):
-    # colour is a placement condition of the search; it must keep exactly
-    # the automorphisms a filter on "all" keeps, in the same order
+    # the search yields each automorphism of (Gamma, Delta) once, the
+    # identity first and the rest in lex order; a colour kind is a class
+    # of classify_color_behavior, and the classes split what it yields
     g = bg.catalog(name)
     every = list(bg.automorphism_search(g))
-    for kind, behavior in (("colorPreserving", "preserving"),
-                           ("colorReversing", "reversing")):
-        assert list(bg.automorphism_search(g, kind)) == [
-            a for a in every if bg.classify_color_behavior(g, a) == behavior
-        ]
-
-
-@pytest.mark.parametrize("kind", ["colourReversing", "reversing", "", None])
-def test_automorphism_search_refuses_an_unknown_kind(kind, monkeypatch):
-    # once read as "all": A2xA2 has 4 automorphisms, 2 colour-reversing
-    targets = [bg.catalog("A2xA2"), bg.catalog("A9xA2")]  # 18 > SEARCH_BOUND
-
-    def no_search(*_):
-        raise AssertionError("the search ran")
-
-    monkeypatch.setattr(bg.dynkin, "relabelings", no_search)
-    for g in targets:
-        with pytest.raises(InputError) as info:
-            bg.automorphism_search(g, kind)
-        assert type(info.value) is InputError
-        assert str(info.value) == (
-            "unknown automorphism kind %r: expected 'all', 'colorPreserving'"
-            " or 'colorReversing'" % (kind,)
-        )
+    assert every[0] == bg.Automorphism.identity(g.n)
+    perms = [a.perm for a in every]
+    assert perms == sorted(set(perms))
+    classes = {}
+    for a in every:
+        assert all(bg.unmatched_entry(a, m, m) is None for m in (g.gamma, g.delta))
+        classes.setdefault(bg.classify_color_behavior(g, a), []).append(a)
+    # each target is connected: no automorphism mixes colours, the
+    # colour-preserving ones are a subgroup and the reversing ones are
+    # none or its other coset
+    preserving = classes.pop("preserving")
+    reversing = classes.pop("reversing", [])
+    assert classes == {}
+    assert len(reversing) in (0, len(preserving))
+    for a in every:
+        for b in preserving:
+            composite = bg.Automorphism(a.relabel(b.perm))
+            assert composite in (preserving if a in preserving else reversing)
 
 
 def test_automorphism_search_is_lazy():
-    # 12 isolated vertices, 6 of each colour: 6!^2 colour-reversing
-    # automorphisms, of which the first comes without enumerating the rest
+    # 12 isolated vertices: 12! automorphisms, of which the first two
+    # come without enumerating the rest
     n = 12
     g = bg.from_json(
         {"n": n, "b": [[0] * n for _ in range(n)], "epsilon": ["w", "b"] * 6}
     )
-    search = bg.automorphism_search(g, "colorReversing")
-    assert next(search) == bg.Automorphism((1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10))
-    assert next(search) == bg.Automorphism((1, 0, 3, 2, 5, 4, 7, 6, 9, 10, 11, 8))
-    assert list(bg.automorphism_search(bg.catalog("E7"), "colorReversing")) == []
+    search = bg.automorphism_search(g)
+    assert next(search) == bg.Automorphism.identity(n)
+    assert next(search) == bg.Automorphism((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10))
+    e7 = bg.catalog("E7")
+    assert list(bg.automorphism_search(e7)) == [bg.Automorphism.identity(e7.n)]
+
+
+def test_automorphism_search_has_no_vertex_bound():
+    # 18 vertices: the identity, the flip of A9 along each A2 row, and
+    # two colour-reversing ones, the swap of the A2 copies with and
+    # without that flip
+    g = bg.catalog("A9xA2")
+    every = list(bg.automorphism_search(g))
+    assert len(every) == 4
+    behaviors = [bg.classify_color_behavior(g, a) for a in every]
+    assert sorted(behaviors) == ["preserving"] * 2 + ["reversing"] * 2
 
 
 def test_fold_a3_by_flip_gives_rank_two_doubled_edge():
@@ -536,6 +559,36 @@ def test_fold_d4_by_rotation_gives_triple_edge():
     rot = next(a for a in bg.automorphism_search(g) if a.order == 3)
     folded = bg.fold(g, rot)
     assert folded.base.b == ((0, 3), (-1, 0))
+
+
+def test_fold_e6xa2_by_its_colour_preserving_automorphism_gives_f4xa2():
+    # the one colour-preserving tau besides the identity is omega_E6 x id,
+    # omega_E6 = (1 6)(3 5) being E6's diagram flip
+    g = bg.catalog("E6xA2")
+    taus = [
+        a for a in bg.automorphism_search(g)
+        if not a.is_identity and bg.classify_color_behavior(g, a) == "preserving"
+    ]
+    assert [tau.cycles() for tau in taus] == ["(1 6)(3 5)(7 12)(9 11)"]
+    folded = bg.fold(g, taus[0])
+    assert folded.n == 8 and folded.recurrent
+    assert [c.name for c in folded.gamma_components] == ["F4", "F4"]
+    assert [c.name for c in folded.delta_components] == ["A2"] * 4
+    assert (folded.h_gamma, folded.h_delta) == (12, 3)
+
+    def marked(h):
+        # (Gamma, Delta) entry pairs with each vertex's colour on the diagonal
+        return tuple(
+            tuple(
+                (gv, dv, h.eta(i) if i == j else -1)
+                for j, (gv, dv) in enumerate(zip(gamma_row, delta_row))
+            )
+            for i, (gamma_row, delta_row) in enumerate(zip(h.gamma, h.delta))
+        )
+
+    f4xa2 = bg.catalog("F4xA2")
+    onto = bg.Automorphism(next(dynkin.relabelings(marked(folded), marked(f4xa2))))
+    assert bg.unmatched_entry(onto, folded.base.b, f4xa2.base.b) is None
 
 
 def test_fold_commutes_with_orbit_mutation():

@@ -942,6 +942,7 @@ def test_a_suite_entry_that_is_not_an_object_exits_two(tmp_path, capsys, entry,
         ({"command": "belt", "target": "A2", "skipSymbolic": True}, "skipSymbolic"),
         ({"command": "catalog-list", "steps": 3}, "steps"),
         ({"command": "census", "target": "A2", "lam": "-1"}, "lam"),
+        ({"command": "catalog-list", "target": 5}, "target"),  # once ignored
     ],
 )
 def test_a_config_key_the_command_does_not_take_exits_two(config, key):

@@ -161,6 +161,16 @@ def test_a_command_reads_the_certificates_the_bigraph_holds(command):
     assert _names(cli._COMMANDS[command].__code__) & CERTIFICATE_NAMES == set()
 
 
+# the first 16 hex digits of the SHA-256 of each demo's stdout; a demo
+# added without its digest fails
+DEMO_DIGESTS = {
+    "01_symbolic_belt.py": "dbc9fdc01bad45de",
+    "02_maximal_green.py": "4ede79886a03427e",
+    "03_tropical_census.py": "e7e21790f78d0b99",
+    "04_folding_and_duals.py": "72b8ff5e1ab7a82e",
+}
+
+
 @pytest.mark.parametrize(
     "demo", sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 )
@@ -173,10 +183,10 @@ def test_demo_runs(demo):
         [sys.executable, str(ROOT / "demos" / demo)],
         env=env,
         capture_output=True,
-        text=True,
         timeout=120,
     )
-    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.returncode == 0, done.stderr[-2000:].decode(errors="replace")
+    assert hashlib.sha256(done.stdout).hexdigest()[:16] == DEMO_DIGESTS.get(demo)
 
 
 def test_readme_library_surface_runs():
