@@ -31,7 +31,6 @@ from .errors import (
     NotBipartite,
     NotIntegerMatrix,
     NotSkewSymmetrizable,
-    OrbitAdjacency,
     UnknownName,
 )
 
@@ -415,11 +414,16 @@ def _compose(gamma, delta, epsilon):
 
 
 def decompose(m, epsilon=None):
-    """Split m into the unsigned (Gamma, Delta) pair under a two-coloring."""
+    """Split m into the unsigned (Gamma, Delta) pair under a two-coloring:
+    a list or a tuple of "w" and "b", or None to detect one."""
     b = m.b
     if epsilon is None:
         epsilon = detect_epsilon(b)
     else:
+        if not isinstance(epsilon, (list, tuple)):
+            raise NotBipartite("'epsilon' must be a list of 'w' and 'b'")
+        if any(x not in (WHITE, BLACK) for x in epsilon):
+            raise NotBipartite("epsilon entries must be 'w' or 'b'")
         epsilon = tuple(epsilon)
         _validate_epsilon(b, epsilon)
     n = m.n
@@ -672,7 +676,16 @@ def automorphism_search(g):
 
 def check_bicolored(g, auto):
     """Raise NotAdmissible unless the Automorphism auto is a bicolored
-    automorphism of g; returns its orbits as sorted tuples, in order."""
+    automorphism of g; returns its orbits as sorted tuples, in order.
+
+    Three conditions are checked: (i) auto preserves colours, (iii) it
+    preserves b, and (ii) no orbit meets a vertex with mixed signs.  Two
+    more follow from them.  No two vertices of an orbit are adjacent: by
+    (i) an orbit lies inside one colour, and `decompose` refuses an edge
+    inside a colour.  And the sum of b[i][j] over i in an orbit O is
+    the same for every j of another orbit: by (iii), the sum at auto(j)
+    is the sum of b[auto^-1(i)][j] over i in O, and auto^-1 permutes O.
+    """
     require_automorphism(auto)
     orbits = [tuple(sorted(cycle)) for cycle in auto._cycles()]
     b = g.base.b
@@ -686,13 +699,6 @@ def check_bicolored(g, auto):
             "iii", "entry (%d,%d) not preserved" % (bad[0] + 1, bad[1] + 1)
         )
     for orbit in orbits:
-        for i in orbit:
-            for j in orbit:
-                if i != j and b[i][j] != 0:
-                    raise OrbitAdjacency(
-                        "vertices %d and %d share an orbit" % (i + 1, j + 1)
-                    )
-    for orbit in orbits:
         for j in range(n):
             signs = {b[i][j] for i in orbit if b[i][j]}
             if len({x > 0 for x in signs}) > 1:
@@ -704,23 +710,16 @@ def check_bicolored(g, auto):
 
 
 def fold(g, auto):
-    """Quotient by a bicolored Automorphism; orbits become vertices."""
+    """Quotient by a bicolored Automorphism; orbits become vertices.
+    Entry (O, O') sums b[i][j] over i in O at the first j of O', which
+    `check_bicolored` shows any j of O' would give; on the diagonal
+    that sum is 0, as no two vertices of an orbit are adjacent."""
     orbits = check_bicolored(g, auto)
     b = g.base.b
-    folded = []
-    for orbit_i in orbits:
-        row = []
-        for orbit_j in orbits:
-            if orbit_i == orbit_j:
-                row.append(0)
-                continue
-            values = {sum(b[i][j] for i in orbit_i) for j in orbit_j}
-            if len(values) != 1:
-                raise NotAdmissible(
-                    "iii", "folded entry not independent of the column choice"
-                )
-            row.append(values.pop())
-        folded.append(row)
+    folded = [
+        [sum(b[i][orbit_j[0]] for i in orbit_i) for orbit_j in orbits]
+        for orbit_i in orbits
+    ]
     eps = tuple(g.epsilon[orbit[0]] for orbit in orbits)
     return decompose(exchange_matrix(folded), eps)
 
@@ -766,7 +765,10 @@ def catalog(name):
         return _figure_one()
     if name == "fig2-F4xA2":
         return decompose(exchange_matrix(_figure_two_rows()), _FIG2_EPSILON)
-    hit = _TENSOR_RE.fullmatch(name) or _TENSOR_RE.fullmatch(name + "xA1")
+    # a name that is not a string is no name, refused before the regex
+    hit = isinstance(name, str) and (
+        _TENSOR_RE.fullmatch(name) or _TENSOR_RE.fullmatch(name + "xA1")
+    )
     if hit:
         fl, rl, fr, rr = hit.groups()
         try:
@@ -812,14 +814,7 @@ def from_json(doc):
         raise NotBipartite("'b' must be a list of rows, each a list")
     if len(b) != n or any(len(row) != n for row in b):
         raise NotBipartite("matrix shape does not match n=%s" % n)
-    eps = doc.get("epsilon")
-    if eps is not None:
-        if not isinstance(eps, list):
-            raise NotBipartite("'epsilon' must be a list of 'w' and 'b'")
-        if any(x not in (WHITE, BLACK) for x in eps):
-            raise NotBipartite("epsilon entries must be 'w' or 'b'")
-        eps = tuple(eps)
-    return decompose(exchange_matrix(b), eps)
+    return decompose(exchange_matrix(b), doc.get("epsilon"))
 
 
 def read_json(path):

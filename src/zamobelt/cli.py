@@ -191,7 +191,7 @@ def cmd_tropical(g, args):
     # periods and shifts
     labelings = (tropical.random_int_labeling(rng, g.n) for _ in range(args.trials))
     for states, shifted in tropical.half_period_runs(g, labelings, sigma):
-        period = bigraph.first_return(states[: 2 * n_half + 1])
+        period = bigraph.first_return(states)
         if period is None or (2 * n_half) % period != 0:
             periods_ok = False
         if not shifted:

@@ -96,13 +96,6 @@ class NotAdmissible(InputError):
         super().__init__(msg)
 
 
-class OrbitAdjacency(NotAdmissible):
-    """Two vertices of one folding orbit are adjacent."""
-
-    def __init__(self, detail=""):
-        super().__init__("iv", detail or "orbit contains adjacent vertices")
-
-
 class FrozenVertex(InputError):
     """Mutation requested at a frozen vertex."""
 
@@ -110,10 +103,6 @@ class FrozenVertex(InputError):
 class InvalidVertex(InputError):
     """A matrix mutation asked for at a vertex the matrix does not have:
     out of range, or not an int (a bool is not one)."""
-
-
-class InvalidPartition(InputError):
-    """Vertex partition does not cover the mutable vertices exactly."""
 
 
 class NotAdmissibleBigraph(InputError):

@@ -66,7 +66,6 @@ from .errors import (
     CoefficientMismatch,
     EntryOverflow,
     FrozenVertex,
-    InvalidPartition,
     MismatchWithSymbolicSigma,
     NoIsomorphism,
     NotComponentPreserving,
@@ -309,16 +308,6 @@ def vertex_status(state, k):
     return GREEN if state.c[k] & offset == offset else RED
 
 
-def _normalize_partition(n, partition):
-    parts = [tuple(sorted(part)) for part in partition]
-    covered = sorted(v for part in parts for v in part)
-    if covered != list(range(n)):
-        raise InvalidPartition(
-            "partition covers %s, expected 0..%d once each" % (covered, n - 1)
-        )
-    return parts
-
-
 def _points_inside(state, k, own):
     """Does green k point negatively only inside own, the part holding
     k?  Frozen columns satisfy this through sign-coherence, which every
@@ -502,9 +491,11 @@ def _certify(g, first, second, factors, partition, name="the green sequence"):
     the block is -B where an odd factor ends, B where an even one does;
     the first factor where it is not is raised, naming the walk, once
     the walk is done, as a check that names its step and vertex raises
-    first.  Then no vertex may be green, and -C must be P_sigma."""
+    first.  Then no vertex may be green, and -C must be P_sigma.
+    partition is read as given: its parts are the sorted vertex tuples
+    of components, which cover 0..n-1 once by construction."""
     part_of = [None] * g.n
-    for part in _normalize_partition(g.n, partition):
+    for part in partition:
         for v in part:
             part_of[v] = part
     state = framed(g.base)

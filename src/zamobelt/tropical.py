@@ -28,11 +28,12 @@ as ints (`random_int_labeling`, 100 times the Fraction labeling
 homogeneity give the same verdicts, and a run of them builds no
 Fraction at all.
 
-The half-period trials (`half_period_runs`) step only to N.  When the
-state there is the initial one relabeled by sigma and sigma passes the
-half-period rules, the states after N are re-indexed copies of earlier
-ones, through the replay the symbolic belt uses; otherwise a trial steps
-on to 3N.
+The half-period trials (`half_period_runs`) take a sigma that passes
+the half-period rules and step only to N.  When the state there is the
+initial one relabeled by sigma, the states after N are re-indexed
+copies of earlier ones, through the replay the symbolic belt uses;
+otherwise the shift fails, and a trial steps on to 2N so that its
+period can be read.
 """
 
 import math
@@ -41,8 +42,8 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigraph import classify_sigma, first_return, replay, require_automorphism
-from .errors import ClaimViolation, InputError, InvalidLabeling, NoGammaNeighbour
+from .bigraph import classify_sigma, first_return, replay
+from .errors import InputError, InvalidLabeling, NoGammaNeighbour
 
 RED = "red"
 BLUE = "blue"
@@ -189,55 +190,39 @@ def tropical_period(g, lam, max_steps):
 
 def tropical_half_period(g, lam, sigma):
     """Does shifting time by N match relabeling the vertices by the
-    Automorphism sigma?"""
+    Automorphism sigma?  sigma must pass the half-period rules, as in
+    `half_period_runs`."""
     return next(half_period_runs(g, [lam], sigma))[1]
 
 
 def half_period_runs(g, labelings, sigma):
-    """Per labeling, its scaled states at times 0..3N and whether
+    """Per labeling, its scaled states at times 0..2N and whether
     shifting time by N relabels them by the Automorphism sigma.
 
-    Each run steps to N.  When state(N) is state(0) relabeled by sigma
-    and sigma passes the half-period rules (`bigraph.classify_sigma`,
-    checked once for all labelings), state(N + t) is state(t) relabeled
-    by sigma for every t >= 0, so the run re-indexes the states after N
-    (`bigraph.replay`) and the shift holds.  This is the uniqueness
-    argument of the symbolic belt's replay: a step depends on its time
-    only through the parity, and sigma, an automorphism whose colour
-    behaviour fits the parity of N, takes the step at time t to the step
-    at t + N.  Otherwise the run steps on to 3N and
-    `read_half_period_shift` judges it.
+    sigma must pass the half-period rules (`bigraph.classify_sigma`),
+    checked once before the first step; one that does not raises the
+    ClaimViolation the symbolic and the green track raise.  Each run
+    steps to N.  When state(N) is state(0) relabeled by sigma,
+    state(N + t) is state(t) relabeled by sigma for every t >= 0, so the
+    run re-indexes the states after N (`bigraph.replay`) and the shift
+    holds.  This is the uniqueness argument of the symbolic belt's
+    replay: a step depends on its time only through the parity, and
+    sigma, an automorphism whose colour behaviour fits the parity of N,
+    takes the step at time t to the step at t + N.  Otherwise the shift
+    fails at t = 0, and the run steps on to 2N so that its period can
+    be read.
     """
+    classify_sigma(g, sigma)
     n_half = g.half_period
-    try:
-        classify_sigma(g, sigma)
-        fits = True
-    except ClaimViolation:
-        fits = False
     for lam in labelings:
         scale, start = _scaled_start(g, lam)
         states = _advance(g, [start], n_half, scale)
-        if fits and states[n_half] == sigma.relabel(states[0]):
-            replay(states, sigma, n_half, 3 * n_half)
-            yield states, True
+        shifted = states[n_half] == sigma.relabel(states[0])
+        if shifted:
+            replay(states, sigma, n_half, 2 * n_half)
         else:
-            _advance(g, states, 3 * n_half, scale)
-            yield states, read_half_period_shift(g, states, sigma)
-
-
-def read_half_period_shift(g, states, sigma):
-    """The half-period shift check on states at times 0..3N.
-
-    Compared at the state level: state(c + N)[i] == state(c)[sigma(i)]
-    for every c in one full period, sigma an Automorphism.  A sigma
-    whose color behavior does not fit the parity of N fails here on any
-    non-degenerate labeling.
-    """
-    require_automorphism(sigma)
-    n_half = g.half_period
-    return all(
-        states[c + n_half] == sigma.relabel(states[c]) for c in range(2 * n_half)
-    )
+            _advance(g, states, 2 * n_half, scale)
+        yield states, shifted
 
 
 def dual_transfer_check(g, lam):

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import pathlib
 import signal
@@ -22,7 +23,6 @@ from zamobelt.errors import (
     NotBipartite,
     NotIntegerMatrix,
     NotSkewSymmetrizable,
-    OrbitAdjacency,
     UnknownName,
 )
 
@@ -608,8 +608,49 @@ def test_fold_rejects_color_swapping_flip():
     # the flip exchanges the two adjacent vertices, which differ in color
     with pytest.raises(NotAdmissible):
         bg.fold(g, bg.Automorphism((1, 0)))
-    # orbit adjacency is reported through the same admissibility family
-    assert issubclass(OrbitAdjacency, NotAdmissible)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name for name in bg.catalog_names() if bg.catalog(name).n <= 6]
+    + ["D4xA2", "A2xA4"],
+)
+def test_fold_checks_conditions_i_to_iii_and_the_rest_follow(name):
+    # every permutation folds or is refused under (i), (ii) or (iii);
+    # where a permutation preserves colours and b, the two conditions
+    # fold does not check hold: no orbit holds two adjacent vertices,
+    # and a folded entry is the same whichever column of its orbit is read
+    g = bg.catalog(name)
+    b = g.base.b
+    for perm in itertools.permutations(range(g.n)):
+        auto = bg.Automorphism(perm)
+        try:
+            folded = bg.fold(g, auto)
+        except NotAdmissible as refused:
+            assert refused.condition in ("i", "ii", "iii"), (name, perm)
+            folded = None
+        preserving = all(g.epsilon[perm[i]] == g.epsilon[i] for i in range(g.n))
+        if not (preserving and bg.unmatched_entry(auto, b, b) is None):
+            assert folded is None, (name, perm)
+            continue
+        orbits = [tuple(sorted(cycle)) for cycle in auto._cycles()]
+        for orbit in orbits:
+            assert all(b[i][j] == 0 for i in orbit for j in orbit), (name, perm)
+        mixed = any(
+            {b[i][j] > 0 for i in orbit if b[i][j]} == {True, False}
+            for orbit in orbits
+            for j in range(g.n)
+        )
+        assert (folded is None) == mixed, (name, perm)
+        sums = [
+            [{sum(b[i][j] for i in orbit_i) for j in orbit_j} for orbit_j in orbits]
+            for orbit_i in orbits
+        ]
+        assert all(len(entry) == 1 for row in sums for entry in row), (name, perm)
+        if folded is not None:
+            assert folded.base.b == tuple(
+                tuple(entry.pop() for entry in row) for row in sums
+            ), (name, perm)
 
 
 def test_fold_rejects_color_mixing_permutation():
@@ -723,6 +764,15 @@ def test_catalog_rejects_unknown_names():
     for bad in ("Q7", "A0", "E9", "fig3", "A2xx", ""):
         with pytest.raises(UnknownName):
             bg.catalog(bad)
+
+
+@pytest.mark.parametrize("name", [5, None, b"A2", ["A2"]], ids=repr)
+def test_catalog_refuses_a_name_that_is_not_a_string(name):
+    with pytest.raises(UnknownName) as err:
+        bg.catalog(name)
+    assert str(err.value).startswith(
+        "%r is not a catalog name; try one of A1, A2, " % (name,)
+    )
 
 
 def test_catalog_reads_a_dynkin_name_as_its_tensor_with_a_point():
@@ -873,6 +923,35 @@ def test_from_json_checks_types_before_shape(doc):
 def test_epsilon_must_alternate_along_edges():
     with pytest.raises(NotBipartite):
         bg.decompose(bg.exchange_matrix([[0, 1], [-1, 0]]), (WHITE, WHITE))
+
+
+@pytest.mark.parametrize(
+    "epsilon, text",
+    [
+        (("x", "w"), "epsilon entries must be 'w' or 'b'"),
+        (["w", None], "epsilon entries must be 'w' or 'b'"),
+        ("wb", "'epsilon' must be a list of 'w' and 'b'"),
+        (5, "'epsilon' must be a list of 'w' and 'b'"),
+    ],
+)
+def test_decompose_refuses_a_colouring_not_of_w_and_b(epsilon, text):
+    # decompose holds the colouring rule, and from_json reads it there
+    m = bg.exchange_matrix([[0, 1], [-1, 0]])
+    with pytest.raises(NotBipartite) as err:
+        bg.decompose(m, epsilon)
+    assert str(err.value) == text
+    doc = {"n": 2, "b": [[0, 1], [-1, 0]], "epsilon": epsilon}
+    with pytest.raises(NotBipartite) as err:
+        bg.from_json(doc)
+    assert str(err.value) == text
+
+
+def test_decompose_takes_a_colouring_as_a_list_or_a_tuple():
+    m = bg.exchange_matrix([[0, 1], [-1, 0]])
+    g = bg.decompose(m, [WHITE, BLACK])
+    assert g == bg.decompose(m, (WHITE, BLACK))
+    assert g.epsilon == (WHITE, BLACK)
+    assert (g.gamma, g.delta) == (((0, 1), (1, 0)), ((0, 0), (0, 0)))
 
 
 # -- the belt timetable -----------------------------------------------------------

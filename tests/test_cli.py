@@ -1239,3 +1239,24 @@ GOLDEN_REPORTS = json.loads(
 )
 def test_symbolic_and_tropical_reports_are_byte_identical(golden):
     assert run_experiment(golden["config"]) == (golden["text"], golden["exitCode"])
+
+
+def test_a_dual_that_is_not_the_langlands_dual_fails_dual_check():
+    # B2 is not self-dual: planted as its own dual in the suite's
+    # resolved targets, its trials disagree and the command exits 1
+    resolved = {}
+    g = cli._resolve_target("B2", resolved)
+    vars(g)["dual"] = g
+    config = {"command": "dual-check", "target": "B2", "seed": 7, "trials": 5}
+    text, code = run_experiment(config, resolved)
+    assert code == 1
+    assert json.loads(text)["ok"] is False
+
+
+def test_a_census_labeling_of_the_wrong_length_exits_two():
+    config = {"command": "census", "target": "A3", "lambda": "-1,-2"}
+    assert run_experiment(config) == ("error: labeling has 2 entries, expected 3\n", 2)
+
+
+def test_an_unknown_suite_command_exits_two():
+    assert run_experiment({"command": "nope"}) == ("error: unknown command 'nope'\n", 2)

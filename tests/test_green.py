@@ -14,7 +14,7 @@ replays, in test_belt and test_tropical, as the row says:
 | packed c-vector and y rows | `test_the_index_is_the_support_of_every_state_and_a_hand_built_state_agrees` (every state unpacks to the stepped rows), `test_an_entry_just_under_the_bound_gives_the_dense_answer` | past the bound the run exits 2, not 1: `test_an_entry_past_the_bound_exits_2_under_its_name` |
 | symbolic mirror past M (test_belt) | `test_mirror_check_rejects_a_wrong_rho_and_the_run_steps`, `test_mirror_check_rejects_a_perturbed_midpoint_value`, `test_even_n_without_a_colour_reversing_automorphism_steps_to_n`, `test_mirror_tries_at_most_a_fixed_number_of_rhos` | `test_a_wrong_mirrored_state_at_n_fails_halfperiod` (a wrong derived S_N; a wrong state strictly between M and N is caught by no check) |
 | symbolic replay past N (test_belt) | `test_replay_needs_an_automorphism_with_the_colour_behaviour_of_n` | `test_a_wrong_replayed_state_at_2n_fails_halfperiod` |
-| tropical replay past N (test_tropical) | `test_a_planted_bad_sigma_steps_to_3n` | `test_a_wrong_replayed_state_fails_the_tropical_command` |
+| tropical replay past N (test_tropical) | `test_a_wrong_sigma_within_the_rules_steps_to_2n` (a sigma outside the rules is refused before any step, `test_a_sigma_outside_the_rules_is_refused_before_any_step`) | `test_a_wrong_replayed_state_fails_the_tropical_command` |
 """
 
 import copy
@@ -43,9 +43,11 @@ from zamobelt.errors import (
     InputError,
     InvalidPermutation,
     InvalidVertex,
+    MismatchWithSymbolicSigma,
     NoIsomorphism,
     NotComponentPreserving,
     NotGreenAtStep,
+    NotMaximal,
     NotPermutation,
     NotRecurrent,
     NotSkewSymmetrizable,
@@ -350,6 +352,14 @@ def test_a_vertex_out_of_range_is_frozen_before_the_coefficient_track_runs():
         green._certify(g, first=[g.n], second=[0], factors=1, partition=[(0, 1)])
 
 
+def test_a_walk_cut_short_leaves_vertices_green():
+    # one factor of A3's Gamma belt, the blacks, leaves the whites green
+    g = bg.catalog("A3")
+    gamma = tuple(comp.vertices for comp in g.gamma_components)
+    with pytest.raises(NotMaximal, match=r"^vertices \[1, 3\] still green$"):
+        green._certify(g, g.blacks, g.whites, 1, gamma, "the Gamma certificate")
+
+
 def test_certificate_sequence_is_the_mutation_history():
     g = bg.catalog("A2xA3")
     for cert, (first, second) in zip(
@@ -378,6 +388,23 @@ def test_frozen_isomorphism_matches_symbolic_sigma():
         symbolic = belt.half_period(g).sigma
         frozen = green.frozen_isomorphism_check(g, symbolic)
         assert frozen.perm == symbolic.perm, name
+
+
+def test_a_symbolic_sigma_unlike_the_frozen_one_is_a_mismatch(monkeypatch):
+    g = bg.catalog("A3")
+    identity = bg.Automorphism.identity(3)
+    message = r"^frozen \(2, 1, 0\) vs symbolic \(0, 1, 2\)$"
+    with pytest.raises(MismatchWithSymbolicSigma, match=message):
+        green.frozen_isomorphism_check(g, identity)
+    # the green command compares with the symbolic sigma and exits 1
+    real = belt.half_period
+    monkeypatch.setattr(
+        belt, "half_period", lambda g: dataclasses.replace(real(g), sigma=identity)
+    )
+    assert cli.run_experiment({"command": "green", "target": "A3"}) == (
+        "falsified: frozen (2, 1, 0) vs symbolic (0, 1, 2)\n",
+        1,
+    )
 
 
 # -- the frozen state derived from the two certificates --------------------------

@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -55,7 +56,7 @@ def test_layer_tracer_counts_both_green_tracks_and_restores_every_original():
     # green A2 and tropical A3 each read their bigraph's certificates once,
     # through the attribute the tracer patches
     assert spans["green.verify_bipartite_belt_mgs"][0] == 2
-    # each trial steps to N and re-indexes the states up to 3N
+    # each trial steps to N and re-indexes the states up to 2N
     assert spans["tropical.step_values"][0] == trials * bg.catalog("A3").half_period
     for owner, was in zip(owners, before):
         now = dict(vars(owner))
@@ -194,3 +195,20 @@ def test_readme_library_surface_runs():
     section = readme.split("## Library surface", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # each line of the README's CLI block exits 0, its suite file being
+    # the README's suite JSON block
+    section = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    lines = re.search(r"```\n(zamobelt .*?)```", section, re.DOTALL).group(1)
+    suite = tmp_path / "configs.json"
+    suite.write_text(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
+    lines = lines.splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        argv = shlex.split(line.split("#", 1)[0])
+        assert argv[0] == "zamobelt"
+        argv = [str(suite) if a == "configs.json" else a for a in argv[1:]]
+        assert cli.main(argv) == 0, line
+        capsys.readouterr()

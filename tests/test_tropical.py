@@ -16,6 +16,7 @@ import zamobelt.cli as cli
 import zamobelt.green as green
 import zamobelt.tropical as tr
 from zamobelt.errors import (
+    ClaimViolation,
     InputError,
     InvalidLabeling,
     InvalidPermutation,
@@ -266,22 +267,28 @@ def test_half_period_shift_with_frozen_sigma():
             assert tr.tropical_half_period(g, lam, sigma), name
 
 
+PARITY_A2 = "^color behavior preserving does not match parity of N=5$"
+
+
 def test_half_period_shift_rejects_wrong_sigma():
     g = bg.catalog("A2")
     lam = (Fraction(-3), Fraction(5))  # asymmetric so the swap is visible
     identity = bg.Automorphism((0, 1))
     swap = bg.Automorphism((1, 0))
     assert tr.tropical_half_period(g, lam, swap)
-    assert not tr.tropical_half_period(g, lam, identity)
+    # N = 5 is odd, so a colour-preserving sigma breaks the rules
+    with pytest.raises(ClaimViolation, match=PARITY_A2):
+        tr.tropical_half_period(g, lam, identity)
 
 
 def test_half_period_shift_trivial_at_zero():
-    # the all-zero labeling is fixed by every candidate shift
+    # the all-zero labeling is fixed by the swap, and the identity is
+    # refused before any step, though it too fixes that labeling
     g = bg.catalog("A2")
     lam = tr.constant_labeling(2, 0)
-    for perm in ((0, 1), (1, 0)):
-        sigma = bg.Automorphism(perm)
-        assert tr.tropical_half_period(g, lam, sigma)
+    assert tr.tropical_half_period(g, lam, bg.Automorphism((1, 0)))
+    with pytest.raises(ClaimViolation, match=PARITY_A2):
+        tr.tropical_half_period(g, lam, bg.Automorphism((0, 1)))
 
 
 def _counted_runs(monkeypatch, g, lam, sigma):
@@ -310,6 +317,8 @@ def _labelings(n):
 
 @pytest.mark.parametrize("name", bg.catalog_names() + ["E6", "E7", "E8"])
 def test_replayed_states_equal_a_stepped_3n_run(monkeypatch, name):
+    # a run holds times 0..2N, in N steps; replayed on past it to 3N, it
+    # still equals a stepped run, as the replay holds at every t >= 0
     g = bg.catalog(name)
     n_half = g.half_period
     sigma = green.frozen_isomorphism_check(g)
@@ -317,6 +326,8 @@ def test_replayed_states_equal_a_stepped_3n_run(monkeypatch, name):
         states, shifted, steps = _counted_runs(monkeypatch, g, lam, sigma)
         assert steps == n_half, (name, lam)
         assert shifted
+        assert len(states) == 2 * n_half + 1
+        bg.replay(states, sigma, n_half, 3 * n_half)
         stepped = tr.scaled_states(g, lam, 3 * n_half)[1]
         assert len(states) == len(stepped)
         for t, (state, expected) in enumerate(zip(states, stepped)):
@@ -324,29 +335,53 @@ def test_replayed_states_equal_a_stepped_3n_run(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "name, perm, lam",
+    "name, perm, lam, message",
     [
         # not an automorphism; the zero labeling matches any map at N
-        ("A3", (1, 0, 2), (0, 0, 0)),
-        ("A3", (1, 0, 2), (-1, 2, Fraction(1, 3))),
+        ("A3", (1, 0, 2), (0, 0, 0), "does not preserve"),
+        ("A3", (1, 0, 2), (-1, 2, Fraction(1, 3)), "does not preserve"),
         # an automorphism that preserves colours, though N = 5 is odd
-        ("A2", (0, 1), (0, 0)),
-        # an automorphism that fits every rule but is not sigma
+        ("A2", (0, 1), (0, 0), "does not match parity of N=5"),
+    ],
+    ids=["A3-perm0-lam0", "A3-perm1-lam1", "A2-perm2-lam2"],
+)
+def test_a_sigma_outside_the_rules_is_refused_before_any_step(
+    monkeypatch, name, perm, lam, message
+):
+    g = bg.catalog(name)
+    steps = []
+    real = tr.step_values
+
+    def counting(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tr, "step_values", counting)
+    with pytest.raises(ClaimViolation, match=message):
+        next(tr.half_period_runs(g, [lam], bg.Automorphism(perm)))
+    assert steps == []
+
+
+@pytest.mark.parametrize(
+    "name, perm, lam",
+    [
+        # automorphisms that fit every rule but are not sigma
         ("A3", (0, 1, 2), (-1, 2, Fraction(1, 3))),
         ("D4", (0, 1, 3, 2), (-1, 2, Fraction(1, 3), 5)),
     ],
+    ids=["A3-perm3-lam3", "D4-perm4-lam4"],
 )
-def test_a_planted_bad_sigma_steps_to_3n(monkeypatch, name, perm, lam):
+def test_a_wrong_sigma_within_the_rules_steps_to_2n(monkeypatch, name, perm, lam):
     g = bg.catalog(name)
     n_half = g.half_period
     lam = tuple(Fraction(x) for x in lam)
     sigma = bg.Automorphism(perm)
+    bg.classify_sigma(g, sigma)
     states, shifted, steps = _counted_runs(monkeypatch, g, lam, sigma)
-    stepped = tr.scaled_states(g, lam, 3 * n_half)[1]
-    assert steps == 3 * n_half
-    assert states == stepped
-    assert shifted == tr.read_half_period_shift(g, stepped, sigma)
-    assert tr.tropical_half_period(g, lam, sigma) == shifted
+    assert steps == 2 * n_half
+    assert states == tr.scaled_states(g, lam, 2 * n_half)[1]
+    assert not shifted
+    assert not tr.tropical_half_period(g, lam, sigma)
 
 
 def test_a_list_sigma_is_refused_before_any_step(monkeypatch):
@@ -366,10 +401,6 @@ def test_a_list_sigma_is_refused_before_any_step(monkeypatch):
     with pytest.raises(InvalidPermutation, match="'list' object"):
         next(tr.half_period_runs(g, [lam], [1, 0]))
     assert steps == []
-    states = tr.scaled_states(g, lam, 3 * g.half_period)[1]
-    assert tr.read_half_period_shift(g, states, bg.Automorphism((1, 0)))
-    with pytest.raises(InvalidPermutation, match="'list' object"):
-        tr.read_half_period_shift(g, states, [1, 0])
 
 
 # -- duals -------------------------------------------------------------------------
@@ -682,6 +713,30 @@ def test_a_wrong_replayed_state_fails_the_tropical_command(monkeypatch, t, plant
     report = json.loads(text)
     assert code == 1
     assert report["periodsDivide2N"] is False and report["halfPeriodShiftOk"] is True
+
+
+def test_a_planted_wrong_frozen_sigma_fails_the_tropical_command(monkeypatch):
+    # the identity passes A3's rules (N = 6 is even) but is not its
+    # sigma: each of the 3 trials fails the shift at t = 0 and steps to
+    # 2N, where its period is read
+    g = bg.catalog("A3")
+    identity = bg.Automorphism.identity(g.n)
+    monkeypatch.setattr(green, "frozen_isomorphism_check", lambda g: identity)
+    steps = []
+    real = tr.step_values
+
+    def counting(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tr, "step_values", counting)
+    config = {"command": "tropical", "target": "A3", "seed": 7, "trials": 3}
+    text, code = cli.run_experiment(config)
+    report = json.loads(text)
+    assert code == 1
+    assert report["periodsDivide2N"] is True and report["halfPeriodShiftOk"] is False
+    assert report["sigma"] == "id"
+    assert len(steps) == 3 * 2 * g.half_period == 36
 
 
 # -- one reader per labeling --------------------------------------------------
