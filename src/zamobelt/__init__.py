@@ -20,16 +20,16 @@ _EXPORTS = {
         "load_bigraph", "mutate", "tensor_product",
     ),
     "belt": (
-        "cluster_variable_census", "denominator_bijection_check",
-        "detect_period", "half_period", "initial_state", "run_belt",
+        "cluster_variable_census", "detect_period", "half_period",
+        "initial_state", "run_belt",
     ),
     "dynkin": ("cartan_matrix", "coxeter_number", "positive_roots", "recognize"),
     "errors": ("ClaimViolation", "InputError", "set_term_guard"),
     "green": ("frozen_isomorphism_check", "verify_bipartite_belt_mgs"),
     "laurent": ("Laurent", "variables"),
     "tropical": (
-        "colored_census", "dual_transfer_check", "tropical_half_period",
-        "tropical_period",
+        "colored_census", "denominator_bijection_check", "dual_transfer_check",
+        "tropical_half_period", "tropical_period",
     ),
 }
 

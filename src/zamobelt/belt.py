@@ -51,13 +51,13 @@ track shares).  If the verdict rejects S_N, the run steps forward.
 
 from collections import Counter
 
-from . import dynkin
 from .bigraph import (
     Automorphism,
-    cartan_companion,
     classify_sigma,
     first_return,
+    produced,
     replay,
+    require_plain,
 )
 from .errors import (
     ClaimViolation,
@@ -230,42 +230,14 @@ def read_half_period(g, states):
     return classify_sigma(g, sigma_from_cluster(states[g.half_period]))
 
 
-def _require_tensor_with_point(g, what):
-    if not g.plain:
-        raise InputError("%s needs an empty Delta (a plain Dynkin entry)" % what)
-
-
-def _produced(g, states):
-    """The initial cluster, then each value in the order the run made it."""
-    yield from states[0]
-    for c, state in enumerate(states[1:]):
-        for k, _, _ in g.movers[c % 2]:
-            yield state[k]
-
-
 def cluster_variable_census(g):
     """Multiset of the values produced over one full period 2N."""
-    _require_tensor_with_point(g, "census")
+    require_plain(g, "census")
     return read_census(g, run_belt(g, 2 * g.half_period - 2))
 
 
 def read_census(g, states):
     """The census of a plain Dynkin entry from a belt run of 2N - 2 or
     more steps."""
-    return Counter(_produced(g, states[: 2 * g.half_period - 1]))
+    return Counter(produced(g, states[: 2 * g.half_period - 1]))
 
-
-def denominator_bijection_check(g):
-    """Compare half-period d-vectors with almost positive roots.
-
-    The root side comes from the brute-force enumerator on the Cartan
-    companion of Gamma, so the two sides are computed independently.
-    """
-    _require_tensor_with_point(g, "denominator bijection")
-    n = g.n
-    states = run_belt(g, g.half_period - 2)
-    collected = Counter(v.denominator_vector() for v in _produced(g, states))
-    expected = Counter(dynkin.positive_roots(cartan_companion(g.gamma, range(n))))
-    for i in range(n):
-        expected[tuple(-1 if j == i else 0 for j in range(n))] += 1
-    return collected == expected

@@ -661,6 +661,22 @@ def first_return(trajectory):
     )
 
 
+def produced(g, states):
+    """The initial cluster, then each value in the order the run made
+    it, on either track: the symbolic census and the tropical d-vectors
+    read a run through it."""
+    yield from states[0]
+    for c, state in enumerate(states[1:]):
+        for k, _, _ in g.movers[c % 2]:
+            yield state[k]
+
+
+def require_plain(g, what):
+    """Refuse a bigraph with a Delta edge, naming what needs none."""
+    if not g.plain:
+        raise InputError("%s needs an empty Delta (a plain Dynkin entry)" % what)
+
+
 def automorphism_search(g):
     """Lazily, in lex order, each Automorphism fixing both unsigned
     matrices, the identity first: the relabelings of the (Gamma, Delta)

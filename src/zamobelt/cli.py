@@ -36,9 +36,11 @@ def _failure(exc):
 
 
 def _resolve_target(target, resolved=None):
-    """The target's bigraph, which must meet the theorem's hypothesis.
-    A JSON file when it ends in .json or holds a path separator, else a
-    catalog name whatever files the working directory holds.
+    """The target's bigraph, which must be recurrent; this checks nothing
+    more, and a command refuses a bigraph outside the theorem
+    (NotAdmissibleBigraph) when it reads `half_period`.  A JSON file
+    when it ends in .json or holds a path separator, else a catalog name
+    whatever files the working directory holds.
 
     resolved, when given, is a suite call's dict from each target string
     it has resolved to that target's Bigraph, which is immutable: a
@@ -122,6 +124,9 @@ def _json_text(doc):
 def cmd_belt(g, args):
     from . import belt
 
+    # a bigraph outside the theorem raises NotAdmissibleBigraph here, as
+    # in every other command, before a step whose values nothing bounds
+    g.half_period
     cluster = ", ".join(v.render() for v in belt.state_at(g, args.steps))
     return {"steps": args.steps, "cluster": cluster}, EXIT_OK
 

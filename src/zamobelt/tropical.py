@@ -34,15 +34,29 @@ initial one relabeled by sigma, the states after N are re-indexed
 copies of earlier ones, through the replay the symbolic belt uses;
 otherwise the shift fails, and a trial steps on to 2N so that its
 period can be read.
+
+The track also answers the root question: `denominator_bijection_check`
+reads every d-vector of a plain Dynkin entry off n integer runs, by
+Lee-Schiffler positivity and Speyer-Williams tropicalization, and
+compares them with the almost positive roots (Fomin-Zelevinsky II).
 """
 
 import math
 import random
 import reprlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigraph import classify_sigma, first_return, replay
+from . import dynkin
+from .bigraph import (
+    cartan_companion,
+    classify_sigma,
+    first_return,
+    produced,
+    replay,
+    require_plain,
+)
 from .errors import InputError, InvalidLabeling, NoGammaNeighbour
 
 RED = "red"
@@ -165,7 +179,9 @@ def _scaled_start(g, lam):
 
 def scaled_states(g, lam, steps, events=None):
     """The labeling's scale and its states at times 0..steps inclusive,
-    every value multiplied by that scale."""
+    every value multiplied by that scale.  A negative steps is refused."""
+    if steps < 0:
+        raise InputError("steps must be nonnegative")
     scale, start = _scaled_start(g, lam)
     return scale, _advance(g, [start], steps, scale, events)
 
@@ -318,6 +334,35 @@ def blue_times_admissible(census, n_half):
     """
     allowed = {0, 1, n_half, n_half + 1}
     return all((p - 1) % (2 * n_half) in allowed for p in census.blue_times)
+
+
+def denominator_bijection_check(g):
+    """Compare the d-vectors of the values a run of a plain Dynkin
+    entry makes up to N - 2 with its almost positive roots, which
+    Fomin-Zelevinsky ("Cluster algebras II", Invent. Math. 2003) put in
+    bijection with them.
+
+    Each value is a Laurent polynomial with nonnegative coefficients
+    (Lee-Schiffler, Ann. of Math. 2015), so no term cancels and its
+    max-plus run at lambda is the max of e . lambda over its exponents e
+    (Speyer-Williams, J. Algebraic Combin. 2005).  At lambda = -e_i that
+    is minus the least exponent of x_i: entry i of the value's d-vector.
+    So n runs to N - 2, one per i, read in production order
+    (`bigraph.produced`), give every d-vector.  The root side is the
+    brute-force enumerator's positive roots of the Cartan companion of
+    Gamma plus the negative simple roots, so the two sides are computed
+    independently.
+    """
+    require_plain(g, "denominator bijection")
+    n = g.n
+    negatives = [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)]
+    entries = [
+        produced(g, scaled_states(g, lam, g.half_period - 2)[1]) for lam in negatives
+    ]
+    collected = Counter(zip(*entries))
+    expected = Counter(dynkin.positive_roots(cartan_companion(g.gamma, range(n))))
+    expected.update(negatives)
+    return collected == expected
 
 
 def make_rng(seed):

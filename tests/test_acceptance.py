@@ -196,7 +196,7 @@ def test_criterion_7_colored_counts():
 @criterion("8 (denominator bijection)")
 def test_criterion_8_denominator_bijection():
     for name in ("A2", "A3", "D4"):
-        assert belt.denominator_bijection_check(bg.catalog(name)), name
+        assert tr.denominator_bijection_check(bg.catalog(name)), name
 
 
 # -- 9: the invariant suite ----------------------------------------------------------

@@ -39,6 +39,47 @@ def test_belt_initial_cluster(capsys):
     assert doc["steps"] == 0
 
 
+@pytest.mark.parametrize(
+    "doc, steps",
+    [
+        # Kronecker: recurrent, but its Gamma is affine
+        ({"n": 2, "b": [[0, 2], [-2, 0]], "epsilon": ["w", "b"]}, 3),
+        # recurrent, with a Delta component of no finite type; stepping
+        # it, step 4 holds a 3 649-term value and step 5 runs for minutes
+        (
+            {
+                "n": 6,
+                "b": [
+                    [0, 0, 0, -3, 0, 0],
+                    [0, 0, -1, -1, 0, 0],
+                    [0, 1, 0, 0, 0, 2],
+                    [3, 1, 0, 0, 0, 0],
+                    [0, 0, 0, 0, 0, 0],
+                    [0, 0, -2, 0, 0, 0],
+                ],
+            },
+            5,
+        ),
+    ],
+    ids=["kronecker", "six-vertex"],
+)
+def test_belt_refuses_a_bigraph_outside_the_theorem_before_a_step(
+    tmp_path, capsys, monkeypatch, doc, steps
+):
+    # as every other command does; the library's run_belt still steps
+    # such a bigraph forward
+    def no_step(*args):
+        raise AssertionError("belt stepped a bigraph outside the theorem")
+
+    monkeypatch.setattr(belt, "step", no_step)
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(doc))
+    assert bg.load_bigraph(str(path)).recurrent
+    code, out, err = run(capsys, "belt", str(path), "--steps", str(steps))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "not of finite Dynkin type" in err
+
+
 @pytest.mark.parametrize("steps", [1_000_000, 1_000_003])
 def test_a_long_belt_renders_one_state_in_bounded_memory(capsys, steps):
     # a step depends on time only through its parity, so the state at

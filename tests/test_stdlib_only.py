@@ -75,13 +75,17 @@ def test_no_module_loads_hashlib():
 
 def package_imports(module):
     """The package modules that module's source imports, by their import
-    name: `from . import x`, `from .x import y` and absolute imports."""
+    name: `from . import x`, `from .x import y` and absolute imports;
+    and each name y that a `from` import takes, as "zamobelt.x.y"."""
     tree = ast.parse((PACKAGE / (module + ".py")).read_text())
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level and node.module:
                 found.add("zamobelt." + node.module)
+                found.update(
+                    "zamobelt." + node.module + "." + alias.name for alias in node.names
+                )
             elif node.level:
                 found.update("zamobelt." + alias.name for alias in node.names)
             elif node.module.partition(".")[0] == "zamobelt":
@@ -99,6 +103,14 @@ def test_the_laurent_free_tracks_import_neither_belt_nor_laurent(module):
     found = package_imports(module)
     assert "zamobelt.bigraph" in found
     assert found.isdisjoint({"zamobelt.belt", "zamobelt.laurent"}), found
+
+
+def test_the_symbolic_track_holds_no_root_system_code():
+    # the denominator bijection reads the tropical runs, so the belt
+    # needs neither the root enumerator nor the Cartan companion
+    found = package_imports("belt")
+    assert "zamobelt.bigraph.produced" in found
+    assert found.isdisjoint({"zamobelt.dynkin", "zamobelt.bigraph.cartan_companion"})
 
 
 def package_modules(loaded):

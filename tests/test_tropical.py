@@ -3,6 +3,8 @@
 import json
 import random
 import re
+import time
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -614,6 +616,19 @@ def test_scaled_states_carry_the_lcm_of_the_denominators():
     )
 
 
+@pytest.mark.parametrize(
+    "run",
+    [tr.scaled_states, tr.run_states, tr.tropical_period],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("steps", [-1, -2, -3])
+def test_a_negative_step_count_is_refused(run, steps):
+    # as `belt.run_belt` refuses it: no run holds the states of a
+    # negative number of steps
+    with pytest.raises(InputError, match="^steps must be nonnegative$"):
+        run(bg.catalog("A2"), (-1, -1), steps)
+
+
 # -- trials on drawn ints -----------------------------------------------------
 
 
@@ -814,3 +829,55 @@ def test_the_tropical_run_is_the_support_function_of_the_belt_values(name):
             for i, (es, x) in enumerate(zip(row, values)):
                 top = max(sum(map(mul, e, lam)) for e in es)
                 assert scale * top == x, (lam, t, i + 1)
+
+
+# -- d-vectors off the tropical runs ------------------------------------------
+#
+# By the support function above, the run at lambda = -e_i gives entry i
+# of every value's d-vector: minus its least exponent of x_i.  The Laurent
+# route (`Laurent.denominator_vector` over the belt's values) stays here
+# as the reference the tropical check is compared with.
+
+DENOMINATOR_TARGETS = [
+    name for name in bg.catalog_names() if bg.catalog(name).plain
+] + ["F4", "E6", "D5"]
+
+
+def tropical_d_vectors(g):
+    """The d-vectors of the values up to N - 2, read off n tropical runs."""
+    runs = []
+    for i in range(g.n):
+        lam = tuple(-1 if j == i else 0 for j in range(g.n))
+        runs.append(bg.produced(g, tr.scaled_states(g, lam, g.half_period - 2)[1]))
+    return Counter(zip(*runs))
+
+
+@pytest.mark.parametrize("name", DENOMINATOR_TARGETS)
+def test_the_tropical_d_vectors_are_the_laurent_ones(name):
+    g = bg.catalog(name)
+    states = belt.run_belt(g, g.half_period - 2)
+    laurent_side = Counter(v.denominator_vector() for v in bg.produced(g, states))
+    assert laurent_side == tropical_d_vectors(g)
+    assert sum(laurent_side.values()) == g.n * g.half_period // 2
+    assert tr.denominator_bijection_check(g)
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_the_denominator_bijection_holds_where_the_laurent_belt_is_out_of_reach(name):
+    g = bg.catalog(name)
+    start = time.perf_counter()
+    assert tr.denominator_bijection_check(g)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_denominator_bijection_sees_a_missing_root(monkeypatch):
+    g = bg.catalog("D4")
+    roots = tr.dynkin.positive_roots
+    monkeypatch.setattr(tr.dynkin, "positive_roots", lambda cartan: roots(cartan)[1:])
+    assert not tr.denominator_bijection_check(g)
+
+
+def test_the_denominator_bijection_needs_a_plain_entry():
+    text = r"^denominator bijection needs an empty Delta \(a plain Dynkin entry\)$"
+    with pytest.raises(InputError, match=text):
+        tr.denominator_bijection_check(bg.catalog("A2xA2"))
