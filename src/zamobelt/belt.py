@@ -11,8 +11,10 @@ movers.  The bigraph's timetable, `Bigraph.movers`, lists those vertices
 with their Gamma and Delta in-edges, and the tropical track steps over
 it too.
 
-A run divides only where it must.  Write N = h_Gamma + h_Delta and S_c
-for the state at time c.  Two facts let it derive states instead:
+A run divides only where it must.  It reads N = h_Gamma + h_Delta
+first (`Bigraph.half_period`, which refuses a bigraph outside the
+theorem); write S_c for the state at time c.  Two facts let it derive
+states instead:
 
 - Uniqueness.  T_k(t+1) * T_k(t-1) is a sum of two monomials in the
   values at t, and no value is zero, so one full cluster fixes a
@@ -65,7 +67,6 @@ from .errors import (
     InvalidPermutation,
     LaurentPhenomenonViolation,
     NoPermutationMatch,
-    NotAdmissibleBigraph,
     NotDivisible,
 )
 from .laurent import Laurent, exchange
@@ -103,17 +104,13 @@ def run_belt(g, steps):
     """
     if steps < 0:
         raise InputError("steps must be nonnegative")
+    n_steps = g.half_period
     states = [initial_state(g)]
-    try:
-        n_steps = g.half_period
-    except NotAdmissibleBigraph:
-        n_steps = None
-    if n_steps is not None:
-        first_half = min(steps, n_steps)
-        _advance(g, states, min(first_half, n_steps - n_steps // 2))
-        _mirror(g, states, n_steps, first_half)
-        _advance(g, states, first_half)
-        _replay(g, states, n_steps, steps)
+    first_half = min(steps, n_steps)
+    _advance(g, states, min(first_half, n_steps - n_steps // 2))
+    _mirror(g, states, n_steps, first_half)
+    _advance(g, states, first_half)
+    _replay(g, states, n_steps, steps)
     _advance(g, states, steps)
     return states
 
@@ -122,25 +119,19 @@ def state_at(g, steps):
     """The state at time steps, as run_belt(g, steps)[-1] holds it,
     without holding steps + 1 states.
 
-    On an admissible bigraph a run past 2N stops at 2N.  A step depends
-    on the time only through its parity, so when the state at an even p
-    equals the initial one (`first_return`), the state at t is the state
-    at t mod p.  Otherwise the run steps on from its last state, keeping
-    that state alone, as it does from time 0 on a bigraph outside the
-    theorem.  run_belt rejects a negative steps.
+    A run past 2N stops at 2N.  A step depends on the time only through
+    its parity, so when the state at an even p equals the initial one
+    (`first_return`), the state at t is the state at t mod p; with none
+    up to 2N this raises the ClaimViolation `halfperiod` raises.
     """
-    try:
-        last = min(steps, 2 * g.half_period)
-    except NotAdmissibleBigraph:
-        last = min(steps, 0)
+    last = min(steps, 2 * g.half_period)
     states = run_belt(g, last)
-    period = first_return(states) if steps > last else None
-    if period is not None:
-        return states[steps % period]
-    values = states[-1]
-    for c in range(last, steps):
-        values = step(g, c, values)
-    return values
+    if steps == last:
+        return states[-1]
+    period = first_return(states)
+    if period is None:
+        raise ClaimViolation("no recurrence within 2N = %d steps" % last)
+    return states[steps % period]
 
 
 def _advance(g, states, last):
@@ -212,7 +203,8 @@ def sigma_from_cluster(values):
     if None in perm:
         i = perm.index(None)
         raise NoPermutationMatch(
-            "entry %d is %s, not an initial variable" % (i + 1, values[i])
+            "entry %d is %s, not an initial variable"
+            % (i + 1, values[i].render(limit=NotDivisible.SHOWN_TERMS))
         )
     try:
         return Automorphism(perm)

@@ -30,6 +30,7 @@ from .errors import (
     NotAdmissibleBigraph,
     NotBipartite,
     NotIntegerMatrix,
+    NotRecurrent,
     NotSkewSymmetrizable,
     UnknownName,
 )
@@ -295,7 +296,7 @@ class Bigraph:
         The composite around a full period is the identity exactly when
         both one-color composites negate, so both are checked; one alone
         is not enough in general.  Cached, so the CLI's check of a target
-        and a later premise check share it."""
+        and every read of `half_period` share it."""
         minus = _freeze([[-x for x in row] for row in self.base.b])
         return all(
             composite_mutation(self.base, color_set).b == minus
@@ -362,6 +363,9 @@ class Bigraph:
 
     @property
     def half_period(self):
+        """N, read by every track before its first step: the one gate
+        refusing a bigraph outside the theorem (an InputError)."""
+        require_recurrent(self)
         return self.h_gamma + self.h_delta
 
 
@@ -675,6 +679,15 @@ def require_plain(g, what):
     """Refuse a bigraph with a Delta edge, naming what needs none."""
     if not g.plain:
         raise InputError("%s needs an empty Delta (a plain Dynkin entry)" % what)
+
+
+def require_recurrent(g, name="the bigraph"):
+    """Refuse a bigraph that is not recurrent, naming it name."""
+    if not g.recurrent:
+        raise NotRecurrent(
+            "%s is not recurrent: mutating every white vertex, or every "
+            "black one, does not negate its exchange matrix" % name
+        )
 
 
 def automorphism_search(g):

@@ -16,7 +16,7 @@ from itertools import chain
 
 # each command imports the tracks it runs, so a process compiles only those
 from . import bigraph, errors
-from .errors import ClaimViolation, InputError, NotRecurrent
+from .errors import ClaimViolation, InputError
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -54,11 +54,7 @@ def _resolve_target(target, resolved=None):
         g = bigraph.load_bigraph(target)
     else:
         g = bigraph.catalog(target)
-    if not g.recurrent:
-        raise NotRecurrent(
-            "%s is not recurrent: mutating every white vertex, or every "
-            "black one, does not negate its exchange matrix" % target
-        )
+    bigraph.require_recurrent(g, target)
     if resolved is not None:
         resolved[target] = g
     return g
@@ -124,9 +120,6 @@ def _json_text(doc):
 def cmd_belt(g, args):
     from . import belt
 
-    # a bigraph outside the theorem raises NotAdmissibleBigraph here, as
-    # in every other command, before a step whose values nothing bounds
-    g.half_period
     cluster = ", ".join(v.render() for v in belt.state_at(g, args.steps))
     return {"steps": args.steps, "cluster": cluster}, EXIT_OK
 

@@ -72,7 +72,6 @@ from .errors import (
     NotGreenAtStep,
     NotMaximal,
     NotPermutation,
-    NotRecurrent,
     SignCoherenceViolation,
 )
 
@@ -487,11 +486,12 @@ def _certify(g, first, second, factors, partition, name="the green sequence"):
     first, so a vertex out of range is a FrozenVertex; then the pivot
     must have been green, point negatively only inside its part, and
     mutate as its part's restriction does, before the y rows are
-    compared.  On a recurrent g a whole colour's mutation negates B, so
-    the block is -B where an odd factor ends, B where an even one does;
-    the first factor where it is not is raised, naming the walk, once
-    the walk is done, as a check that names its step and vertex raises
-    first.  Then no vertex may be green, and -C must be P_sigma.
+    compared.  g is recurrent (its caller's gate), so a whole colour's
+    mutation negates B: the block is -B where an odd factor ends, B
+    where an even one does; the first factor where it is not is raised,
+    naming the walk, once the walk is done, as a check that names its
+    step and vertex raises first.  Then no vertex may be green, and -C
+    must be P_sigma.
     partition is read as given: its parts are the sorted vertex tuples
     of components, which cover 0..n-1 once by construction."""
     part_of = [None] * g.n
@@ -502,9 +502,9 @@ def _certify(g, first, second, factors, partition, name="the green sequence"):
     y = tuple(map(_codec(g.n).pack, initial_y(g.n)))
     _assert_y_matches_c(state, y, range(g.n))
     b = g.base.b
-    blocks = (b, tuple(tuple(map(neg, row)) for row in b)) if g.recurrent else ()
+    blocks = (b, tuple(tuple(map(neg, row)) for row in b))
     ends, t, broken = {}, 0, None
-    for f in range(1, factors + 1) if blocks else ():
+    for f in range(1, factors + 1):
         t += len(first if f % 2 else second)
         ends[t] = f
     for t, k in enumerate(_sequence(first, second, factors), 1):
@@ -539,7 +539,9 @@ def verify_bipartite_belt_mgs(g):
     """Certify both alternating belt sequences on the framed matrix: the
     sink-first one (h_Gamma factors, Gamma-sinks, the blacks, open)
     against the Gamma-component partition, the other (h_Delta factors,
-    Delta-sinks open) against the Delta-component partition."""
+    Delta-sinks open) against the Delta-component partition, once the
+    gate `Bigraph.half_period` has passed."""
+    g.half_period
     gamma = tuple(comp.vertices for comp in g.gamma_components)
     delta = tuple(comp.vertices for comp in g.delta_components)
     return (
@@ -555,8 +557,6 @@ def _relabeled(rows, p):
 
 def _derived_final(g):
     """The coframed belt's end as (block, packed c), off `g.certificates`."""
-    if not g.recurrent:
-        raise NotRecurrent("the bigraph is not recurrent")
     cert_gamma, cert_delta = g.certificates
     q = cert_gamma.permutation
     last = g.whites if g.h_gamma % 2 == 0 else g.blacks
@@ -583,13 +583,13 @@ def frozen_isomorphism_check(g, symbolic_sigma=None):
     (`bigraph.classify_sigma`) and equal symbolic_sigma when given.
 
     No walk runs: `_derived_final` reads the belt's end off
-    `g.certificates` under four exact premises: g is recurrent (else
-    NotRecurrent, exit 2); each certificate's sequence is its belt's;
-    the Gamma certificate ends at R_q(coframed B), q its permutation and
-    R_q reading the block at q in rows and columns (`_relabeled`) and
-    the packed c-vectors at q in rows only; and q maps that
-    certificate's last factor onto the whites (else NoIsomorphism, exit
-    1, naming the premise).
+    `g.certificates` under four exact premises: g is recurrent (their
+    gate, else NotRecurrent, exit 2); each certificate's sequence is its
+    belt's; the Gamma certificate ends at R_q(coframed B), q its
+    permutation and R_q reading the block at q in rows and columns
+    (`_relabeled`) and the packed c-vectors at q in rows only; and q
+    maps that certificate's last factor onto the whites (else
+    NoIsomorphism, exit 1, naming the premise).
     Proof.  Recurrence makes the mutable block +-B at every factor
     boundary of a belt walk (the certificates' walks check it), so the
     vertices of one factor are pairwise unlinked there: their mutations

@@ -13,12 +13,15 @@ import zamobelt.belt as belt
 import zamobelt.bigraph as bg
 import zamobelt.cli as cli
 import zamobelt.green as green
+import zamobelt.tropical as tropical
 from zamobelt.errors import (
     ClaimViolation,
     InputError,
     LaurentPhenomenonViolation,
     NoPermutationMatch,
     NotAdmissibleBigraph,
+    NotDivisible,
+    NotRecurrent,
 )
 from zamobelt.laurent import Laurent, variables
 
@@ -375,14 +378,112 @@ def test_mirror_on_a_large_symmetry_group_draws_one_candidate(g, monkeypatch):
         assert calls == list(range(midpoint(g) if odd else n_steps)), steps
 
 
-def test_belt_outside_the_theorem_steps_forward():
-    # the Kronecker bigraph is recurrent but affine: it has no half period
-    g = bg.from_json({"n": 2, "b": [[0, 2], [-2, 0]], "epsilon": ["w", "b"]})
+# -- bigraphs outside the theorem ------------------------------------------------
+
+# recurrent but affine: Gamma is the Kronecker quiver, with no Coxeter number
+KRONECKER = {"n": 2, "b": [[0, 2], [-2, 0]], "epsilon": ["w", "b"]}
+
+# Gamma = Delta = 3 x A2, so N = 6, but mutating every white vertex does
+# not negate B: the belt leaves the Laurent ring at t = 4
+NOT_RECURRENT = {
+    "n": 6,
+    "b": [
+        [0, 0, 0, 0, -1, 1],
+        [0, 0, 1, 0, 0, -1],
+        [0, -1, 0, 1, 0, 0],
+        [0, 0, -1, 0, 1, 0],
+        [1, 0, 0, -1, 0, 0],
+        [-1, 1, 0, 0, 0, 0],
+    ],
+    "epsilon": ["b", "b", "w", "b", "w", "w"],
+}
+
+
+def forbid_steps(monkeypatch):
+    """Make a belt step, a framed mutation and a tropical step fail."""
+
+    def no_step(*_, **__):
+        raise AssertionError("a run stepped a bigraph outside the theorem")
+
+    monkeypatch.setattr(belt, "step", no_step)
+    monkeypatch.setattr(green, "mutate_framed", no_step)
+    monkeypatch.setattr(tropical, "step_values", no_step)
+
+
+def test_belt_outside_the_theorem_is_refused_before_any_step(monkeypatch):
+    g = bg.from_json(KRONECKER)
+    forbid_steps(monkeypatch)
     with pytest.raises(NotAdmissibleBigraph):
         g.half_period
-    assert belt.run_belt(g, 9) == forward_trajectory(g, 9)
+    with pytest.raises(NotAdmissibleBigraph):
+        belt.run_belt(g, 9)
     # and one state at a time
-    assert belt.state_at(g, 9) == forward_trajectory(g, 9)[-1]
+    with pytest.raises(NotAdmissibleBigraph):
+        belt.state_at(g, 9)
+
+
+def _identity_sigma(g):
+    return bg.Automorphism.identity(g.n)
+
+
+ENTRY_POINTS = {
+    "run_belt": lambda g: belt.run_belt(g, 4),
+    "state_at": lambda g: belt.state_at(g, 4),
+    "belt.half_period": belt.half_period,
+    "detect_period": lambda g: belt.detect_period(g, 8),
+    "verify_bipartite_belt_mgs": green.verify_bipartite_belt_mgs,
+    "frozen_isomorphism_check": green.frozen_isomorphism_check,
+    "classify_sigma": lambda g: bg.classify_sigma(g, _identity_sigma(g)),
+    "tropical_half_period": lambda g: tropical.tropical_half_period(
+        g, tropical.constant_labeling(g.n, 1), _identity_sigma(g)
+    ),
+    "dual_transfer_check": lambda g: tropical.dual_transfer_check(
+        g, tropical.constant_labeling(g.n, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [(NOT_RECURRENT, NotRecurrent), (KRONECKER, NotAdmissibleBigraph)],
+    ids=["not-recurrent", "kronecker"],
+)
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bigraph_outside_the_theorem(
+    entry, doc, error, monkeypatch
+):
+    # one gate, Bigraph.half_period, read before any step or mutation:
+    # the input is refused (exit 2), and no claim is reported failed
+    g = bg.from_json(doc)
+    forbid_steps(monkeypatch)
+    with pytest.raises(error) as info:
+        ENTRY_POINTS[entry](g)
+    assert cli._failure(info.value)[1] == cli.EXIT_INPUT
+
+
+def test_the_gate_names_what_it_refuses():
+    g = bg.from_json(NOT_RECURRENT)
+    rule = (
+        "is not recurrent: mutating every white vertex, or every black one, "
+        "does not negate its exchange matrix"
+    )
+    with pytest.raises(NotRecurrent, match="^the bigraph %s$" % rule):
+        g.half_period
+    with pytest.raises(NotRecurrent, match="^g.json %s$" % rule):
+        bg.require_recurrent(g, "g.json")
+
+
+def test_no_return_within_2n_is_a_claim_violation(monkeypatch, capsys):
+    # past 2N a state is read off the first return; with none the theorem
+    # fails, and state_at says so as halfperiod does, rather than step on
+    monkeypatch.setattr(belt, "first_return", lambda states: None)
+    g = bg.catalog("A3")
+    assert belt.state_at(g, 12) == belt.run_belt(g, 12)[-1]
+    text = "^no recurrence within 2N = 12 steps$"
+    with pytest.raises(ClaimViolation, match=text):
+        belt.state_at(g, 13)
+    assert cli.main(["belt", "A3", "--steps", "13"]) == cli.EXIT_FALSIFIED
+    assert capsys.readouterr() == ("", "falsified: %s\n" % text.strip("^$"))
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "D4", "A2xA2", "fig1-A5starD4"])
@@ -516,6 +617,24 @@ def test_sigma_from_cluster_error_paths():
         belt.sigma_from_cluster((x1 + 1, x2))
     with pytest.raises(NoPermutationMatch):
         belt.sigma_from_cluster((x1, x1))  # not injective
+
+
+def test_sigma_from_cluster_shows_a_long_entry_by_its_leading_terms():
+    x1, x2 = variables(2)
+    # an entry of at most SHOWN_TERMS terms is written whole
+    short = x1 + x2 + 2 * x1 * x2 + 1
+    assert len(short.terms) == NotDivisible.SHOWN_TERMS
+    with pytest.raises(NoPermutationMatch) as info:
+        belt.sigma_from_cluster((x1, short))
+    assert str(info.value) == "entry 2 is %s, not an initial variable" % short
+    # a longer one by its leading terms and its term count
+    long = (x1 + x2 + 1) ** 8
+    with pytest.raises(NoPermutationMatch) as info:
+        belt.sigma_from_cluster((long, x2))
+    shown = long.render(limit=NotDivisible.SHOWN_TERMS)
+    assert shown.endswith(" + ... (%d terms)" % len(long.terms))
+    assert str(info.value) == "entry 1 is %s, not an initial variable" % shown
+    assert len(str(info.value)) < 160
 
 
 # -- cluster variable census ----------------------------------------------------

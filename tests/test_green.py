@@ -703,10 +703,15 @@ def test_a_broken_premise_raises_no_isomorphism_naming_it(
 
 
 def test_a_bigraph_not_known_recurrent_is_not_recurrent(monkeypatch):
-    # recurrence is read first, and with it the certificates are not
+    # the certificates read the gate before their first mutation, so none
+    # is built and none is kept
     g = bg.catalog("A2xA3")
     vars(g)["recurrent"] = False
-    with pytest.raises(NotRecurrent, match="^the bigraph is not recurrent$") as info:
+    text = (
+        "^the bigraph is not recurrent: mutating every white vertex, or every "
+        "black one, does not negate its exchange matrix$"
+    )
+    with pytest.raises(NotRecurrent, match=text) as info:
         green.frozen_isomorphism_check(g)
     assert cli._failure(info.value)[1] == 2
     assert "certificates" not in vars(g)
@@ -1190,13 +1195,16 @@ def test_the_boundary_check_names_the_walk_the_factor_and_the_entry(monkeypatch)
     )
 
 
-def test_a_walk_on_a_bigraph_not_known_recurrent_checks_no_boundary(monkeypatch):
-    # the premise is recurrence: without it the blocks are not compared
+def test_a_walk_on_a_bigraph_not_known_recurrent_is_refused_before_any_mutation(
+    monkeypatch,
+):
+    # the boundary check's premise is recurrence: without it no walk runs
     g = bg.catalog("A2xA3")
     vars(g)["recurrent"] = False
-    _drop_pivot_entry(monkeypatch, g, 9, drop_other_part)
-    gamma, _ = green.verify_bipartite_belt_mgs(g)
-    assert gamma.permutation.cycles() == "(1 2)(3 4)(5 6)"
+    calls = _drop_pivot_entry(monkeypatch, g, 9, drop_other_part)
+    with pytest.raises(NotRecurrent, match="^the bigraph is not recurrent: "):
+        green.verify_bipartite_belt_mgs(g)
+    assert calls == []
 
 
 # -- the bound on the entries of packed rows ----------------------------------------

@@ -113,6 +113,20 @@ def test_the_symbolic_track_holds_no_root_system_code():
     assert found.isdisjoint({"zamobelt.dynkin", "zamobelt.bigraph.cartan_companion"})
 
 
+def test_only_the_bigraph_module_reads_recurrence():
+    # Bigraph.half_period is the one hypothesis gate: every other module
+    # reads it, or require_recurrent, and never the verdict itself
+    readers = sorted(
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "recurrent"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert readers == ["bigraph"]
+
+
 def package_modules(loaded):
     return {m for m in loaded if m.partition(".")[0] == "zamobelt"}
 
